@@ -49,6 +49,7 @@ from .maximal_lab import (
     square_functional,
 )
 from .multipliers import (
+    FAMILIES,
     BandBump,
     Custom,
     LimitedDecay,
@@ -59,7 +60,6 @@ from .multipliers import (
     evaluate,
     mtilde,
     mtilde_values,
-    multiplier_from_json,
 )
 
 __version__ = "0.1.0"

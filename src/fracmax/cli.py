@@ -3,13 +3,14 @@
 Exit codes: 0 success, 1 input error, 2 verification/assertion failure.
 Reports are deterministic for a fixed config and seed: keys are sorted, no
 timestamps are embedded, and every report echoes the fully resolved config.
+Every report carries `"workers": 1`: fracmax runs serially, and the field
+stays for readers of earlier reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -53,18 +54,6 @@ def _load_config(path: str) -> dict:
         raise InputError(f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}")
 
 
-def _resolve_workers(args) -> int:
-    env = os.environ.get("FRACMAX_WORKERS")
-    if args.workers is not None:
-        return args.workers
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"FRACMAX_WORKERS must be an integer, got {env!r}")
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # dim
 
@@ -74,7 +63,7 @@ def cmd_dim(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        E = ml.set_from_json(spec["set"])
+        E = ds.DilationSet.from_json(spec["set"])
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad set description: {exc}")
     sched_spec = spec.get("schedule", {})
@@ -102,8 +91,7 @@ def cmd_dim(args) -> int:
         elif method == "gap_sum":
             if not isinstance(E.generator, ds.PowerSequence):
                 raise InputError("gap_sum method needs a power-sequence generator")
-            a = E.generator.a
-            est = ds.dimension_from_gap_sums(lambda n, a=a: 1.0 + n**-a)
+            est = ds.dimension_from_gap_sums(E.generator.sequence)
         else:
             raise InputError(f"unknown method {method!r}")
         results[method] = json.loads(est.to_json())
@@ -145,7 +133,7 @@ def cmd_dim(args) -> int:
     report_payload = {
         "config": spec,
         "seed": args.seed,
-        "workers": _resolve_workers(args),
+        "workers": 1,
         "results": results,
         "failures": failures,
     }
@@ -169,7 +157,7 @@ def cmd_verify(args) -> int:
             raise InputError(str(exc.args[0]))
     aggregate = {
         "seed": args.seed,
-        "workers": _resolve_workers(args),
+        "workers": 1,
         "all_passed": all(r.all_passed for r in reports),
         "suites": [json.loads(r.to_json()) for r in reports],
     }
@@ -224,9 +212,11 @@ def cmd_experiment(args) -> int:
     elif kind == "halfwave":
         hw_alpha = float(spec.get("hw_alpha", 0.5))
         hw_beta = float(spec.get("hw_beta", 0.4))
-        times = ml.halfwave_times(
-            config.E, float(spec.get("t_min", 1.0 / 40)), float(spec.get("t_max", 0.35))
-        )
+        t_min, t_max = float(spec.get("t_min", 1.0 / 40)), float(spec.get("t_max", 0.35))
+        try:
+            times = ml.halfwave_times(config.E, t_min, t_max)
+        except ValueError as exc:
+            raise InputError(str(exc))
         f = config.build_f()
         report = ml.halfwave_convergence(f, hw_alpha, hw_beta, times, config.f.smoothness)
         results = {"beta_fit": report.beta_fit, "n_times": len(report.times)}
@@ -254,7 +244,7 @@ def cmd_experiment(args) -> int:
         "kind": kind,
         "config": ml.config_to_json(config),
         "seed": args.seed,
-        "workers": _resolve_workers(args),
+        "workers": 1,
         "results": results,
         "checks": checks,
     }
@@ -276,21 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     dim.add_argument("--config", required=True, help="JSON config naming the set and methods")
     dim.add_argument("--out", default="out", help="output directory")
     dim.add_argument("--seed", type=int, default=0)
-    dim.add_argument("--workers", type=int, default=None)
     dim.set_defaults(handler=cmd_dim)
 
     ver = sub.add_parser("verify", help="run a named invariant suite")
     ver.add_argument("--suite", default="all", help="dimension|fraccalc|frames|multipliers|maximal|all")
     ver.add_argument("--out", default="out", help="output directory")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--workers", type=int, default=None)
     ver.set_defaults(handler=cmd_verify)
 
     exp = sub.add_parser("experiment", help="run a maximal-operator experiment")
     exp.add_argument("--config", required=True, help="JSON experiment description")
     exp.add_argument("--out", default="out", help="output directory")
     exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--workers", type=int, default=None)
     exp.set_defaults(handler=cmd_experiment)
     return parser
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
+
+from .wire import Registry, tuple_of
 
 DEDUP_TOL = 1e-15
 DEFAULT_GAP_FLOOR = 1e-9
@@ -28,9 +30,14 @@ _BOUNDARY_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# generators
+# generators: `materialize(j, cap, gap_floor)` gives block j as (ascending
+# points, truncated flag, tails); `small_times(t_min, t_max)` gives the set's
+# times accumulating at zero, unfiltered.
+
+GENERATORS = Registry("kind", "set kind")
 
 
+@GENERATORS.register("power_sequence", a=float)
 @dataclass(frozen=True)
 class PowerSequence:
     """The set {1 + n**(-a) : n = 1, 2, ...}; accumulates at 1 from above."""
@@ -48,7 +55,42 @@ class PowerSequence:
     def sequence(self, n) -> np.ndarray:
         return 1.0 + self.offsets(n)
 
+    def materialize(self, j: int, cap: int, gap_floor: float):
+        if j == 1:
+            # only n = 1 lands in [2, 4]; it rescales to the point 1
+            return np.array([1.0]), False, ()
+        if j != 0:
+            return np.array([]), False, ()
+        # j = 0: the whole sequence {1 + n**-a}, truncated at the gap floor / cap
+        a = self.a
+        # gap(n) = n**-a - (n+1)**-a ~ a * n**-(1+a); find last n with gap >= floor
+        n_star = max(1.0, (a / max(gap_floor, 1e-300)) ** (1.0 / (1.0 + a)))
+        n_max = int(min(cap, math.ceil(n_star * 2)))
+        n = np.arange(1, n_max + 1, dtype=float)
+        pts = self.sequence(n)
+        gaps = -np.diff(pts)  # decreasing sequence
+        big = np.nonzero(gaps >= gap_floor)[0]
+        last = int(big[-1]) + 2 if big.size else 1  # keep points 1..last
+        last = min(last, cap)
+        pts = pts[:last][::-1].copy()  # ascending
+        tail = TailInfo(
+            anchor=1.0,
+            edge=float(pts[0]),
+            gap=float(self.offsets(last) - self.offsets(last + 1)),
+            power=a,
+            n_trunc=last,
+        )
+        return pts, True, (tail,)
 
+    def small_times(self, t_min: float, t_max: float) -> np.ndarray:
+        """The offsets to the accumulation point 1."""
+        n_lo = max(1, math.floor(t_max ** (-1.0 / self.a)))
+        n_hi = math.ceil(t_min ** (-1.0 / self.a)) + 1
+        n = np.arange(n_lo, min(n_hi, n_lo + 100000) + 1, dtype=float)
+        return self.offsets(n)
+
+
+@GENERATORS.register("explicit", points=tuple_of(float))
 @dataclass(frozen=True)
 class ExplicitPoints:
     points: tuple[float, ...]
@@ -60,7 +102,15 @@ class ExplicitPoints:
             raise ValueError("all points must be strictly positive")
         object.__setattr__(self, "points", tuple(sorted(self.points)))
 
+    def materialize(self, j: int, cap: int, gap_floor: float):
+        pts, trunc = _finite_block(np.asarray(self.points, dtype=float), j, cap)
+        return pts, trunc, ()
 
+    def small_times(self, t_min: float, t_max: float) -> np.ndarray:
+        return np.asarray(self.points, dtype=float)
+
+
+@GENERATORS.register("cantor", base=int, digits=tuple, levels=int)
 @dataclass(frozen=True)
 class CantorLike:
     """Endpoints of a base-adic Cantor construction on [1, 2].
@@ -85,12 +135,42 @@ class CantorLike:
         if self.levels < 0:
             raise ValueError("levels must be >= 0")
 
+    def materialize(self, j: int, cap: int, gap_floor: float):
+        k = len(self.digits)
+        levels = self.levels
+        trunc_lvl = False
+        while levels > 0 and 2 * k**levels > cap:
+            levels -= 1
+            trunc_lvl = True
+        lefts = np.array([0.0])
+        for lvl in range(1, levels + 1):
+            step = self.base ** (-float(lvl))
+            lefts = (lefts[:, None] + np.array(self.digits, dtype=float)[None, :] * step).ravel()
+        width = self.base ** (-float(levels))
+        base_pts = _dedup_sorted(np.concatenate([1.0 + lefts, 1.0 + lefts + width]))
+        pts, trunc = _finite_block(base_pts, j, cap)
+        return pts, trunc or trunc_lvl, ()
 
+    def small_times(self, t_min: float, t_max: float) -> np.ndarray:
+        raise ValueError("a Cantor set has no small-time schedule")
+
+
+@GENERATORS.register("lacunary")
 @dataclass(frozen=True)
 class LacunaryGrid:
     """The lacunary set {2**j : j in Z}."""
 
+    def materialize(self, j: int, cap: int, gap_floor: float):
+        # 2**(k-j) lies in [1,2] exactly for k-j in {0, 1}
+        return np.array([1.0, 2.0]), False, ()
 
+    def small_times(self, t_min: float, t_max: float) -> np.ndarray:
+        k_lo = math.ceil(math.log2(1.0 / t_max))
+        k_hi = math.floor(math.log2(1.0 / t_min))
+        return 2.0 ** -np.arange(k_lo, k_hi + 1, dtype=float)
+
+
+@GENERATORS.register("union", members=tuple_of(GENERATORS.from_json))
 @dataclass(frozen=True)
 class UnionSet:
     members: tuple["Generator", ...]
@@ -98,6 +178,19 @@ class UnionSet:
     def __post_init__(self):
         if not self.members:
             raise ValueError("union of zero sets")
+
+    def materialize(self, j: int, cap: int, gap_floor: float):
+        parts, truncs, tails = [], False, []
+        for member in self.members:
+            p, t, tl = member.materialize(j, cap, gap_floor)
+            parts.append(p)
+            truncs = truncs or t
+            tails.extend(tl)
+        pts = _dedup_sorted(np.concatenate(parts)) if parts else np.array([])
+        return pts, truncs, tuple(sorted(tails, key=lambda t: t.anchor))
+
+    def small_times(self, t_min: float, t_max: float) -> np.ndarray:
+        return np.concatenate([m.small_times(t_min, t_max) for m in self.members])
 
 
 Generator = Union[PowerSequence, ExplicitPoints, CantorLike, LacunaryGrid, UnionSet]
@@ -111,6 +204,13 @@ class DilationSet:
     def __post_init__(self):
         if self.materialization_cap < 2:
             raise ValueError("materialization cap too small")
+
+    def to_json(self) -> dict:
+        return {"generator": GENERATORS.to_json(self.generator), "cap": self.materialization_cap}
+
+    @staticmethod
+    def from_json(payload: dict) -> "DilationSet":
+        return DilationSet(GENERATORS.from_json(payload["generator"]), int(payload.get("cap", DEFAULT_CAP)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,50 +280,6 @@ def _dedup_sorted(points: np.ndarray) -> np.ndarray:
     return points[keep]
 
 
-def _power_block(gen: PowerSequence, j: int, cap: int, gap_floor: float):
-    if j == 1:
-        # only n = 1 lands in [2, 4]; it rescales to the point 1
-        return np.array([1.0]), False, ()
-    if j != 0:
-        return np.array([]), False, ()
-    # j = 0: the whole sequence {1 + n**-a}, truncated at the gap floor / cap
-    a = gen.a
-    # gap(n) = n**-a - (n+1)**-a ~ a * n**-(1+a); find last n with gap >= floor
-    n_star = max(1.0, (a / max(gap_floor, 1e-300)) ** (1.0 / (1.0 + a)))
-    n_max = int(min(cap, math.ceil(n_star * 2)))
-    n = np.arange(1, n_max + 1, dtype=float)
-    pts = gen.sequence(n)
-    gaps = -np.diff(pts)  # decreasing sequence
-    big = np.nonzero(gaps >= gap_floor)[0]
-    last = int(big[-1]) + 2 if big.size else 1  # keep points 1..last
-    last = min(last, cap)
-    pts = pts[:last][::-1].copy()  # ascending
-    tail = TailInfo(
-        anchor=1.0,
-        edge=float(pts[0]),
-        gap=float(gen.offsets(last) - gen.offsets(last + 1)),
-        power=a,
-        n_trunc=last,
-    )
-    return pts, True, (tail,)
-
-
-def _cantor_points(gen: CantorLike, cap: int):
-    k = len(gen.digits)
-    levels = gen.levels
-    truncated = False
-    while levels > 0 and 2 * k**levels > cap:
-        levels -= 1
-        truncated = True
-    lefts = np.array([0.0])
-    for lvl in range(1, levels + 1):
-        step = gen.base ** (-float(lvl))
-        lefts = (lefts[:, None] + np.array(gen.digits, dtype=float)[None, :] * step).ravel()
-    width = gen.base ** (-float(levels))
-    pts = np.concatenate([1.0 + lefts, 1.0 + lefts + width])
-    return _dedup_sorted(pts), truncated
-
-
 def _finite_block(points: np.ndarray, j: int, cap: int):
     scaled = points * 2.0 ** (-j)
     sel = scaled[(scaled >= 1.0 - 1e-12) & (scaled <= 2.0 + 1e-12)]
@@ -236,34 +292,9 @@ def _finite_block(points: np.ndarray, j: int, cap: int):
     return sel, truncated
 
 
-def _materialize(gen: Generator, j: int, cap: int, gap_floor: float):
-    if isinstance(gen, PowerSequence):
-        return _power_block(gen, j, cap, gap_floor)
-    if isinstance(gen, ExplicitPoints):
-        pts, trunc = _finite_block(np.asarray(gen.points, dtype=float), j, cap)
-        return pts, trunc, ()
-    if isinstance(gen, CantorLike):
-        base_pts, trunc_lvl = _cantor_points(gen, cap)
-        pts, trunc = _finite_block(base_pts, j, cap)
-        return pts, trunc or trunc_lvl, ()
-    if isinstance(gen, LacunaryGrid):
-        # 2**(k-j) lies in [1,2] exactly for k-j in {0, 1}
-        return np.array([1.0, 2.0]), False, ()
-    if isinstance(gen, UnionSet):
-        parts, truncs, tails = [], False, []
-        for member in gen.members:
-            p, t, tl = _materialize(member, j, cap, gap_floor)
-            parts.append(p)
-            truncs = truncs or t
-            tails.extend(tl)
-        pts = _dedup_sorted(np.concatenate(parts)) if parts else np.array([])
-        return pts, truncs, tuple(sorted(tails, key=lambda t: t.anchor))
-    raise TypeError(f"unknown generator {type(gen).__name__}")
-
-
 @lru_cache(maxsize=4096)
 def _cached_block(gen: Generator, j: int, cap: int, gap_floor: float) -> BlockSet:
-    pts, truncated, tails = _materialize(gen, j, cap, gap_floor)
+    pts, truncated, tails = gen.materialize(j, cap, gap_floor)
     includes = (False, False)
     if pts.size:
         includes = (bool(abs(pts[0] - 1.0) <= DEDUP_TOL), bool(abs(pts[-1] - 2.0) <= DEDUP_TOL))
@@ -407,18 +438,7 @@ def distance_integral(block: BlockSet, a: float) -> float:
 
 def finite_distance_integral(block: BlockSet, a: float) -> float:
     """Exact distance integral of the materialized points only (tails ignored)."""
-    if not 0 < a < 1:
-        raise ValueError(f"exponent must lie in (0, 1), got {a}")
-    if block.empty:
-        raise ValueError("empty block")
-    pts = block.points
-    value = _gap_contribution(np.diff(pts), a)
-    left, right = pts[0] - 1.0, 2.0 - pts[-1]
-    if left > 0:
-        value += left**a / a
-    if right > 0:
-        value += right**a / a
-    return value
+    return distance_integral_parts(replace(block, tails=()), a)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -486,18 +506,19 @@ def kappa(
     blocks = [b for b in blocks if not b.empty or b.tails]
     if not blocks:
         raise ValueError("all blocks empty on the requested j range")
-    log_n = np.array(
-        [math.log(max(max(entropy_number(b, d) for b in blocks), 1)) for d in sched]
-    )
-    slope, residual = _slope_fit(-np.log(sched), log_n)
-    value = min(1.0, max(0.0, slope))
-    return DimensionEstimate(value, "entropy_slope", (float(sched[-1]), float(sched[-4])), residual)
+    return _entropy_slope(blocks, sched)
 
 
 def minkowski_dimension(block: BlockSet, delta_schedule: Sequence[float]) -> DimensionEstimate:
     """Box-counting slope of log N(block, delta) against log(1/delta)."""
-    sched = _validate_schedule(delta_schedule, minimum=4)
-    log_n = np.array([math.log(max(entropy_number(block, d), 1)) for d in sched])
+    return _entropy_slope([block], _validate_schedule(delta_schedule, minimum=4))
+
+
+def _entropy_slope(blocks: Sequence[BlockSet], sched: np.ndarray) -> DimensionEstimate:
+    """Slope of log max_block N(block, delta) in -log delta over the final schedule points."""
+    log_n = np.array(
+        [math.log(max(max(entropy_number(b, d) for b in blocks), 1)) for d in sched]
+    )
     slope, residual = _slope_fit(-np.log(sched), log_n)
     value = min(1.0, max(0.0, slope))
     return DimensionEstimate(value, "entropy_slope", (float(sched[-1]), float(sched[-4])), residual)
@@ -511,19 +532,27 @@ def dimension_from_distance_integral(
     Scans `a_grid` (ascending) and returns the first exponent whose integral
     is below the divergence ceiling; the grid spacing is reported as residual.
     """
+    return _threshold_scan(
+        a_grid, lambda a: distance_integral(block, a) < DIVERGENCE_CEILING, "distance_integral"
+    )
+
+
+def _threshold_scan(a_grid, passes, method: str) -> DimensionEstimate:
+    """First exponent of the ascending grid (default 0.02..0.98) that `passes`;
+    the grid spacing there is reported as residual."""
     if a_grid is None:
         a_grid = np.linspace(0.02, 0.98, 49)
     a_grid = np.asarray(a_grid, dtype=float)
-    finite = [distance_integral(block, float(a)) < DIVERGENCE_CEILING for a in a_grid]
-    if all(finite):
+    verdicts = [passes(float(a)) for a in a_grid]
+    if all(verdicts):
         value, resid = float(a_grid[0]), float(a_grid[1] - a_grid[0])
-    elif not any(finite):
+    elif not any(verdicts):
         value, resid = 1.0, float(a_grid[-1] - a_grid[-2])
     else:
-        idx = next(i for i, f in enumerate(finite) if f)
+        idx = next(i for i, v in enumerate(verdicts) if v)
         value = float(a_grid[idx])
         resid = float(a_grid[idx] - a_grid[idx - 1]) if idx else 0.0
-    return DimensionEstimate(min(1.0, max(0.0, value)), "distance_integral", (0.0, 0.0), resid)
+    return DimensionEstimate(min(1.0, max(0.0, value)), method, (0.0, 0.0), resid)
 
 
 # ---------------------------------------------------------------------------
@@ -587,19 +616,7 @@ def dimension_from_gap_sums(
     seq, n_max: int = 1 << 17, a_grid: Sequence[float] | None = None
 ) -> DimensionEstimate:
     """Dimension as the infimum exponent with convergent gap sums."""
-    if a_grid is None:
-        a_grid = np.linspace(0.02, 0.98, 49)
-    a_grid = np.asarray(a_grid, dtype=float)
-    verdicts = [gap_sum(seq, float(a), n_max).convergent for a in a_grid]
-    if all(verdicts):
-        value, resid = float(a_grid[0]), float(a_grid[1] - a_grid[0])
-    elif not any(verdicts):
-        value, resid = 1.0, float(a_grid[-1] - a_grid[-2])
-    else:
-        idx = next(i for i, v in enumerate(verdicts) if v)
-        value = float(a_grid[idx])
-        resid = float(a_grid[idx] - a_grid[idx - 1]) if idx else 0.0
-    return DimensionEstimate(min(1.0, max(0.0, value)), "gap_sum", (0.0, 0.0), resid)
+    return _threshold_scan(a_grid, lambda a: gap_sum(seq, a, n_max).convergent, "gap_sum")
 
 
 def _count_at_least(seq, delta: float, n_limit: int = 1 << 40) -> float:

@@ -10,7 +10,6 @@ together.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -18,10 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .dilation_sets import (
-    BlockSet,
     DilationSet,
     augmented,
-    finite_distance_integral,
     geometric_schedule,
     kappa,
     rescaled_block,
@@ -29,11 +26,11 @@ from .dilation_sets import (
 from .fractional_calculus import marchaud_matrix
 from .lp_frames import GridFunction, build_cutoffs
 from .multipliers import (
+    FAMILIES,
+    LimitedDecay,
     Multiplier,
     band_oscillation,
     evaluate,
-    multiplier_from_json,
-    multiplier_to_json,
 )
 
 EXCLUSION_FACTOR = 1e-12
@@ -190,6 +187,8 @@ def maximal_function(
     for j, pts in blocks.items():
         ts = 2.0**j * pts
         keep = [i for i, t in enumerate(ts) if float(t) not in seen]
+        if not keep:  # every dilation of this block was seen in an earlier block
+            continue
         seen.update(float(ts[i]) for i in keep)
         if f.dim == 1:
             vals = np.abs(_batched_dilate(spec, m, ts[keep]))
@@ -377,61 +376,10 @@ class ExperimentConfig:
         return kappa(self.E, sched, self.j_range).value
 
 
-def _set_to_json(E: DilationSet) -> dict:
-    from .dilation_sets import (
-        CantorLike,
-        ExplicitPoints,
-        LacunaryGrid,
-        PowerSequence,
-        UnionSet,
-    )
-
-    def gen_json(g):
-        if isinstance(g, PowerSequence):
-            return {"kind": "power_sequence", "a": g.a}
-        if isinstance(g, ExplicitPoints):
-            return {"kind": "explicit", "points": list(g.points)}
-        if isinstance(g, CantorLike):
-            return {"kind": "cantor", "base": g.base, "digits": list(g.digits), "levels": g.levels}
-        if isinstance(g, LacunaryGrid):
-            return {"kind": "lacunary"}
-        if isinstance(g, UnionSet):
-            return {"kind": "union", "members": [gen_json(m) for m in g.members]}
-        raise TypeError(type(g).__name__)
-
-    return {"generator": gen_json(E.generator), "cap": E.materialization_cap}
-
-
-def set_from_json(payload: dict) -> DilationSet:
-    from .dilation_sets import (
-        CantorLike,
-        ExplicitPoints,
-        LacunaryGrid,
-        PowerSequence,
-        UnionSet,
-    )
-
-    def gen_from(spec):
-        kind = spec.get("kind")
-        if kind == "power_sequence":
-            return PowerSequence(float(spec["a"]))
-        if kind == "explicit":
-            return ExplicitPoints(tuple(float(p) for p in spec["points"]))
-        if kind == "cantor":
-            return CantorLike(int(spec["base"]), tuple(spec["digits"]), int(spec["levels"]))
-        if kind == "lacunary":
-            return LacunaryGrid()
-        if kind == "union":
-            return UnionSet(tuple(gen_from(s) for s in spec["members"]))
-        raise ValueError(f"unknown set kind {kind!r}")
-
-    return DilationSet(gen_from(payload["generator"]), int(payload.get("cap", 1_000_000)))
-
-
 def config_to_json(config: ExperimentConfig) -> dict:
     return {
-        "set": _set_to_json(config.E),
-        "multiplier": multiplier_to_json(config.m),
+        "set": config.E.to_json(),
+        "multiplier": FAMILIES.to_json(config.m),
         "f": config.f.to_json(),
         "alpha": config.alpha,
         "beta": config.beta,
@@ -447,8 +395,8 @@ def config_to_json(config: ExperimentConfig) -> dict:
 def config_from_json(payload: dict) -> ExperimentConfig:
     grid = payload.get("grid", {})
     return ExperimentConfig(
-        E=set_from_json(payload["set"]),
-        m=multiplier_from_json(payload["multiplier"]),
+        E=DilationSet.from_json(payload["set"]),
+        m=FAMILIES.from_json(payload["multiplier"]),
         f=FunctionSpec.from_json(payload["f"]),
         alpha=float(payload.get("alpha", 0.45)),
         beta=float(payload.get("beta", 0.3)),
@@ -631,8 +579,6 @@ def operator_norm_probe(
         per_trial.append((spec.kind, value))
         bound = max(bound, value)
     sweep = []
-    from .multipliers import LimitedDecay
-
     for a in regularity_grid:
         f = specs[0].build(config.n, config.extent)
         norm = _lp_norm_grid(f.samples, f.dx, config.p)
@@ -660,25 +606,7 @@ def halfwave_times(E: DilationSet, t_min: float, t_max: float, cap: int = 64) ->
     offsets to the limit; explicit and lacunary sets contribute the points
     themselves inside the window.
     """
-    from .dilation_sets import ExplicitPoints, LacunaryGrid, PowerSequence, UnionSet
-
-    def times_from(gen):
-        if isinstance(gen, PowerSequence):
-            n_lo = max(1, math.floor(t_max ** (-1.0 / gen.a)))
-            n_hi = math.ceil(t_min ** (-1.0 / gen.a)) + 1
-            n = np.arange(n_lo, min(n_hi, n_lo + 100000) + 1, dtype=float)
-            return gen.offsets(n)
-        if isinstance(gen, LacunaryGrid):
-            k_lo = math.ceil(math.log2(1.0 / t_max))
-            k_hi = math.floor(math.log2(1.0 / t_min))
-            return 2.0 ** -np.arange(k_lo, k_hi + 1, dtype=float)
-        if isinstance(gen, ExplicitPoints):
-            return np.asarray(gen.points, dtype=float)
-        if isinstance(gen, UnionSet):
-            return np.concatenate([times_from(m) for m in gen.members])
-        raise TypeError(type(gen).__name__)
-
-    ts = times_from(E.generator)
+    ts = E.generator.small_times(t_min, t_max)
     ts = np.unique(ts[(ts >= t_min) & (ts <= t_max)])
     if ts.size > cap:
         idx = np.unique(np.round(np.linspace(0, ts.size - 1, cap)).astype(int))

@@ -9,7 +9,6 @@ taken) -- for 2-d grids evaluate on the frequency-radius array.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -17,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .lp_frames import BesovParams, GridFunction, SmoothCutoff, sigma2_norm
+from .wire import Registry
 
 _CUT = SmoothCutoff("smooth_exp")
 
@@ -24,7 +24,11 @@ _CUT = SmoothCutoff("smooth_exp")
 # relative to the evaluation radius
 _FD_REL_STEP = 2.0**-14
 
+# wire format of the built-in families (Custom and Scaled have none)
+FAMILIES = Registry("family", "multiplier family")
 
+
+@FAMILIES.register("limited_decay", a=float)
 @dataclass(frozen=True)
 class LimitedDecay:
     """Oscillating limited-decay symbol: every derivative decays like |xi|^-a.
@@ -41,6 +45,7 @@ class LimitedDecay:
             raise ValueError("decay rate must be positive")
 
 
+@FAMILIES.register("slow_decay", beta=float, delta=float)
 @dataclass(frozen=True)
 class SlowDecay:
     """(1 - phi)|xi|^-beta cos(|xi|^(1-delta)): derivative order k decays -beta - k*delta."""
@@ -53,6 +58,7 @@ class SlowDecay:
             raise ValueError("need beta > 0 and delta in (0, 1)")
 
 
+@FAMILIES.register("oscillatory", alpha=float, beta=float)
 @dataclass(frozen=True)
 class Oscillatory:
     """e^{2*pi*i*|xi|^alpha} (1 - phi)|xi|^-beta: derivative order k decays -beta - k(1-alpha)."""
@@ -65,6 +71,7 @@ class Oscillatory:
             raise ValueError("need alpha in (0, 1) and beta > 0")
 
 
+@FAMILIES.register("band_bump")
 @dataclass(frozen=True)
 class BandBump:
     """The annular bump itself."""
@@ -383,33 +390,3 @@ def embedding_check(
         return 0.0, True
     ratio = num / den if den > 0 else math.inf
     return ratio, ratio <= constant
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format
-
-
-def multiplier_from_json(payload: str | dict) -> Multiplier:
-    spec = json.loads(payload) if isinstance(payload, str) else dict(payload)
-    family = spec.get("family")
-    if family == "limited_decay":
-        return LimitedDecay(float(spec["a"]))
-    if family == "slow_decay":
-        return SlowDecay(float(spec["beta"]), float(spec["delta"]))
-    if family == "oscillatory":
-        return Oscillatory(float(spec["alpha"]), float(spec["beta"]))
-    if family == "band_bump":
-        return BandBump()
-    raise ValueError(f"unknown multiplier family {family!r}")
-
-
-def multiplier_to_json(m: Multiplier) -> dict:
-    if isinstance(m, LimitedDecay):
-        return {"family": "limited_decay", "a": m.a}
-    if isinstance(m, SlowDecay):
-        return {"family": "slow_decay", "beta": m.beta, "delta": m.delta}
-    if isinstance(m, Oscillatory):
-        return {"family": "oscillatory", "alpha": m.alpha, "beta": m.beta}
-    if isinstance(m, BandBump):
-        return {"family": "band_bump"}
-    raise ValueError(f"family {type(m).__name__} has no wire format")

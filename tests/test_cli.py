@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from fracmax.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DIM_CONFIG = {
     "set": {"generator": {"kind": "power_sequence", "a": 1.0}, "cap": 1_000_000},
@@ -159,9 +164,42 @@ def test_experiment_unknown_kind(tmp_path):
     assert main(["experiment", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_INPUT
 
 
-def test_workers_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("FRACMAX_WORKERS", "4")
-    config = write(tmp_path, "dim.json", DIM_CONFIG)
-    out = tmp_path / "out"
-    assert main(["dim", "--config", config, "--out", str(out)]) == EXIT_OK
-    assert json.loads((out / "dim_report.json").read_text())["workers"] == 4
+def test_halfwave_on_cantor_set_is_input_error(tmp_path, capsys):
+    payload = {
+        "kind": "halfwave",
+        "config": {
+            "set": {"generator": {"kind": "cantor", "base": 3, "digits": [0, 2], "levels": 4}},
+            "multiplier": {"family": "band_bump"},
+            "f": {"kind": "gaussian_bump", "width": 1.0},
+            "grid": {"n": 256, "extent": 8.0, "dim": 1},
+        },
+    }
+    config = write(tmp_path, "hw.json", payload)
+    assert main(["experiment", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: a Cantor set has no small-time schedule\n"
+
+
+@pytest.mark.parametrize("command", ["dim", "verify", "experiment"])
+def test_workers_flag_is_rejected(tmp_path, capsys, command):
+    argv = [command, "--out", str(tmp_path / "o"), "--workers", "2"]
+    if command != "verify":
+        argv += ["--config", write(tmp_path, "dim.json", DIM_CONFIG)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def _strict_constant(name):
+    raise ValueError(f"non-finite number {name} in report")
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_config_runs(tmp_path, path):
+    command = "experiment" if "kind" in json.loads(path.read_text()) else "dim"
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
+    reports = sorted(tmp_path.glob("*.json"))
+    assert reports
+    for report in reports:
+        json.loads(report.read_text(), parse_constant=_strict_constant)

@@ -6,6 +6,7 @@ import pytest
 
 from fracmax.dilation_sets import (
     BlockSet,
+    CantorLike,
     DilationSet,
     ExplicitPoints,
     LacunaryGrid,
@@ -32,7 +33,6 @@ from fracmax.maximal_lab import (
     nested_sample,
     operator_norm_probe,
     sampled_dilations,
-    set_from_json,
     square_functional,
 )
 from fracmax.multipliers import BandBump, Custom, LimitedDecay, SlowDecay, evaluate
@@ -145,6 +145,16 @@ def test_maximal_depth_refinement_settles():
     delta = math.sqrt(float(np.sum((sup_b.samples.real - sup_a.samples.real) ** 2) * sup_b.dx))
     assert delta <= 0.02 * l2
     assert inc <= 0.02
+
+
+def test_maximal_block_of_repeated_dilations_is_skipped():
+    # block 1 of {1 + 1/n} holds only the dilation 2, already seen in block 0
+    f = gaussian(n=256)
+    E = DilationSet(PowerSequence(1.0))
+    sup, inc = maximal_function(f, BandBump(), E, 3, (0, 1))
+    sup0, inc0 = maximal_function(f, BandBump(), E, 3, (0, 0))
+    np.testing.assert_array_equal(sup.samples, sup0.samples)
+    assert inc == inc0
 
 
 def test_maximal_empty_window_raises():
@@ -413,8 +423,29 @@ def test_set_json_roundtrip_nested_union():
         },
         "cap": 50_000,
     }
-    E = set_from_json(payload)
+    E = DilationSet.from_json(payload)
     assert E.materialization_cap == 50_000
-    from fracmax.maximal_lab import _set_to_json
-
-    assert _set_to_json(E) == payload
+    assert E.to_json() == payload
+    # explicit points, the default cap, and int-valued numbers echoed as floats
+    members = [{"kind": "explicit", "points": [3, 1.5]}, {"kind": "power_sequence", "a": 1}]
+    E = DilationSet.from_json({"generator": {"kind": "union", "members": members}})
+    assert E == DilationSet(UnionSet((ExplicitPoints((1.5, 3.0)), PowerSequence(1.0))))
+    assert json.dumps(E.to_json(), sort_keys=True) == (
+        '{"cap": 1000000, "generator": {"kind": "union", "members": ['
+        '{"kind": "explicit", "points": [1.5, 3.0]}, {"a": 1.0, "kind": "power_sequence"}]}}'
+    )
+    # Cantor base and levels are coerced to int, digits stay as given; extra keys are ignored
+    cantor = {"kind": "cantor", "base": 3.0, "digits": [2.0, 0.0], "levels": 2, "note": "x"}
+    E = DilationSet.from_json({"generator": cantor})
+    assert E.generator == CantorLike(3, (0, 2), 2)
+    assert json.dumps(E.to_json()["generator"], sort_keys=True) == (
+        '{"base": 3, "digits": [0.0, 2.0], "kind": "cantor", "levels": 2}'
+    )
+    with pytest.raises(ValueError, match="unknown set kind 'sierpinski'"):
+        DilationSet.from_json({"generator": {"kind": "sierpinski"}})
+    with pytest.raises(ValueError, match="unknown set kind None"):
+        DilationSet.from_json({"generator": {"a": 1.0}})
+    with pytest.raises(KeyError):
+        DilationSet.from_json({"generator": {"kind": "power_sequence"}})
+    with pytest.raises(KeyError):
+        DilationSet.from_json({"cap": 10})

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from fracmax.lp_frames import build_cutoffs, grid_from_profile
 from fracmax.multipliers import (
+    FAMILIES,
     BandBump,
     Custom,
     LimitedDecay,
@@ -16,8 +19,6 @@ from fracmax.multipliers import (
     mtilde,
     mtilde_multiplier,
     mtilde_values,
-    multiplier_from_json,
-    multiplier_to_json,
     phase_cycles,
     radial_derivative,
     scaled,
@@ -210,8 +211,15 @@ def test_embedding_check_limited_decay():
 
 def test_multiplier_json_roundtrip():
     for m in (LimitedDecay(1.0), SlowDecay(1.0, 0.5), Oscillatory(0.5, 1.0), BandBump()):
-        assert multiplier_from_json(multiplier_to_json(m)) == m
-    parsed = multiplier_from_json('{"family": "oscillatory", "alpha": 0.5, "beta": 1.0}')
+        assert FAMILIES.from_json(FAMILIES.to_json(m)) == m
+    parsed = FAMILIES.from_json(json.loads('{"family": "oscillatory", "alpha": 0.5, "beta": 1.0}'))
     assert parsed == Oscillatory(0.5, 1.0)
     with pytest.raises(ValueError, match="unknown multiplier family"):
-        multiplier_from_json({"family": "mystery"})
+        FAMILIES.from_json({"family": "mystery"})
+    # int-valued numbers are echoed as floats, extra keys ignored, missing fields KeyError
+    parsed = FAMILIES.from_json({"family": "limited_decay", "a": 1, "note": "x"})
+    assert json.dumps(FAMILIES.to_json(parsed)) == '{"family": "limited_decay", "a": 1.0}'
+    with pytest.raises(KeyError):
+        FAMILIES.from_json({"family": "slow_decay", "beta": 1.0})
+    with pytest.raises(ValueError, match="family Custom has no wire format"):
+        FAMILIES.to_json(Custom(np.abs))
