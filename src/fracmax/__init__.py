@@ -19,7 +19,6 @@ from .dilation_sets import (
     rescaled_block,
 )
 from .fractional_calculus import (
-    FractionalOrder,
     SampledPath,
     marchaud_derivative,
     rescaled_derivative_check,
@@ -37,10 +36,14 @@ from .lp_frames import (
     sigma2_norm,
 )
 from .maximal_lab import (
+    FUNCTIONS,
     ExperimentConfig,
-    FunctionSpec,
+    GaussianBump,
     HWeights,
+    ModulatedBump,
+    RandomBand,
     apply_dilated_multiplier,
+    build_function,
     halfwave_convergence,
     domination_ratio,
     maximal_function,

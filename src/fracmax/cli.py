@@ -67,14 +67,20 @@ def cmd_dim(args) -> int:
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad set description: {exc}")
     sched_spec = spec.get("schedule", {})
-    sched = ds.geometric_schedule(
-        float(sched_spec.get("delta_max", 0.07)),
-        float(sched_spec.get("delta_min", 0.7e-6)),
-        int(sched_spec.get("count", 9)),
-    )
-    j = int(spec.get("j", 0))
+    try:
+        sched = ds.geometric_schedule(
+            float(sched_spec.get("delta_max", 0.07)),
+            float(sched_spec.get("delta_min", 0.7e-6)),
+            int(sched_spec.get("count", 9)),
+        )
+        j = int(spec.get("j", 0))
+    except (ValueError, TypeError) as exc:
+        raise InputError(f"bad schedule or block index: {exc}")
     j_range = tuple(spec.get("j_range", (-2, 3)))
     methods = spec.get("methods", ["kappa", "minkowski"])
+    expect = spec.get("expect")
+    if expect and expect.get("method") not in methods:
+        raise InputError(f"expect.method {expect.get('method')!r} is not among the methods {methods}")
     block = ds.rescaled_block(E, j)
     if block.empty and not block.tails:
         raise InputError(f"block {j} of the set is empty")
@@ -115,7 +121,6 @@ def cmd_dim(args) -> int:
         if not report.passed:
             failures.append(f"bound check a={a}")
 
-    expect = spec.get("expect")
     if expect:
         est_value = results[expect["method"]]["value"]
         ok = abs(est_value - float(expect["value"])) <= float(expect.get("tol", 0.05))
@@ -218,18 +223,21 @@ def cmd_experiment(args) -> int:
         except ValueError as exc:
             raise InputError(str(exc))
         f = config.build_f()
-        report = ml.halfwave_convergence(f, hw_alpha, hw_beta, times, config.f.smoothness)
+        report = ml.halfwave_convergence(f, hw_alpha, hw_beta, times)
         results = {"beta_fit": report.beta_fit, "n_times": len(report.times)}
         checks.append({"name": "rate_at_least_beta_minus_point_one", "passed": report.beta_fit >= hw_beta - 0.1})
         rows = ["t,sup_difference"]
         rows += [f"{repr(t)},{repr(d)}" for t, d in zip(report.times, report.sup_differences)]
         (out / "rates.csv").write_text("\n".join(rows) + "\n")
     elif kind == "probe":
-        report = ml.operator_norm_probe(
-            config,
-            trials=int(spec.get("trials", 3)),
-            regularity_grid=tuple(spec.get("regularity_grid", ())),
-        )
+        try:
+            report = ml.operator_norm_probe(
+                config,
+                trials=int(spec.get("trials", 3)),
+                regularity_grid=tuple(spec.get("regularity_grid", ())),
+            )
+        except ValueError as exc:
+            raise InputError(str(exc))
         results = {
             "lower_bound": report.lower_bound,
             "per_trial": list(map(list, report.per_trial)),

@@ -129,7 +129,7 @@ class CantorLike:
         if self.base < 3:
             raise ValueError("base must be >= 3")
         digits = tuple(sorted(set(self.digits)))
-        if not digits or any(d < 0 or d >= self.base for d in digits):
+        if not digits or any(d < 0 or d >= self.base or int(d) != d for d in digits):
             raise ValueError(f"digits must be a nonempty subset of 0..{self.base - 1}")
         object.__setattr__(self, "digits", digits)
         if self.levels < 0:

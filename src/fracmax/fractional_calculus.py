@@ -85,17 +85,10 @@ class SampledPath:
         )
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    alpha: float
-
-    def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"order must lie in (0, 1), got {self.alpha}")
-
-
 def _order(alpha) -> float:
-    return alpha.alpha if isinstance(alpha, FractionalOrder) else float(FractionalOrder(alpha).alpha)
+    if not 0 < alpha < 1:
+        raise ValueError(f"order must lie in (0, 1), got {alpha}")
+    return float(alpha)
 
 
 def uniform_grid(T: float, n: int) -> np.ndarray:

@@ -53,19 +53,10 @@ def _glue_d2(x: np.ndarray) -> np.ndarray:
 class SmoothCutoff:
     """Radial low-pass profile: 1 on |xi| <= 1, 0 on |xi| >= 2, monotone between."""
 
-    transition: str = "smooth_exp"
-
-    def __post_init__(self):
-        if self.transition not in ("smooth_exp", "raised_cosine"):
-            raise ValueError(f"unknown transition {self.transition!r}")
-
     def phi(self, xi) -> np.ndarray:
         """Low-pass profile evaluated at |xi| (any real array; radial)."""
         rho = np.abs(np.asarray(xi, dtype=float))
         x = 2.0 - rho  # transition coordinate: 1 at rho=1, 0 at rho=2
-        if self.transition == "raised_cosine":
-            y = np.clip(x, 0.0, 1.0)
-            return 0.5 * (1.0 - np.cos(np.pi * y))
         u = _glue(x)
         v = _glue(1.0 - x)
         out = np.where(rho <= 1.0, 1.0, 0.0)
@@ -83,9 +74,7 @@ class SmoothCutoff:
         return self.psi(np.asarray(xi, dtype=float) / 2.0**j)
 
     def phi_d1(self, rho) -> np.ndarray:
-        """Radial derivative of the low-pass profile (smooth_exp only)."""
-        if self.transition != "smooth_exp":
-            raise ValueError("closed-form derivative only for the smooth_exp profile")
+        """Radial derivative of the low-pass profile."""
         rho = np.asarray(rho, dtype=float)
         x = 2.0 - rho
         u, v = _glue(x), _glue(1.0 - x)
@@ -98,8 +87,6 @@ class SmoothCutoff:
         return out
 
     def phi_d2(self, rho) -> np.ndarray:
-        if self.transition != "smooth_exp":
-            raise ValueError("closed-form derivative only for the smooth_exp profile")
         rho = np.asarray(rho, dtype=float)
         x = 2.0 - rho
         u, v = _glue(x), _glue(1.0 - x)
@@ -114,8 +101,8 @@ class SmoothCutoff:
         return out
 
 
-def build_cutoffs(transition_kind: str = "smooth_exp") -> SmoothCutoff:
-    return SmoothCutoff(transition_kind)
+def build_cutoffs() -> SmoothCutoff:
+    return SmoothCutoff()
 
 
 def partition_defect(cut: SmoothCutoff, xi: np.ndarray, j_window: int = 40) -> float:
@@ -377,9 +364,7 @@ def _band_grid(band_eval: Callable[[np.ndarray], np.ndarray], oscillation: float
     extent = 4.0
     needed = max(n_min, int(16 * extent * max(oscillation, 1.0)))
     n = 1 << (needed - 1).bit_length()
-    stub = GridFunction(extent, np.zeros(n, dtype=complex))
-    axis = stub.x_axis()
-    return GridFunction(extent, np.asarray(band_eval(axis), dtype=complex))
+    return grid_from_profile(band_eval, extent, n)
 
 
 def sigma2_norm(

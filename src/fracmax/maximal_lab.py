@@ -24,7 +24,7 @@ from .dilation_sets import (
     rescaled_block,
 )
 from .fractional_calculus import marchaud_matrix
-from .lp_frames import GridFunction, build_cutoffs
+from .lp_frames import GridFunction, build_cutoffs, grid_from_profile
 from .multipliers import (
     FAMILIES,
     LimitedDecay,
@@ -32,6 +32,7 @@ from .multipliers import (
     band_oscillation,
     evaluate,
 )
+from .wire import Registry
 
 EXCLUSION_FACTOR = 1e-12
 
@@ -40,54 +41,51 @@ EXCLUSION_FACTOR = 1e-12
 # built-in test functions
 
 
+FUNCTIONS = Registry("kind", "test function")
+
+
+@FUNCTIONS.register("gaussian_bump", width=float)
 @dataclass(frozen=True)
-class FunctionSpec:
-    """Descriptor for the built-in experiment inputs.
+class GaussianBump:
+    """e^{-x^2 / (2 width^2)}."""
 
-    `smoothness` declares the Sobolev profile (inf for the Schwartz-type
-    built-ins); the half-wave experiment requires it.
-    """
+    width: float
+    side = "space"
 
-    kind: str  # gaussian_bump | modulated_bump | random_band
-    width: float = 1.0
-    freq: float = 4.0
-    band: int = 3
-    seed: int = 0
-    smoothness: float = math.inf
+    def profile(self, x: np.ndarray) -> np.ndarray:
+        return np.exp(-(x**2) / (2.0 * self.width**2))
 
-    def build(self, n: int, extent: float, dim: int = 1) -> GridFunction:
-        if dim != 1:
-            raise ValueError("built-in experiment inputs are 1-d")
-        x = -extent + (2.0 * extent / n) * np.arange(n)
-        if self.kind == "gaussian_bump":
-            vals = np.exp(-(x**2) / (2.0 * self.width**2)).astype(complex)
-        elif self.kind == "modulated_bump":
-            vals = np.exp(-(x**2) / (2.0 * self.width**2)) * np.exp(2j * np.pi * self.freq * x)
-        elif self.kind == "random_band":
-            rng = np.random.default_rng(self.seed)
-            spec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            stub = GridFunction(extent, np.zeros(n, dtype=complex))
-            rho = np.abs(np.fft.fftfreq(n, d=stub.dx))
-            mask = (rho >= 2.0 ** (self.band - 1)) & (rho <= 2.0 ** (self.band + 1))
-            g = GridFunction(extent, spec * mask, side="frequency").to_space()
-            vals = g.samples
-        else:
-            raise ValueError(f"unknown test function {self.kind!r}")
-        return GridFunction(extent, vals)
 
-    def to_json(self) -> dict:
-        payload = {"kind": self.kind}
-        if self.kind == "gaussian_bump":
-            payload["width"] = self.width
-        elif self.kind == "modulated_bump":
-            payload.update(width=self.width, freq=self.freq)
-        elif self.kind == "random_band":
-            payload.update(band=self.band, seed=self.seed)
-        return payload
+@FUNCTIONS.register("modulated_bump", width=float, freq=float)
+@dataclass(frozen=True)
+class ModulatedBump(GaussianBump):
+    """The Gaussian bump modulated by e^{2 pi i freq x}."""
 
-    @staticmethod
-    def from_json(payload: dict) -> "FunctionSpec":
-        return FunctionSpec(**payload)
+    freq: float
+
+    def profile(self, x: np.ndarray) -> np.ndarray:
+        return super().profile(x) * np.exp(2j * np.pi * self.freq * x)
+
+
+@FUNCTIONS.register("random_band", band=int, seed=int)
+@dataclass(frozen=True)
+class RandomBand:
+    """Seeded complex Gaussian spectrum restricted to 2**(band-1) <= |xi| <= 2**(band+1)."""
+
+    band: int
+    seed: int
+    side = "frequency"
+
+    def profile(self, xi: np.ndarray) -> np.ndarray:
+        rng = np.random.default_rng(self.seed)
+        spec = rng.standard_normal(xi.size) + 1j * rng.standard_normal(xi.size)
+        rho = np.abs(xi)
+        return spec * ((rho >= 2.0 ** (self.band - 1)) & (rho <= 2.0 ** (self.band + 1)))
+
+
+def build_function(f, n: int, extent: float) -> GridFunction:
+    """Space-side samples of a built-in test function on the 1-d grid over [-extent, extent)."""
+    return grid_from_profile(f.profile, extent, n, side=f.side).to_space()
 
 
 # ---------------------------------------------------------------------------
@@ -95,26 +93,20 @@ class FunctionSpec:
 
 
 def _batched_dilate(spec: GridFunction, m: Multiplier, ts: np.ndarray) -> np.ndarray:
-    """Space-side values of T_{m(t .)} f for every t, stacked as (len(ts), n)."""
+    """Space-side values of T_{m(t .)} f for every t, stacked as (len(ts), n[, n])."""
     if spec.side != "frequency":
         spec = spec.to_frequency()
-    rho = spec.freq_radius()
-    masks = evaluate(m, ts[:, None] * rho[None, :])
-    phase = (-1.0) ** np.arange(spec.n)
-    coeff = spec.dxi * spec.n
-    return coeff * np.fft.ifft(phase[None, :] * (masks * spec.samples[None, :]), axis=1)
+    masks = evaluate(m, np.multiply.outer(ts, spec.freq_radius()))
+    coeff = spec.dxi**spec.dim * spec.n**spec.dim
+    axes = tuple(range(1, spec.dim + 1))
+    return coeff * np.fft.ifftn(spec._phase() * (masks * spec.samples), axes=axes)
 
 
 def apply_dilated_multiplier(f: GridFunction, m: Multiplier, t: float) -> GridFunction:
     """T with the symbol rescaled by t: multiply the spectrum by m(t xi)."""
     if t <= 0:
         raise ValueError("dilation parameter must be positive")
-    if f.dim == 1:
-        out = _batched_dilate(f.to_frequency(), m, np.array([t]))[0]
-        return GridFunction(f.extent, out)
-    spec = f.to_frequency()
-    masked = spec.samples * evaluate(m, t * spec.freq_radius())
-    return replace(spec, samples=masked, side="frequency").to_space()
+    return GridFunction(f.extent, _batched_dilate(f, m, np.array([t]))[0], dim=f.dim)
 
 
 def nested_sample(points: np.ndarray, depth: int) -> np.ndarray:
@@ -190,12 +182,7 @@ def maximal_function(
         if not keep:  # every dilation of this block was seen in an earlier block
             continue
         seen.update(float(ts[i]) for i in keep)
-        if f.dim == 1:
-            vals = np.abs(_batched_dilate(spec, m, ts[keep]))
-        else:
-            vals = np.stack(
-                [np.abs(apply_dilated_multiplier(f, m, float(t)).samples) for t in ts[keep]]
-            )
+        vals = np.abs(_batched_dilate(spec, m, ts[keep]))
         sup_now = np.maximum(sup_now, vals.max(axis=0))
         prev_pts = set(coarse.get(j, np.array([])).tolist())
         prev_rows = [i for i, p in enumerate(pts[keep]) if float(p) in prev_pts]
@@ -350,7 +337,7 @@ def square_functional(
 class ExperimentConfig:
     E: DilationSet
     m: Multiplier
-    f: FunctionSpec
+    f: GaussianBump | ModulatedBump | RandomBand
     alpha: float = 0.45
     beta: float = 0.3
     p: float = 2.0
@@ -367,9 +354,17 @@ class ExperimentConfig:
             raise ValueError("need 0 < beta < alpha <= 1/2")
         if not 1 < self.p < math.inf:
             raise ValueError("integrability index must lie in (1, inf)")
+        if self.dim != 1:
+            raise ValueError("built-in experiment inputs are 1-d")
+        if self.n < 1 or self.n & (self.n - 1):
+            raise ValueError(f"grid side n must be a power of two, got {self.n}")
+        if self.depth < 0:
+            raise ValueError(f"sampling depth must be nonnegative, got {self.depth}")
+        if len(self.j_range) != 2 or not all(isinstance(j, int) for j in self.j_range) or self.j_range[0] > self.j_range[1]:
+            raise ValueError(f"j_range must be two ascending integers, got {list(self.j_range)}")
 
     def build_f(self) -> GridFunction:
-        return self.f.build(self.n, self.extent, self.dim)
+        return build_function(self.f, self.n, self.extent)
 
     def kappa_estimate(self) -> float:
         sched = geometric_schedule(0.07, 0.7e-5, 7)
@@ -380,7 +375,7 @@ def config_to_json(config: ExperimentConfig) -> dict:
     return {
         "set": config.E.to_json(),
         "multiplier": FAMILIES.to_json(config.m),
-        "f": config.f.to_json(),
+        "f": FUNCTIONS.to_json(config.f),
         "alpha": config.alpha,
         "beta": config.beta,
         "p": config.p,
@@ -397,7 +392,7 @@ def config_from_json(payload: dict) -> ExperimentConfig:
     return ExperimentConfig(
         E=DilationSet.from_json(payload["set"]),
         m=FAMILIES.from_json(payload["multiplier"]),
-        f=FunctionSpec.from_json(payload["f"]),
+        f=FUNCTIONS.from_json(payload["f"]),
         alpha=float(payload.get("alpha", 0.45)),
         beta=float(payload.get("beta", 0.3)),
         p=float(payload.get("p", 2.0)),
@@ -540,12 +535,6 @@ class ProbeReport:
     regularity_sweep: tuple[tuple[float, float], ...]
 
 
-def _lp_norm_grid(values: np.ndarray, dx: float, p: float) -> float:
-    if math.isinf(p):
-        return float(np.max(np.abs(values)))
-    return float((np.sum(np.abs(values) ** p) * dx) ** (1.0 / p))
-
-
 def operator_norm_probe(
     config: ExperimentConfig,
     trials: int = 3,
@@ -559,32 +548,25 @@ def operator_norm_probe(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    specs = [
-        FunctionSpec("gaussian_bump", width=0.5 + 0.5 * k)
-        for k in range(max(1, trials - 2))
-    ]
+    specs = [GaussianBump(0.5 + 0.5 * k) for k in range(max(1, trials - 2))]
     if trials >= 2:
-        specs.append(FunctionSpec("modulated_bump", width=1.0, freq=4.0))
+        specs.append(ModulatedBump(1.0, 4.0))
     if trials >= 3:
-        specs.append(FunctionSpec("random_band", band=3, seed=config.seed))
-    specs = specs[:trials]
-    per_trial = []
-    bound = 0.0
-    for spec in specs:
-        f = spec.build(config.n, config.extent)
-        norm = _lp_norm_grid(f.samples, f.dx, config.p)
+        specs.append(RandomBand(3, config.seed))
+
+    def maximal_norm(spec, m: Multiplier) -> float:
+        """L^p norm of the maximal function of the L^p-normalized input."""
+        f = build_function(spec, config.n, config.extent)
+        norm = f.lp_norm(config.p)
+        if not norm > 0:
+            raise ValueError(f"trial input {FUNCTIONS.to_json(spec)['kind']} vanishes on the {config.n}-point grid")
         f = GridFunction(f.extent, f.samples / norm)
-        sup, _ = maximal_function(f, config.m, config.E, config.depth, config.j_range)
-        value = _lp_norm_grid(sup.samples.real, sup.dx, config.p)
-        per_trial.append((spec.kind, value))
-        bound = max(bound, value)
-    sweep = []
-    for a in regularity_grid:
-        f = specs[0].build(config.n, config.extent)
-        norm = _lp_norm_grid(f.samples, f.dx, config.p)
-        f = GridFunction(f.extent, f.samples / norm)
-        sup, _ = maximal_function(f, LimitedDecay(float(a)), config.E, config.depth, config.j_range)
-        sweep.append((float(a), _lp_norm_grid(sup.samples.real, sup.dx, config.p)))
+        sup, _ = maximal_function(f, m, config.E, config.depth, config.j_range)
+        return sup.lp_norm(config.p)
+
+    per_trial = [(FUNCTIONS.to_json(spec)["kind"], maximal_norm(spec, config.m)) for spec in specs]
+    sweep = [(float(a), maximal_norm(specs[0], LimitedDecay(float(a)))) for a in regularity_grid]
+    bound = max(value for _, value in per_trial)
     return ProbeReport(bound, tuple(per_trial), tuple(sweep))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .lp_frames import BesovParams, GridFunction, SmoothCutoff, sigma2_norm
 from .wire import Registry
 
-_CUT = SmoothCutoff("smooth_exp")
+_CUT = SmoothCutoff()
 
 # finite-difference step for families without closed-form derivatives,
 # relative to the evaluation radius
@@ -187,23 +187,28 @@ def evaluate(m: Multiplier, xi) -> np.ndarray:
     return radial_derivative(m, rho, 0)
 
 
+def _turns(m: Multiplier) -> tuple[float, float, float]:
+    """The family's phase as (r rho)**w / c turns at radius rho, as (c, w, r); r = 0 means no phase."""
+    if isinstance(m, Scaled):
+        c, w, r = _turns(m.base)
+        return c, w, m.r * r
+    if isinstance(m, LimitedDecay):
+        return 1.0, 1.0, 1.0
+    if isinstance(m, Oscillatory):
+        return 1.0, m.alpha, 1.0
+    if isinstance(m, SlowDecay):
+        return 2.0 * np.pi, 1.0 - m.delta, 1.0
+    if isinstance(m, Custom):
+        return 1.0, 1.0, m.oscillation
+    return 1.0, 1.0, 0.0
+
+
 def phase_frequency(m: Multiplier, rho: np.ndarray) -> np.ndarray:
     """Local oscillation rate (cycles per unit radius) of the family's phase."""
+    c, w, r = _turns(m)
     rho = np.asarray(rho, dtype=float)
-    if isinstance(m, LimitedDecay):
-        return np.ones_like(rho)
-    if isinstance(m, Oscillatory):
-        with np.errstate(divide="ignore"):
-            return np.where(rho > 0, m.alpha * rho ** (m.alpha - 1.0), 0.0)
-    if isinstance(m, SlowDecay):
-        w = 1.0 - m.delta
-        with np.errstate(divide="ignore"):
-            return np.where(rho > 0, w * rho ** (w - 1.0) / (2.0 * np.pi), 0.0)
-    if isinstance(m, Scaled):
-        return m.r * phase_frequency(m.base, m.r * rho)
-    if isinstance(m, Custom):
-        return np.full_like(rho, m.oscillation)
-    return np.zeros_like(rho)
+    with np.errstate(divide="ignore"):
+        return np.where(rho > 0, r * (w * (r * rho) ** (w - 1.0) / c), 0.0)
 
 
 def band_oscillation(m: Multiplier, j: int) -> float:
@@ -214,19 +219,8 @@ def band_oscillation(m: Multiplier, j: int) -> float:
 
 def phase_cycles(m: Multiplier, rho: float) -> float:
     """Total phase turns of the family's oscillation from radius 0 to rho."""
-    if rho <= 0:
-        return 0.0
-    if isinstance(m, LimitedDecay):
-        return rho
-    if isinstance(m, Oscillatory):
-        return rho**m.alpha
-    if isinstance(m, SlowDecay):
-        return rho ** (1.0 - m.delta) / (2.0 * np.pi)
-    if isinstance(m, Scaled):
-        return phase_cycles(m.base, m.r * rho)
-    if isinstance(m, Custom):
-        return m.oscillation * rho
-    return 0.0
+    c, w, r = _turns(m)
+    return (r * rho) ** w / c if rho > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -338,7 +338,7 @@ def suite_maximal(seed: int = 0) -> list[Check]:
     )
     checks.append(_at_most("h_weights_match_closed_form", worst, 1e-6))
 
-    f = ml.FunctionSpec("gaussian_bump", width=1.0).build(512, 8.0)
+    f = ml.build_function(ml.GaussianBump(1.0), 512, 8.0)
     single = ds.DilationSet(ds.ExplicitPoints((1.0,)))
     sup, _ = ml.maximal_function(f, mu.BandBump(), single, 4, (0, 0))
     l2 = math.sqrt(float(np.sum(sup.samples.real**2) * sup.dx))
@@ -361,7 +361,7 @@ def suite_maximal(seed: int = 0) -> list[Check]:
     config = ml.ExperimentConfig(
         E=pow_lac,
         m=mu.BandBump(),
-        f=ml.FunctionSpec("gaussian_bump", width=1.0),
+        f=ml.GaussianBump(1.0),
         alpha=0.45,
         beta=0.3,
         n=512,
@@ -386,7 +386,7 @@ def suite_maximal(seed: int = 0) -> list[Check]:
     slope = ml.halfwave_convergence(mode, 0.5, 0.4, times).beta_fit
     checks.append(_within("halfwave_single_mode_slope", slope, 1.0, 0.02))
     times = ml.halfwave_times(ds.DilationSet(ds.PowerSequence(1.0)), 1.0 / 40, 0.35)
-    gauss = ml.FunctionSpec("gaussian_bump", width=1.0).build(1024, 8.0)
+    gauss = ml.build_function(ml.GaussianBump(1.0), 1024, 8.0)
     beta_fit = ml.halfwave_convergence(gauss, 0.5, 0.4, times).beta_fit
     checks.append(Check("halfwave_gaussian_rate", beta_fit >= 0.3, beta_fit, "x >= 0.3"))
     return checks

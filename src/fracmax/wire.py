@@ -1,4 +1,4 @@
-"""JSON wire codec for the tagged dataclasses: set generators and multiplier families.
+"""JSON wire codec for the tagged dataclasses: set generators, multiplier families, test functions.
 
 Each concept keeps one `Registry`.  A class joins it under its wire name with
 one coercion per field; the registry turns instances into plain dicts and
@@ -12,8 +12,14 @@ from typing import Callable
 
 
 def tuple_of(coerce: Callable) -> Callable:
-    """Coercion of a JSON list into a tuple of coerced items."""
-    return lambda items: tuple(coerce(item) for item in items)
+    """Coercion of a JSON list into a tuple of coerced items; anything else is a TypeError."""
+
+    def convert(items):
+        if not isinstance(items, list):
+            raise TypeError(f"expected a list, got {type(items).__name__}")
+        return tuple(coerce(item) for item in items)
+
+    return convert
 
 
 class Registry:

@@ -187,7 +187,7 @@ def test_criterion_08_domination_ratio_stability():
             config = ml.ExperimentConfig(
                 E=E,
                 m=m,
-                f=ml.FunctionSpec("gaussian_bump", width=1.0),
+                f=ml.GaussianBump(1.0),
                 alpha=0.45,
                 beta=0.3,
                 n=1024,
@@ -249,7 +249,7 @@ def test_criterion_11_halfwave_rates():
     mode = lp.GridFunction(extent, np.exp(2j * np.pi * 2.0 * x))
     times = np.geomspace(1e-4, 1e-3, 8) / (2 * np.pi * 2.0) ** 0.5
     slope = ml.halfwave_convergence(mode, 0.5, 0.4, times).beta_fit
-    gauss = ml.FunctionSpec("gaussian_bump", width=1.0).build(1024, 8.0)
+    gauss = ml.build_function(ml.GaussianBump(1.0), 1024, 8.0)
     seq_times = ml.halfwave_times(ds.DilationSet(ds.PowerSequence(1.0)), 1.0 / 40, 0.35)
     beta_fit = ml.halfwave_convergence(gauss, 0.5, 0.4, seq_times).beta_fit
     dt = time.monotonic() - t0

@@ -180,6 +180,41 @@ def test_halfwave_on_cantor_set_is_input_error(tmp_path, capsys):
     assert err == "error: a Cantor set has no small-time schedule\n"
 
 
+def _experiment(kind, **changes):
+    """The domination test config run as `kind`, with config entries replaced."""
+    return dict(DOMINATION_CONFIG, kind=kind, config=dict(DOMINATION_CONFIG["config"], **changes))
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        pytest.param("experiment", _experiment("probe", grid={"n": 256, "dim": 2}), id="probe_dim_2"),
+        pytest.param("experiment", _experiment("domination", grid={"n": 256, "dim": 2}), id="domination_dim_2"),
+        pytest.param("experiment", _experiment("domination", depth=-1), id="negative_depth"),
+        pytest.param("experiment", _experiment("domination", grid={"n": 1000}), id="n_not_power_of_two"),
+        pytest.param("experiment", _experiment("domination", j_range=[2, -2]), id="reversed_j_range"),
+        pytest.param("experiment", _experiment("probe", f={"kind": "nope"}), id="unknown_f_kind"),
+        pytest.param("dim", dict(DIM_CONFIG, expect={"method": "gap_sum", "value": 0.5}), id="expect_method_not_run"),
+        pytest.param("dim", dict(DIM_CONFIG, schedule={"delta_max": "big"}), id="non_numeric_schedule"),
+        pytest.param("dim", dict(DIM_CONFIG, j="zero"), id="non_numeric_j"),
+    ],
+)
+def test_config_error_exits_one(tmp_path, capsys, command, payload):
+    config = write(tmp_path, "bad.json", payload)
+    assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_probe_vanishing_trial_is_input_error(tmp_path, capsys):
+    # band 3 of the random_band trial lies above the Nyquist frequency 2 of a 64-point grid
+    config = write(tmp_path, "probe.json", _experiment("probe", grid={"n": 64}))
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", config, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: trial input random_band vanishes on the 64-point grid\n"
+    assert not (out / "experiment_report.json").exists()
+
+
 @pytest.mark.parametrize("command", ["dim", "verify", "experiment"])
 def test_workers_flag_is_rejected(tmp_path, capsys, command):
     argv = [command, "--out", str(tmp_path / "o"), "--workers", "2"]

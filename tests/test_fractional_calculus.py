@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fracmax.fractional_calculus import (
-    FractionalOrder,
     SampledPath,
     estimate_hoelder,
     graded_grid,
@@ -36,11 +35,11 @@ def marchaud_quadrature_oracle(f, t, alpha, n=200_000):
 
 
 def test_fractional_order_bounds():
-    with pytest.raises(ValueError):
-        FractionalOrder(0.0)
-    with pytest.raises(ValueError):
-        FractionalOrder(1.0)
-    assert FractionalOrder(0.5).alpha == 0.5
+    path = SampledPath(uniform_grid(1.0, 9), uniform_grid(1.0, 9))
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError, match="order must lie in"):
+            marchaud_derivative(path, alpha)
+    assert np.all(np.isfinite(marchaud_derivative(path, 0.5).values))
 
 
 def test_sampled_path_validation():

@@ -40,9 +40,8 @@ FIVE_FUNCTIONS = [
 # --- cutoffs -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["smooth_exp", "raised_cosine"])
-def test_cutoff_plateau_and_support(kind):
-    cut = build_cutoffs(kind)
+@pytest.mark.parametrize("cut", [CUT], ids=["smooth_exp"])
+def test_cutoff_plateau_and_support(cut):
     assert cut.phi(np.array([0.5]))[0] == 1.0
     assert cut.phi(np.array([3.0]))[0] == 0.0
     rho = np.linspace(0.0, 3.0, 3001)
@@ -51,9 +50,8 @@ def test_cutoff_plateau_and_support(kind):
     assert np.all(np.diff(vals) <= 1e-12)  # monotone in |xi|
 
 
-@pytest.mark.parametrize("kind", ["smooth_exp", "raised_cosine"])
-def test_bump_nonnegative_with_annular_support(kind):
-    cut = build_cutoffs(kind)
+@pytest.mark.parametrize("cut", [CUT], ids=["smooth_exp"])
+def test_bump_nonnegative_with_annular_support(cut):
     rho = np.linspace(0.0, 3.0, 3001)
     psi = cut.psi(rho)
     assert np.all(psi >= -1e-15)
@@ -67,11 +65,6 @@ def test_partition_of_unity_to_1e12():
     # spot value away from dyadic anchors
     total = sum(CUT.psi_band(np.array([1.37]), j)[0] for j in range(-20, 21))
     assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_unknown_transition_rejected():
-    with pytest.raises(ValueError):
-        build_cutoffs("boxcar")
 
 
 def test_profile_derivatives_match_finite_differences():

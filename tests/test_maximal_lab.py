@@ -1,8 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fracmax.dilation_sets import (
     BlockSet,
@@ -17,11 +20,15 @@ from fracmax.dilation_sets import (
 from fracmax.fractional_calculus import marchaud_matrix
 from fracmax.lp_frames import GridFunction
 from fracmax.maximal_lab import (
+    FUNCTIONS,
     ExperimentConfig,
-    FunctionSpec,
+    GaussianBump,
     HWeights,
+    ModulatedBump,
+    RandomBand,
     _batched_dilate,
     apply_dilated_multiplier,
+    build_function,
     build_h_weights,
     config_from_json,
     config_to_json,
@@ -42,7 +49,7 @@ POW_LAC = DilationSet(UnionSet((PowerSequence(1.0), LacunaryGrid())))
 
 
 def gaussian(n=512, extent=8.0, width=1.0):
-    return FunctionSpec("gaussian_bump", width=width).build(n, extent)
+    return build_function(GaussianBump(width), n, extent)
 
 
 # --- dilated application --------------------------------------------------------
@@ -55,7 +62,7 @@ def test_identity_symbol_preserves_function():
 
 
 def test_band_aligned_dilation_passes_band_function():
-    f = FunctionSpec("modulated_bump", width=2.0, freq=2.0).build(1024, 8.0)
+    f = build_function(ModulatedBump(2.0, 2.0), 1024, 8.0)
     from fracmax.lp_frames import build_cutoffs, lp_piece
 
     band = lp_piece(f, 1, build_cutoffs())
@@ -66,7 +73,7 @@ def test_band_aligned_dilation_passes_band_function():
 
 def test_dilated_l2_ratio_follows_symbol_decay():
     # |m(2 xi)| / |m(xi)| = 1/2 on the band carrying the function
-    f = FunctionSpec("modulated_bump", width=2.0, freq=4.0).build(1024, 8.0)
+    f = build_function(ModulatedBump(2.0, 4.0), 1024, 8.0)
     m = LimitedDecay(1.0)
     spec = f.to_frequency()
     out1 = apply_dilated_multiplier(f, m, 1.0).l2_norm()
@@ -172,6 +179,18 @@ def test_maximal_two_dimensional_grid():
     sup, _ = maximal_function(f2, BandBump(), single, 2, (0, 0))
     direct = apply_dilated_multiplier(f2, BandBump(), 1.0)
     np.testing.assert_allclose(sup.samples.real, np.abs(direct.samples), atol=1e-13)
+    # several dilations, against the per-dilation spectral product as the reference
+    E, m = DilationSet(ExplicitPoints((1.0, 1.3, 1.7))), LimitedDecay(1.0)
+    sup, _ = maximal_function(f2, m, E, 2, (-1, 0))
+    spec = f2.to_frequency()
+    ts = [2.0**j * t for j, pts in sampled_dilations(E, (-1, 0), 2).items() for t in pts]
+    assert len(ts) >= 3
+
+    def dilated(t):
+        masked = spec.samples * evaluate(m, t * spec.freq_radius())
+        return np.abs(replace(spec, samples=masked, side="frequency").to_space().samples)
+
+    np.testing.assert_allclose(sup.samples.real, np.max([dilated(t) for t in ts], axis=0), atol=1e-13)
 
 
 # --- H weights -------------------------------------------------------------------
@@ -216,7 +235,7 @@ def test_square_functional_zero_inputs():
 
 
 def test_square_functional_matches_dense_brute_force():
-    f = FunctionSpec("modulated_bump", width=1.0, freq=2.0).build(512, 8.0)
+    f = build_function(ModulatedBump(1.0, 2.0), 512, 8.0)
     alpha, beta = 0.45, 0.3
     res = square_functional(
         f, BandBump(), LAC, alpha, beta, sampling_depth=3, j_range=(-2, 3), s_resolution=128
@@ -252,7 +271,7 @@ def test_domination_ratio_stability_small_config():
     config = ExperimentConfig(
         E=POW_LAC,
         m=BandBump(),
-        f=FunctionSpec("gaussian_bump", width=1.0),
+        f=GaussianBump(1.0),
         alpha=0.45,
         beta=0.3,
         n=512,
@@ -271,7 +290,7 @@ def test_domination_zero_function_trivially_passes():
     config = ExperimentConfig(
         E=LAC,
         m=Custom(lambda r: np.zeros_like(r)),
-        f=FunctionSpec("gaussian_bump", width=1.0),
+        f=GaussianBump(1.0),
         n=256,
         j_range=(-2, 2),
         depth=2,
@@ -286,7 +305,7 @@ def test_domination_histogram_csv():
     config = ExperimentConfig(
         E=LAC,
         m=BandBump(),
-        f=FunctionSpec("gaussian_bump", width=1.0),
+        f=GaussianBump(1.0),
         n=256,
         j_range=(-2, 2),
         depth=2,
@@ -321,7 +340,7 @@ def test_mm_linf_h_norm_zero_multiplier():
 
 def test_probe_zero_multiplier():
     config = ExperimentConfig(
-        E=LAC, m=Custom(lambda r: np.zeros_like(r)), f=FunctionSpec("gaussian_bump"), n=256,
+        E=LAC, m=Custom(lambda r: np.zeros_like(r)), f=GaussianBump(1.0), n=256,
         j_range=(-2, 2), depth=2,
     )
     assert operator_norm_probe(config, trials=1).lower_bound == 0.0
@@ -331,7 +350,7 @@ def test_probe_singleton_band_bump_bounded_by_one():
     config = ExperimentConfig(
         E=DilationSet(ExplicitPoints((1.0,))),
         m=BandBump(),
-        f=FunctionSpec("gaussian_bump"),
+        f=GaussianBump(1.0),
         n=512,
         j_range=(0, 0),
         depth=2,
@@ -341,7 +360,7 @@ def test_probe_singleton_band_bump_bounded_by_one():
 
 
 def test_probe_monotone_in_set():
-    base = dict(m=LimitedDecay(1.0), f=FunctionSpec("gaussian_bump"), n=512, j_range=(0, 0), depth=3)
+    base = dict(m=LimitedDecay(1.0), f=GaussianBump(1.0), n=512, j_range=(0, 0), depth=3)
     small = operator_norm_probe(
         ExperimentConfig(E=DilationSet(ExplicitPoints((1.0, 1.5))), **base), trials=2
     )
@@ -353,7 +372,7 @@ def test_probe_monotone_in_set():
 
 def test_probe_regularity_sweep_recorded():
     config = ExperimentConfig(
-        E=LAC, m=BandBump(), f=FunctionSpec("gaussian_bump"), n=256, j_range=(-1, 1), depth=2
+        E=LAC, m=BandBump(), f=GaussianBump(1.0), n=256, j_range=(-1, 1), depth=2
     )
     report = operator_norm_probe(config, trials=1, regularity_grid=(0.5, 1.0, 1.5))
     assert len(report.regularity_sweep) == 3
@@ -399,7 +418,7 @@ def test_config_json_roundtrip():
     config = ExperimentConfig(
         E=POW_LAC,
         m=LimitedDecay(1.0),
-        f=FunctionSpec("modulated_bump", width=1.5, freq=3.0),
+        f=ModulatedBump(1.5, 3.0),
         alpha=0.4,
         beta=0.25,
         n=512,
@@ -409,6 +428,28 @@ def test_config_json_roundtrip():
     payload = json.loads(json.dumps(config_to_json(config)))
     back = config_from_json(payload)
     assert back == config
+    # the test-function codec: extra keys (smoothness among them) are ignored,
+    # an unknown kind is a ValueError and a missing field a KeyError
+    assert FUNCTIONS.from_json({"kind": "gaussian_bump", "width": 2, "smoothness": 0.1}) == GaussianBump(2.0)
+    assert FUNCTIONS.to_json(RandomBand(3, 7)) == {"kind": "random_band", "band": 3, "seed": 7}
+    with pytest.raises(ValueError, match="unknown test function 'nope'"):
+        FUNCTIONS.from_json({"kind": "nope"})
+    with pytest.raises(KeyError):
+        FUNCTIONS.from_json({"kind": "modulated_bump", "width": 1.0})
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.one_of(
+        st.builds(GaussianBump, _FINITE),
+        st.builds(ModulatedBump, _FINITE, _FINITE),
+        st.builds(RandomBand, st.integers(), st.integers()),
+    )
+)
+def test_function_wire_roundtrip(f):
+    assert FUNCTIONS.from_json(json.loads(json.dumps(FUNCTIONS.to_json(f)))) == f
 
 
 def test_set_json_roundtrip_nested_union():
@@ -449,3 +490,8 @@ def test_set_json_roundtrip_nested_union():
         DilationSet.from_json({"generator": {"kind": "power_sequence"}})
     with pytest.raises(KeyError):
         DilationSet.from_json({"cap": 10})
+    # a JSON string is not a list of points, and Cantor digits must be integers
+    with pytest.raises(TypeError, match="expected a list, got str"):
+        DilationSet.from_json({"generator": {"kind": "explicit", "points": "12"}})
+    with pytest.raises(ValueError, match="digits must be"):
+        DilationSet.from_json({"generator": {"kind": "cantor", "base": 3, "digits": [0.5, 2], "levels": 2}})
