@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 input error, 2 verification/assertion failure.
 Reports are deterministic for a fixed config and seed: keys are sorted, no
 timestamps are embedded, and every report echoes the fully resolved config.
+Reports are strict JSON: one holding a NaN or infinity is not written, and the
+run exits 1.
 Every report carries `"workers": 1`: fracmax runs serially, and the field
 stays for readers of earlier reports.
 """
@@ -35,12 +37,16 @@ def _np_default(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_np_default) + "\n"
-
-
 class InputError(Exception):
     """Input-level failure carrying a message for stderr; maps to exit code 1."""
+
+
+def _dump(payload: dict) -> str:
+    """Strict JSON: a NaN or infinity in the report is an input error, and no report is written."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, default=_np_default, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InputError(f"report holds a non-finite number: {exc}")
 
 
 def _load_config(path: str) -> dict:

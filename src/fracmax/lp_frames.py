@@ -56,12 +56,12 @@ class SmoothCutoff:
     def phi(self, xi) -> np.ndarray:
         """Low-pass profile evaluated at |xi| (any real array; radial)."""
         rho = np.abs(np.asarray(xi, dtype=float))
-        x = 2.0 - rho  # transition coordinate: 1 at rho=1, 0 at rho=2
-        u = _glue(x)
-        v = _glue(1.0 - x)
         out = np.where(rho <= 1.0, 1.0, 0.0)
         mid = (rho > 1.0) & (rho < 2.0)
-        out[mid] = (u / (u + v))[mid]
+        x = 2.0 - rho[mid]  # transition coordinate: 1 at rho=1, 0 at rho=2
+        u = _glue(x)
+        v = _glue(1.0 - x)
+        out[mid] = u / (u + v)
         return out
 
     def psi(self, xi) -> np.ndarray:
@@ -177,7 +177,7 @@ class GridFunction:
         return np.hypot(*np.meshgrid(axis, axis, indexing="ij"))
 
     def _phase(self) -> np.ndarray:
-        sign = (-1.0) ** np.arange(self.n)
+        sign = np.where(np.arange(self.n) & 1, -1.0, 1.0)
         if self.dim == 1:
             return sign
         return np.outer(sign, sign)
@@ -262,34 +262,41 @@ class BesovParams:
             raise ValueError("integrability index must exceed 1")
 
 
+def _weighted_to_space(spec: GridFunction, weight: np.ndarray) -> GridFunction:
+    return replace(spec, samples=spec.samples * weight, side="frequency").to_space()
+
+
 def lp_piece(f: GridFunction, j: int, cut: SmoothCutoff) -> GridFunction:
     """Spectral multiplication by the band-j bump, returned on the space side."""
     if 2.0 ** (j + 1) > f.nyquist + 1e-12:
         raise ValueError(f"band out of range: 2^{j + 1} exceeds Nyquist {f.nyquist}")
     spec = f.to_frequency()
-    masked = spec.samples * cut.psi_band(spec.freq_radius(), j)
-    return replace(spec, samples=masked, side="frequency").to_space()
+    return _weighted_to_space(spec, cut.psi_band(spec.freq_radius(), j))
 
 
 def low_pass_piece(f: GridFunction, cut: SmoothCutoff) -> GridFunction:
     spec = f.to_frequency()
-    masked = spec.samples * cut.phi(spec.freq_radius())
-    return replace(spec, samples=masked, side="frequency").to_space()
+    return _weighted_to_space(spec, cut.phi(spec.freq_radius()))
 
 
 def besov_norm(g: GridFunction, params: BesovParams, cut: SmoothCutoff) -> float:
     """Truncated inhomogeneous Besov norm with equal inner and outer index.
 
     Low-pass piece plus bands j = 1..j_max weighted by 2**(s j); for p = inf
-    the band sum is replaced by the sup.
+    the band sum is replaced by the sup.  The pieces are those of
+    low_pass_piece and lp_piece, with each low-pass profile phi(|xi| / 2**k)
+    computed once: band j's bump is the difference of profiles j and j - 1.
     """
     if 2.0 ** (params.j_max + 1) > g.nyquist + 1e-12:
         raise ValueError("band out of range: j_max exceeds the grid Nyquist range")
-    base = low_pass_piece(g, cut).lp_norm(params.p)
-    bands = [
-        2.0 ** (params.s * j) * lp_piece(g, j, cut).lp_norm(params.p)
-        for j in range(1, params.j_max + 1)
-    ]
+    spec = g.to_frequency()
+    rho = spec.freq_radius()
+    low = cut.phi(rho)
+    base = _weighted_to_space(spec, low).lp_norm(params.p)
+    bands = []
+    for j in range(1, params.j_max + 1):
+        below, low = low, cut.phi(rho / 2.0**j)
+        bands.append(2.0 ** (params.s * j) * _weighted_to_space(spec, low - below).lp_norm(params.p))
     if math.isinf(params.p):
         return max([base] + bands)
     p = params.p
@@ -378,7 +385,8 @@ def sigma2_norm(
 
     Each band m(2**j .) * psi is sampled on its own annulus grid (resolution
     adapted to the band's oscillation) and measured in the requested Besov
-    norm; the result is the l^2 total with the per-band breakdown.  The stale
+    norm; m is evaluated only where psi is nonzero, 1/2 < |xi| < 2.  The
+    result is the l^2 total with the per-band breakdown.  The stale
     flag reports a truncation-dominated sum: the last two bands contribute
     more than 1% of the total.
     """
@@ -388,7 +396,11 @@ def sigma2_norm(
     bands = []
     for j in js:
         def band_eval(xi, j=j):
-            return evaluate(m, 2.0**j * xi) * cut.psi(xi)
+            weight = cut.psi(xi)
+            on = weight != 0
+            out = np.zeros(xi.shape, dtype=complex)
+            out[on] = evaluate(m, 2.0**j * xi[on]) * weight[on]
+            return out
 
         g = _band_grid(band_eval, band_oscillation(m, j), band_resolution)
         inner = BesovParams(params.p, params.s, min(params.j_max, int(math.log2(g.nyquist)) - 1))

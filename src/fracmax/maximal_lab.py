@@ -52,6 +52,10 @@ class GaussianBump:
     width: float
     side = "space"
 
+    def __post_init__(self):
+        if not self.width > 0:
+            raise ValueError(f"bump width must be positive, got {self.width}")
+
     def profile(self, x: np.ndarray) -> np.ndarray:
         return np.exp(-(x**2) / (2.0 * self.width**2))
 
@@ -75,6 +79,10 @@ class RandomBand:
     band: int
     seed: int
     side = "frequency"
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"random_band seed must be nonnegative, got {self.seed}")
 
     def profile(self, xi: np.ndarray) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -358,6 +366,8 @@ class ExperimentConfig:
             raise ValueError("built-in experiment inputs are 1-d")
         if self.n < 1 or self.n & (self.n - 1):
             raise ValueError(f"grid side n must be a power of two, got {self.n}")
+        if not self.extent > 0:
+            raise ValueError(f"grid extent must be positive, got {self.extent}")
         if self.depth < 0:
             raise ValueError(f"sampling depth must be nonnegative, got {self.depth}")
         if len(self.j_range) != 2 or not all(isinstance(j, int) for j in self.j_range) or self.j_range[0] > self.j_range[1]:

@@ -105,33 +105,43 @@ def scaled(m: Multiplier, r: float) -> Multiplier:
 
 
 def _amplitude(rho: np.ndarray, beta: float, order: int) -> np.ndarray:
-    """Radial derivatives of (1 - phi(rho)) rho**-beta up to order 2."""
+    """Radial derivatives of (1 - phi(rho)) rho**-beta up to order 2.
+
+    1 - phi and its derivatives vanish exactly on rho <= 1, so the powers of
+    rho, which overflow near 0, are taken only beyond it.
+    """
     one_minus = 1.0 - _CUT.phi(rho)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p0 = np.where(rho > 0, rho ** (-beta), 0.0)
-        p1 = np.where(rho > 0, -beta * rho ** (-beta - 1.0), 0.0)
-        p2 = np.where(rho > 0, beta * (beta + 1.0) * rho ** (-beta - 2.0), 0.0)
-    if order == 0:
-        return one_minus * p0
-    d1 = -_CUT.phi_d1(rho)
-    if order == 1:
-        return d1 * p0 + one_minus * p1
+    live = rho > 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p0 = np.where(live, rho ** (-beta), 0.0)
+        if order == 0:
+            return one_minus * p0
+        p1 = np.where(live, -beta * rho ** (-beta - 1.0), 0.0)
+        d1 = -_CUT.phi_d1(rho)
+        if order == 1:
+            return d1 * p0 + one_minus * p1
+        p2 = np.where(live, beta * (beta + 1.0) * rho ** (-beta - 2.0), 0.0)
     d2 = -_CUT.phi_d2(rho)
     return d2 * p0 + 2.0 * d1 * p1 + one_minus * p2
 
 
 def _phase_exp(rho: np.ndarray, alpha: float, beta: float, order: int) -> np.ndarray:
-    """Radial derivatives of e^{2 pi i rho**alpha} * amplitude(beta)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta1 = np.where(rho > 0, 2.0 * np.pi * alpha * rho ** (alpha - 1.0), 0.0)
-        theta2 = np.where(rho > 0, 2.0 * np.pi * alpha * (alpha - 1.0) * rho ** (alpha - 2.0), 0.0)
+    """Radial derivatives of e^{2 pi i rho**alpha} * amplitude(beta).
+
+    The phase derivatives only multiply amplitude terms, which vanish on rho <= 1.
+    """
     phase = np.exp(2j * np.pi * np.where(rho > 0, rho, 0.0) ** alpha)
     a0 = _amplitude(rho, beta, 0)
     if order == 0:
         return phase * a0
+    live = rho > 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        theta1 = np.where(live, 2.0 * np.pi * alpha * rho ** (alpha - 1.0), 0.0)
     a1 = _amplitude(rho, beta, 1)
     if order == 1:
         return phase * (1j * theta1 * a0 + a1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        theta2 = np.where(live, 2.0 * np.pi * alpha * (alpha - 1.0) * rho ** (alpha - 2.0), 0.0)
     a2 = _amplitude(rho, beta, 2)
     return phase * (-(theta1**2) * a0 + 2j * theta1 * a1 + 1j * theta2 * a0 + a2)
 
@@ -147,16 +157,18 @@ def radial_derivative(m: Multiplier, rho, order: int = 0) -> np.ndarray:
         return _phase_exp(rho, m.alpha, m.beta, order)
     if isinstance(m, SlowDecay):
         w = 1.0 - m.delta
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w1 = np.where(rho > 0, w * rho ** (w - 1.0), 0.0)
-            w2 = np.where(rho > 0, w * (w - 1.0) * rho ** (w - 2.0), 0.0)
         arg = np.where(rho > 0, rho, 0.0) ** w
         a0 = _amplitude(rho, m.beta, 0)
         if order == 0:
             return a0 * np.cos(arg)
+        live = rho > 1.0  # as in _phase_exp
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w1 = np.where(live, w * rho ** (w - 1.0), 0.0)
         a1 = _amplitude(rho, m.beta, 1)
         if order == 1:
             return a1 * np.cos(arg) - a0 * w1 * np.sin(arg)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w2 = np.where(live, w * (w - 1.0) * rho ** (w - 2.0), 0.0)
         a2 = _amplitude(rho, m.beta, 2)
         return (
             a2 * np.cos(arg)
@@ -322,22 +334,48 @@ def _mtilde_quadrature(m: Multiplier, alpha: float, rho: np.ndarray, n_nodes: in
     return part1 + part2
 
 
+def _mtilde_pointwise(m: Multiplier, alpha: float, rho: np.ndarray, n_min: int, coarsen: int = 1):
+    """The quadrature at each distinct radius of rho, with a node count set by the radius alone.
+
+    Each radius gets _adaptive_nodes at the top of its octave, 2**ceil(log2 rho),
+    divided by `coarsen`; the quadrature runs once per distinct count.
+    """
+    radii, inverse = np.unique(rho, return_inverse=True)
+    mant, expo = np.frexp(radii)
+    tops = np.where(radii > 0, np.ldexp(1.0, expo - (mant == 0.5)), 0.0)
+    counts = np.array([_adaptive_nodes(m, float(t), n_min) // coarsen for t in tops], dtype=int)
+    out = np.empty(radii.shape, dtype=complex)
+    for n in np.unique(counts):
+        sel = counts == n
+        out[sel] = _mtilde_quadrature(m, alpha, radii[sel], int(n))
+    return out[inverse]
+
+
+def _ray_scale(m: Multiplier, rho: np.ndarray) -> np.ndarray:
+    """sup |m| over the ray [0, rho], sampled at 65 evenly spaced points."""
+    r = np.linspace(0.0, 1.0, 65)
+    return np.max(np.abs(radial_derivative(m, rho[:, None] * r[None, :], 0)), axis=1)
+
+
 def mtilde_values(
     m: Multiplier, alpha: float, xi, n_nodes: int = 64, flag_tol: float = 1e-6
 ):
     """Fractional-difference transform values with per-point convergence flags.
 
     The node count adapts to the family's total phase variation over the ray
-    so oscillatory integrands stay resolved (capped at 8192 nodes).
+    up to the top of each radius's octave (at least n_nodes, capped at 2**16
+    nodes), so oscillatory integrands stay resolved.  A point is flagged when
+    the half-node pass differs by more than flag_tol relative to the larger of
+    its value and 1% of sup |m| on its ray.  Values and flags are pointwise:
+    neither depends on which other points share the batch.
     """
     if not 0 < alpha < 1:
         raise ValueError("order must lie in (0, 1)")
     rho = np.abs(np.asarray(xi, dtype=float)).ravel()
-    n_eff = _adaptive_nodes(m, float(np.max(rho, initial=0.0)), n_nodes)
-    fine = _mtilde_quadrature(m, alpha, rho, n_eff)
-    coarse = _mtilde_quadrature(m, alpha, rho, n_eff // 2)
-    scale = np.max(np.abs(fine)) + 1e-300
-    flags = np.abs(fine - coarse) > flag_tol * np.maximum(np.abs(fine), 0.01 * scale)
+    fine = _mtilde_pointwise(m, alpha, rho, n_nodes)
+    coarse = _mtilde_pointwise(m, alpha, rho, n_nodes, coarsen=2)
+    floor = 0.01 * _ray_scale(m, rho)
+    flags = np.abs(fine - coarse) > flag_tol * np.maximum(np.abs(fine), floor)
     shape = np.asarray(xi).shape
     return fine.reshape(shape), flags.reshape(shape)
 
@@ -354,14 +392,14 @@ def mtilde_multiplier(m: Multiplier, alpha: float, n_nodes: int = 64) -> Custom:
     """The transform as a multiplier, for square-norm machinery.
 
     Skips the fine/coarse convergence comparison of mtilde_values; the
-    adaptive node count alone keeps the quadrature resolved.
+    adaptive node count alone keeps the quadrature resolved.  The evaluator
+    is pointwise like mtilde_values and computes each distinct radius once.
     """
     osc = float(np.max(phase_frequency(m, np.geomspace(0.25, 4096.0, 25))))
 
     def evaluator(xi, m=m, alpha=alpha, n_nodes=n_nodes):
-        rho = np.abs(np.asarray(xi, dtype=float)).ravel()
-        n_eff = _adaptive_nodes(m, float(np.max(rho, initial=0.0)), n_nodes)
-        return _mtilde_quadrature(m, alpha, rho, n_eff).reshape(np.asarray(xi).shape)
+        rho = np.abs(np.asarray(xi, dtype=float))
+        return _mtilde_pointwise(m, alpha, rho.ravel(), n_nodes).reshape(rho.shape)
 
     return Custom(evaluator, oscillation=osc)
 

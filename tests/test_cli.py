@@ -194,6 +194,16 @@ def _experiment(kind, **changes):
         pytest.param("experiment", _experiment("domination", grid={"n": 1000}), id="n_not_power_of_two"),
         pytest.param("experiment", _experiment("domination", j_range=[2, -2]), id="reversed_j_range"),
         pytest.param("experiment", _experiment("probe", f={"kind": "nope"}), id="unknown_f_kind"),
+        pytest.param("experiment", _experiment("domination", f={"kind": "gaussian_bump", "width": 0.0}), id="zero_width"),
+        pytest.param(
+            "experiment",
+            _experiment("domination", f={"kind": "modulated_bump", "width": 0.0, "freq": 1.0}),
+            id="zero_width_modulated",
+        ),
+        pytest.param(
+            "experiment", _experiment("domination", f={"kind": "random_band", "band": 1, "seed": -1}), id="negative_seed"
+        ),
+        pytest.param("experiment", _experiment("domination", grid={"n": 256, "extent": 0.0}), id="zero_extent"),
         pytest.param("dim", dict(DIM_CONFIG, expect={"method": "gap_sum", "value": 0.5}), id="expect_method_not_run"),
         pytest.param("dim", dict(DIM_CONFIG, schedule={"delta_max": "big"}), id="non_numeric_schedule"),
         pytest.param("dim", dict(DIM_CONFIG, j="zero"), id="non_numeric_j"),
@@ -213,6 +223,18 @@ def test_probe_vanishing_trial_is_input_error(tmp_path, capsys):
     assert main(["experiment", "--config", config, "--out", str(out)]) == EXIT_INPUT
     assert capsys.readouterr().err == "error: trial input random_band vanishes on the 64-point grid\n"
     assert not (out / "experiment_report.json").exists()
+
+
+def test_non_finite_report_is_input_error(tmp_path, capsys, monkeypatch):
+    from fracmax import verify
+
+    nan_check = verify.Check("nan_leaf", True, float("nan"), "true")
+    monkeypatch.setattr(verify, "run_suite", lambda name, seed: verify.SuiteReport(name, seed, (nan_check,)))
+    out = tmp_path / "o"
+    assert main(["verify", "--suite", "fraccalc", "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: report holds a non-finite number") and err.count("\n") == 1, err
+    assert not (out / "verify_report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["dim", "verify", "experiment"])

@@ -19,7 +19,7 @@ from fracmax.lp_frames import (
     sigma2_norm,
     sigma2_weighted_sobolev,
 )
-from fracmax.multipliers import BandBump, LimitedDecay, SlowDecay, scaled
+from fracmax.multipliers import BandBump, Custom, LimitedDecay, SlowDecay, evaluate, scaled
 
 CUT = build_cutoffs()
 
@@ -236,12 +236,24 @@ def test_sigma2_limited_decay_slope(a):
 
 
 def test_sigma2_constant_multiplier_diverges_with_flag():
-    from fracmax.multipliers import Custom
-
     res = sigma2_norm(Custom(lambda r: np.ones_like(r)), BesovParams(2.0, 0.5), (-6, 8), CUT)
     bands = [v for _, v in res.bands]
     assert res.stale  # dilation-invariant symbol: constant band norms, sum never settles
     assert np.std(bands) <= 0.02 * np.mean(bands)
+
+
+def test_sigma2_evaluates_only_the_band_support():
+    seen = []
+
+    def record(rho):
+        seen.append(np.array(rho))
+        return evaluate(LimitedDecay(1.0), rho)
+
+    sigma2_norm(Custom(record), BesovParams(2.0, 0.5), (-2, 4), CUT)
+    assert len(seen) == 7
+    for j, rho in zip(range(-2, 5), seen):
+        assert rho.size > 0
+        assert np.all((rho >= 2.0 ** (j - 1)) & (rho <= 2.0 ** (j + 1))), j
 
 
 def test_sigma2_finite_iff_smoothness_below_decay():

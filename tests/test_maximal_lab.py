@@ -438,14 +438,21 @@ def test_config_json_roundtrip():
         FUNCTIONS.from_json({"kind": "modulated_bump", "width": 1.0})
 
 
+def test_function_parameters_checked():
+    for make in (lambda: GaussianBump(0.0), lambda: ModulatedBump(-1.0, 2.0), lambda: RandomBand(1, -1)):
+        with pytest.raises(ValueError):
+            make()
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_WIDTH = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @given(
     st.one_of(
-        st.builds(GaussianBump, _FINITE),
-        st.builds(ModulatedBump, _FINITE, _FINITE),
-        st.builds(RandomBand, st.integers(), st.integers()),
+        st.builds(GaussianBump, _WIDTH),
+        st.builds(ModulatedBump, _WIDTH, _FINITE),
+        st.builds(RandomBand, st.integers(), st.integers(min_value=0)),
     )
 )
 def test_function_wire_roundtrip(f):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracmax.lp_frames import build_cutoffs, grid_from_profile
 from fracmax.multipliers import (
@@ -164,6 +166,28 @@ def test_mtilde_bounded_for_all_builtins():
         vals, _ = mtilde_values(m, 0.45, rho)
         assert np.all(np.isfinite(np.abs(vals)))
         assert np.max(np.abs(vals)) < 50.0
+
+
+BUILTINS = [LimitedDecay(1.0), Oscillatory(0.5, 1.0), SlowDecay(1.0, 0.5), BandBump()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.sampled_from(BUILTINS),
+    alpha=st.floats(0.1, 0.9),
+    xi=st.lists(st.floats(-5000.0, 5000.0), min_size=1, max_size=6),
+)
+@example(m=LimitedDecay(1.0), alpha=0.45, xi=[3.0, 4000.0])
+@example(m=SlowDecay(1.0, 0.5), alpha=0.5, xi=[1e-200, 0.0])  # powers of tiny radii used to overflow into NaN
+def test_mtilde_is_pointwise(m, alpha, xi):
+    # a value and its flag must not depend on which other points share the batch
+    xi = np.array(xi)
+    vals, flags = mtilde_values(m, alpha, xi)
+    wrapped = evaluate(mtilde_multiplier(m, alpha), xi)
+    for i in range(xi.size):
+        alone, alone_flag = mtilde_values(m, alpha, xi[i : i + 1])
+        assert vals[i] == alone[0] and flags[i] == alone_flag[0]
+        assert wrapped[i] == evaluate(mtilde_multiplier(m, alpha), xi[i : i + 1])[0]
 
 
 def test_mtilde_grid_output():
