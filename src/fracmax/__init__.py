@@ -30,7 +30,6 @@ from .lp_frames import (
     GridFunction,
     SmoothCutoff,
     besov_norm,
-    build_cutoffs,
     hoelder_norm,
     lp_piece,
     sigma2_norm,

@@ -21,6 +21,7 @@ import numpy as np
 from . import dilation_sets as ds
 from . import maximal_lab as ml
 from . import verify as vf
+from .wire import object_field, tuple_of
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -55,39 +56,62 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise InputError(f"cannot read config: {exc}")
     try:
-        return json.loads(text)
+        spec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    if not isinstance(spec, dict):
+        raise InputError(f"config must be a JSON object, got {type(spec).__name__}")
+    return spec
 
 
 # ---------------------------------------------------------------------------
 # dim
 
 
+DIM_METHODS = ("kappa", "minkowski", "distance_integral", "gap_sum")
+INPUT_ERRORS = (KeyError, ValueError, TypeError, OverflowError)
+
+
 def cmd_dim(args) -> int:
     spec = _load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # every field is read and checked before any work starts
     try:
         E = ds.DilationSet.from_json(spec["set"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad set description: {exc}")
-    sched_spec = spec.get("schedule", {})
-    try:
+        sched_spec = object_field(spec, "schedule")
         sched = ds.geometric_schedule(
             float(sched_spec.get("delta_max", 0.07)),
             float(sched_spec.get("delta_min", 0.7e-6)),
             int(sched_spec.get("count", 9)),
         )
+        if sched.size < 4:
+            raise ValueError(f"schedule.count must be at least 4, got {sched.size}")
         j = int(spec.get("j", 0))
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"bad schedule or block index: {exc}")
-    j_range = tuple(spec.get("j_range", (-2, 3)))
-    methods = spec.get("methods", ["kappa", "minkowski"])
-    expect = spec.get("expect")
-    if expect and expect.get("method") not in methods:
-        raise InputError(f"expect.method {expect.get('method')!r} is not among the methods {methods}")
-    block = ds.rescaled_block(E, j)
+        if abs(j) > ds.MAX_BLOCK_INDEX:
+            raise ValueError(f"block index j must lie within +-{ds.MAX_BLOCK_INDEX}, got {j}")
+        j_range = ds.block_range(spec.get("j_range", [-2, 3]))
+        methods = spec.get("methods", ["kappa", "minkowski"])
+        if not isinstance(methods, list) or not all(m in DIM_METHODS for m in methods):
+            raise ValueError(f"methods must be a list drawn from {', '.join(DIM_METHODS)}, got {methods!r}")
+        if "gap_sum" in methods and not isinstance(E.generator, ds.PowerSequence):
+            raise ValueError("gap_sum method needs a power-sequence generator")
+        expect = object_field(spec, "expect")
+        if expect:
+            if expect.get("method") not in methods:
+                raise ValueError(f"expect.method {expect.get('method')!r} is not among the methods {methods}")
+            target, tol = float(expect["value"]), float(expect.get("tol", 0.05))
+        bound_spec = object_field(spec, "bound_check")
+        exponents = tuple_of(float)(bound_spec.get("exponents", []))
+        if not all(0 < a < 1 for a in exponents):
+            raise ValueError(f"bound_check exponents must lie in (0, 1), got {list(exponents)}")
+        bound_constant = float(bound_spec.get("constant", 10.0))
+        table_a = float(spec["table_exponent"]) if spec.get("table_exponent") else None
+        if table_a is not None and not 0 <= table_a <= 1:
+            raise ValueError(f"table_exponent must lie in [0, 1], got {table_a}")
+        block = ds.rescaled_block(E, j)
+    except INPUT_ERRORS as exc:
+        raise InputError(f"bad dim config: {exc}")
     if block.empty and not block.tails:
         raise InputError(f"block {j} of the set is empty")
 
@@ -100,19 +124,12 @@ def cmd_dim(args) -> int:
             est = ds.minkowski_dimension(block, sched)
         elif method == "distance_integral":
             est = ds.dimension_from_distance_integral(block)
-        elif method == "gap_sum":
-            if not isinstance(E.generator, ds.PowerSequence):
-                raise InputError("gap_sum method needs a power-sequence generator")
-            est = ds.dimension_from_gap_sums(E.generator.sequence)
         else:
-            raise InputError(f"unknown method {method!r}")
+            est = ds.dimension_from_gap_sums(E.generator.sequence)
         results[method] = json.loads(est.to_json())
 
-    for check_spec in spec.get("bound_check", {}).get("exponents", []):
-        a = float(check_spec)
-        report = ds.dimension_bound_check(
-            block, a, sched, float(spec.get("bound_check", {}).get("constant", 10.0))
-        )
+    for a in exponents:
+        report = ds.dimension_bound_check(block, a, sched, bound_constant)
         results.setdefault("bound_checks", []).append(
             {
                 "a": a,
@@ -129,12 +146,13 @@ def cmd_dim(args) -> int:
 
     if expect:
         est_value = results[expect["method"]]["value"]
-        ok = abs(est_value - float(expect["value"])) <= float(expect.get("tol", 0.05))
+        ok = abs(est_value - target) <= tol
         results["expectation"] = {"target": expect, "value": est_value, "passed": ok}
         if not ok:
             failures.append("expectation")
 
-    table_a = float(spec.get("table_exponent") or results.get("minkowski", results.get("kappa", {"value": 0.5}))["value"])
+    if table_a is None:
+        table_a = float(results.get("minkowski", results.get("kappa", {"value": 0.5}))["value"])
     rows = ["delta,count,delta_pow_a_count"]
     for delta in sched:
         count = ds.entropy_number(block, float(delta))
@@ -184,21 +202,26 @@ def cmd_verify(args) -> int:
 # experiment
 
 
-def _experiment_config(spec: dict, seed: int) -> ml.ExperimentConfig:
-    try:
-        payload = dict(spec["config"])
-        payload.setdefault("seed", seed)
-        return ml.config_from_json(payload)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad experiment config: {exc}")
-
-
 def cmd_experiment(args) -> int:
     spec = _load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     kind = spec.get("kind")
-    config = _experiment_config(spec, args.seed)
+    # every field is read and checked before any work starts
+    try:
+        payload = dict(spec["config"])
+        payload.setdefault("seed", args.seed)
+        config = ml.config_from_json(payload)
+        if kind == "halfwave":
+            hw_alpha, hw_beta = float(spec.get("hw_alpha", 0.5)), float(spec.get("hw_beta", 0.4))
+            t_min, t_max = float(spec.get("t_min", 1.0 / 40)), float(spec.get("t_max", 0.35))
+            if not (0 < hw_alpha < 1 and hw_beta < 1 and 0 < t_min < t_max):
+                raise ValueError("need 0 < hw_alpha < 1, hw_beta < 1 and 0 < t_min < t_max")
+        elif kind == "probe":
+            trials = int(spec.get("trials", 3))
+            regularity_grid = tuple_of(float)(spec.get("regularity_grid", []))
+    except INPUT_ERRORS as exc:
+        raise InputError(f"bad experiment config: {exc}")
     checks = []
     results: dict = {}
     if kind == "domination":
@@ -221,15 +244,11 @@ def cmd_experiment(args) -> int:
             rows.append(f"{j},{repr(ml.band_sup_norm(config.m, j))}")
         (out / "band_norms.csv").write_text("\n".join(rows) + "\n")
     elif kind == "halfwave":
-        hw_alpha = float(spec.get("hw_alpha", 0.5))
-        hw_beta = float(spec.get("hw_beta", 0.4))
-        t_min, t_max = float(spec.get("t_min", 1.0 / 40)), float(spec.get("t_max", 0.35))
         try:
             times = ml.halfwave_times(config.E, t_min, t_max)
+            report = ml.halfwave_convergence(config.build_f(), hw_alpha, hw_beta, times)
         except ValueError as exc:
             raise InputError(str(exc))
-        f = config.build_f()
-        report = ml.halfwave_convergence(f, hw_alpha, hw_beta, times)
         results = {"beta_fit": report.beta_fit, "n_times": len(report.times)}
         checks.append({"name": "rate_at_least_beta_minus_point_one", "passed": report.beta_fit >= hw_beta - 0.1})
         rows = ["t,sup_difference"]
@@ -237,11 +256,7 @@ def cmd_experiment(args) -> int:
         (out / "rates.csv").write_text("\n".join(rows) + "\n")
     elif kind == "probe":
         try:
-            report = ml.operator_norm_probe(
-                config,
-                trials=int(spec.get("trials", 3)),
-                regularity_grid=tuple(spec.get("regularity_grid", ())),
-            )
+            report = ml.operator_norm_probe(config, trials=trials, regularity_grid=regularity_grid)
         except ValueError as exc:
             raise InputError(str(exc))
         results = {

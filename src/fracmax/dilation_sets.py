@@ -23,6 +23,8 @@ DEDUP_TOL = 1e-15
 DEFAULT_GAP_FLOOR = 1e-9
 DEFAULT_CAP = 1_000_000
 DIVERGENCE_CEILING = 1e12
+# block j holds the points of E in [2**j, 2**(j+1)]; beyond this index it is empty for any set of floats
+MAX_BLOCK_INDEX = 1100
 
 # Relative slack used to decide that a point sits exactly on a covering-grid
 # boundary k*delta (closed intervals: such a point counts for both cells).
@@ -311,6 +313,14 @@ def rescaled_block(E: DilationSet, j: int, gap_floor: float = DEFAULT_GAP_FLOOR)
     return _cached_block(E.generator, j, E.materialization_cap, gap_floor)
 
 
+def block_range(j_range) -> tuple[int, int]:
+    """A range of block indices: two ascending integers of magnitude at most MAX_BLOCK_INDEX."""
+    ok = len(j_range) == 2 and all(isinstance(j, int) and abs(j) <= MAX_BLOCK_INDEX for j in j_range)
+    if not ok or j_range[0] > j_range[1]:
+        raise ValueError(f"j_range must be two ascending integers within +-{MAX_BLOCK_INDEX}, got {list(j_range)}")
+    return tuple(j_range)
+
+
 def augmented(E: DilationSet) -> DilationSet:
     """E united with the lacunary grid, so every block contains 1 and 2."""
     gen = E.generator
@@ -468,11 +478,11 @@ class DimensionEstimate:
         )
 
 
-def _slope_fit(x: np.ndarray, y: np.ndarray, window: int = 4):
-    """Least-squares slope of y vs x over the final `window` points."""
+def _slope_fit(x: np.ndarray, y: np.ndarray):
+    """Least-squares slope of y vs x over the final four points."""
     if x.size < 2:
         raise ValueError("need at least two points for a slope fit")
-    w = min(window, x.size)
+    w = min(4, x.size)
     xs, ys = x[-w:], y[-w:]
     coeffs, res = np.polyfit(xs, ys, 1, full=True)[:2]
     residual = float(np.sqrt(res[0] / w)) if res.size else 0.0
@@ -490,19 +500,14 @@ def _validate_schedule(delta_schedule, minimum: int = 2) -> np.ndarray:
     return sched
 
 
-def kappa(
-    E: DilationSet,
-    delta_schedule: Sequence[float],
-    j_range: tuple[int, int],
-    gap_floor: float = DEFAULT_GAP_FLOOR,
-) -> DimensionEstimate:
+def kappa(E: DilationSet, delta_schedule: Sequence[float], j_range: tuple[int, int]) -> DimensionEstimate:
     """Dilation-dimension estimate: slope of sup_j log N(E_j, delta) in -log delta.
 
     The sup runs over the finite j_range; the slope is a least-squares fit
     over the final four schedule points, the standard box-counting practice.
     """
     sched = _validate_schedule(delta_schedule, minimum=4)
-    blocks = [rescaled_block(E, j, gap_floor) for j in range(j_range[0], j_range[1] + 1)]
+    blocks = [rescaled_block(E, j) for j in range(j_range[0], j_range[1] + 1)]
     blocks = [b for b in blocks if not b.empty or b.tails]
     if not blocks:
         raise ValueError("all blocks empty on the requested j range")
@@ -524,25 +529,19 @@ def _entropy_slope(blocks: Sequence[BlockSet], sched: np.ndarray) -> DimensionEs
     return DimensionEstimate(value, "entropy_slope", (float(sched[-1]), float(sched[-4])), residual)
 
 
-def dimension_from_distance_integral(
-    block: BlockSet, a_grid: Sequence[float] | None = None
-) -> DimensionEstimate:
+def dimension_from_distance_integral(block: BlockSet) -> DimensionEstimate:
     """Dimension as the transition exponent where the distance integral blows up.
 
-    Scans `a_grid` (ascending) and returns the first exponent whose integral
+    Scans the exponents 0.02..0.98 and returns the first one whose integral
     is below the divergence ceiling; the grid spacing is reported as residual.
     """
-    return _threshold_scan(
-        a_grid, lambda a: distance_integral(block, a) < DIVERGENCE_CEILING, "distance_integral"
-    )
+    return _threshold_scan(lambda a: distance_integral(block, a) < DIVERGENCE_CEILING, "distance_integral")
 
 
-def _threshold_scan(a_grid, passes, method: str) -> DimensionEstimate:
-    """First exponent of the ascending grid (default 0.02..0.98) that `passes`;
+def _threshold_scan(passes, method: str) -> DimensionEstimate:
+    """First exponent of the ascending grid 0.02, 0.04, .., 0.98 that `passes`;
     the grid spacing there is reported as residual."""
-    if a_grid is None:
-        a_grid = np.linspace(0.02, 0.98, 49)
-    a_grid = np.asarray(a_grid, dtype=float)
+    a_grid = np.linspace(0.02, 0.98, 49)
     verdicts = [passes(float(a)) for a in a_grid]
     if all(verdicts):
         value, resid = float(a_grid[0]), float(a_grid[1] - a_grid[0])
@@ -581,13 +580,11 @@ class GapSumResult:
     convergent: bool
 
 
-def gap_sum(
-    seq, a: float, n_max: int = 1 << 17, ratio_threshold: float = 0.97
-) -> GapSumResult:
+def gap_sum(seq, a: float, n_max: int = 1 << 17) -> GapSumResult:
     """Partial sums of (t_n - t_{n+1})**a with a dyadic-ratio convergence verdict.
 
     The verdict compares consecutive dyadic-block sums: a last ratio below
-    `ratio_threshold` is called convergent.
+    0.97 is called convergent.
     """
     if a <= 0:
         raise ValueError("exponent must be positive")
@@ -608,23 +605,22 @@ def gap_sum(
             ratios.append(math.inf)
         else:
             ratios.append(float(hi / lo))
-    convergent = bool(ratios and ratios[-1] < ratio_threshold)
+    convergent = bool(ratios and ratios[-1] < 0.97)
     return GapSumResult(a, checkpoints, tuple(ratios), convergent)
 
 
-def dimension_from_gap_sums(
-    seq, n_max: int = 1 << 17, a_grid: Sequence[float] | None = None
-) -> DimensionEstimate:
+def dimension_from_gap_sums(seq) -> DimensionEstimate:
     """Dimension as the infimum exponent with convergent gap sums."""
-    return _threshold_scan(a_grid, lambda a: gap_sum(seq, a, n_max).convergent, "gap_sum")
+    return _threshold_scan(lambda a: gap_sum(seq, a).convergent, "gap_sum")
 
 
-def _count_at_least(seq, delta: float, n_limit: int = 1 << 40) -> float:
+def _count_at_least(seq, delta: float) -> float:
     """#{n >= 1 : t_n >= delta} for a decreasing sequence rule.
 
-    Returns inf when the count exceeds `n_limit` (the diagnostic cannot be
+    Returns inf when the count exceeds 2**40 (the diagnostic cannot be
     certified at that scale).
     """
+    n_limit = 1 << 40
     if not callable(seq):
         vals = np.asarray(seq, dtype=float)
         return float(np.sum(vals >= delta))

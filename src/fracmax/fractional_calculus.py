@@ -59,9 +59,10 @@ class SampledPath:
     def __len__(self):
         return int(self.grid.size)
 
-    def is_uniform(self, rtol: float = 1e-9) -> bool:
+    def is_uniform(self) -> bool:
+        """Equal steps to a relative 1e-9, plus a few ulps of the grid's end."""
         h = np.diff(self.grid)
-        slack = rtol * h[0] + 8 * np.finfo(float).eps * abs(float(self.grid[-1]))
+        slack = 1e-9 * h[0] + 8 * np.finfo(float).eps * abs(float(self.grid[-1]))
         return bool(np.all(np.abs(h - h[0]) <= slack))
 
     def to_csv(self) -> str:

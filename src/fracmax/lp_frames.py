@@ -16,37 +16,19 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-PARTITION_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # smooth cutoffs
 
 
-def _glue(x: np.ndarray) -> np.ndarray:
-    """exp(-1/x) for x > 0, 0 otherwise; the standard smooth partition glue."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = np.exp(-1.0 / x[pos])
-    return out
-
-
-def _glue_d1(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = np.exp(-1.0 / x[pos]) / x[pos] ** 2
-    return out
-
-
-def _glue_d2(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    xp = x[pos]
-    out[pos] = np.exp(-1.0 / xp) * (1.0 / xp**4 - 2.0 / xp**3)
-    return out
+def _glue(x: np.ndarray, order: int = 0) -> np.ndarray:
+    """The order-th derivative (0..2) of exp(-1/x), the standard smooth partition glue, at x > 0."""
+    e = np.exp(-1.0 / x)
+    if order == 0:
+        return e
+    if order == 1:
+        return e / x**2
+    return e * (1.0 / x**4 - 2.0 / x**3)
 
 
 @dataclass(frozen=True)
@@ -74,43 +56,41 @@ class SmoothCutoff:
         return self.psi(np.asarray(xi, dtype=float) / 2.0**j)
 
     def phi_d1(self, rho) -> np.ndarray:
-        """Radial derivative of the low-pass profile."""
-        rho = np.asarray(rho, dtype=float)
-        x = 2.0 - rho
-        u, v = _glue(x), _glue(1.0 - x)
-        du, dv = _glue_d1(x), -_glue_d1(1.0 - x)
-        w = u + v
-        out = np.zeros_like(rho)
-        mid = (rho > 1.0) & (rho < 2.0)
-        # d/drho = -d/dx of u/(u+v)
-        out[mid] = (-(du * v - u * dv) / w**2)[mid]
-        return out
+        """Radial derivative of the low-pass profile; exactly 0 off the 1 < rho < 2 shell."""
+        return self._phi_derivative(rho, 1)
 
     def phi_d2(self, rho) -> np.ndarray:
+        """Second radial derivative of the low-pass profile; exactly 0 off the shell."""
+        return self._phi_derivative(rho, 2)
+
+    @staticmethod
+    def _phi_derivative(rho, order: int) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
-        x = 2.0 - rho
-        u, v = _glue(x), _glue(1.0 - x)
-        du, dv = _glue_d1(x), -_glue_d1(1.0 - x)
-        d2u, d2v = _glue_d2(x), _glue_d2(1.0 - x)
-        w = u + v
         out = np.zeros_like(rho)
         mid = (rho > 1.0) & (rho < 2.0)
-        num1 = d2u * v - u * d2v
-        num2 = du * v - u * dv
-        out[mid] = ((num1 / w**2) - 2.0 * num2 * (du + dv) / w**3)[mid]
+        x = 2.0 - rho[mid]
+        u, v = _glue(x), _glue(1.0 - x)
+        du, dv = _glue(x, 1), -_glue(1.0 - x, 1)
+        w = u + v
+        num = du * v - u * dv
+        if order == 1:
+            # d/drho = -d/dx of u/(u+v)
+            out[mid] = -num / w**2
+        else:
+            out[mid] = (_glue(x, 2) * v - u * _glue(1.0 - x, 2)) / w**2 - 2.0 * num * (du + dv) / w**3
         return out
 
 
-def build_cutoffs() -> SmoothCutoff:
-    return SmoothCutoff()
+# the one Littlewood-Paley partition every norm is measured against
+CUTOFF = SmoothCutoff()
 
 
-def partition_defect(cut: SmoothCutoff, xi: np.ndarray, j_window: int = 40) -> float:
-    """Max deviation of the telescoping band sum from 1 on the sample points."""
+def partition_defect(xi: np.ndarray) -> float:
+    """Max deviation of the telescoping band sum over |j| <= 40 from 1 on the sample points."""
     xi = np.asarray(xi, dtype=float)
     total = np.zeros_like(xi)
-    for j in range(-j_window, j_window + 1):
-        total += cut.psi_band(xi, j)
+    for j in range(-40, 41):
+        total += CUTOFF.psi_band(xi, j)
     return float(np.max(np.abs(total - 1.0)))
 
 
@@ -230,21 +210,12 @@ def grid_from_profile(
     profile: Callable[[np.ndarray], np.ndarray],
     extent: float,
     n: int,
-    dim: int = 1,
     side: str = "space",
 ) -> GridFunction:
-    """Sample a callable on the grid (space profile of x, or frequency of xi)."""
-    stub = GridFunction(extent, np.zeros((n,) * dim, dtype=complex), side="space", dim=dim)
-    if side == "space":
-        axis = stub.x_axis()
-    else:
-        axis = stub.freq_axis()
-    if dim == 1:
-        vals = profile(axis)
-    else:
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        vals = profile(np.sqrt(xx**2 + yy**2)) if side == "frequency" else profile(xx, yy)
-    return GridFunction(extent, np.asarray(vals, dtype=complex), side=side, dim=dim)
+    """Sample a callable on the 1-d grid (space profile of x, or frequency of xi)."""
+    stub = GridFunction(extent, np.zeros(n, dtype=complex))
+    axis = stub.x_axis() if side == "space" else stub.freq_axis()
+    return GridFunction(extent, np.asarray(profile(axis), dtype=complex), side=side)
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +237,20 @@ def _weighted_to_space(spec: GridFunction, weight: np.ndarray) -> GridFunction:
     return replace(spec, samples=spec.samples * weight, side="frequency").to_space()
 
 
-def lp_piece(f: GridFunction, j: int, cut: SmoothCutoff) -> GridFunction:
+def lp_piece(f: GridFunction, j: int) -> GridFunction:
     """Spectral multiplication by the band-j bump, returned on the space side."""
     if 2.0 ** (j + 1) > f.nyquist + 1e-12:
         raise ValueError(f"band out of range: 2^{j + 1} exceeds Nyquist {f.nyquist}")
     spec = f.to_frequency()
-    return _weighted_to_space(spec, cut.psi_band(spec.freq_radius(), j))
+    return _weighted_to_space(spec, CUTOFF.psi_band(spec.freq_radius(), j))
 
 
-def low_pass_piece(f: GridFunction, cut: SmoothCutoff) -> GridFunction:
+def low_pass_piece(f: GridFunction) -> GridFunction:
     spec = f.to_frequency()
-    return _weighted_to_space(spec, cut.phi(spec.freq_radius()))
+    return _weighted_to_space(spec, CUTOFF.phi(spec.freq_radius()))
 
 
-def besov_norm(g: GridFunction, params: BesovParams, cut: SmoothCutoff) -> float:
+def besov_norm(g: GridFunction, params: BesovParams) -> float:
     """Truncated inhomogeneous Besov norm with equal inner and outer index.
 
     Low-pass piece plus bands j = 1..j_max weighted by 2**(s j); for p = inf
@@ -291,11 +262,11 @@ def besov_norm(g: GridFunction, params: BesovParams, cut: SmoothCutoff) -> float
         raise ValueError("band out of range: j_max exceeds the grid Nyquist range")
     spec = g.to_frequency()
     rho = spec.freq_radius()
-    low = cut.phi(rho)
+    low = CUTOFF.phi(rho)
     base = _weighted_to_space(spec, low).lp_norm(params.p)
     bands = []
     for j in range(1, params.j_max + 1):
-        below, low = low, cut.phi(rho / 2.0**j)
+        below, low = low, CUTOFF.phi(rho / 2.0**j)
         bands.append(2.0 ** (params.s * j) * _weighted_to_space(spec, low - below).lp_norm(params.p))
     if math.isinf(params.p):
         return max([base] + bands)
@@ -303,11 +274,11 @@ def besov_norm(g: GridFunction, params: BesovParams, cut: SmoothCutoff) -> float
     return float((base**p + sum(b**p for b in bands)) ** (1.0 / p))
 
 
-def hoelder_norm(g: GridFunction, n_deriv: int, s_prime: float, k_scales: int = 11) -> float:
+def hoelder_norm(g: GridFunction, n_deriv: int, s_prime: float) -> float:
     """Finite-difference C^{n, s'} norm on the periodic grid.
 
     Derivatives are iterated central differences; the Hoelder seminorm takes
-    pairs (x, x + h) with h running over grid-step multiples 2**k.
+    pairs (x, x + h) with h running over grid-step multiples 2**k, k < 11.
     """
     if not 0 < s_prime < 1:
         raise ValueError("fractional exponent must lie in (0, 1)")
@@ -324,7 +295,7 @@ def hoelder_norm(g: GridFunction, n_deriv: int, s_prime: float, k_scales: int = 
         if order < n_deriv:
             current = (np.roll(current, -1) - np.roll(current, 1)) / (2.0 * h)
     seminorm = 0.0
-    for k in range(k_scales):
+    for k in range(11):
         step = 1 << k
         if step >= g.n // 2:
             break
@@ -334,9 +305,7 @@ def hoelder_norm(g: GridFunction, n_deriv: int, s_prime: float, k_scales: int = 
     return total + seminorm
 
 
-def hoelder_besov_ratio(
-    g: GridFunction, n_deriv: int, s_prime: float, cut: SmoothCutoff, j_max: int = 6
-) -> float:
+def hoelder_besov_ratio(g: GridFunction, n_deriv: int, s_prime: float) -> float:
     """Hoelder norm against the sup-Besov norm at matching smoothness.
 
     The Besov ladder weights dyadic bands of the cycle-frequency axis while
@@ -345,7 +314,7 @@ def hoelder_besov_ratio(
     convention-matched one, order 1 for equivalent norms.
     """
     h = hoelder_norm(g, n_deriv, s_prime)
-    b = besov_norm(g, BesovParams(math.inf, n_deriv + s_prime, j_max=j_max), cut)
+    b = besov_norm(g, BesovParams(math.inf, n_deriv + s_prime, j_max=6))
     return h / (b * (2.0 * math.pi) ** (n_deriv + s_prime))
 
 
@@ -364,23 +333,17 @@ class Sigma2Result:
         return "\n".join(rows) + "\n"
 
 
-def _band_grid(band_eval: Callable[[np.ndarray], np.ndarray], oscillation: float, n_min: int = 1024):
-    """Frequency-annulus grid for one band: domain [-4, 4), resolution
-    adapted to the band's oscillation so the modulated content stays below
-    Nyquist."""
+def _band_grid(band_eval: Callable[[np.ndarray], np.ndarray], oscillation: float):
+    """Frequency-annulus grid for one band: domain [-4, 4), at least 1024
+    points, resolution adapted to the band's oscillation so the modulated
+    content stays below Nyquist."""
     extent = 4.0
-    needed = max(n_min, int(16 * extent * max(oscillation, 1.0)))
+    needed = max(1024, int(16 * extent * max(oscillation, 1.0)))
     n = 1 << (needed - 1).bit_length()
     return grid_from_profile(band_eval, extent, n)
 
 
-def sigma2_norm(
-    m,
-    params: BesovParams,
-    j_range: tuple[int, int],
-    cut: SmoothCutoff,
-    band_resolution: int = 1024,
-) -> Sigma2Result:
+def sigma2_norm(m, params: BesovParams, j_range: tuple[int, int]) -> Sigma2Result:
     """Square-summed Besov norms of the dyadic band restrictions of m.
 
     Each band m(2**j .) * psi is sampled on its own annulus grid (resolution
@@ -396,15 +359,15 @@ def sigma2_norm(
     bands = []
     for j in js:
         def band_eval(xi, j=j):
-            weight = cut.psi(xi)
+            weight = CUTOFF.psi(xi)
             on = weight != 0
             out = np.zeros(xi.shape, dtype=complex)
             out[on] = evaluate(m, 2.0**j * xi[on]) * weight[on]
             return out
 
-        g = _band_grid(band_eval, band_oscillation(m, j), band_resolution)
+        g = _band_grid(band_eval, band_oscillation(m, j))
         inner = BesovParams(params.p, params.s, min(params.j_max, int(math.log2(g.nyquist)) - 1))
-        bands.append((j, besov_norm(g, inner, cut)))
+        bands.append((j, besov_norm(g, inner)))
     total = math.sqrt(sum(v**2 for _, v in bands))
     stale = False
     if len(bands) >= 2 and total > 0:
@@ -413,16 +376,11 @@ def sigma2_norm(
     return Sigma2Result(total, tuple(bands), stale)
 
 
-def sigma2_weighted_sobolev(
-    m,
-    level: int,
-    j_range: tuple[int, int],
-    points_per_band: int = 512,
-) -> float:
+def sigma2_weighted_sobolev(m, level: int, j_range: tuple[int, int]) -> float:
     """Weighted-derivative integral equivalent to the band_2^l square sum.
 
     Sums integrals of |d^k m|^2 |xi|^{2k-d} over the annulus covering the
-    dyadic range, for k = 0..level, in one dimension.  Derivatives are
+    dyadic range, for k = 0..level, in one dimension, with 512 points per octave.  Derivatives are
     normalized by (2*pi)^k to match the cycle-frequency convention of the
     Besov ladder, so the equivalence constant is convention-free.
     """
@@ -433,7 +391,7 @@ def sigma2_weighted_sobolev(
     total = 0.0
     # the union of the band annuli, covered octave by octave without overlap
     for j in range(j_range[0] - 1, j_range[1] + 1):
-        rho = np.linspace(2.0**j, 2.0 ** (j + 1), points_per_band)
+        rho = np.linspace(2.0**j, 2.0 ** (j + 1), 512)
         for k in range(level + 1):
             deriv = radial_derivative(m, rho, k) / (2.0 * np.pi) ** k
             vals = np.abs(deriv) ** 2 * rho ** (2 * k - 1)
@@ -447,15 +405,14 @@ def dilation_invariance_check(
     r_list: Iterable[float],
     params: BesovParams,
     j_range: tuple[int, int],
-    cut: SmoothCutoff,
     constant: float = 8.0,
 ) -> tuple[float, bool]:
     """Max ratio of the square norm under rescaling m(r .) against m itself."""
     from .multipliers import scaled
 
-    base = sigma2_norm(m, params, j_range, cut).total
+    base = sigma2_norm(m, params, j_range).total
     worst = 0.0
     for r in r_list:
-        value = sigma2_norm(scaled(m, r), params, j_range, cut).total
+        value = sigma2_norm(scaled(m, r), params, j_range).total
         worst = max(worst, value / base if base > 0 else math.inf)
     return worst, worst <= constant

@@ -19,12 +19,13 @@ import numpy as np
 from .dilation_sets import (
     DilationSet,
     augmented,
+    block_range,
     geometric_schedule,
     kappa,
     rescaled_block,
 )
 from .fractional_calculus import marchaud_matrix
-from .lp_frames import GridFunction, build_cutoffs, grid_from_profile
+from .lp_frames import CUTOFF, GridFunction, grid_from_profile
 from .multipliers import (
     FAMILIES,
     LimitedDecay,
@@ -32,7 +33,7 @@ from .multipliers import (
     band_oscillation,
     evaluate,
 )
-from .wire import Registry
+from .wire import Registry, object_field
 
 EXCLUSION_FACTOR = 1e-12
 
@@ -130,20 +131,12 @@ def nested_sample(points: np.ndarray, depth: int) -> np.ndarray:
         return points
     targets = 1.0 + np.arange((1 << depth) + 1) / float(1 << depth)
     pos = np.searchsorted(points, targets)
-    snap = []
-    for t, i in zip(targets, pos):
-        best = None
-        for k in (i - 1, i):
-            if 0 <= k < n and (best is None or abs(points[k] - t) < abs(points[best] - t)):
-                best = k
-        snap.append(best)
-    ladder = [0, n - 1]
-    step = 1
-    for _ in range(depth + 1):
-        ladder += [min(step, n - 1), max(n - 1 - step, 0)]
-        step *= 2
-    idx = np.unique(np.array(snap + ladder, dtype=int))
-    return points[idx]
+    below, above = np.maximum(pos - 1, 0), np.minimum(pos, n - 1)
+    # the nearer neighbour of each target; a tie goes to the one below
+    snap = np.where(np.abs(points[above] - targets) < np.abs(points[below] - targets), above, below)
+    steps = 1 << np.arange(depth + 1)
+    ladder = np.concatenate([[0, n - 1], np.minimum(steps, n - 1), np.maximum(n - 1 - steps, 0)])
+    return points[np.unique(np.concatenate([snap, ladder]))]
 
 
 def sampled_dilations(
@@ -225,8 +218,8 @@ class HWeights:
         raise KeyError(j)
 
 
-def _halfgap_cells(anchor: float, width: float, beta2: float, cells: int, outward: float):
-    """Nodes and weights for the density d**(beta2 - 1) on a half-gap.
+def _halfgap_cells(anchor: float, width: float, beta2: float, outward: float):
+    """Nodes and weights for the density d**(beta2 - 1) on a half-gap, in five cells.
 
     `outward` is +1 when the interval extends to the right of the anchor
     point.  Cell edges grade geometrically toward the anchor; weights are the
@@ -234,7 +227,7 @@ def _halfgap_cells(anchor: float, width: float, beta2: float, cells: int, outwar
     """
     if width <= 0:
         return np.array([]), np.array([])
-    edges = width * 2.0 ** -np.arange(cells, -1, -1.0)
+    edges = width * 2.0 ** -np.arange(5, -1, -1.0)
     edges[0] = 0.0
     lo, hi = edges[:-1], edges[1:]
     weights = (hi**beta2 - lo**beta2) / beta2
@@ -244,9 +237,7 @@ def _halfgap_cells(anchor: float, width: float, beta2: float, cells: int, outwar
     return anchor + outward * centers, weights
 
 
-def build_h_weights(
-    blocks: dict[int, np.ndarray], beta: float, cells_per_halfgap: int = 5
-) -> HWeights:
+def build_h_weights(blocks: dict[int, np.ndarray], beta: float) -> HWeights:
     """Quadrature of d(s, block)**(2 beta - 1) ds per block, gap by gap.
 
     Per-block weight sums reproduce the closed-form distance integral of the
@@ -259,16 +250,16 @@ def build_h_weights(
     for j, pts in sorted(blocks.items()):
         nodes, weights = [], []
         if pts[0] > 1.0:
-            n_, w_ = _halfgap_cells(pts[0], pts[0] - 1.0, beta2, cells_per_halfgap, -1.0)
+            n_, w_ = _halfgap_cells(pts[0], pts[0] - 1.0, beta2, -1.0)
             nodes.append(n_), weights.append(w_)
         for left, right in zip(pts[:-1], pts[1:]):
             half = 0.5 * (right - left)
-            n_, w_ = _halfgap_cells(left, half, beta2, cells_per_halfgap, 1.0)
+            n_, w_ = _halfgap_cells(left, half, beta2, 1.0)
             nodes.append(n_), weights.append(w_)
-            n_, w_ = _halfgap_cells(right, half, beta2, cells_per_halfgap, -1.0)
+            n_, w_ = _halfgap_cells(right, half, beta2, -1.0)
             nodes.append(n_), weights.append(w_)
         if pts[-1] < 2.0:
-            n_, w_ = _halfgap_cells(pts[-1], 2.0 - pts[-1], beta2, cells_per_halfgap, 1.0)
+            n_, w_ = _halfgap_cells(pts[-1], 2.0 - pts[-1], beta2, 1.0)
             nodes.append(n_), weights.append(w_)
         all_nodes = np.concatenate(nodes) if nodes else np.array([])
         all_weights = np.concatenate(weights) if weights else np.array([])
@@ -305,7 +296,6 @@ def square_functional(
     E: DilationSet,
     alpha: float,
     beta: float,
-    weights: HWeights | None = None,
     sampling_depth: int = 4,
     j_range: tuple[int, int] = (-3, 4),
     s_resolution: int = 128,
@@ -318,9 +308,7 @@ def square_functional(
     """
     if not 0 < beta < alpha <= 0.5:
         raise ValueError("need 0 < beta < alpha <= 1/2")
-    blocks = sampled_dilations(E, j_range, sampling_depth, augment=True)
-    if weights is None:
-        weights = build_h_weights(blocks, beta)
+    weights = build_h_weights(sampled_dilations(E, j_range, sampling_depth, augment=True), beta)
     spec = f.to_frequency()
     acc = np.zeros(f.n)
     flagged = np.zeros(f.n, dtype=bool)
@@ -370,8 +358,9 @@ class ExperimentConfig:
             raise ValueError(f"grid extent must be positive, got {self.extent}")
         if self.depth < 0:
             raise ValueError(f"sampling depth must be nonnegative, got {self.depth}")
-        if len(self.j_range) != 2 or not all(isinstance(j, int) for j in self.j_range) or self.j_range[0] > self.j_range[1]:
-            raise ValueError(f"j_range must be two ascending integers, got {list(self.j_range)}")
+        if self.s_resolution < 1:
+            raise ValueError(f"s_resolution must be positive, got {self.s_resolution}")
+        block_range(self.j_range)
 
     def build_f(self) -> GridFunction:
         return build_function(self.f, self.n, self.extent)
@@ -398,7 +387,7 @@ def config_to_json(config: ExperimentConfig) -> dict:
 
 
 def config_from_json(payload: dict) -> ExperimentConfig:
-    grid = payload.get("grid", {})
+    grid = object_field(payload, "grid")
     return ExperimentConfig(
         E=DilationSet.from_json(payload["set"]),
         m=FAMILIES.from_json(payload["multiplier"]),
@@ -503,8 +492,7 @@ def band_sup_norm(m: Multiplier, j: int) -> float:
     osc = band_oscillation(m, j)
     n = 1 << max(10, int(4 * max(osc, 1.0)).bit_length())
     rho = np.linspace(0.0, 4.0, min(n, 1 << 16), endpoint=False)
-    cut = build_cutoffs()
-    return float(np.max(np.abs(evaluate(m, 2.0**j * rho) * cut.psi(rho))))
+    return float(np.max(np.abs(evaluate(m, 2.0**j * rho) * CUTOFF.psi(rho))))
 
 
 def mm_linf_h_norm(
@@ -512,15 +500,13 @@ def mm_linf_h_norm(
     E: DilationSet,
     beta: float,
     xi_samples: np.ndarray,
-    weights: HWeights | None = None,
     j_range: tuple[int, int] = (-4, 4),
     depth: int = 8,
     constant: float = 16.0,
 ) -> HNormReport:
     """Sup over frequencies of the weighted square sum of dilated symbol values,
     against the square-summed band sup norms."""
-    if weights is None:
-        weights = build_h_weights(sampled_dilations(E, j_range, depth, augment=True), beta)
+    weights = build_h_weights(sampled_dilations(E, j_range, depth, augment=True), beta)
     sup_h2 = 0.0
     for xi in np.asarray(xi_samples, dtype=float):
         h2 = 0.0
@@ -591,8 +577,8 @@ class HalfwaveReport:
     sup_differences: tuple[float, ...]
 
 
-def halfwave_times(E: DilationSet, t_min: float, t_max: float, cap: int = 64) -> np.ndarray:
-    """Evaluation times accumulating at zero, extracted from the set.
+def halfwave_times(E: DilationSet, t_min: float, t_max: float) -> np.ndarray:
+    """Evaluation times accumulating at zero, extracted from the set, at most 64 of them.
 
     Power-law sets built around the accumulation point 1 contribute their
     offsets to the limit; explicit and lacunary sets contribute the points
@@ -600,8 +586,8 @@ def halfwave_times(E: DilationSet, t_min: float, t_max: float, cap: int = 64) ->
     """
     ts = E.generator.small_times(t_min, t_max)
     ts = np.unique(ts[(ts >= t_min) & (ts <= t_max)])
-    if ts.size > cap:
-        idx = np.unique(np.round(np.linspace(0, ts.size - 1, cap)).astype(int))
+    if ts.size > 64:
+        idx = np.unique(np.round(np.linspace(0, ts.size - 1, 64)).astype(int))
         ts = ts[idx]
     return ts
 

@@ -15,10 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .lp_frames import BesovParams, GridFunction, SmoothCutoff, sigma2_norm
+from .lp_frames import CUTOFF, BesovParams, GridFunction, sigma2_norm
 from .wire import Registry
-
-_CUT = SmoothCutoff()
 
 # finite-difference step for families without closed-form derivatives,
 # relative to the evaluation radius
@@ -110,18 +108,18 @@ def _amplitude(rho: np.ndarray, beta: float, order: int) -> np.ndarray:
     1 - phi and its derivatives vanish exactly on rho <= 1, so the powers of
     rho, which overflow near 0, are taken only beyond it.
     """
-    one_minus = 1.0 - _CUT.phi(rho)
+    one_minus = 1.0 - CUTOFF.phi(rho)
     live = rho > 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p0 = np.where(live, rho ** (-beta), 0.0)
         if order == 0:
             return one_minus * p0
         p1 = np.where(live, -beta * rho ** (-beta - 1.0), 0.0)
-        d1 = -_CUT.phi_d1(rho)
+        d1 = -CUTOFF.phi_d1(rho)
         if order == 1:
             return d1 * p0 + one_minus * p1
         p2 = np.where(live, beta * (beta + 1.0) * rho ** (-beta - 2.0), 0.0)
-    d2 = -_CUT.phi_d2(rho)
+    d2 = -CUTOFF.phi_d2(rho)
     return d2 * p0 + 2.0 * d1 * p1 + one_minus * p2
 
 
@@ -177,10 +175,10 @@ def radial_derivative(m: Multiplier, rho, order: int = 0) -> np.ndarray:
         )
     if isinstance(m, BandBump):
         if order == 0:
-            return _CUT.psi(rho).astype(complex)
+            return CUTOFF.psi(rho).astype(complex)
         if order == 1:
-            return (_CUT.phi_d1(rho) - 2.0 * _CUT.phi_d1(2.0 * rho)).astype(complex)
-        return (_CUT.phi_d2(rho) - 4.0 * _CUT.phi_d2(2.0 * rho)).astype(complex)
+            return (CUTOFF.phi_d1(rho) - 2.0 * CUTOFF.phi_d1(2.0 * rho)).astype(complex)
+        return (CUTOFF.phi_d2(rho) - 4.0 * CUTOFF.phi_d2(2.0 * rho)).astype(complex)
     if isinstance(m, Scaled):
         return m.r**order * radial_derivative(m.base, m.r * rho, order)
     if isinstance(m, Custom):
@@ -245,19 +243,14 @@ class DecayProfile:
     sup_tables: tuple[tuple[float, ...], ...]
 
 
-def decay_profile(
-    m: Multiplier,
-    j_range: tuple[int, int],
-    order: int,
-    samples_per_band: int = 256,
-) -> DecayProfile:
-    """Fits the dyadic decay rate of sup |d^k m| over the band annuli."""
+def decay_profile(m: Multiplier, j_range: tuple[int, int], order: int) -> DecayProfile:
+    """Fits the dyadic decay rate of sup |d^k m| over the band annuli, 256 samples each."""
     js = np.arange(j_range[0], j_range[1] + 1)
     slopes, tables = [], []
     for k in range(order + 1):
         sups = []
         for j in js:
-            rho = np.linspace(2.0 ** (j - 1.0), 2.0 ** (j + 1.0), samples_per_band)
+            rho = np.linspace(2.0 ** (j - 1.0), 2.0 ** (j + 1.0), 256)
             sups.append(float(np.max(np.abs(radial_derivative(m, rho, k)))))
         sups = np.array(sups)
         if np.any(sups <= 0):
@@ -304,10 +297,10 @@ def _gauss_nodes(n: int, lo: float, hi: float):
     return nodes, weights
 
 
-def _adaptive_nodes(m: Multiplier, rho_max: float, n_min: int) -> int:
-    """Node count resolving the family's oscillation over the ray (>= 5/cycle)."""
+def _adaptive_nodes(m: Multiplier, rho_max: float) -> int:
+    """Node count resolving the family's oscillation over the ray (>= 5/cycle, 64 to 2**16)."""
     cycles = phase_cycles(m, rho_max)
-    return int(min(1 << 16, max(n_min, 1 << math.ceil(math.log2(max(5.0 * cycles, 1.0))))))
+    return int(min(1 << 16, max(64, 1 << math.ceil(math.log2(max(5.0 * cycles, 1.0))))))
 
 
 def _mtilde_quadrature(m: Multiplier, alpha: float, rho: np.ndarray, n_nodes: int):
@@ -334,7 +327,7 @@ def _mtilde_quadrature(m: Multiplier, alpha: float, rho: np.ndarray, n_nodes: in
     return part1 + part2
 
 
-def _mtilde_pointwise(m: Multiplier, alpha: float, rho: np.ndarray, n_min: int, coarsen: int = 1):
+def _mtilde_pointwise(m: Multiplier, alpha: float, rho: np.ndarray, coarsen: int = 1):
     """The quadrature at each distinct radius of rho, with a node count set by the radius alone.
 
     Each radius gets _adaptive_nodes at the top of its octave, 2**ceil(log2 rho),
@@ -343,7 +336,7 @@ def _mtilde_pointwise(m: Multiplier, alpha: float, rho: np.ndarray, n_min: int, 
     radii, inverse = np.unique(rho, return_inverse=True)
     mant, expo = np.frexp(radii)
     tops = np.where(radii > 0, np.ldexp(1.0, expo - (mant == 0.5)), 0.0)
-    counts = np.array([_adaptive_nodes(m, float(t), n_min) // coarsen for t in tops], dtype=int)
+    counts = np.array([_adaptive_nodes(m, float(t)) // coarsen for t in tops], dtype=int)
     out = np.empty(radii.shape, dtype=complex)
     for n in np.unique(counts):
         sel = counts == n
@@ -357,25 +350,23 @@ def _ray_scale(m: Multiplier, rho: np.ndarray) -> np.ndarray:
     return np.max(np.abs(radial_derivative(m, rho[:, None] * r[None, :], 0)), axis=1)
 
 
-def mtilde_values(
-    m: Multiplier, alpha: float, xi, n_nodes: int = 64, flag_tol: float = 1e-6
-):
+def mtilde_values(m: Multiplier, alpha: float, xi):
     """Fractional-difference transform values with per-point convergence flags.
 
     The node count adapts to the family's total phase variation over the ray
-    up to the top of each radius's octave (at least n_nodes, capped at 2**16
+    up to the top of each radius's octave (at least 64 nodes, capped at 2**16
     nodes), so oscillatory integrands stay resolved.  A point is flagged when
-    the half-node pass differs by more than flag_tol relative to the larger of
+    the half-node pass differs by more than 1e-6 relative to the larger of
     its value and 1% of sup |m| on its ray.  Values and flags are pointwise:
     neither depends on which other points share the batch.
     """
     if not 0 < alpha < 1:
         raise ValueError("order must lie in (0, 1)")
     rho = np.abs(np.asarray(xi, dtype=float)).ravel()
-    fine = _mtilde_pointwise(m, alpha, rho, n_nodes)
-    coarse = _mtilde_pointwise(m, alpha, rho, n_nodes, coarsen=2)
+    fine = _mtilde_pointwise(m, alpha, rho)
+    coarse = _mtilde_pointwise(m, alpha, rho, coarsen=2)
     floor = 0.01 * _ray_scale(m, rho)
-    flags = np.abs(fine - coarse) > flag_tol * np.maximum(np.abs(fine), floor)
+    flags = np.abs(fine - coarse) > 1e-6 * np.maximum(np.abs(fine), floor)
     shape = np.asarray(xi).shape
     return fine.reshape(shape), flags.reshape(shape)
 
@@ -388,7 +379,7 @@ def mtilde(m: Multiplier, alpha: float, xi_grid: GridFunction) -> tuple[GridFunc
     return out, flags
 
 
-def mtilde_multiplier(m: Multiplier, alpha: float, n_nodes: int = 64) -> Custom:
+def mtilde_multiplier(m: Multiplier, alpha: float) -> Custom:
     """The transform as a multiplier, for square-norm machinery.
 
     Skips the fine/coarse convergence comparison of mtilde_values; the
@@ -397,9 +388,9 @@ def mtilde_multiplier(m: Multiplier, alpha: float, n_nodes: int = 64) -> Custom:
     """
     osc = float(np.max(phase_frequency(m, np.geomspace(0.25, 4096.0, 25))))
 
-    def evaluator(xi, m=m, alpha=alpha, n_nodes=n_nodes):
+    def evaluator(xi):
         rho = np.abs(np.asarray(xi, dtype=float))
-        return _mtilde_pointwise(m, alpha, rho.ravel(), n_nodes).reshape(rho.shape)
+        return _mtilde_pointwise(m, alpha, rho.ravel()).reshape(rho.shape)
 
     return Custom(evaluator, oscillation=osc)
 
@@ -411,13 +402,12 @@ def embedding_check(
     p: float,
     s: float,
     j_range: tuple[int, int],
-    cut: SmoothCutoff,
     constant: float = 32.0,
 ) -> tuple[float, bool]:
     """Ratio of the transform's square norm at smoothness s against the
     base multiplier's at smoothness s + alpha + eps."""
-    num = sigma2_norm(mtilde_multiplier(m, alpha), BesovParams(p, s), j_range, cut).total
-    den = sigma2_norm(m, BesovParams(p, s + alpha + eps), j_range, cut).total
+    num = sigma2_norm(mtilde_multiplier(m, alpha), BesovParams(p, s), j_range).total
+    den = sigma2_norm(m, BesovParams(p, s + alpha + eps), j_range).total
     if num == 0.0 and den == 0.0:
         return 0.0, True
     ratio = num / den if den > 0 else math.inf

@@ -201,9 +201,8 @@ def suite_fraccalc(seed: int = 0) -> list[Check]:
 
 def suite_frames(seed: int = 0) -> list[Check]:
     checks = []
-    cut = lp.build_cutoffs()
     xi = np.geomspace(2.0**-10, 2.0**10, 4001)
-    checks.append(_at_most("partition_of_unity", lp.partition_defect(cut, xi), 1e-12))
+    checks.append(_at_most("partition_of_unity", lp.partition_defect(xi), 1e-12))
 
     g = lp.grid_from_profile(lambda x: np.exp(-(x**2)) * np.exp(2j * np.pi * 3 * x), 8.0, 1024)
     rel = float(np.max(np.abs(g.to_frequency().to_space().samples - g.samples)) / np.max(np.abs(g.samples)))
@@ -212,10 +211,8 @@ def suite_frames(seed: int = 0) -> list[Check]:
         _at_most("plancherel", abs(g.l2_norm() - g.to_frequency().l2_norm()) / g.l2_norm(), 1e-10)
     )
 
-    band = lp.lp_piece(
-        lp.grid_from_profile(lambda x: np.exp(-(x**2)) * np.cos(2 * np.pi * 2.3 * x), 8.0, 8192), 2, cut
-    )
-    norms = [lp.besov_norm(band, lp.BesovParams(2.0, s, j_max=6), cut) for s in (0.2, 0.5, 1.0, 1.5)]
+    band = lp.lp_piece(lp.grid_from_profile(lambda x: np.exp(-(x**2)) * np.cos(2 * np.pi * 2.3 * x), 8.0, 8192), 2)
+    norms = [lp.besov_norm(band, lp.BesovParams(2.0, s, j_max=6)) for s in (0.2, 0.5, 1.0, 1.5)]
     checks.append(_is_true("besov_monotone_in_s", all(a <= b for a, b in zip(norms, norms[1:]))))
 
     fns = [
@@ -226,7 +223,7 @@ def suite_frames(seed: int = 0) -> list[Check]:
         lambda x: np.exp(-(x**2) / 2) * np.sin(2 * np.pi * 0.7 * x) + 0.3 * np.exp(-((x + 2) ** 2)),
     ]
     ratios = [
-        lp.hoelder_besov_ratio(lp.grid_from_profile(fn, 8.0, 8192), n, sp, cut)
+        lp.hoelder_besov_ratio(lp.grid_from_profile(fn, 8.0, 8192), n, sp)
         for fn in fns
         for (n, sp) in ((0, 0.5), (1, 0.3))
     ]
@@ -237,7 +234,7 @@ def suite_frames(seed: int = 0) -> list[Check]:
     for m in (mu.LimitedDecay(1.5), mu.BandBump(), mu.SlowDecay(1.0, 0.5)):
         for level in (0, 1):
             ws = lp.sigma2_weighted_sobolev(m, level, (-2, 8))
-            s2 = lp.sigma2_norm(m, lp.BesovParams(2.0, float(level)), (-2, 8), cut).total
+            s2 = lp.sigma2_norm(m, lp.BesovParams(2.0, float(level)), (-2, 8)).total
             ratio = ws / s2
             worst = max(worst, ratio, 1.0 / ratio)
     checks.append(_at_most("weighted_sobolev_factor_4", worst, 4.0))
@@ -245,25 +242,22 @@ def suite_frames(seed: int = 0) -> list[Check]:
     worst = 0.0
     for m in (mu.LimitedDecay(1.5), mu.BandBump(), mu.SlowDecay(1.0, 0.5)):
         for alpha in (0.3, 0.5):
-            lhs = lp.sigma2_norm(m, lp.BesovParams(math.inf, alpha + 0.1), (-2, 6), cut).total
-            rhs = lp.sigma2_norm(m, lp.BesovParams(2.0, 0.5 + alpha + 0.1), (-2, 6), cut).total
+            lhs = lp.sigma2_norm(m, lp.BesovParams(math.inf, alpha + 0.1), (-2, 6)).total
+            rhs = lp.sigma2_norm(m, lp.BesovParams(2.0, 0.5 + alpha + 0.1), (-2, 6)).total
             worst = max(worst, lhs / rhs)
     checks.append(_at_most("sup_besov_embedding_16", worst, 16.0))
 
-    base = lp.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.5), (-2, 8), cut).total
-    moved = lp.sigma2_norm(mu.scaled(mu.LimitedDecay(1.0), 2.0), lp.BesovParams(2.0, 0.5), (-3, 7), cut).total
+    base = lp.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.5), (-2, 8)).total
+    moved = lp.sigma2_norm(mu.scaled(mu.LimitedDecay(1.0), 2.0), lp.BesovParams(2.0, 0.5), (-3, 7)).total
     checks.append(_at_most("dyadic_reindexing_exact", abs(moved - base) / base, 1e-12))
 
-    worst, ok = lp.dilation_invariance_check(
-        mu.LimitedDecay(1.0), [2.0, 1.37, 0.73], lp.BesovParams(2.0, 0.5), (-2, 8), cut
-    )
+    worst, ok = lp.dilation_invariance_check(mu.LimitedDecay(1.0), [2.0, 1.37, 0.73], lp.BesovParams(2.0, 0.5), (-2, 8))
     checks.append(_at_most("dilation_invariance_8", worst, 8.0))
     return checks
 
 
 def suite_multipliers(seed: int = 0) -> list[Check]:
     checks = []
-    cut = lp.build_cutoffs()
     prof = mu.decay_profile(mu.LimitedDecay(1.0), (3, 10), 1)
     checks.append(_within("limited_decay_slope_order0", prof.slopes[0], -1.0, 0.1))
     checks.append(_within("limited_decay_slope_order1", prof.slopes[1], -1.0, 0.1))
@@ -272,16 +266,16 @@ def suite_multipliers(seed: int = 0) -> list[Check]:
     prof = mu.decay_profile(mu.SlowDecay(1.0, 0.5), (5, 12), 2)
     checks.append(_within("slow_decay_slope_order2", prof.slopes[2], -2.0, 0.1))
 
-    res = lp.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.7), (-2, 10), cut)
+    res = lp.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.7), (-2, 10))
     bands = dict(res.bands)
     js = np.arange(2, 11)
     slope = float(np.polyfit(js, np.log2([bands[j] for j in js]), 1)[0])
     checks.append(_within("sigma2_band_slope", slope, -0.3, 0.1))
     checks.append(_is_true("sigma2_negative_bands_zero", bands[-1] == 0.0 and bands[-2] == 0.0))
 
-    conv_short = lp.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.7), (-2, 8), cut).total
-    conv_long = lp.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.7), (-2, 12), cut).total
-    div_long = lp.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 1.3), (-2, 12), cut)
+    conv_short = lp.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.7), (-2, 8)).total
+    conv_long = lp.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.7), (-2, 12)).total
+    div_long = lp.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 1.3), (-2, 12))
     checks.append(
         _is_true(
             "sigma2_finite_iff_r_below_a",
@@ -318,7 +312,7 @@ def suite_multipliers(seed: int = 0) -> list[Check]:
 
     worst = 0.0
     for m, s in ((mu.BandBump(), 1.0), (mu.LimitedDecay(1.5), 0.5)):
-        ratio, _ = mu.embedding_check(m, 0.3, 0.1, 2.0, s, (-2, 5), cut)
+        ratio, _ = mu.embedding_check(m, 0.3, 0.1, 2.0, s, (-2, 5))
         worst = max(worst, ratio)
     checks.append(_at_most("embedding_check_32", worst, 32.0))
     return checks

@@ -22,6 +22,16 @@ def tuple_of(coerce: Callable) -> Callable:
     return convert
 
 
+def object_field(payload: dict, key: str) -> dict:
+    """payload[key] as a JSON object: {} when absent or null, a TypeError for any other type."""
+    value = payload.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise TypeError(f"{key} must be an object, got {type(value).__name__}")
+    return value
+
+
 class Registry:
     """Wire names and field coercions of one family of frozen dataclasses."""
 

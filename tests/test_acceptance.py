@@ -152,12 +152,11 @@ def test_criterion_05_fractional_calculus():
 
 
 def test_criterion_06_sigma2_band_slopes():
-    cut = lp.build_cutoffs()
     worst = 0.0
     zeros_ok = True
     for a in (0.5, 1.0, 1.5):
         r = a - 0.3
-        res = lp.sigma2_norm(mu.LimitedDecay(a), lp.BesovParams(2.0, r), (-2, 10), cut)
+        res = lp.sigma2_norm(mu.LimitedDecay(a), lp.BesovParams(2.0, r), (-2, 10))
         bands = dict(res.bands)
         js = np.arange(2, 11)
         slope = float(np.polyfit(js, np.log2([bands[j] for j in js]), 1)[0])
@@ -225,7 +224,6 @@ def test_criterion_09_h_norm_bound():
 
 
 def test_criterion_10_embedding_lemma():
-    cut = lp.build_cutoffs()
     suite = [
         (mu.BandBump(), 1.0),
         (mu.LimitedDecay(1.5), 0.5),
@@ -236,7 +234,7 @@ def test_criterion_10_embedding_lemma():
     worst = 0.0
     for alpha, eps in ((0.3, 0.1), (0.5, 0.1)):
         for m, s in suite:
-            ratio, _ = mu.embedding_check(m, alpha, eps, 2.0, s, (-2, 6), cut)
+            ratio, _ = mu.embedding_check(m, alpha, eps, 2.0, s, (-2, 6))
             worst = max(worst, ratio)
     ok = worst <= 32.0
     report(10, ok, f"worst transform/base ratio {worst:.2f} (<=32)")
@@ -262,9 +260,8 @@ def test_criterion_11_halfwave_rates():
 
 
 def test_criterion_12_frame_sanity():
-    cut = lp.build_cutoffs()
     xi = np.geomspace(2.0**-10, 2.0**10, 4001)
-    defect = lp.partition_defect(cut, xi)
+    defect = lp.partition_defect(xi)
     g = lp.grid_from_profile(lambda x: np.exp(-(x**2)) * np.exp(2j * np.pi * 3 * x), 8.0, 1024)
     plancherel = abs(g.l2_norm() - g.to_frequency().l2_norm()) / g.l2_norm()
     fns = [
@@ -275,7 +272,7 @@ def test_criterion_12_frame_sanity():
         lambda x: np.exp(-(x**2) / 2) * np.sin(2 * np.pi * 0.7 * x) + 0.3 * np.exp(-((x + 2) ** 2)),
     ]
     ratios = [
-        lp.hoelder_besov_ratio(lp.grid_from_profile(fn, 8.0, 8192), n, sp, cut)
+        lp.hoelder_besov_ratio(lp.grid_from_profile(fn, 8.0, 8192), n, sp)
         for fn in fns
         for (n, sp) in ((0, 0.5), (1, 0.3))
     ]

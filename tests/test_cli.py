@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fracmax.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, main
 
@@ -207,6 +209,24 @@ def _experiment(kind, **changes):
         pytest.param("dim", dict(DIM_CONFIG, expect={"method": "gap_sum", "value": 0.5}), id="expect_method_not_run"),
         pytest.param("dim", dict(DIM_CONFIG, schedule={"delta_max": "big"}), id="non_numeric_schedule"),
         pytest.param("dim", dict(DIM_CONFIG, j="zero"), id="non_numeric_j"),
+        pytest.param("dim", dict(DIM_CONFIG, bound_check={"exponents": ["x"]}), id="non_numeric_bound_exponent"),
+        pytest.param("dim", dict(DIM_CONFIG, bound_check={"exponents": [1.5]}), id="bound_exponent_above_one"),
+        pytest.param("dim", dict(DIM_CONFIG, bound_check=[]), id="bound_check_not_object"),
+        pytest.param("dim", dict(DIM_CONFIG, table_exponent="x"), id="non_numeric_table_exponent"),
+        pytest.param("dim", dict(DIM_CONFIG, expect={"method": "kappa", "value": "x"}), id="non_numeric_expect_value"),
+        pytest.param("dim", dict(DIM_CONFIG, j_range=[3, -2]), id="dim_reversed_j_range"),
+        pytest.param("dim", dict(DIM_CONFIG, schedule={"count": 3}), id="three_scale_schedule"),
+        pytest.param("experiment", [DOMINATION_CONFIG], id="config_not_object"),
+        pytest.param("experiment", _experiment("domination", grid=5), id="grid_not_object"),
+        pytest.param("experiment", _experiment("domination", s_resolution=-5), id="negative_s_resolution"),
+        pytest.param("experiment", dict(_experiment("halfwave"), hw_alpha=2.0), id="halfwave_alpha_above_one"),
+        pytest.param("experiment", dict(_experiment("halfwave"), hw_beta="x"), id="non_numeric_halfwave_beta"),
+        pytest.param("experiment", dict(_experiment("halfwave"), t_min=0), id="zero_t_min"),
+        pytest.param(
+            "experiment",
+            _experiment("halfwave", set={"generator": {"kind": "explicit", "points": [0.1, 0.2]}}),
+            id="halfwave_two_times",
+        ),
     ],
 )
 def test_config_error_exits_one(tmp_path, capsys, command, payload):
@@ -214,6 +234,35 @@ def test_config_error_exits_one(tmp_path, capsys, command, payload):
     assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+FUZZ_DIM_CONFIG = {
+    "set": {"generator": {"kind": "explicit", "points": [1.1, 1.3, 1.7, 2.6, 3.4]}},
+    "schedule": {"delta_max": 0.5, "delta_min": 0.01, "count": 4},
+    "methods": ["kappa", "minkowski", "distance_integral"],
+    "j": 0,
+    "j_range": [0, 1],
+    "expect": {"method": "kappa", "value": 0.5, "tol": 1.0},
+    "bound_check": {"exponents": [0.5], "constant": 10.0},
+    "table_exponent": 0.5,
+}
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+JSON_VALUES = st.one_of(
+    JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3), st.dictionaries(st.text(max_size=4), JSON_SCALARS, max_size=3)
+)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(sorted(FUZZ_DIM_CONFIG)), value=JSON_VALUES)
+def test_dim_config_fuzz_never_raises(tmp_path, field, value):
+    config = write(tmp_path, "fuzz.json", dict(FUZZ_DIM_CONFIG, **{field: value}))
+    assert main(["dim", "--config", config, "--out", str(tmp_path / "o")]) in (EXIT_OK, EXIT_INPUT, EXIT_FAILED)
 
 
 def test_probe_vanishing_trial_is_input_error(tmp_path, capsys):

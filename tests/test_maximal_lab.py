@@ -63,9 +63,9 @@ def test_identity_symbol_preserves_function():
 
 def test_band_aligned_dilation_passes_band_function():
     f = build_function(ModulatedBump(2.0, 2.0), 1024, 8.0)
-    from fracmax.lp_frames import build_cutoffs, lp_piece
+    from fracmax.lp_frames import lp_piece
 
-    band = lp_piece(f, 1, build_cutoffs())
+    band = lp_piece(f, 1)
     out = apply_dilated_multiplier(band, BandBump(), 2.0**-1)
     rel = np.max(np.abs(out.samples - band.samples)) / np.max(np.abs(band.samples))
     assert rel <= 0.2  # up to the taper of the annular bump
@@ -106,6 +106,31 @@ def test_nested_sampling_is_nested_and_covering():
     sample = nested_sample(pts, 4)
     assert sample[0] == pts[0] and sample[-1] == pts[-1]
     assert np.max(np.diff(sample)) <= 3.0 / 16.0  # value coverage at depth 4
+
+
+def _nested_sample_loop(points, depth):
+    """The per-target loop nested_sample replaced: nearest block point, a tie to the one below."""
+    n = points.size
+    targets = 1.0 + np.arange((1 << depth) + 1) / float(1 << depth)
+    snap = []
+    for t, i in zip(targets, np.searchsorted(points, targets)):
+        best = None
+        for k in (i - 1, i):
+            if 0 <= k < n and (best is None or abs(points[k] - t) < abs(points[best] - t)):
+                best = k
+        snap.append(best)
+    ladder = [0, n - 1]
+    for k in range(depth + 1):
+        ladder += [min(1 << k, n - 1), max(n - 1 - (1 << k), 0)]
+    return points[np.unique(np.array(snap + ladder, dtype=int))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 400])
+def test_nested_sample_matches_loop_reference(n):
+    # on the evenly spaced points some targets lie exactly midway between two neighbours
+    for pts in (np.sort(1.0 + np.random.default_rng(n).random(n)), np.linspace(1.0, 2.0, 4 * n + 1)):
+        for depth in range(0, 7):
+            np.testing.assert_array_equal(nested_sample(pts, depth), _nested_sample_loop(pts, depth))
 
 
 def test_sampled_dilations_augmentation():

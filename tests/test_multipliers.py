@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracmax.lp_frames import build_cutoffs, grid_from_profile
+from fracmax.lp_frames import grid_from_profile
 from fracmax.multipliers import (
     FAMILIES,
     BandBump,
@@ -25,8 +25,6 @@ from fracmax.multipliers import (
     radial_derivative,
     scaled,
 )
-
-CUT = build_cutoffs()
 
 
 def brute_mtilde(m, alpha, rho, n=1_000_000):
@@ -215,18 +213,18 @@ def test_phase_cycles_and_band_oscillation():
 
 def test_embedding_check_zero_multiplier_passes_as_zero():
     ratio, ok = embedding_check(
-        Custom(lambda r: np.zeros_like(r)), 0.3, 0.1, 2.0, 1.0, (-2, 3), CUT
+        Custom(lambda r: np.zeros_like(r)), 0.3, 0.1, 2.0, 1.0, (-2, 3)
     )
     assert ok and ratio == 0.0
 
 
 def test_embedding_check_band_bump():
-    ratio, ok = embedding_check(BandBump(), 0.3, 0.1, 2.0, 1.0, (-2, 5), CUT)
+    ratio, ok = embedding_check(BandBump(), 0.3, 0.1, 2.0, 1.0, (-2, 5))
     assert ok and 0 < ratio <= 32.0
 
 
 def test_embedding_check_limited_decay():
-    ratio, ok = embedding_check(LimitedDecay(1.5), 0.4, 0.1, 2.0, 0.5, (-2, 5), CUT)
+    ratio, ok = embedding_check(LimitedDecay(1.5), 0.4, 0.1, 2.0, 0.5, (-2, 5))
     assert ok and ratio <= 32.0
 
 
