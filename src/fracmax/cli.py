@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import dilation_sets as ds
 from . import maximal_lab as ml
 from . import verify as vf
-from .wire import object_field, tuple_of
+from .wire import integer, object_field, tuple_of
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -83,11 +84,11 @@ def cmd_dim(args) -> int:
         sched = ds.geometric_schedule(
             float(sched_spec.get("delta_max", 0.07)),
             float(sched_spec.get("delta_min", 0.7e-6)),
-            int(sched_spec.get("count", 9)),
+            integer(sched_spec.get("count", 9)),
         )
         if sched.size < 4:
             raise ValueError(f"schedule.count must be at least 4, got {sched.size}")
-        j = int(spec.get("j", 0))
+        j = integer(spec.get("j", 0))
         if abs(j) > ds.MAX_BLOCK_INDEX:
             raise ValueError(f"block index j must lie within +-{ds.MAX_BLOCK_INDEX}, got {j}")
         j_range = ds.block_range(spec.get("j_range", [-2, 3]))
@@ -126,21 +127,11 @@ def cmd_dim(args) -> int:
             est = ds.dimension_from_distance_integral(block)
         else:
             est = ds.dimension_from_gap_sums(E.generator.sequence)
-        results[method] = json.loads(est.to_json())
+        results[method] = asdict(est)
 
     for a in exponents:
         report = ds.dimension_bound_check(block, a, sched, bound_constant)
-        results.setdefault("bound_checks", []).append(
-            {
-                "a": a,
-                "lhs": report.lhs,
-                "mid": report.mid,
-                "rhs": report.rhs,
-                "ratio_left": report.ratio_left,
-                "ratio_right": report.ratio_right,
-                "passed": report.passed,
-            }
-        )
+        results.setdefault("bound_checks", []).append(asdict(report))
         if not report.passed:
             failures.append(f"bound check a={a}")
 
@@ -188,7 +179,7 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "workers": 1,
         "all_passed": all(r.all_passed for r in reports),
-        "suites": [json.loads(r.to_json()) for r in reports],
+        "suites": [asdict(r) | {"all_passed": r.all_passed} for r in reports],
     }
     (out / "verify_report.json").write_text(_dump(aggregate))
     for report in reports:
@@ -218,7 +209,7 @@ def cmd_experiment(args) -> int:
             if not (0 < hw_alpha < 1 and hw_beta < 1 and 0 < t_min < t_max):
                 raise ValueError("need 0 < hw_alpha < 1, hw_beta < 1 and 0 < t_min < t_max")
         elif kind == "probe":
-            trials = int(spec.get("trials", 3))
+            trials = integer(spec.get("trials", 3))
             regularity_grid = tuple_of(float)(spec.get("regularity_grid", []))
     except INPUT_ERRORS as exc:
         raise InputError(f"bad experiment config: {exc}")

@@ -9,7 +9,6 @@ slopes) operates on those blocks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -17,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .wire import Registry, tuple_of
+from .wire import Registry, integer, tuple_of
 
 DEDUP_TOL = 1e-15
 DEFAULT_GAP_FLOOR = 1e-9
@@ -112,7 +111,7 @@ class ExplicitPoints:
         return np.asarray(self.points, dtype=float)
 
 
-@GENERATORS.register("cantor", base=int, digits=tuple, levels=int)
+@GENERATORS.register("cantor", base=integer, digits=tuple, levels=integer)
 @dataclass(frozen=True)
 class CantorLike:
     """Endpoints of a base-adic Cantor construction on [1, 2].
@@ -212,7 +211,7 @@ class DilationSet:
 
     @staticmethod
     def from_json(payload: dict) -> "DilationSet":
-        return DilationSet(GENERATORS.from_json(payload["generator"]), int(payload.get("cap", DEFAULT_CAP)))
+        return DilationSet(GENERATORS.from_json(payload["generator"]), integer(payload.get("cap", DEFAULT_CAP)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +261,6 @@ class BlockSet:
     def empty(self) -> bool:
         return self.points.size == 0
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"j": self.j, "points": [float(p) for p in self.points], "truncated": self.truncated},
-            sort_keys=True,
-        )
-
-    def to_csv(self) -> str:
-        return "\n".join(repr(float(p)) for p in self.points) + ("\n" if len(self) else "")
-
 
 def _dedup_sorted(points: np.ndarray) -> np.ndarray:
     if points.size == 0:
@@ -315,10 +305,10 @@ def rescaled_block(E: DilationSet, j: int, gap_floor: float = DEFAULT_GAP_FLOOR)
 
 def block_range(j_range) -> tuple[int, int]:
     """A range of block indices: two ascending integers of magnitude at most MAX_BLOCK_INDEX."""
-    ok = len(j_range) == 2 and all(isinstance(j, int) and abs(j) <= MAX_BLOCK_INDEX for j in j_range)
-    if not ok or j_range[0] > j_range[1]:
+    js = tuple(integer(j) for j in j_range)
+    if len(js) != 2 or js[0] > js[1] or max(map(abs, js)) > MAX_BLOCK_INDEX:
         raise ValueError(f"j_range must be two ascending integers within +-{MAX_BLOCK_INDEX}, got {list(j_range)}")
-    return tuple(j_range)
+    return js
 
 
 def augmented(E: DilationSet) -> DilationSet:
@@ -333,26 +323,6 @@ def augmented(E: DilationSet) -> DilationSet:
 
 # ---------------------------------------------------------------------------
 # distances and covering counts
-
-
-def distance_to_set(s: float, block: BlockSet) -> float:
-    """Exact min distance from s to the block's point set (tails included)."""
-    if block.empty:
-        raise ValueError("empty block")
-    pts = block.points
-    i = int(np.searchsorted(pts, s))
-    best = math.inf
-    if i < pts.size:
-        best = min(best, abs(pts[i] - s))
-    if i > 0:
-        best = min(best, abs(s - pts[i - 1]))
-    for tail in block.tails:
-        if tail.anchor < s < tail.edge:
-            # tail points are spaced at most `gap` apart inside (anchor, edge)
-            best = min(best, tail.gap / 2.0)
-        elif s <= tail.anchor:
-            best = min(best, tail.anchor - s + tail.gap)
-    return float(best)
 
 
 def _boundary_split(x: np.ndarray):
@@ -466,17 +436,6 @@ class DimensionEstimate:
         if not 0.0 <= self.value <= 1.0:
             raise ValueError("dimension of a subset of the line must be in [0, 1]")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "method": self.method,
-                "delta_range": list(self.delta_range),
-                "residual": self.residual,
-            },
-            sort_keys=True,
-        )
-
 
 def _slope_fit(x: np.ndarray, y: np.ndarray):
     """Least-squares slope of y vs x over the final four points."""
@@ -576,7 +535,6 @@ def _sequence_values(seq, n_max: int) -> np.ndarray:
 class GapSumResult:
     exponent: float
     checkpoints: tuple[tuple[int, float], ...]  # (N, partial sum at N)
-    block_ratios: tuple[float, ...]
     convergent: bool
 
 
@@ -595,18 +553,13 @@ def gap_sum(seq, a: float, n_max: int = 1 << 17) -> GapSumResult:
     n_levels = int(math.floor(math.log2(n_max)))
     marks = [1 << k for k in range(n_levels + 1)]
     checkpoints = tuple((m, float(csum[m - 1])) for m in marks)
-    blocks = np.array([csum[marks[k + 1] - 1] - csum[marks[k] - 1] for k in range(n_levels)])
-    ratios = []
-    for k in range(1, len(blocks)):
-        lo, hi = blocks[k - 1], blocks[k]
-        if lo == 0.0 and hi == 0.0:
-            ratios.append(0.0)
-        elif lo == 0.0:
-            ratios.append(math.inf)
-        else:
-            ratios.append(float(hi / lo))
-    convergent = bool(ratios and ratios[-1] < 0.97)
-    return GapSumResult(a, checkpoints, tuple(ratios), convergent)
+    convergent = False
+    if n_levels >= 2:
+        # the last two dyadic-block sums; an empty block after an empty one counts as convergent
+        lo = csum[marks[-2] - 1] - csum[marks[-3] - 1]
+        hi = csum[marks[-1] - 1] - csum[marks[-2] - 1]
+        convergent = bool(hi == 0.0 if lo == 0.0 else hi / lo < 0.97)
+    return GapSumResult(a, checkpoints, convergent)
 
 
 def dimension_from_gap_sums(seq) -> DimensionEstimate:
@@ -686,11 +639,7 @@ class BoundCheckReport:
     rhs: float  # 1 + integral of lambda**a N d(lambda)/lambda
     ratio_left: float
     ratio_right: float
-    constant: float
-
-    @property
-    def passed(self) -> bool:
-        return self.ratio_left <= self.constant and self.ratio_right <= self.constant
+    passed: bool  # both ratios at most the check's constant
 
 
 def dimension_bound_check(
@@ -719,7 +668,8 @@ def dimension_bound_check(
     rhs = 1.0 + float(np.trapezoid(integrand, np.log(lam)))
     ratio_left = lhs / mid if mid > 0 else math.inf
     ratio_right = mid / rhs if rhs > 0 else math.inf
-    return BoundCheckReport(a, lhs, mid, rhs, ratio_left, ratio_right, constant)
+    passed = ratio_left <= constant and ratio_right <= constant
+    return BoundCheckReport(a, lhs, mid, rhs, ratio_left, ratio_right, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -65,26 +65,6 @@ class SampledPath:
         slack = 1e-9 * h[0] + 8 * np.finfo(float).eps * abs(float(self.grid[-1]))
         return bool(np.all(np.abs(h - h[0]) <= slack))
 
-    def to_csv(self) -> str:
-        rows = ["t,re,im"]
-        rows += [
-            f"{repr(float(t))},{repr(float(v.real))},{repr(float(v.imag))}"
-            for t, v in zip(self.grid, self.values)
-        ]
-        return "\n".join(rows) + "\n"
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {
-                "grid": [float(t) for t in self.grid],
-                "re": [float(v.real) for v in self.values],
-                "im": [float(v.imag) for v in self.values],
-            },
-            sort_keys=True,
-        )
-
 
 def _order(alpha) -> float:
     if not 0 < alpha < 1:

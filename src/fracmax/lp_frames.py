@@ -10,7 +10,6 @@ Hoelder, and square-summed band norms are Riemann sums over those grids.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
@@ -185,26 +184,6 @@ class GridFunction:
     def l2_norm(self) -> float:
         return self.lp_norm(2.0)
 
-    def to_binary(self) -> bytes:
-        header = struct.pack("<iidi", self.dim, self.n, self.extent, 0 if self.side == "space" else 1)
-        data = np.empty(self.samples.size * 2)
-        flat = self.samples.ravel()
-        data[0::2], data[1::2] = flat.real, flat.imag
-        return header + data.astype("<f8").tobytes()
-
-    @staticmethod
-    def from_binary(blob: bytes) -> "GridFunction":
-        dim, n, extent, side_code = struct.unpack_from("<iidi", blob)
-        offset = struct.calcsize("<iidi")
-        raw = np.frombuffer(blob, dtype="<f8", offset=offset)
-        flat = raw[0::2] + 1j * raw[1::2]
-        return GridFunction(
-            extent=extent,
-            samples=flat.reshape((n,) * dim),
-            side="space" if side_code == 0 else "frequency",
-            dim=dim,
-        )
-
 
 def grid_from_profile(
     profile: Callable[[np.ndarray], np.ndarray],
@@ -306,7 +285,7 @@ def hoelder_norm(g: GridFunction, n_deriv: int, s_prime: float) -> float:
 
 
 def hoelder_besov_ratio(g: GridFunction, n_deriv: int, s_prime: float) -> float:
-    """Hoelder norm against the sup-Besov norm at matching smoothness.
+    """Hoelder norm against the sup-Besov norm at the matching order.
 
     The Besov ladder weights dyadic bands of the cycle-frequency axis while
     the Hoelder norm differentiates in x, so the comparison carries the
@@ -327,10 +306,6 @@ class Sigma2Result:
     total: float
     bands: tuple[tuple[int, float], ...]
     stale: bool
-
-    def to_csv(self) -> str:
-        rows = ["j,band_norm"] + [f"{j},{repr(v)}" for j, v in self.bands]
-        return "\n".join(rows) + "\n"
 
 
 def _band_grid(band_eval: Callable[[np.ndarray], np.ndarray], oscillation: float):
@@ -405,8 +380,7 @@ def dilation_invariance_check(
     r_list: Iterable[float],
     params: BesovParams,
     j_range: tuple[int, int],
-    constant: float = 8.0,
-) -> tuple[float, bool]:
+) -> float:
     """Max ratio of the square norm under rescaling m(r .) against m itself."""
     from .multipliers import scaled
 
@@ -415,4 +389,4 @@ def dilation_invariance_check(
     for r in r_list:
         value = sigma2_norm(scaled(m, r), params, j_range).total
         worst = max(worst, value / base if base > 0 else math.inf)
-    return worst, worst <= constant
+    return worst

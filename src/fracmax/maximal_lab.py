@@ -33,7 +33,7 @@ from .multipliers import (
     band_oscillation,
     evaluate,
 )
-from .wire import Registry, object_field
+from .wire import Registry, integer, object_field
 
 EXCLUSION_FACTOR = 1e-12
 
@@ -72,7 +72,7 @@ class ModulatedBump(GaussianBump):
         return super().profile(x) * np.exp(2j * np.pi * self.freq * x)
 
 
-@FUNCTIONS.register("random_band", band=int, seed=int)
+@FUNCTIONS.register("random_band", band=integer, seed=integer)
 @dataclass(frozen=True)
 class RandomBand:
     """Seeded complex Gaussian spectrum restricted to 2**(band-1) <= |xi| <= 2**(band+1)."""
@@ -206,18 +206,6 @@ class HBlock:
     weights: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class HWeights:
-    beta: float
-    blocks: tuple[HBlock, ...]
-
-    def block_sum(self, j: int) -> float:
-        for b in self.blocks:
-            if b.j == j:
-                return float(np.sum(b.weights))
-        raise KeyError(j)
-
-
 def _halfgap_cells(anchor: float, width: float, beta2: float, outward: float):
     """Nodes and weights for the density d**(beta2 - 1) on a half-gap, in five cells.
 
@@ -237,7 +225,7 @@ def _halfgap_cells(anchor: float, width: float, beta2: float, outward: float):
     return anchor + outward * centers, weights
 
 
-def build_h_weights(blocks: dict[int, np.ndarray], beta: float) -> HWeights:
+def build_h_weights(blocks: dict[int, np.ndarray], beta: float) -> tuple[HBlock, ...]:
     """Quadrature of d(s, block)**(2 beta - 1) ds per block, gap by gap.
 
     Per-block weight sums reproduce the closed-form distance integral of the
@@ -265,7 +253,7 @@ def build_h_weights(blocks: dict[int, np.ndarray], beta: float) -> HWeights:
         all_weights = np.concatenate(weights) if weights else np.array([])
         order = np.argsort(all_nodes)
         out.append(HBlock(j, all_nodes[order], all_weights[order]))
-    return HWeights(beta, tuple(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +300,7 @@ def square_functional(
     spec = f.to_frequency()
     acc = np.zeros(f.n)
     flagged = np.zeros(f.n, dtype=bool)
-    for block in weights.blocks:
+    for block in weights:
         if block.nodes.size == 0:
             continue
         fill = np.linspace(0.0, 2.0, s_resolution + 1)
@@ -395,13 +383,13 @@ def config_from_json(payload: dict) -> ExperimentConfig:
         alpha=float(payload.get("alpha", 0.45)),
         beta=float(payload.get("beta", 0.3)),
         p=float(payload.get("p", 2.0)),
-        n=int(grid.get("n", 1024)),
+        n=integer(grid.get("n", 1024)),
         extent=float(grid.get("extent", 8.0)),
-        dim=int(grid.get("dim", 1)),
-        j_range=tuple(payload.get("j_range", (-3, 4))),
-        depth=int(payload.get("depth", 4)),
-        s_resolution=int(payload.get("s_resolution", 128)),
-        seed=int(payload.get("seed", 0)),
+        dim=integer(grid.get("dim", 1)),
+        j_range=block_range(payload.get("j_range", (-3, 4))),
+        depth=integer(payload.get("depth", 4)),
+        s_resolution=integer(payload.get("s_resolution", 128)),
+        seed=integer(payload.get("seed", 0)),
     )
 
 
@@ -480,11 +468,6 @@ class HNormReport:
     sup_h_norm: float
     sigma_inf: float
     ratio: float
-    constant: float
-
-    @property
-    def passed(self) -> bool:
-        return self.ratio <= self.constant
 
 
 def band_sup_norm(m: Multiplier, j: int) -> float:
@@ -502,7 +485,6 @@ def mm_linf_h_norm(
     xi_samples: np.ndarray,
     j_range: tuple[int, int] = (-4, 4),
     depth: int = 8,
-    constant: float = 16.0,
 ) -> HNormReport:
     """Sup over frequencies of the weighted square sum of dilated symbol values,
     against the square-summed band sup norms."""
@@ -510,14 +492,14 @@ def mm_linf_h_norm(
     sup_h2 = 0.0
     for xi in np.asarray(xi_samples, dtype=float):
         h2 = 0.0
-        for block in weights.blocks:
+        for block in weights:
             vals = evaluate(m, 2.0**block.j * block.nodes * abs(xi))
             h2 += float(block.weights @ np.abs(vals) ** 2)
         sup_h2 = max(sup_h2, h2)
-    sigma_inf = math.sqrt(sum(band_sup_norm(m, block.j) ** 2 for block in weights.blocks))
+    sigma_inf = math.sqrt(sum(band_sup_norm(m, block.j) ** 2 for block in weights))
     sup_h = math.sqrt(sup_h2)
     ratio = sup_h / sigma_inf if sigma_inf > 0 else (0.0 if sup_h == 0 else math.inf)
-    return HNormReport(sup_h, sigma_inf, ratio, constant)
+    return HNormReport(sup_h, sigma_inf, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +579,6 @@ def halfwave_convergence(
     alpha: float,
     beta: float,
     times: np.ndarray,
-    smoothness: float = math.inf,
 ) -> HalfwaveReport:
     """Fitted small-time rate of sup |e^{-i t (-Lap)^{alpha/2}} f - f|.
 
@@ -608,8 +589,6 @@ def halfwave_convergence(
         raise ValueError("propagator order must lie in (0, 1)")
     if not beta < 1:
         raise ValueError("target rate must lie below 1")
-    if smoothness < alpha * beta:
-        raise ValueError("declared smoothness below the required Sobolev profile")
     times = np.asarray(sorted(set(float(t) for t in times)))
     if times.size < 3:
         raise ValueError("need at least three evaluation times for a rate fit")

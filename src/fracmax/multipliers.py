@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .lp_frames import CUTOFF, BesovParams, GridFunction, sigma2_norm
+from .lp_frames import CUTOFF, BesovParams, sigma2_norm
 from .wire import Registry
 
 # finite-difference step for families without closed-form derivatives,
@@ -240,13 +241,12 @@ def phase_cycles(m: Multiplier, rho: float) -> float:
 @dataclass(frozen=True)
 class DecayProfile:
     slopes: tuple[float, ...]  # fitted log2 slope per derivative order 0..order
-    sup_tables: tuple[tuple[float, ...], ...]
 
 
 def decay_profile(m: Multiplier, j_range: tuple[int, int], order: int) -> DecayProfile:
     """Fits the dyadic decay rate of sup |d^k m| over the band annuli, 256 samples each."""
     js = np.arange(j_range[0], j_range[1] + 1)
-    slopes, tables = [], []
+    slopes = []
     for k in range(order + 1):
         sups = []
         for j in js:
@@ -257,15 +257,11 @@ def decay_profile(m: Multiplier, j_range: tuple[int, int], order: int) -> DecayP
             slopes.append(-math.inf)
         else:
             slopes.append(float(np.polyfit(js, np.log2(sups), 1)[0]))
-        tables.append(tuple(sups))
-    return DecayProfile(tuple(slopes), tuple(tables))
+    return DecayProfile(tuple(slopes))
 
 
 # ---------------------------------------------------------------------------
 # the fractional-difference transform
-
-
-from functools import lru_cache
 
 
 _PANEL_SIZE = 512
@@ -371,14 +367,6 @@ def mtilde_values(m: Multiplier, alpha: float, xi):
     return fine.reshape(shape), flags.reshape(shape)
 
 
-def mtilde(m: Multiplier, alpha: float, xi_grid: GridFunction) -> tuple[GridFunction, np.ndarray]:
-    """Transform sampled on a grid's frequency axis, returned frequency-side."""
-    spec = xi_grid.to_frequency()
-    vals, flags = mtilde_values(m, alpha, spec.freq_radius())
-    out = GridFunction(spec.extent, vals, side="frequency", dim=spec.dim)
-    return out, flags
-
-
 def mtilde_multiplier(m: Multiplier, alpha: float) -> Custom:
     """The transform as a multiplier, for square-norm machinery.
 
@@ -402,13 +390,11 @@ def embedding_check(
     p: float,
     s: float,
     j_range: tuple[int, int],
-    constant: float = 32.0,
-) -> tuple[float, bool]:
-    """Ratio of the transform's square norm at smoothness s against the
-    base multiplier's at smoothness s + alpha + eps."""
+) -> float:
+    """Ratio of the transform's square norm at Besov index s against the
+    base multiplier's at index s + alpha + eps."""
     num = sigma2_norm(mtilde_multiplier(m, alpha), BesovParams(p, s), j_range).total
     den = sigma2_norm(m, BesovParams(p, s + alpha + eps), j_range).total
     if num == 0.0 and den == 0.0:
-        return 0.0, True
-    ratio = num / den if den > 0 else math.inf
-    return ratio, ratio <= constant
+        return 0.0
+    return num / den if den > 0 else math.inf

@@ -6,7 +6,6 @@ the aggregate report doubles as a record of how much margin the run had.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -17,8 +16,6 @@ from . import fractional_calculus as fc
 from . import lp_frames as lp
 from . import maximal_lab as ml
 from . import multipliers as mu
-
-SUITES = ("dimension", "fraccalc", "frames", "multipliers", "maximal")
 
 
 @dataclass(frozen=True)
@@ -38,26 +35,6 @@ class SuiteReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "suite": self.suite,
-                "seed": self.seed,
-                "all_passed": self.all_passed,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "passed": c.passed,
-                        "measured": c.measured,
-                        "criterion": c.criterion,
-                    }
-                    for c in self.checks
-                ],
-            },
-            sort_keys=True,
-            indent=2,
-        )
 
 
 def _within(name, value, target, tol) -> Check:
@@ -251,7 +228,7 @@ def suite_frames(seed: int = 0) -> list[Check]:
     moved = lp.sigma2_norm(mu.scaled(mu.LimitedDecay(1.0), 2.0), lp.BesovParams(2.0, 0.5), (-3, 7)).total
     checks.append(_at_most("dyadic_reindexing_exact", abs(moved - base) / base, 1e-12))
 
-    worst, ok = lp.dilation_invariance_check(mu.LimitedDecay(1.0), [2.0, 1.37, 0.73], lp.BesovParams(2.0, 0.5), (-2, 8))
+    worst = lp.dilation_invariance_check(mu.LimitedDecay(1.0), [2.0, 1.37, 0.73], lp.BesovParams(2.0, 0.5), (-2, 8))
     checks.append(_at_most("dilation_invariance_8", worst, 8.0))
     return checks
 
@@ -312,7 +289,7 @@ def suite_multipliers(seed: int = 0) -> list[Check]:
 
     worst = 0.0
     for m, s in ((mu.BandBump(), 1.0), (mu.LimitedDecay(1.5), 0.5)):
-        ratio, _ = mu.embedding_check(m, 0.3, 0.1, 2.0, s, (-2, 5))
+        ratio = mu.embedding_check(m, 0.3, 0.1, 2.0, s, (-2, 5))
         worst = max(worst, ratio)
     checks.append(_at_most("embedding_check_32", worst, 32.0))
     return checks
@@ -328,7 +305,7 @@ def suite_maximal(seed: int = 0) -> list[Check]:
     worst = max(
         abs(float(np.sum(hb.weights)) - ds.finite_distance_integral(ds.BlockSet(hb.j, blocks[hb.j]), 0.6))
         / ds.finite_distance_integral(ds.BlockSet(hb.j, blocks[hb.j]), 0.6)
-        for hb in weights.blocks
+        for hb in weights
     )
     checks.append(_at_most("h_weights_match_closed_form", worst, 1e-6))
 
@@ -386,7 +363,8 @@ def suite_maximal(seed: int = 0) -> list[Check]:
     return checks
 
 
-_SUITE_FUNCTIONS = {
+# suite name -> checks, in the order `run_all` runs them
+SUITES = {
     "dimension": suite_dimension,
     "fraccalc": suite_fraccalc,
     "frames": suite_frames,
@@ -396,9 +374,9 @@ _SUITE_FUNCTIONS = {
 
 
 def run_suite(name: str, seed: int = 0) -> SuiteReport:
-    if name not in _SUITE_FUNCTIONS:
+    if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
-    return SuiteReport(name, seed, tuple(_SUITE_FUNCTIONS[name](seed)))
+    return SuiteReport(name, seed, tuple(SUITES[name](seed)))
 
 
 def run_all(seed: int = 0) -> list[SuiteReport]:

@@ -11,6 +11,15 @@ from __future__ import annotations
 from typing import Callable
 
 
+def integer(value) -> int:
+    """An integral JSON number as an int (1e6 reads as 1000000); a bool, a string or a fraction is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def tuple_of(coerce: Callable) -> Callable:
     """Coercion of a JSON list into a tuple of coerced items; anything else is a TypeError."""
 

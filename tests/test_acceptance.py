@@ -234,7 +234,7 @@ def test_criterion_10_embedding_lemma():
     worst = 0.0
     for alpha, eps in ((0.3, 0.1), (0.5, 0.1)):
         for m, s in suite:
-            ratio, _ = mu.embedding_check(m, alpha, eps, 2.0, s, (-2, 6))
+            ratio = mu.embedding_check(m, alpha, eps, 2.0, s, (-2, 6))
             worst = max(worst, ratio)
     ok = worst <= 32.0
     report(10, ok, f"worst transform/base ratio {worst:.2f} (<=32)")

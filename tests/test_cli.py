@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fracmax.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, main
+from fracmax.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, INPUT_ERRORS, main
+from fracmax.maximal_lab import ExperimentConfig, config_from_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -227,6 +229,14 @@ def _experiment(kind, **changes):
             _experiment("halfwave", set={"generator": {"kind": "explicit", "points": [0.1, 0.2]}}),
             id="halfwave_two_times",
         ),
+        pytest.param("dim", dict(DIM_CONFIG, j=1.5), id="fractional_j"),
+        pytest.param("experiment", _experiment("domination", j_range=[False, True]), id="bool_j_range"),
+        pytest.param(
+            "dim",
+            dict(DIM_CONFIG, set={"generator": {"kind": "cantor", "base": 3, "digits": [0, 2], "levels": 2.5}}),
+            id="fractional_cantor_levels",
+        ),
+        pytest.param("experiment", _experiment("domination", seed=True), id="bool_seed"),
     ],
 )
 def test_config_error_exits_one(tmp_path, capsys, command, payload):
@@ -263,6 +273,43 @@ JSON_VALUES = st.one_of(
 def test_dim_config_fuzz_never_raises(tmp_path, field, value):
     config = write(tmp_path, "fuzz.json", dict(FUZZ_DIM_CONFIG, **{field: value}))
     assert main(["dim", "--config", config, "--out", str(tmp_path / "o")]) in (EXIT_OK, EXIT_INPUT, EXIT_FAILED)
+
+
+def test_integral_float_fields_read_as_integers(tmp_path):
+    payload = dict(DIM_CONFIG, set=dict(DIM_CONFIG["set"], cap=1e6), j=0.0)
+    config = write(tmp_path, "dim.json", payload)
+    assert '"cap": 1000000.0' in Path(config).read_text()
+    assert main(["dim", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
+# the experiment config with each fuzzed field in place; `f` is drawn from FUZZ_F_SPECS
+FUZZ_EXPERIMENT_CONFIG = dict(DOMINATION_CONFIG["config"], seed=0)
+FUZZ_F_SPECS = [
+    {"kind": "gaussian_bump", "width": 1.0},
+    {"kind": "modulated_bump", "width": 1.0, "freq": 2.0},
+    {"kind": "random_band", "band": 2, "seed": 5},
+]
+FUZZ_EXPERIMENT_FIELDS = (
+    [(key,) for key in sorted(FUZZ_EXPERIMENT_CONFIG)]
+    + [("grid", key) for key in ("n", "extent", "dim")]
+    + [("f", key) for key in ("kind", "width", "freq", "band", "seed")]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=st.sampled_from(FUZZ_F_SPECS), path=st.sampled_from(FUZZ_EXPERIMENT_FIELDS), value=JSON_VALUES)
+def test_experiment_config_fuzz_raises_only_input_errors(f, path, value):
+    payload = copy.deepcopy(dict(FUZZ_EXPERIMENT_CONFIG, f=f))
+    *parents, key = path
+    node = payload
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
+    try:
+        config = config_from_json(payload)
+    except INPUT_ERRORS:
+        return
+    assert isinstance(config, ExperimentConfig)
 
 
 def test_probe_vanishing_trial_is_input_error(tmp_path, capsys):

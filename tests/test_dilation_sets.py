@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from fracmax.dilation_sets import (
     dimension_from_distance_integral,
     dimension_from_gap_sums,
     distance_integral,
-    distance_to_set,
     entropy_number,
     finite_distance_integral,
     gap_sum,
@@ -114,17 +114,9 @@ def test_cantor_blocks_away_from_home_scale():
     assert rescaled_block(E, 4).empty
 
 
-def test_distance_inside_truncated_tail_is_tiny():
-    block = rescaled_block(DilationSet(PowerSequence(1.0)), 0)
-    inside = 0.5 * (1.0 + block.points[0])  # below every materialized point
-    assert distance_to_set(inside, block) <= block.tails[0].gap
-
-
 def test_truncated_block_serializes_flag():
-    import json
-
     block = rescaled_block(DilationSet(PowerSequence(1.0)), 0)
-    assert json.loads(block.to_json())["truncated"] is True
+    assert block.truncated is True
 
 
 def test_entropy_without_tail_extrapolation_counts_points_only():
@@ -151,20 +143,6 @@ def test_materialization_cap_flags_truncation():
     E = DilationSet(PowerSequence(1.0), materialization_cap=100)
     block = rescaled_block(E, 0)
     assert len(block) <= 100 and block.truncated
-
-
-# --- distances ---------------------------------------------------------------
-
-
-def test_distance_examples():
-    assert distance_to_set(1.5, BlockSet(0, np.array([1.0, 2.0]))) == 0.5
-    assert distance_to_set(1.0, BlockSet(0, np.array([1.0, 2.0]))) == 0.0
-    assert distance_to_set(1.3, BlockSet(0, np.array([1.0, 1.25, 2.0]))) == pytest.approx(0.05)
-
-
-def test_distance_empty_block_raises():
-    with pytest.raises(ValueError, match="empty block"):
-        distance_to_set(1.5, BlockSet(0, np.array([])))
 
 
 # --- entropy numbers ---------------------------------------------------------
@@ -399,18 +377,7 @@ def test_finite_distance_integral_includes_boundary_strips():
 # --- serialization -----------------------------------------------------------
 
 
-def test_block_serialization_roundtrip():
-    import json
-
-    block = rescaled_block(DilationSet(LacunaryGrid()), 0)
-    payload = json.loads(block.to_json())
-    assert payload["j"] == 0 and payload["points"] == [1.0, 2.0]
-    assert block.to_csv().splitlines() == ["1.0", "2.0"]
-
-
 def test_dimension_estimate_serialization():
-    import json
-
     est = minkowski_dimension(BlockSet(0, np.array([1.0, 2.0])), SCHED)
-    payload = json.loads(est.to_json())
+    payload = asdict(est)
     assert set(payload) == {"value", "method", "delta_range", "residual"}

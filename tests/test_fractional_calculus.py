@@ -51,15 +51,6 @@ def test_sampled_path_validation():
         SampledPath(np.array([0.0, 1.0]), np.ones(2), hoelder_exponent=1.5)
 
 
-def test_sampled_path_serialization():
-    import json
-
-    path = SampledPath(np.array([0.0, 1.0]), np.array([1 + 2j, 3 + 4j]))
-    payload = json.loads(path.to_json())
-    assert payload["re"] == [1.0, 3.0] and payload["im"] == [2.0, 4.0]
-    assert path.to_csv().splitlines()[0] == "t,re,im"
-
-
 # --- Riemann-Liouville integral -------------------------------------------------
 
 

@@ -110,13 +110,6 @@ def test_grid_validation():
         GridFunction(4.0, np.zeros(64, dtype=complex), side="spectral")
 
 
-def test_binary_serialization_roundtrip():
-    g = make_grid(lambda x: np.exp(-(x**2)) + 1j * x * np.exp(-(x**2)), n=256)
-    back = GridFunction.from_binary(g.to_binary())
-    assert back.extent == g.extent and back.side == g.side and back.dim == g.dim
-    np.testing.assert_array_equal(back.samples, g.samples)
-
-
 # --- Littlewood-Paley pieces -----------------------------------------------------
 
 
@@ -282,12 +275,6 @@ def test_sigma2_exact_dyadic_reindexing():
     assert moved == pytest.approx(base, rel=1e-12)
 
 
-def test_sigma2_csv_breakdown():
-    res = sigma2_norm(BandBump(), BesovParams(2.0, 0.5), (-1, 1))
-    lines = res.to_csv().splitlines()
-    assert lines[0] == "j,band_norm" and len(lines) == 4
-
-
 # --- weighted-Sobolev cross-check -------------------------------------------------
 
 
@@ -320,7 +307,5 @@ def test_sup_besov_embedding_constant():
 
 
 def test_dilation_invariance_dyadic_and_generic():
-    worst, ok = dilation_invariance_check(
-        LimitedDecay(1.0), [2.0, 1.37, 0.73], BesovParams(2.0, 0.5), (-2, 8)
-    )
-    assert ok and worst <= 8.0
+    worst = dilation_invariance_check(LimitedDecay(1.0), [2.0, 1.37, 0.73], BesovParams(2.0, 0.5), (-2, 8))
+    assert worst <= 8.0

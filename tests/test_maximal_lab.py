@@ -23,7 +23,6 @@ from fracmax.maximal_lab import (
     FUNCTIONS,
     ExperimentConfig,
     GaussianBump,
-    HWeights,
     ModulatedBump,
     RandomBand,
     _batched_dilate,
@@ -224,7 +223,7 @@ def test_maximal_two_dimensional_grid():
 def test_h_weights_match_closed_form_distance_integral():
     blocks = sampled_dilations(POW_LAC, (-2, 3), 5, augment=True)
     weights = build_h_weights(blocks, 0.3)
-    for hb in weights.blocks:
+    for hb in weights:
         exact = finite_distance_integral(BlockSet(hb.j, blocks[hb.j]), 0.6)
         assert np.sum(hb.weights) == pytest.approx(exact, rel=1e-6)
         assert np.all(hb.weights >= 0)
@@ -235,7 +234,7 @@ def test_h_weights_sup_over_blocks_finite_above_dimension():
     # 2 beta = 0.6 above the set's dimension 1/2: block sums stay bounded
     blocks = sampled_dilations(POW_LAC, (-6, 6), 8, augment=True)
     weights = build_h_weights(blocks, 0.3)
-    sums = [weights.block_sum(hb.j) for hb in weights.blocks]
+    sums = [np.sum(hb.weights) for hb in weights]
     assert max(sums) <= 20.0
 
 
@@ -350,7 +349,7 @@ def test_mm_linf_h_norm_suite():
         for E in (POW_LAC, LAC):
             for beta in (0.25, 0.35):
                 report = mm_linf_h_norm(m, E, beta, xi_samples, j_range=(-4, 4), depth=6)
-                assert report.passed, (type(m).__name__, beta, report.ratio)
+                assert report.ratio <= 16.0, (type(m).__name__, beta, report.ratio)
 
 
 def test_mm_linf_h_norm_zero_multiplier():
@@ -428,12 +427,6 @@ def test_halfwave_times_extraction():
     assert set(lac_times.tolist()) == {2.0**-k for k in range(1, 7)}
     with pytest.raises(ValueError):
         halfwave_convergence(gaussian(n=256), 0.5, 0.4, np.array([0.1, 0.2]))
-
-
-def test_halfwave_requires_smoothness_profile():
-    times = np.array([0.1, 0.05, 0.025])
-    with pytest.raises(ValueError, match="smoothness"):
-        halfwave_convergence(gaussian(n=256), 0.5, 0.9, times, smoothness=0.1)
 
 
 # --- config wire format -----------------------------------------------------------------
