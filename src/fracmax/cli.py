@@ -22,7 +22,7 @@ import numpy as np
 from . import dilation_sets as ds
 from . import maximal_lab as ml
 from . import verify as vf
-from .wire import integer, object_field, tuple_of
+from .wire import integer, number, object_field, tuple_of
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -82,8 +82,8 @@ def cmd_dim(args) -> int:
         E = ds.DilationSet.from_json(spec["set"])
         sched_spec = object_field(spec, "schedule")
         sched = ds.geometric_schedule(
-            float(sched_spec.get("delta_max", 0.07)),
-            float(sched_spec.get("delta_min", 0.7e-6)),
+            number(sched_spec.get("delta_max", 0.07)),
+            number(sched_spec.get("delta_min", 0.7e-6)),
             integer(sched_spec.get("count", 9)),
         )
         if sched.size < 4:
@@ -101,13 +101,14 @@ def cmd_dim(args) -> int:
         if expect:
             if expect.get("method") not in methods:
                 raise ValueError(f"expect.method {expect.get('method')!r} is not among the methods {methods}")
-            target, tol = float(expect["value"]), float(expect.get("tol", 0.05))
+            target, tol = number(expect["value"]), number(expect.get("tol", 0.05))
         bound_spec = object_field(spec, "bound_check")
-        exponents = tuple_of(float)(bound_spec.get("exponents", []))
+        exponents = tuple_of(number)(bound_spec.get("exponents", []))
         if not all(0 < a < 1 for a in exponents):
             raise ValueError(f"bound_check exponents must lie in (0, 1), got {list(exponents)}")
-        bound_constant = float(bound_spec.get("constant", 10.0))
-        table_a = float(spec["table_exponent"]) if spec.get("table_exponent") else None
+        bound_constant = number(bound_spec.get("constant", 10.0))
+        # 0 is a valid exponent: only a missing or null field falls back to the estimate
+        table_a = None if spec.get("table_exponent") is None else number(spec["table_exponent"])
         if table_a is not None and not 0 <= table_a <= 1:
             raise ValueError(f"table_exponent must lie in [0, 1], got {table_a}")
         block = ds.rescaled_block(E, j)
@@ -204,13 +205,13 @@ def cmd_experiment(args) -> int:
         payload.setdefault("seed", args.seed)
         config = ml.config_from_json(payload)
         if kind == "halfwave":
-            hw_alpha, hw_beta = float(spec.get("hw_alpha", 0.5)), float(spec.get("hw_beta", 0.4))
-            t_min, t_max = float(spec.get("t_min", 1.0 / 40)), float(spec.get("t_max", 0.35))
+            hw_alpha, hw_beta = number(spec.get("hw_alpha", 0.5)), number(spec.get("hw_beta", 0.4))
+            t_min, t_max = number(spec.get("t_min", 1.0 / 40)), number(spec.get("t_max", 0.35))
             if not (0 < hw_alpha < 1 and hw_beta < 1 and 0 < t_min < t_max):
                 raise ValueError("need 0 < hw_alpha < 1, hw_beta < 1 and 0 < t_min < t_max")
         elif kind == "probe":
             trials = integer(spec.get("trials", 3))
-            regularity_grid = tuple_of(float)(spec.get("regularity_grid", []))
+            regularity_grid = tuple_of(number)(spec.get("regularity_grid", []))
     except INPUT_ERRORS as exc:
         raise InputError(f"bad experiment config: {exc}")
     checks = []

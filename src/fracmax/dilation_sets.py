@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .wire import Registry, integer, tuple_of
+from .wire import Registry, integer, number, tuple_of
 
 DEDUP_TOL = 1e-15
 DEFAULT_GAP_FLOOR = 1e-9
@@ -38,7 +38,7 @@ _BOUNDARY_RTOL = 1e-9
 GENERATORS = Registry("kind", "set kind")
 
 
-@GENERATORS.register("power_sequence", a=float)
+@GENERATORS.register("power_sequence", a=number)
 @dataclass(frozen=True)
 class PowerSequence:
     """The set {1 + n**(-a) : n = 1, 2, ...}; accumulates at 1 from above."""
@@ -91,7 +91,7 @@ class PowerSequence:
         return self.offsets(n)
 
 
-@GENERATORS.register("explicit", points=tuple_of(float))
+@GENERATORS.register("explicit", points=tuple_of(number))
 @dataclass(frozen=True)
 class ExplicitPoints:
     points: tuple[float, ...]
@@ -130,11 +130,12 @@ class CantorLike:
         if self.base < 3:
             raise ValueError("base must be >= 3")
         digits = tuple(sorted(set(self.digits)))
-        if not digits or any(d < 0 or d >= self.base or int(d) != d for d in digits):
+        if not digits or any(isinstance(d, bool) or d < 0 or d >= self.base or int(d) != d for d in digits):
             raise ValueError(f"digits must be a nonempty subset of 0..{self.base - 1}")
         object.__setattr__(self, "digits", digits)
-        if self.levels < 0:
-            raise ValueError("levels must be >= 0")
+        # a level-64 interval is at most 3**-64 ~ 3e-31 wide, far below DEDUP_TOL
+        if not 0 <= self.levels <= 64:
+            raise ValueError(f"levels must lie in 0..64, got {self.levels}")
 
     def materialize(self, j: int, cap: int, gap_floor: float):
         k = len(self.digits)
@@ -241,7 +242,6 @@ class BlockSet:
 
     j: int
     points: np.ndarray
-    includes_endpoints: tuple[bool, bool] = (False, False)
     truncated: bool = False
     tails: tuple[TailInfo, ...] = ()
 
@@ -287,10 +287,7 @@ def _finite_block(points: np.ndarray, j: int, cap: int):
 @lru_cache(maxsize=4096)
 def _cached_block(gen: Generator, j: int, cap: int, gap_floor: float) -> BlockSet:
     pts, truncated, tails = gen.materialize(j, cap, gap_floor)
-    includes = (False, False)
-    if pts.size:
-        includes = (bool(abs(pts[0] - 1.0) <= DEDUP_TOL), bool(abs(pts[-1] - 2.0) <= DEDUP_TOL))
-    return BlockSet(j=j, points=pts, includes_endpoints=includes, truncated=truncated, tails=tails)
+    return BlockSet(j=j, points=pts, truncated=truncated, tails=tails)
 
 
 def rescaled_block(E: DilationSet, j: int, gap_floor: float = DEFAULT_GAP_FLOOR) -> BlockSet:
@@ -533,7 +530,6 @@ def _sequence_values(seq, n_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GapSumResult:
-    exponent: float
     checkpoints: tuple[tuple[int, float], ...]  # (N, partial sum at N)
     convergent: bool
 
@@ -559,7 +555,7 @@ def gap_sum(seq, a: float, n_max: int = 1 << 17) -> GapSumResult:
         lo = csum[marks[-2] - 1] - csum[marks[-3] - 1]
         hi = csum[marks[-1] - 1] - csum[marks[-2] - 1]
         convergent = bool(hi == 0.0 if lo == 0.0 else hi / lo < 0.97)
-    return GapSumResult(a, checkpoints, convergent)
+    return GapSumResult(checkpoints, convergent)
 
 
 def dimension_from_gap_sums(seq) -> DimensionEstimate:
@@ -595,10 +591,8 @@ def _count_at_least(seq, delta: float) -> float:
 
 @dataclass(frozen=True)
 class LorentzResult:
-    r: float
     bound: float
     verdict: bool
-    profile: tuple[tuple[float, float], ...]  # (delta, delta**r * count)
 
 
 def lorentz_membership(seq, r: float, delta_schedule: Sequence[float]) -> LorentzResult:
@@ -610,11 +604,7 @@ def lorentz_membership(seq, r: float, delta_schedule: Sequence[float]) -> Lorent
     if r <= 0:
         raise ValueError("r must be positive")
     sched = _validate_schedule(delta_schedule)
-    profile = []
-    for d in sched:
-        count = _count_at_least(seq, float(d))
-        profile.append((float(d), float(d**r) * count))
-    sups = np.maximum.accumulate([v for _, v in profile])
+    sups = np.maximum.accumulate([float(d**r) * _count_at_least(seq, float(d)) for d in sched])
     bound = float(sups[-1])
     last_decade = sched <= sched[-1] * 10.0
     decade_sups = sups[last_decade]
@@ -624,7 +614,7 @@ def lorentz_membership(seq, r: float, delta_schedule: Sequence[float]) -> Lorent
         verdict = True
     else:
         verdict = bool((decade_sups[-1] - decade_sups[0]) / decade_sups[-1] < 0.10)
-    return LorentzResult(r, bound, verdict, tuple(profile))
+    return LorentzResult(bound, verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -76,12 +76,6 @@ def uniform_grid(T: float, n: int) -> np.ndarray:
     return np.linspace(0.0, T, n)
 
 
-def graded_grid(T: float, n: int) -> np.ndarray:
-    """Grid with nodes T*(k/n)**2, clustering toward the origin singularity."""
-    k = np.arange(n, dtype=float)
-    return T * (k / (n - 1)) ** 2
-
-
 def estimate_hoelder(path: SampledPath) -> float:
     """Median two-scale increment exponent, capped at 1.
 

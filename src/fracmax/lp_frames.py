@@ -99,7 +99,7 @@ def partition_defect(xi: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Complex samples on a uniform periodic grid over [-L, L)^dim.
+    """Complex samples on a uniform periodic grid over [-L, L).
 
     `side` records whether `samples` live in space or frequency; the spectral
     representation uses the continuous transform with kernel
@@ -109,17 +109,12 @@ class GridFunction:
     extent: float
     samples: np.ndarray
     side: str = "space"
-    dim: int = 1
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=complex)
-        if self.dim not in (1, 2):
-            raise ValueError("dim must be 1 or 2")
-        if samples.ndim != self.dim:
-            raise ValueError("sample array rank must equal dim")
-        n = samples.shape[0]
-        if samples.shape != (n,) * self.dim or n & (n - 1):
-            raise ValueError("samples must be square with a power-of-two side")
+        n = samples.shape[0] if samples.ndim == 1 else 0
+        if not n or n & (n - 1):
+            raise ValueError("samples must be a 1-d array of power-of-two length")
         if self.side not in ("space", "frequency"):
             raise ValueError("side must be 'space' or 'frequency'")
         if self.extent <= 0:
@@ -150,27 +145,21 @@ class GridFunction:
 
     def freq_radius(self) -> np.ndarray:
         """|xi| on the frequency grid (matches the samples' layout)."""
-        axis = self.freq_axis()
-        if self.dim == 1:
-            return np.abs(axis)
-        return np.hypot(*np.meshgrid(axis, axis, indexing="ij"))
+        return np.abs(self.freq_axis())
 
     def _phase(self) -> np.ndarray:
-        sign = np.where(np.arange(self.n) & 1, -1.0, 1.0)
-        if self.dim == 1:
-            return sign
-        return np.outer(sign, sign)
+        return np.where(np.arange(self.n) & 1, -1.0, 1.0)
 
     def to_frequency(self) -> "GridFunction":
         if self.side == "frequency":
             return self
-        spec = self.dx**self.dim * self._phase() * np.fft.fftn(self.samples)
+        spec = self.dx * self._phase() * np.fft.fft(self.samples)
         return replace(self, samples=spec, side="frequency")
 
     def to_space(self) -> "GridFunction":
         if self.side == "space":
             return self
-        vals = self.dxi**self.dim * self.n**self.dim * np.fft.ifftn(self._phase() * self.samples)
+        vals = self.dxi * self.n * np.fft.ifft(self._phase() * self.samples)
         return replace(self, samples=vals, side="space")
 
     def lp_norm(self, p: float) -> float:
@@ -179,7 +168,7 @@ class GridFunction:
         if math.isinf(p):
             return float(mags.max())
         cell = self.dx if self.side == "space" else self.dxi
-        return float((np.sum(mags**p) * cell**self.dim) ** (1.0 / p))
+        return float((np.sum(mags**p) * cell) ** (1.0 / p))
 
     def l2_norm(self) -> float:
         return self.lp_norm(2.0)
@@ -224,18 +213,14 @@ def lp_piece(f: GridFunction, j: int) -> GridFunction:
     return _weighted_to_space(spec, CUTOFF.psi_band(spec.freq_radius(), j))
 
 
-def low_pass_piece(f: GridFunction) -> GridFunction:
-    spec = f.to_frequency()
-    return _weighted_to_space(spec, CUTOFF.phi(spec.freq_radius()))
-
-
 def besov_norm(g: GridFunction, params: BesovParams) -> float:
     """Truncated inhomogeneous Besov norm with equal inner and outer index.
 
     Low-pass piece plus bands j = 1..j_max weighted by 2**(s j); for p = inf
-    the band sum is replaced by the sup.  The pieces are those of
-    low_pass_piece and lp_piece, with each low-pass profile phi(|xi| / 2**k)
-    computed once: band j's bump is the difference of profiles j and j - 1.
+    the band sum is replaced by the sup.  The low-pass piece multiplies the
+    spectrum by phi and the bands are those of lp_piece, with each low-pass
+    profile phi(|xi| / 2**k) computed once: band j's bump is the difference
+    of profiles j and j - 1.
     """
     if 2.0 ** (params.j_max + 1) > g.nyquist + 1e-12:
         raise ValueError("band out of range: j_max exceeds the grid Nyquist range")
@@ -263,8 +248,6 @@ def hoelder_norm(g: GridFunction, n_deriv: int, s_prime: float) -> float:
         raise ValueError("fractional exponent must lie in (0, 1)")
     if n_deriv < 0:
         raise ValueError("derivative order must be nonnegative")
-    if g.dim != 1:
-        raise ValueError("Hoelder norm implemented for 1-d grids")
     vals = g.to_space().samples
     h = g.dx
     total = 0.0

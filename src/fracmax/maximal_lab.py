@@ -33,7 +33,7 @@ from .multipliers import (
     band_oscillation,
     evaluate,
 )
-from .wire import Registry, integer, object_field
+from .wire import Registry, integer, number, object_field
 
 EXCLUSION_FACTOR = 1e-12
 
@@ -45,7 +45,7 @@ EXCLUSION_FACTOR = 1e-12
 FUNCTIONS = Registry("kind", "test function")
 
 
-@FUNCTIONS.register("gaussian_bump", width=float)
+@FUNCTIONS.register("gaussian_bump", width=number)
 @dataclass(frozen=True)
 class GaussianBump:
     """e^{-x^2 / (2 width^2)}."""
@@ -61,7 +61,7 @@ class GaussianBump:
         return np.exp(-(x**2) / (2.0 * self.width**2))
 
 
-@FUNCTIONS.register("modulated_bump", width=float, freq=float)
+@FUNCTIONS.register("modulated_bump", width=number, freq=number)
 @dataclass(frozen=True)
 class ModulatedBump(GaussianBump):
     """The Gaussian bump modulated by e^{2 pi i freq x}."""
@@ -102,20 +102,18 @@ def build_function(f, n: int, extent: float) -> GridFunction:
 
 
 def _batched_dilate(spec: GridFunction, m: Multiplier, ts: np.ndarray) -> np.ndarray:
-    """Space-side values of T_{m(t .)} f for every t, stacked as (len(ts), n[, n])."""
+    """Space-side values of T_{m(t .)} f for every t, stacked as (len(ts), n)."""
     if spec.side != "frequency":
         spec = spec.to_frequency()
     masks = evaluate(m, np.multiply.outer(ts, spec.freq_radius()))
-    coeff = spec.dxi**spec.dim * spec.n**spec.dim
-    axes = tuple(range(1, spec.dim + 1))
-    return coeff * np.fft.ifftn(spec._phase() * (masks * spec.samples), axes=axes)
+    return spec.dxi * spec.n * np.fft.ifft(spec._phase() * (masks * spec.samples), axis=1)
 
 
 def apply_dilated_multiplier(f: GridFunction, m: Multiplier, t: float) -> GridFunction:
     """T with the symbol rescaled by t: multiply the spectrum by m(t xi)."""
     if t <= 0:
         raise ValueError("dilation parameter must be positive")
-    return GridFunction(f.extent, _batched_dilate(f, m, np.array([t]))[0], dim=f.dim)
+    return GridFunction(f.extent, _batched_dilate(f, m, np.array([t]))[0])
 
 
 def nested_sample(points: np.ndarray, depth: int) -> np.ndarray:
@@ -189,7 +187,7 @@ def maximal_function(
         prev_rows = [i for i, p in enumerate(pts[keep]) if float(p) in prev_pts]
         if prev_rows:
             sup_prev = np.maximum(sup_prev, vals[prev_rows].max(axis=0))
-    out = GridFunction(f.extent, sup_now.astype(complex), dim=f.dim)
+    out = GridFunction(f.extent, sup_now.astype(complex))
     denom = float(np.linalg.norm(sup_now)) or 1.0
     increment = float(np.linalg.norm(sup_now - sup_prev)) / denom
     return out, increment
@@ -327,7 +325,6 @@ class ExperimentConfig:
     p: float = 2.0
     n: int = 1024
     extent: float = 8.0
-    dim: int = 1
     j_range: tuple[int, int] = (-3, 4)
     depth: int = 4
     s_resolution: int = 128
@@ -338,8 +335,6 @@ class ExperimentConfig:
             raise ValueError("need 0 < beta < alpha <= 1/2")
         if not 1 < self.p < math.inf:
             raise ValueError("integrability index must lie in (1, inf)")
-        if self.dim != 1:
-            raise ValueError("built-in experiment inputs are 1-d")
         if self.n < 1 or self.n & (self.n - 1):
             raise ValueError(f"grid side n must be a power of two, got {self.n}")
         if not self.extent > 0:
@@ -366,7 +361,7 @@ def config_to_json(config: ExperimentConfig) -> dict:
         "alpha": config.alpha,
         "beta": config.beta,
         "p": config.p,
-        "grid": {"n": config.n, "extent": config.extent, "dim": config.dim},
+        "grid": {"n": config.n, "extent": config.extent, "dim": 1},
         "j_range": list(config.j_range),
         "depth": config.depth,
         "s_resolution": config.s_resolution,
@@ -376,16 +371,17 @@ def config_to_json(config: ExperimentConfig) -> dict:
 
 def config_from_json(payload: dict) -> ExperimentConfig:
     grid = object_field(payload, "grid")
+    if integer(grid.get("dim", 1)) != 1:
+        raise ValueError("built-in experiment inputs are 1-d")
     return ExperimentConfig(
         E=DilationSet.from_json(payload["set"]),
         m=FAMILIES.from_json(payload["multiplier"]),
         f=FUNCTIONS.from_json(payload["f"]),
-        alpha=float(payload.get("alpha", 0.45)),
-        beta=float(payload.get("beta", 0.3)),
-        p=float(payload.get("p", 2.0)),
+        alpha=number(payload.get("alpha", 0.45)),
+        beta=number(payload.get("beta", 0.3)),
+        p=number(payload.get("p", 2.0)),
         n=integer(grid.get("n", 1024)),
-        extent=float(grid.get("extent", 8.0)),
-        dim=integer(grid.get("dim", 1)),
+        extent=number(grid.get("extent", 8.0)),
         j_range=block_range(payload.get("j_range", (-3, 4))),
         depth=integer(payload.get("depth", 4)),
         s_resolution=integer(payload.get("s_resolution", 128)),
@@ -463,13 +459,6 @@ def domination_ratio(config: ExperimentConfig) -> DominationReport:
 # sup-over-frequency H-norm bound
 
 
-@dataclass(frozen=True)
-class HNormReport:
-    sup_h_norm: float
-    sigma_inf: float
-    ratio: float
-
-
 def band_sup_norm(m: Multiplier, j: int) -> float:
     """Grid sup of the band-j restriction |m(2**j .) psi| on its annulus."""
     osc = band_oscillation(m, j)
@@ -485,9 +474,9 @@ def mm_linf_h_norm(
     xi_samples: np.ndarray,
     j_range: tuple[int, int] = (-4, 4),
     depth: int = 8,
-) -> HNormReport:
-    """Sup over frequencies of the weighted square sum of dilated symbol values,
-    against the square-summed band sup norms."""
+) -> float:
+    """Ratio of the sup over frequencies of the weighted square sum of dilated
+    symbol values to the square-summed band sup norms."""
     weights = build_h_weights(sampled_dilations(E, j_range, depth, augment=True), beta)
     sup_h2 = 0.0
     for xi in np.asarray(xi_samples, dtype=float):
@@ -498,8 +487,7 @@ def mm_linf_h_norm(
         sup_h2 = max(sup_h2, h2)
     sigma_inf = math.sqrt(sum(band_sup_norm(m, block.j) ** 2 for block in weights))
     sup_h = math.sqrt(sup_h2)
-    ratio = sup_h / sigma_inf if sigma_inf > 0 else (0.0 if sup_h == 0 else math.inf)
-    return HNormReport(sup_h, sigma_inf, ratio)
+    return sup_h / sigma_inf if sigma_inf > 0 else (0.0 if sup_h == 0 else math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ All built-in families are radial-phase times radial-amplitude and vanish on
 the ball of radius 1/2 (the amplitude carries the complementary low-pass
 factor), so every dyadic band restriction is exactly zero for j <= -1.
 Evaluation is radial: pass |xi| (or any real array; the absolute value is
-taken) -- for 2-d grids evaluate on the frequency-radius array.
+taken).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .lp_frames import CUTOFF, BesovParams, sigma2_norm
-from .wire import Registry
+from .wire import Registry, number
 
 # finite-difference step for families without closed-form derivatives,
 # relative to the evaluation radius
@@ -27,7 +27,7 @@ _FD_REL_STEP = 2.0**-14
 FAMILIES = Registry("family", "multiplier family")
 
 
-@FAMILIES.register("limited_decay", a=float)
+@FAMILIES.register("limited_decay", a=number)
 @dataclass(frozen=True)
 class LimitedDecay:
     """Oscillating limited-decay symbol: every derivative decays like |xi|^-a.
@@ -44,7 +44,7 @@ class LimitedDecay:
             raise ValueError("decay rate must be positive")
 
 
-@FAMILIES.register("slow_decay", beta=float, delta=float)
+@FAMILIES.register("slow_decay", beta=number, delta=number)
 @dataclass(frozen=True)
 class SlowDecay:
     """(1 - phi)|xi|^-beta cos(|xi|^(1-delta)): derivative order k decays -beta - k*delta."""
@@ -57,7 +57,7 @@ class SlowDecay:
             raise ValueError("need beta > 0 and delta in (0, 1)")
 
 
-@FAMILIES.register("oscillatory", alpha=float, beta=float)
+@FAMILIES.register("oscillatory", alpha=number, beta=number)
 @dataclass(frozen=True)
 class Oscillatory:
     """e^{2*pi*i*|xi|^alpha} (1 - phi)|xi|^-beta: derivative order k decays -beta - k(1-alpha)."""
@@ -238,13 +238,8 @@ def phase_cycles(m: Multiplier, rho: float) -> float:
 # decay diagnostics
 
 
-@dataclass(frozen=True)
-class DecayProfile:
-    slopes: tuple[float, ...]  # fitted log2 slope per derivative order 0..order
-
-
-def decay_profile(m: Multiplier, j_range: tuple[int, int], order: int) -> DecayProfile:
-    """Fits the dyadic decay rate of sup |d^k m| over the band annuli, 256 samples each."""
+def decay_profile(m: Multiplier, j_range: tuple[int, int], order: int) -> tuple[float, ...]:
+    """Fitted log2 decay slope of sup |d^k m| over the band annuli (256 samples each), per order k = 0..order."""
     js = np.arange(j_range[0], j_range[1] + 1)
     slopes = []
     for k in range(order + 1):
@@ -257,7 +252,7 @@ def decay_profile(m: Multiplier, j_range: tuple[int, int], order: int) -> DecayP
             slopes.append(-math.inf)
         else:
             slopes.append(float(np.polyfit(js, np.log2(sups), 1)[0]))
-    return DecayProfile(tuple(slopes))
+    return tuple(slopes)
 
 
 # ---------------------------------------------------------------------------

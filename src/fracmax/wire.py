@@ -8,14 +8,22 @@ keys are ignored.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 
-def integer(value) -> int:
-    """An integral JSON number as an int (1e6 reads as 1000000); a bool, a string or a fraction is an error."""
+def number(value) -> float:
+    """A finite JSON number as a float; a bool, a string, NaN or an infinity is an error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def integer(value) -> int:
+    """An integral JSON number as an int (1e6 reads as 1000000); a fraction or anything `number` rejects is an error."""
+    if not number(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 

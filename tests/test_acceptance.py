@@ -168,9 +168,9 @@ def test_criterion_06_sigma2_band_slopes():
 
 def test_criterion_07_oscillatory_decay_profile():
     prof = mu.decay_profile(mu.Oscillatory(0.5, 1.0), (3, 10), 1)
-    err = abs(prof.slopes[1] - (-1.5))
+    err = abs(prof[1] - (-1.5))
     ok = err <= 0.1
-    report(7, ok, f"first-derivative slope {prof.slopes[1]:.3f} vs -1.5, error {err:.3f} (<=0.1)")
+    report(7, ok, f"first-derivative slope {prof[1]:.3f} vs -1.5, error {err:.3f} (<=0.1)")
 
 
 def test_criterion_08_domination_ratio_stability():
@@ -216,8 +216,7 @@ def test_criterion_09_h_norm_bound():
     for m in (mu.BandBump(), mu.LimitedDecay(1.0), mu.SlowDecay(1.0, 0.5)):
         for E in (pow_lac, lac):
             for beta in (0.25, 0.35):
-                rep = ml.mm_linf_h_norm(m, E, beta, xi_samples, j_range=(-4, 4), depth=6)
-                worst = max(worst, rep.ratio)
+                worst = max(worst, ml.mm_linf_h_norm(m, E, beta, xi_samples, j_range=(-4, 4), depth=6))
                 cases += 1
     ok = worst <= 16.0 and cases == 12
     report(9, ok, f"{cases} cases, worst H-norm ratio {worst:.2f} (<=16)")

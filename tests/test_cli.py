@@ -189,6 +189,11 @@ def _experiment(kind, **changes):
     return dict(DOMINATION_CONFIG, kind=kind, config=dict(DOMINATION_CONFIG["config"], **changes))
 
 
+def _dim_set(generator):
+    """The dim test config over the set with this generator."""
+    return dict(DIM_CONFIG, set={"generator": generator})
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [
@@ -237,6 +242,15 @@ def _experiment(kind, **changes):
             id="fractional_cantor_levels",
         ),
         pytest.param("experiment", _experiment("domination", seed=True), id="bool_seed"),
+        pytest.param("dim", _dim_set({"kind": "power_sequence", "a": "1.0"}), id="string_a"),
+        pytest.param("dim", _dim_set({"kind": "power_sequence", "a": True}), id="bool_a"),
+        pytest.param("dim", _dim_set({"kind": "explicit", "points": [True, 1.5]}), id="bool_point"),
+        pytest.param("dim", dict(DIM_CONFIG, expect={"method": "kappa", "value": 0.5, "tol": "0.05"}), id="string_tol"),
+        pytest.param("dim", _dim_set({"kind": "cantor", "base": 3, "digits": [False, 2], "levels": 4}), id="bool_digit"),
+        pytest.param("dim", _dim_set({"kind": "cantor", "base": 3, "digits": [0, 2], "levels": 65}), id="cantor_levels_65"),
+        pytest.param("experiment", _experiment("domination", f={"kind": "gaussian_bump", "width": True}), id="bool_width"),
+        pytest.param("experiment", _experiment("domination", grid={"n": 256, "extent": "8"}), id="string_extent"),
+        pytest.param("experiment", dict(_experiment("halfwave"), hw_alpha="0.5"), id="string_hw_alpha"),
     ],
 )
 def test_config_error_exits_one(tmp_path, capsys, command, payload):
@@ -310,6 +324,67 @@ def test_experiment_config_fuzz_raises_only_input_errors(f, path, value):
     except INPUT_ERRORS:
         return
     assert isinstance(config, ExperimentConfig)
+
+
+# every registry kind with fields, and the slots of an experiment config that take one
+FUZZ_KINDS = {
+    "generator": [
+        {"kind": "power_sequence", "a": 1.0},
+        {"kind": "explicit", "points": [1.1, 1.7]},
+        {"kind": "cantor", "base": 3, "digits": [0, 2], "levels": 4},
+    ],
+    "multiplier": [
+        {"family": "limited_decay", "a": 1.0},
+        {"family": "slow_decay", "beta": 1.0, "delta": 0.5},
+        {"family": "oscillatory", "alpha": 0.5, "beta": 1.0},
+    ],
+    "f": FUZZ_F_SPECS,
+}
+FUZZ_KINDS["member"] = FUZZ_KINDS["generator"]
+FUZZ_NESTED_FIELDS = [(slot, spec, key) for slot, specs in FUZZ_KINDS.items() for spec in specs for key in spec]
+
+
+def _not_a_number(value):
+    return isinstance(value, (bool, str))
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from(FUZZ_NESTED_FIELDS), value=JSON_VALUES)
+def test_nested_config_fuzz_rejects_non_numbers(target, value):
+    slot, base, key = target
+    spec = dict(base, **{key: value})
+    payload = copy.deepcopy(FUZZ_EXPERIMENT_CONFIG)
+    if slot == "generator":
+        payload["set"] = {"generator": spec}
+    elif slot == "member":
+        payload["set"] = {"generator": {"kind": "union", "members": [spec, {"kind": "lacunary"}]}}
+    else:
+        payload[slot] = spec
+    # a number field given a bool or a string, or a list field given a list holding one
+    field = base[key]
+    must_raise = (isinstance(field, (int, float)) and _not_a_number(value)) or (
+        isinstance(field, list) and isinstance(value, list) and any(map(_not_a_number, value))
+    )
+    try:
+        config = config_from_json(payload)
+    except INPUT_ERRORS:
+        return
+    assert not must_raise, (slot, key, value)
+    assert isinstance(config, ExperimentConfig)
+
+
+def test_table_exponent_zero_is_used(tmp_path):
+    config = write(tmp_path, "dim.json", dict(DIM_CONFIG, table_exponent=0))
+    out = tmp_path / "o"
+    assert main(["dim", "--config", config, "--out", str(out)]) == EXIT_OK
+    rows = [row.split(",") for row in (out / "counts.csv").read_text().splitlines()[1:]]
+    assert rows and all(float(power_count) == int(count) for _, count, power_count in rows)
+
+
+def test_cantor_levels_64_runs(tmp_path):
+    generator = {"kind": "cantor", "base": 3, "digits": [0, 2], "levels": 64}
+    config = write(tmp_path, "cantor.json", {"set": {"generator": generator, "cap": 1000}, "methods": ["minkowski"]})
+    assert main(["dim", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
 def test_probe_vanishing_trial_is_input_error(tmp_path, capsys):

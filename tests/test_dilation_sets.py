@@ -70,7 +70,7 @@ def quad_distance_integral(points, a, n=400_000):
 def test_lacunary_block_is_two_points():
     block = rescaled_block(DilationSet(LacunaryGrid()), 0)
     np.testing.assert_allclose(block.points, [1.0, 2.0])
-    assert block.includes_endpoints == (True, True)
+    assert block.points[0] == 1.0 and block.points[-1] == 2.0
 
 
 def test_power_sequence_block_matches_direct_substitution():

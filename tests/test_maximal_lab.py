@@ -194,19 +194,14 @@ def test_maximal_empty_window_raises():
         maximal_function(f, BandBump(), DilationSet(ExplicitPoints((7.0,))), 3, (10, 11))
 
 
-def test_maximal_two_dimensional_grid():
+def test_maximal_matches_per_dilation_reference():
+    # several dilations, against the per-dilation spectral product as the reference
     n, extent = 64, 4.0
     x = -extent + (2 * extent / n) * np.arange(n)
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    f2 = GridFunction(extent, np.exp(-(xx**2 + yy**2)) * np.exp(2j * np.pi * 2.0 * xx), dim=2)
-    single = DilationSet(ExplicitPoints((1.0,)))
-    sup, _ = maximal_function(f2, BandBump(), single, 2, (0, 0))
-    direct = apply_dilated_multiplier(f2, BandBump(), 1.0)
-    np.testing.assert_allclose(sup.samples.real, np.abs(direct.samples), atol=1e-13)
-    # several dilations, against the per-dilation spectral product as the reference
+    f = GridFunction(extent, np.exp(-(x**2)) * np.exp(2j * np.pi * 2.0 * x))
     E, m = DilationSet(ExplicitPoints((1.0, 1.3, 1.7))), LimitedDecay(1.0)
-    sup, _ = maximal_function(f2, m, E, 2, (-1, 0))
-    spec = f2.to_frequency()
+    sup, _ = maximal_function(f, m, E, 2, (-1, 0))
+    spec = f.to_frequency()
     ts = [2.0**j * t for j, pts in sampled_dilations(E, (-1, 0), 2).items() for t in pts]
     assert len(ts) >= 3
 
@@ -348,15 +343,13 @@ def test_mm_linf_h_norm_suite():
     for m in (BandBump(), LimitedDecay(1.0), SlowDecay(1.0, 0.5)):
         for E in (POW_LAC, LAC):
             for beta in (0.25, 0.35):
-                report = mm_linf_h_norm(m, E, beta, xi_samples, j_range=(-4, 4), depth=6)
-                assert report.ratio <= 16.0, (type(m).__name__, beta, report.ratio)
+                ratio = mm_linf_h_norm(m, E, beta, xi_samples, j_range=(-4, 4), depth=6)
+                assert ratio <= 16.0, (type(m).__name__, beta, ratio)
 
 
 def test_mm_linf_h_norm_zero_multiplier():
-    report = mm_linf_h_norm(
-        Custom(lambda r: np.zeros_like(r)), LAC, 0.3, np.array([1.0, 2.0]), j_range=(-2, 2)
-    )
-    assert report.sup_h_norm == 0.0 and report.sigma_inf == 0.0 and report.ratio == 0.0
+    ratio = mm_linf_h_norm(Custom(lambda r: np.zeros_like(r)), LAC, 0.3, np.array([1.0, 2.0]), j_range=(-2, 2))
+    assert ratio == 0.0
 
 
 # --- operator norm probing -----------------------------------------------------------

@@ -94,21 +94,21 @@ def test_scaled_multiplier_composition():
 
 def test_decay_profile_limited_decay_all_orders():
     prof = decay_profile(LimitedDecay(1.0), (3, 10), 1)
-    assert prof.slopes[0] == pytest.approx(-1.0, abs=0.1)
-    assert prof.slopes[1] == pytest.approx(-1.0, abs=0.1)
+    assert prof[0] == pytest.approx(-1.0, abs=0.1)
+    assert prof[1] == pytest.approx(-1.0, abs=0.1)
 
 
 def test_decay_profile_oscillatory_first_derivative():
     prof = decay_profile(Oscillatory(0.5, 1.0), (3, 10), 1)
-    assert prof.slopes[1] == pytest.approx(-1.5, abs=0.1)
+    assert prof[1] == pytest.approx(-1.5, abs=0.1)
 
 
 def test_decay_profile_slow_decay_second_derivative():
     # the slow phase needs wider bands before the envelope dominates
     prof = decay_profile(SlowDecay(1.0, 0.5), (5, 12), 2)
-    assert prof.slopes[0] == pytest.approx(-1.0, abs=0.1)
-    assert prof.slopes[1] == pytest.approx(-1.5, abs=0.1)
-    assert prof.slopes[2] == pytest.approx(-2.0, abs=0.1)
+    assert prof[0] == pytest.approx(-1.0, abs=0.1)
+    assert prof[1] == pytest.approx(-1.5, abs=0.1)
+    assert prof[2] == pytest.approx(-2.0, abs=0.1)
 
 
 # --- the fractional-difference transform ------------------------------------------
