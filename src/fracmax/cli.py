@@ -121,7 +121,10 @@ def cmd_dim(args) -> int:
     failures = []
     for method in methods:
         if method == "kappa":
-            est = ds.kappa(E, sched, j_range)
+            try:
+                est = ds.kappa(E, sched, j_range)
+            except ValueError as exc:  # every block of j_range is empty
+                raise InputError(f"bad dim config: {exc}")
         elif method == "minkowski":
             est = ds.minkowski_dimension(block, sched)
         elif method == "distance_integral":

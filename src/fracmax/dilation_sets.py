@@ -129,10 +129,12 @@ class CantorLike:
     def __post_init__(self):
         if self.base < 3:
             raise ValueError("base must be >= 3")
-        digits = tuple(sorted(set(self.digits)))
-        if not digits or any(isinstance(d, bool) or d < 0 or d >= self.base or int(d) != d for d in digits):
+        # checked before deduplication: a set would fold False into 0 and True into 1
+        if not self.digits or any(
+            isinstance(d, bool) or d < 0 or d >= self.base or int(d) != d for d in self.digits
+        ):
             raise ValueError(f"digits must be a nonempty subset of 0..{self.base - 1}")
-        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "digits", tuple(sorted(set(self.digits))))
         # a level-64 interval is at most 3**-64 ~ 3e-31 wide, far below DEDUP_TOL
         if not 0 <= self.levels <= 64:
             raise ValueError(f"levels must lie in 0..64, got {self.levels}")
