@@ -22,7 +22,7 @@ import numpy as np
 from . import dilation_sets as ds
 from . import maximal_lab as ml
 from . import verify as vf
-from .wire import integer, number, object_field, tuple_of
+from .wire import integer, number, object_field, read_field, tuple_of
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -70,6 +70,8 @@ def _load_config(path: str) -> dict:
 
 
 DIM_METHODS = ("kappa", "minkowski", "distance_integral", "gap_sum")
+# the slope fit reads the last four scales; 64 scales bound the covering-count work
+MAX_SCHEDULE_COUNT = 64
 INPUT_ERRORS = (KeyError, ValueError, TypeError, OverflowError)
 
 
@@ -79,19 +81,19 @@ def cmd_dim(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # every field is read and checked before any work starts
     try:
-        E = ds.DilationSet.from_json(spec["set"])
-        sched_spec = object_field(spec, "schedule")
+        E = read_field(spec, "set", ds.DilationSet.from_json)
+        count = read_field(spec, "schedule.count", integer, 9)
+        if not 4 <= count <= MAX_SCHEDULE_COUNT:
+            raise ValueError(f"schedule.count must lie in 4..{MAX_SCHEDULE_COUNT}, got {count}")
         sched = ds.geometric_schedule(
-            number(sched_spec.get("delta_max", 0.07)),
-            number(sched_spec.get("delta_min", 0.7e-6)),
-            integer(sched_spec.get("count", 9)),
+            read_field(spec, "schedule.delta_max", number, 0.07),
+            read_field(spec, "schedule.delta_min", number, 0.7e-6),
+            count,
         )
-        if sched.size < 4:
-            raise ValueError(f"schedule.count must be at least 4, got {sched.size}")
-        j = integer(spec.get("j", 0))
+        j = read_field(spec, "j", integer, 0)
         if abs(j) > ds.MAX_BLOCK_INDEX:
             raise ValueError(f"block index j must lie within +-{ds.MAX_BLOCK_INDEX}, got {j}")
-        j_range = ds.block_range(spec.get("j_range", [-2, 3]))
+        j_range = read_field(spec, "j_range", ds.block_range, [-2, 3])
         methods = spec.get("methods", ["kappa", "minkowski"])
         if not isinstance(methods, list) or not all(m in DIM_METHODS for m in methods):
             raise ValueError(f"methods must be a list drawn from {', '.join(DIM_METHODS)}, got {methods!r}")
@@ -101,14 +103,13 @@ def cmd_dim(args) -> int:
         if expect:
             if expect.get("method") not in methods:
                 raise ValueError(f"expect.method {expect.get('method')!r} is not among the methods {methods}")
-            target, tol = number(expect["value"]), number(expect.get("tol", 0.05))
-        bound_spec = object_field(spec, "bound_check")
-        exponents = tuple_of(number)(bound_spec.get("exponents", []))
+            target, tol = read_field(spec, "expect.value", number), read_field(spec, "expect.tol", number, 0.05)
+        exponents = read_field(spec, "bound_check.exponents", tuple_of(number), [])
         if not all(0 < a < 1 for a in exponents):
-            raise ValueError(f"bound_check exponents must lie in (0, 1), got {list(exponents)}")
-        bound_constant = number(bound_spec.get("constant", 10.0))
+            raise ValueError(f"bound_check.exponents must lie in (0, 1), got {list(exponents)}")
+        bound_constant = read_field(spec, "bound_check.constant", number, 10.0)
         # 0 is a valid exponent: only a missing or null field falls back to the estimate
-        table_a = None if spec.get("table_exponent") is None else number(spec["table_exponent"])
+        table_a = None if spec.get("table_exponent") is None else read_field(spec, "table_exponent", number)
         if table_a is not None and not 0 <= table_a <= 1:
             raise ValueError(f"table_exponent must lie in [0, 1], got {table_a}")
         block = ds.rescaled_block(E, j)
@@ -208,13 +209,15 @@ def cmd_experiment(args) -> int:
         payload.setdefault("seed", args.seed)
         config = ml.config_from_json(payload)
         if kind == "halfwave":
-            hw_alpha, hw_beta = number(spec.get("hw_alpha", 0.5)), number(spec.get("hw_beta", 0.4))
-            t_min, t_max = number(spec.get("t_min", 1.0 / 40)), number(spec.get("t_max", 0.35))
+            hw_alpha, hw_beta = read_field(spec, "hw_alpha", number, 0.5), read_field(spec, "hw_beta", number, 0.4)
+            t_min, t_max = read_field(spec, "t_min", number, 1.0 / 40), read_field(spec, "t_max", number, 0.35)
             if not (0 < hw_alpha < 1 and hw_beta < 1 and 0 < t_min < t_max):
                 raise ValueError("need 0 < hw_alpha < 1, hw_beta < 1 and 0 < t_min < t_max")
         elif kind == "probe":
-            trials = integer(spec.get("trials", 3))
-            regularity_grid = tuple_of(number)(spec.get("regularity_grid", []))
+            trials = read_field(spec, "trials", integer, 3)
+            regularity_grid = read_field(spec, "regularity_grid", tuple_of(number), [])
+            if not all(a > 0 for a in regularity_grid):
+                raise ValueError(f"regularity_grid entries must be positive, got {list(regularity_grid)}")
     except INPUT_ERRORS as exc:
         raise InputError(f"bad experiment config: {exc}")
     checks = []

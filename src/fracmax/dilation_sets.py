@@ -16,12 +16,14 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .wire import Registry, integer, number, tuple_of
+from .wire import Registry, integer, number, read_field, tuple_of
 
 DEDUP_TOL = 1e-15
 DEFAULT_GAP_FLOOR = 1e-9
 DEFAULT_CAP = 1_000_000
 DIVERGENCE_CEILING = 1e12
+# terms t_1..t_{GAP_SUM_TERMS + 1} of a sequence rule feed its gap sums; a power of two
+GAP_SUM_TERMS = 1 << 17
 # block j holds the points of E in [2**j, 2**(j+1)]; beyond this index it is empty for any set of floats
 MAX_BLOCK_INDEX = 1100
 
@@ -74,13 +76,7 @@ class PowerSequence:
         last = int(big[-1]) + 2 if big.size else 1  # keep points 1..last
         last = min(last, cap)
         pts = pts[:last][::-1].copy()  # ascending
-        tail = TailInfo(
-            anchor=1.0,
-            edge=float(pts[0]),
-            gap=float(self.offsets(last) - self.offsets(last + 1)),
-            power=a,
-            n_trunc=last,
-        )
+        tail = TailInfo(anchor=1.0, edge=float(pts[0]), power=a, n_trunc=last)
         return pts, True, (tail,)
 
     def small_times(self, t_min: float, t_max: float) -> np.ndarray:
@@ -206,15 +202,15 @@ class DilationSet:
     materialization_cap: int = DEFAULT_CAP
 
     def __post_init__(self):
-        if self.materialization_cap < 2:
-            raise ValueError("materialization cap too small")
+        if not 2 <= self.materialization_cap <= DEFAULT_CAP:
+            raise ValueError(f"materialization cap must lie in 2..{DEFAULT_CAP}, got {self.materialization_cap}")
 
     def to_json(self) -> dict:
         return {"generator": GENERATORS.to_json(self.generator), "cap": self.materialization_cap}
 
     @staticmethod
     def from_json(payload: dict) -> "DilationSet":
-        return DilationSet(GENERATORS.from_json(payload["generator"]), integer(payload.get("cap", DEFAULT_CAP)))
+        return DilationSet(GENERATORS.from_json(payload["generator"]), read_field(payload, "cap", integer, DEFAULT_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +219,17 @@ class DilationSet:
 
 @dataclass(frozen=True)
 class TailInfo:
-    """Un-materialized accumulation tail of a block, occupying (anchor, edge).
+    """Un-materialized accumulation tail of a power sequence, occupying (anchor, edge).
 
-    All gaps in the tail are <= `gap`.  `power` carries the decay exponent of
-    the generating sequence when known (offsets ~ n**-power), which allows
-    analytic tail bounds; `n_trunc` is the index of the last materialized
-    sequence element in that case.
+    `power` is the decay exponent of the sequence (offsets ~ n**-power), which
+    gives analytic tail bounds; `n_trunc` is the index of the last
+    materialized sequence element.
     """
 
     anchor: float
     edge: float
-    gap: float
-    power: float | None = None
-    n_trunc: int = 0
+    power: float
+    n_trunc: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,7 +300,7 @@ def block_range(j_range) -> tuple[int, int]:
     """A range of block indices: two ascending integers of magnitude at most MAX_BLOCK_INDEX."""
     js = tuple(integer(j) for j in j_range)
     if len(js) != 2 or js[0] > js[1] or max(map(abs, js)) > MAX_BLOCK_INDEX:
-        raise ValueError(f"j_range must be two ascending integers within +-{MAX_BLOCK_INDEX}, got {list(j_range)}")
+        raise ValueError(f"expected two ascending integers within +-{MAX_BLOCK_INDEX}, got {list(j_range)}")
     return js
 
 
@@ -367,18 +361,13 @@ def _gap_contribution(gaps: np.ndarray, a: float) -> float:
 
 def _tail_bound(tail: TailInfo, a: float) -> float:
     scale = 2.0 ** (1.0 - a) / a  # per-gap factor 2*(g/2)**a/a = scale * g**a
-    if tail.power is not None:
-        # gaps of {n**-p}: g_n <= p * n**-(1+p); sum g_n**a over n > n_trunc
-        p = tail.power
-        expo = a * (1.0 + p)
-        if expo <= 1.0:
-            return math.inf
-        gap_sum = p**a * tail.n_trunc ** (1.0 - expo) / (expo - 1.0)
-        return scale * gap_sum
-    if tail.gap <= 0:
-        return 0.0
-    # generic: gaps <= tail.gap and they tile (anchor, edge)
-    return scale * (tail.edge - tail.anchor) * tail.gap ** (a - 1.0)
+    # gaps of {n**-p}: g_n <= p * n**-(1+p); sum g_n**a over n > n_trunc
+    p = tail.power
+    expo = a * (1.0 + p)
+    if expo <= 1.0:
+        return math.inf
+    gap_sum = p**a * tail.n_trunc ** (1.0 - expo) / (expo - 1.0)
+    return scale * gap_sum
 
 
 def distance_integral_parts(block: BlockSet, a: float) -> tuple[float, float]:
@@ -516,53 +505,35 @@ def _threshold_scan(passes, method: str) -> DimensionEstimate:
 # decreasing sequences: gap sums and weak-type membership
 
 
-def _sequence_values(seq, n_max: int) -> np.ndarray:
-    if callable(seq):
-        vals = np.asarray(seq(np.arange(1, n_max + 2, dtype=float)), dtype=float)
-    else:
-        vals = np.asarray(seq, dtype=float)
-        if vals.size < n_max + 1:
-            raise ValueError("sequence array shorter than n_max + 1")
-        vals = vals[: n_max + 1]
+def sequence_gaps(seq) -> np.ndarray:
+    """Gaps t_n - t_{n+1}, n = 1..GAP_SUM_TERMS, of a decreasing sequence rule n -> t_n."""
+    vals = np.asarray(seq(np.arange(1, GAP_SUM_TERMS + 2, dtype=float)), dtype=float)
+    gaps = -np.diff(vals)
     # ties are tolerated: geometric tails underflow to equal floats
-    if np.any(np.diff(vals) > 0):
+    if np.any(gaps < 0):
         raise ValueError("sequence is not decreasing")
-    return vals
+    return gaps
 
 
-@dataclass(frozen=True)
-class GapSumResult:
-    checkpoints: tuple[tuple[int, float], ...]  # (N, partial sum at N)
-    convergent: bool
+def gap_sum_converges(gaps: np.ndarray, a: float) -> bool:
+    """Dyadic-ratio convergence verdict on the sum of gaps**a, for the gaps of `sequence_gaps`.
 
-
-def gap_sum(seq, a: float, n_max: int = 1 << 17) -> GapSumResult:
-    """Partial sums of (t_n - t_{n+1})**a with a dyadic-ratio convergence verdict.
-
-    The verdict compares consecutive dyadic-block sums: a last ratio below
-    0.97 is called convergent.
+    The verdict compares the last two dyadic-block sums: a ratio below 0.97
+    is called convergent.
     """
     if a <= 0:
         raise ValueError("exponent must be positive")
-    vals = _sequence_values(seq, n_max)
-    gaps = -np.diff(vals)
-    terms = gaps**a
-    csum = np.cumsum(terms)
-    n_levels = int(math.floor(math.log2(n_max)))
-    marks = [1 << k for k in range(n_levels + 1)]
-    checkpoints = tuple((m, float(csum[m - 1])) for m in marks)
-    convergent = False
-    if n_levels >= 2:
-        # the last two dyadic-block sums; an empty block after an empty one counts as convergent
-        lo = csum[marks[-2] - 1] - csum[marks[-3] - 1]
-        hi = csum[marks[-1] - 1] - csum[marks[-2] - 1]
-        convergent = bool(hi == 0.0 if lo == 0.0 else hi / lo < 0.97)
-    return GapSumResult(checkpoints, convergent)
+    csum = np.cumsum(gaps**a)
+    # an empty block after an empty one counts as convergent
+    lo = csum[GAP_SUM_TERMS // 2 - 1] - csum[GAP_SUM_TERMS // 4 - 1]
+    hi = csum[GAP_SUM_TERMS - 1] - csum[GAP_SUM_TERMS // 2 - 1]
+    return bool(hi == 0.0 if lo == 0.0 else hi / lo < 0.97)
 
 
 def dimension_from_gap_sums(seq) -> DimensionEstimate:
     """Dimension as the infimum exponent with convergent gap sums."""
-    return _threshold_scan(lambda a: gap_sum(seq, a).convergent, "gap_sum")
+    gaps = sequence_gaps(seq)
+    return _threshold_scan(lambda a: gap_sum_converges(gaps, a), "gap_sum")
 
 
 def _count_at_least(seq, delta: float) -> float:
@@ -572,12 +543,7 @@ def _count_at_least(seq, delta: float) -> float:
     certified at that scale).
     """
     n_limit = 1 << 40
-    if not callable(seq):
-        vals = np.asarray(seq, dtype=float)
-        return float(np.sum(vals >= delta))
-    if float(seq(np.array([1.0]))[0]) < delta:
-        return 0.0
-    lo, hi = 1, 2
+    lo, hi = 0, 1
     while hi < n_limit and float(seq(np.array([float(hi)]))[0]) >= delta:
         lo, hi = hi, hi * 2
     if hi >= n_limit:

@@ -21,15 +21,12 @@ HOLDER_FLOOR = 0.05
 
 
 def _convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """First len(values) entries of the full convolution, FFT-backed when large."""
+    """First len(values) entries of the full convolution of complex path values, FFT-backed when large."""
     n = values.size
     if n <= 4096:
         return np.convolve(values, kernel)[:n]
     size = 1 << (2 * n - 1).bit_length()
-    out = np.fft.ifft(np.fft.fft(values, size) * np.fft.fft(kernel, size))[:n]
-    if not (np.iscomplexobj(values) or np.iscomplexobj(kernel)):
-        return out.real
-    return out
+    return np.fft.ifft(np.fft.fft(values, size) * np.fft.fft(kernel, size))[:n]
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,7 @@ from .multipliers import (
     band_oscillation,
     evaluate,
 )
-from .wire import Registry, integer, number, object_field
+from .wire import Registry, integer, number, read_field
 
 EXCLUSION_FACTOR = 1e-12
 
@@ -370,22 +370,21 @@ def config_to_json(config: ExperimentConfig) -> dict:
 
 
 def config_from_json(payload: dict) -> ExperimentConfig:
-    grid = object_field(payload, "grid")
-    if integer(grid.get("dim", 1)) != 1:
+    if read_field(payload, "grid.dim", integer, 1) != 1:
         raise ValueError("built-in experiment inputs are 1-d")
     return ExperimentConfig(
-        E=DilationSet.from_json(payload["set"]),
-        m=FAMILIES.from_json(payload["multiplier"]),
-        f=FUNCTIONS.from_json(payload["f"]),
-        alpha=number(payload.get("alpha", 0.45)),
-        beta=number(payload.get("beta", 0.3)),
-        p=number(payload.get("p", 2.0)),
-        n=integer(grid.get("n", 1024)),
-        extent=number(grid.get("extent", 8.0)),
-        j_range=block_range(payload.get("j_range", (-3, 4))),
-        depth=integer(payload.get("depth", 4)),
-        s_resolution=integer(payload.get("s_resolution", 128)),
-        seed=integer(payload.get("seed", 0)),
+        E=read_field(payload, "set", DilationSet.from_json),
+        m=read_field(payload, "multiplier", FAMILIES.from_json),
+        f=read_field(payload, "f", FUNCTIONS.from_json),
+        alpha=read_field(payload, "alpha", number, 0.45),
+        beta=read_field(payload, "beta", number, 0.3),
+        p=read_field(payload, "p", number, 2.0),
+        n=read_field(payload, "grid.n", integer, 1024),
+        extent=read_field(payload, "grid.extent", number, 8.0),
+        j_range=read_field(payload, "j_range", block_range, (-3, 4)),
+        depth=read_field(payload, "depth", integer, 4),
+        s_resolution=read_field(payload, "s_resolution", integer, 128),
+        seed=read_field(payload, "seed", integer, 0),
     )
 
 

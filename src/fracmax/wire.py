@@ -3,20 +3,21 @@
 Each concept keeps one `Registry`.  A class joins it under its wire name with
 one coercion per field; the registry turns instances into plain dicts and
 back.  An unknown tag raises ValueError, a missing field KeyError, and extra
-keys are ignored.
+keys are ignored.  A coercion error names its field, nested fields outermost
+first (`members: a: expected a number, got '1.0'`).
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from typing import Callable
 
 
 def number(value) -> float:
-    """A finite JSON number as a float; a bool, a string, NaN or an infinity is an error."""
+    """A finite JSON number as a float; a bool, a string, NaN, an infinity or an int too big for a float is an error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
-    if not math.isfinite(value):
+    if not -sys.float_info.max <= value <= sys.float_info.max:
         raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
@@ -47,6 +48,19 @@ def object_field(payload: dict, key: str) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"{key} must be an object, got {type(value).__name__}")
     return value
+
+
+def read_field(payload: dict, path: str, coerce: Callable, *default):
+    """`coerce` of the value at a dotted `path` of nested objects, or of `default` if given and the value is
+    absent; a missing required field raises KeyError, and a coercion error is re-raised with `path: ` in front."""
+    *parents, key = path.split(".")
+    for parent in parents:
+        payload = object_field(payload, parent)
+    try:
+        return coerce(payload.get(key, *default) if default else payload[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 class Registry:
@@ -84,4 +98,4 @@ class Registry:
             cls, fields = self._by_name[spec.get(self.tag)]
         except (KeyError, TypeError):
             raise ValueError(f"unknown {self.noun} {spec.get(self.tag)!r}") from None
-        return cls(**{f: coerce(spec[f]) for f, coerce in fields.items()})
+        return cls(**{f: read_field(spec, f, coerce) for f, coerce in fields.items()})

@@ -82,11 +82,11 @@ def test_criterion_04_sequence_corollary():
     flips_ok = True
     worst_flip = 0.0
     for a_seq in (0.5, 1.0, 2.0):
-        seq = (lambda aa: (lambda n: 1.0 + n**-aa))(a_seq)
+        gaps = ds.sequence_gaps(lambda n: 1.0 + n**-a_seq)
         lo, hi = 0.05, 0.98
         for _ in range(24):
             mid = 0.5 * (lo + hi)
-            if ds.gap_sum(seq, mid).convergent:
+            if ds.gap_sum_converges(gaps, mid):
                 hi = mid
             else:
                 lo = mid

@@ -195,69 +195,206 @@ def _dim_set(generator):
 
 
 @pytest.mark.parametrize(
-    "command, payload",
+    "command, payload, named",
     [
-        pytest.param("experiment", _experiment("probe", grid={"n": 256, "dim": 2}), id="probe_dim_2"),
-        pytest.param("experiment", _experiment("domination", grid={"n": 256, "dim": 2}), id="domination_dim_2"),
-        pytest.param("experiment", _experiment("domination", depth=-1), id="negative_depth"),
-        pytest.param("experiment", _experiment("domination", grid={"n": 1000}), id="n_not_power_of_two"),
-        pytest.param("experiment", _experiment("domination", j_range=[2, -2]), id="reversed_j_range"),
-        pytest.param("experiment", _experiment("probe", f={"kind": "nope"}), id="unknown_f_kind"),
-        pytest.param("experiment", _experiment("domination", f={"kind": "gaussian_bump", "width": 0.0}), id="zero_width"),
+        pytest.param("experiment", _experiment("probe", grid={"n": 256, "dim": 2}), None, id="probe_dim_2"),
+        pytest.param("experiment", _experiment("domination", grid={"n": 256, "dim": 2}), None, id="domination_dim_2"),
+        pytest.param("experiment", _experiment("domination", depth=-1), "depth", id="negative_depth"),
+        pytest.param("experiment", _experiment("domination", grid={"n": 1000}), None, id="n_not_power_of_two"),
+        pytest.param("experiment", _experiment("domination", j_range=[2, -2]), "j_range: ", id="reversed_j_range"),
+        pytest.param("experiment", _experiment("probe", f={"kind": "nope"}), "f: ", id="unknown_f_kind"),
+        pytest.param(
+            "experiment", _experiment("domination", f={"kind": "gaussian_bump", "width": 0.0}), "f: ", id="zero_width"
+        ),
         pytest.param(
             "experiment",
             _experiment("domination", f={"kind": "modulated_bump", "width": 0.0, "freq": 1.0}),
+            "f: ",
             id="zero_width_modulated",
         ),
         pytest.param(
-            "experiment", _experiment("domination", f={"kind": "random_band", "band": 1, "seed": -1}), id="negative_seed"
+            "experiment",
+            _experiment("domination", f={"kind": "random_band", "band": 1, "seed": -1}),
+            "f: ",
+            id="negative_seed",
         ),
-        pytest.param("experiment", _experiment("domination", grid={"n": 256, "extent": 0.0}), id="zero_extent"),
-        pytest.param("dim", dict(DIM_CONFIG, expect={"method": "gap_sum", "value": 0.5}), id="expect_method_not_run"),
-        pytest.param("dim", dict(DIM_CONFIG, schedule={"delta_max": "big"}), id="non_numeric_schedule"),
-        pytest.param("dim", dict(DIM_CONFIG, j="zero"), id="non_numeric_j"),
-        pytest.param("dim", dict(DIM_CONFIG, bound_check={"exponents": ["x"]}), id="non_numeric_bound_exponent"),
-        pytest.param("dim", dict(DIM_CONFIG, bound_check={"exponents": [1.5]}), id="bound_exponent_above_one"),
-        pytest.param("dim", dict(DIM_CONFIG, bound_check=[]), id="bound_check_not_object"),
-        pytest.param("dim", dict(DIM_CONFIG, table_exponent="x"), id="non_numeric_table_exponent"),
-        pytest.param("dim", dict(DIM_CONFIG, expect={"method": "kappa", "value": "x"}), id="non_numeric_expect_value"),
-        pytest.param("dim", dict(DIM_CONFIG, j_range=[3, -2]), id="dim_reversed_j_range"),
-        pytest.param("dim", dict(DIM_CONFIG, schedule={"count": 3}), id="three_scale_schedule"),
-        pytest.param("experiment", [DOMINATION_CONFIG], id="config_not_object"),
-        pytest.param("experiment", _experiment("domination", grid=5), id="grid_not_object"),
-        pytest.param("experiment", _experiment("domination", s_resolution=-5), id="negative_s_resolution"),
-        pytest.param("experiment", dict(_experiment("halfwave"), hw_alpha=2.0), id="halfwave_alpha_above_one"),
-        pytest.param("experiment", dict(_experiment("halfwave"), hw_beta="x"), id="non_numeric_halfwave_beta"),
-        pytest.param("experiment", dict(_experiment("halfwave"), t_min=0), id="zero_t_min"),
+        pytest.param("experiment", _experiment("domination", grid={"n": 256, "extent": 0.0}), None, id="zero_extent"),
+        pytest.param(
+            "dim",
+            dict(DIM_CONFIG, expect={"method": "gap_sum", "value": 0.5}),
+            "expect.method",
+            id="expect_method_not_run",
+        ),
+        pytest.param(
+            "dim", dict(DIM_CONFIG, schedule={"delta_max": "big"}), "schedule.delta_max: ", id="non_numeric_schedule"
+        ),
+        pytest.param("dim", dict(DIM_CONFIG, j="zero"), "j: ", id="non_numeric_j"),
+        pytest.param(
+            "dim",
+            dict(DIM_CONFIG, bound_check={"exponents": ["x"]}),
+            "bound_check.exponents: ",
+            id="non_numeric_bound_exponent",
+        ),
+        pytest.param(
+            "dim",
+            dict(DIM_CONFIG, bound_check={"exponents": [1.5]}),
+            "bound_check.exponents",
+            id="bound_exponent_above_one",
+        ),
+        pytest.param("dim", dict(DIM_CONFIG, bound_check=[]), "bound_check", id="bound_check_not_object"),
+        pytest.param("dim", dict(DIM_CONFIG, table_exponent="x"), "table_exponent: ", id="non_numeric_table_exponent"),
+        pytest.param(
+            "dim",
+            dict(DIM_CONFIG, expect={"method": "kappa", "value": "x"}),
+            "expect.value: ",
+            id="non_numeric_expect_value",
+        ),
+        pytest.param("dim", dict(DIM_CONFIG, j_range=[3, -2]), "j_range: ", id="dim_reversed_j_range"),
+        pytest.param("dim", dict(DIM_CONFIG, schedule={"count": 3}), "schedule.count", id="three_scale_schedule"),
+        pytest.param("experiment", [DOMINATION_CONFIG], None, id="config_not_object"),
+        pytest.param("experiment", _experiment("domination", grid=5), "grid", id="grid_not_object"),
+        pytest.param(
+            "experiment",
+            _experiment("domination", s_resolution=-5),
+            "s_resolution",
+            id="negative_s_resolution",
+        ),
+        pytest.param(
+            "experiment",
+            dict(_experiment("halfwave"), hw_alpha=2.0),
+            "hw_alpha",
+            id="halfwave_alpha_above_one",
+        ),
+        pytest.param(
+            "experiment",
+            dict(_experiment("halfwave"), hw_beta="x"),
+            "hw_beta: ",
+            id="non_numeric_halfwave_beta",
+        ),
+        pytest.param("experiment", dict(_experiment("halfwave"), t_min=0), "t_min", id="zero_t_min"),
         pytest.param(
             "experiment",
             _experiment("halfwave", set={"generator": {"kind": "explicit", "points": [0.1, 0.2]}}),
+            None,
             id="halfwave_two_times",
         ),
-        pytest.param("dim", dict(DIM_CONFIG, j=1.5), id="fractional_j"),
-        pytest.param("experiment", _experiment("domination", j_range=[False, True]), id="bool_j_range"),
+        pytest.param("dim", dict(DIM_CONFIG, j=1.5), "j: ", id="fractional_j"),
+        pytest.param("experiment", _experiment("domination", j_range=[False, True]), "j_range: ", id="bool_j_range"),
         pytest.param(
             "dim",
             dict(DIM_CONFIG, set={"generator": {"kind": "cantor", "base": 3, "digits": [0, 2], "levels": 2.5}}),
+            "set: levels: ",
             id="fractional_cantor_levels",
         ),
-        pytest.param("experiment", _experiment("domination", seed=True), id="bool_seed"),
-        pytest.param("dim", _dim_set({"kind": "power_sequence", "a": "1.0"}), id="string_a"),
-        pytest.param("dim", _dim_set({"kind": "power_sequence", "a": True}), id="bool_a"),
-        pytest.param("dim", _dim_set({"kind": "explicit", "points": [True, 1.5]}), id="bool_point"),
-        pytest.param("dim", dict(DIM_CONFIG, expect={"method": "kappa", "value": 0.5, "tol": "0.05"}), id="string_tol"),
-        pytest.param("dim", _dim_set({"kind": "cantor", "base": 3, "digits": [False, 2], "levels": 4}), id="bool_digit"),
-        pytest.param("dim", _dim_set({"kind": "cantor", "base": 3, "digits": [0, 2], "levels": 65}), id="cantor_levels_65"),
-        pytest.param("experiment", _experiment("domination", f={"kind": "gaussian_bump", "width": True}), id="bool_width"),
-        pytest.param("experiment", _experiment("domination", grid={"n": 256, "extent": "8"}), id="string_extent"),
-        pytest.param("experiment", dict(_experiment("halfwave"), hw_alpha="0.5"), id="string_hw_alpha"),
+        pytest.param("experiment", _experiment("domination", seed=True), "seed: ", id="bool_seed"),
+        pytest.param("dim", _dim_set({"kind": "power_sequence", "a": "1.0"}), "set: a: ", id="string_a"),
+        pytest.param("dim", _dim_set({"kind": "power_sequence", "a": True}), "set: a: ", id="bool_a"),
+        pytest.param("dim", _dim_set({"kind": "explicit", "points": [True, 1.5]}), "set: points: ", id="bool_point"),
+        pytest.param(
+            "dim",
+            dict(DIM_CONFIG, expect={"method": "kappa", "value": 0.5, "tol": "0.05"}),
+            "expect.tol: ",
+            id="string_tol",
+        ),
+        pytest.param(
+            "dim",
+            _dim_set({"kind": "cantor", "base": 3, "digits": [False, 2], "levels": 4}),
+            "set: digits",
+            id="bool_digit",
+        ),
+        pytest.param(
+            "dim",
+            _dim_set({"kind": "cantor", "base": 3, "digits": [0, 2], "levels": 65}),
+            "set: levels",
+            id="cantor_levels_65",
+        ),
+        pytest.param(
+            "experiment",
+            _experiment("domination", f={"kind": "gaussian_bump", "width": True}),
+            "f: width: ",
+            id="bool_width",
+        ),
+        pytest.param(
+            "experiment", _experiment("domination", grid={"n": 256, "extent": "8"}), "grid.extent: ", id="string_extent"
+        ),
+        pytest.param("experiment", dict(_experiment("halfwave"), hw_alpha="0.5"), "hw_alpha: ", id="string_hw_alpha"),
+        # every coercion error names its field, nested fields outermost first
+        pytest.param(
+            "dim",
+            _dim_set({"kind": "union", "members": [{"kind": "power_sequence", "a": "1.0"}]}),
+            "set: members: a: expected a number, got '1.0'",
+            id="string_member_a",
+        ),
+        pytest.param(
+            "dim",
+            _dim_set({"kind": "power_sequence", "a": 10**400}),
+            "set: a: expected a finite number",
+            id="int_beyond_float_a",
+        ),
+        pytest.param(
+            "dim",
+            dict(DIM_CONFIG, set={"generator": DIM_CONFIG["set"]["generator"], "cap": "9"}),
+            "set: cap: ",
+            id="string_cap",
+        ),
+        pytest.param("dim", dict(DIM_CONFIG, schedule={"count": "9"}), "schedule.count: ", id="string_schedule_count"),
+        pytest.param(
+            "dim",
+            dict(DIM_CONFIG, bound_check={"constant": "10"}),
+            "bound_check.constant: ",
+            id="string_bound_constant",
+        ),
+        pytest.param("experiment", _experiment("domination", alpha="0.45"), "alpha: ", id="string_alpha"),
+        pytest.param("experiment", _experiment("domination", grid={"n": "256"}), "grid.n: ", id="string_grid_n"),
+        pytest.param("experiment", _experiment("domination", j_range=5), "j_range: ", id="int_j_range"),
+        pytest.param(
+            "experiment",
+            _experiment("domination", multiplier={"family": "limited_decay", "a": "1"}),
+            "multiplier: a: ",
+            id="string_multiplier_a",
+        ),
+        pytest.param(
+            "experiment",
+            _experiment("domination", f={"kind": "gaussian_bump", "width": "1"}),
+            "f: width: ",
+            id="string_width",
+        ),
+        pytest.param("experiment", dict(_experiment("halfwave"), t_max="0.35"), "t_max: ", id="string_t_max"),
+        pytest.param("experiment", dict(_experiment("probe"), trials="3"), "trials: ", id="string_trials"),
+        pytest.param(
+            "experiment",
+            dict(_experiment("probe"), regularity_grid=[0.5, "1"]),
+            "regularity_grid: ",
+            id="string_regularity",
+        ),
+        # bounds on the work a dim config asks for
+        pytest.param(
+            "dim",
+            dict(DIM_CONFIG, set=dict(DIM_CONFIG["set"], cap=1_000_001)),
+            "set: materialization cap must lie in 2..1000000",
+            id="cap_above_default",
+        ),
+        pytest.param(
+            "dim",
+            dict(DIM_CONFIG, schedule={"count": 65}),
+            "schedule.count must lie in 4..64",
+            id="count_65",
+        ),
+        pytest.param(
+            "dim",
+            dict(DIM_CONFIG, schedule={"count": 1e300}),
+            "schedule.count must lie in 4..64",
+            id="count_1e300",
+        ),
     ],
 )
-def test_config_error_exits_one(tmp_path, capsys, command, payload):
+def test_config_error_exits_one(tmp_path, capsys, command, payload, named):
     config = write(tmp_path, "bad.json", payload)
     assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    # `named` is the field the message must name, where it names one
+    assert named is None or named in err, err
 
 
 FUZZ_DIM_CONFIG = {
@@ -385,6 +522,20 @@ def test_cantor_levels_64_runs(tmp_path):
     generator = {"kind": "cantor", "base": 3, "digits": [0, 2], "levels": 64}
     config = write(tmp_path, "cantor.json", {"set": {"generator": generator, "cap": 1000}, "methods": ["minkowski"]})
     assert main(["dim", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
+def test_probe_nonpositive_regularity_is_rejected_before_work(tmp_path, capsys, monkeypatch):
+    from fracmax import maximal_lab
+
+    calls = []
+    real = maximal_lab.maximal_function
+    monkeypatch.setattr(maximal_lab, "maximal_function", lambda *a, **k: calls.append(1) or real(*a, **k))
+    payload = json.loads((CONFIGS / "probe.json").read_text())
+    config = write(tmp_path, "probe.json", dict(payload, regularity_grid=[0.5, -1.0]))
+    assert main(["experiment", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "regularity_grid" in err and "-1.0" in err, err
+    assert calls == []
 
 
 def test_probe_vanishing_trial_is_input_error(tmp_path, capsys):

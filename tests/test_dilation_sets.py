@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fracmax.dilation_sets import (
+    GAP_SUM_TERMS,
     BlockSet,
     CantorLike,
     DilationSet,
@@ -19,12 +20,13 @@ from fracmax.dilation_sets import (
     distance_integral,
     entropy_number,
     finite_distance_integral,
-    gap_sum,
+    gap_sum_converges,
     geometric_schedule,
     kappa,
     lorentz_membership,
     minkowski_dimension,
     rescaled_block,
+    sequence_gaps,
 )
 
 SCHED = geometric_schedule(0.07, 0.7e-6, 9)
@@ -278,32 +280,34 @@ def test_dimension_from_distance_integral_matches():
 
 
 def test_gap_sum_verdicts():
-    assert gap_sum(lambda n: 1.0 / n, 0.6).convergent
-    assert not gap_sum(lambda n: 1.0 / n, 0.5).convergent
-    assert gap_sum(lambda n: 2.0**-n, 0.3).convergent
-    assert gap_sum(lambda n: 2.0**-n, 0.9).convergent
+    harmonic, geometric = sequence_gaps(lambda n: 1.0 / n), sequence_gaps(lambda n: 2.0**-n)
+    assert gap_sum_converges(harmonic, 0.6)
+    assert not gap_sum_converges(harmonic, 0.5)
+    assert gap_sum_converges(geometric, 0.3)
+    assert gap_sum_converges(geometric, 0.9)
 
 
 def test_gap_sum_rejects_increasing():
     with pytest.raises(ValueError, match="not decreasing"):
-        gap_sum(lambda n: np.sin(n), 0.5, n_max=64)
+        sequence_gaps(lambda n: np.sin(n))
 
 
-def test_gap_sum_partial_sums_match_direct():
-    res = gap_sum(lambda n: 1.0 / n, 0.6, n_max=1 << 10)
-    n = np.arange(1, (1 << 10) + 1, dtype=float)
-    direct = np.cumsum((1.0 / (n * (n + 1.0))) ** 0.6)
-    for mark, value in res.checkpoints:
-        assert value == pytest.approx(direct[mark - 1])
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.6, 0.9])
+def test_gap_sum_verdict_matches_direct_block_sums(a):
+    n = np.arange(1, GAP_SUM_TERMS + 1, dtype=float)
+    terms = (1.0 / (n * (n + 1.0))) ** a  # the gaps of 1/n, in closed form
+    lo = terms[GAP_SUM_TERMS // 4 : GAP_SUM_TERMS // 2].sum()
+    hi = terms[GAP_SUM_TERMS // 2 :].sum()
+    assert gap_sum_converges(sequence_gaps(lambda n: 1.0 / n), a) == (hi / lo < 0.97)
 
 
 @pytest.mark.parametrize("a_seq", [0.5, 1.0, 2.0])
 def test_gap_sum_flip_matches_corollary(a_seq):
-    f = lambda n: 1.0 + n**-a_seq
+    gaps = sequence_gaps(lambda n: 1.0 + n**-a_seq)
     lo, hi = 0.05, 0.98
     for _ in range(24):
         mid = 0.5 * (lo + hi)
-        if gap_sum(f, mid).convergent:
+        if gap_sum_converges(gaps, mid):
             hi = mid
         else:
             lo = mid
@@ -330,6 +334,17 @@ def test_dimension_from_gap_sums_matches_box_counting():
     est = dimension_from_gap_sums(lambda n: 1.0 / n)
     assert est.method == "gap_sum"
     assert est.value == pytest.approx(0.5, abs=0.05)
+
+
+def test_dimension_from_gap_sums_evaluates_its_sequence_once():
+    calls = []
+
+    def harmonic(n):
+        calls.append(n.size)
+        return 1.0 / n
+
+    dimension_from_gap_sums(harmonic)
+    assert calls == [GAP_SUM_TERMS + 1]
 
 
 # --- two-sided dimension lemma -----------------------------------------------
