@@ -60,6 +60,8 @@ def _load_config(path: str) -> dict:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # an integer past the int-string digit limit, or deep nesting
+        raise InputError(f"config parse error: {exc}")
     if not isinstance(spec, dict):
         raise InputError(f"config must be a JSON object, got {type(spec).__name__}")
     return spec
@@ -72,6 +74,8 @@ def _load_config(path: str) -> dict:
 DIM_METHODS = ("kappa", "minkowski", "distance_integral", "gap_sum")
 # the slope fit reads the last four scales; 64 scales bound the covering-count work
 MAX_SCHEDULE_COUNT = 64
+# the probe builds one test input per trial before any work
+MAX_TRIALS = 64
 INPUT_ERRORS = (KeyError, ValueError, TypeError, OverflowError)
 
 
@@ -208,13 +212,17 @@ def cmd_experiment(args) -> int:
         payload = dict(spec["config"])
         payload.setdefault("seed", args.seed)
         config = ml.config_from_json(payload)
-        if kind == "halfwave":
+        if kind == "domination":  # kappa is pure, so estimating it first changes no report
+            kappa_est = config.kappa_estimate()
+        elif kind == "halfwave":
             hw_alpha, hw_beta = read_field(spec, "hw_alpha", number, 0.5), read_field(spec, "hw_beta", number, 0.4)
             t_min, t_max = read_field(spec, "t_min", number, 1.0 / 40), read_field(spec, "t_max", number, 0.35)
             if not (0 < hw_alpha < 1 and hw_beta < 1 and 0 < t_min < t_max):
                 raise ValueError("need 0 < hw_alpha < 1, hw_beta < 1 and 0 < t_min < t_max")
         elif kind == "probe":
             trials = read_field(spec, "trials", integer, 3)
+            if not 1 <= trials <= MAX_TRIALS:
+                raise ValueError(f"trials must lie in 1..{MAX_TRIALS}, got {trials}")
             regularity_grid = read_field(spec, "regularity_grid", tuple_of(number), [])
             if not all(a > 0 for a in regularity_grid):
                 raise ValueError(f"regularity_grid entries must be positive, got {list(regularity_grid)}")
@@ -224,7 +232,6 @@ def cmd_experiment(args) -> int:
     results: dict = {}
     if kind == "domination":
         report = ml.domination_ratio(config)
-        kappa_est = config.kappa_estimate()
         results = {
             "max_ratio": report.max_ratio,
             "refined_ratio": report.refined_ratio,

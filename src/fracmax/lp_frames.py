@@ -159,8 +159,17 @@ class GridFunction:
     def to_space(self) -> "GridFunction":
         if self.side == "space":
             return self
-        vals = self.dxi * self.n * np.fft.ifft(self._phase() * self.samples)
-        return replace(self, samples=vals, side="space")
+        return replace(self, samples=self.filtered(), side="space")
+
+    def filtered(self, weights: np.ndarray | None = None) -> np.ndarray:
+        """Space-side values of the spectrum times `weights`, from one inverse FFT.
+
+        `weights` has n on its last axis, one row per filter; None leaves the
+        spectrum as it is.  The transform and its scale work in place on one buffer.
+        """
+        spec = self.to_frequency()
+        out = spec._phase() * (spec.samples if weights is None else weights * spec.samples)
+        return np.multiply(np.fft.ifft(out, axis=-1, out=out), spec.dxi * spec.n, out=out)
 
     def lp_norm(self, p: float) -> float:
         """Riemann-sum L^p norm on the function's own side (grid max for p=inf)."""
@@ -201,16 +210,11 @@ class BesovParams:
             raise ValueError("integrability index must exceed 1")
 
 
-def _weighted_to_space(spec: GridFunction, weight: np.ndarray) -> GridFunction:
-    return replace(spec, samples=spec.samples * weight, side="frequency").to_space()
-
-
 def lp_piece(f: GridFunction, j: int) -> GridFunction:
     """Spectral multiplication by the band-j bump, returned on the space side."""
     if 2.0 ** (j + 1) > f.nyquist + 1e-12:
         raise ValueError(f"band out of range: 2^{j + 1} exceeds Nyquist {f.nyquist}")
-    spec = f.to_frequency()
-    return _weighted_to_space(spec, CUTOFF.psi_band(spec.freq_radius(), j))
+    return GridFunction(f.extent, f.filtered(CUTOFF.psi_band(f.freq_radius(), j)))
 
 
 def besov_norm(g: GridFunction, params: BesovParams) -> float:
@@ -227,11 +231,11 @@ def besov_norm(g: GridFunction, params: BesovParams) -> float:
     spec = g.to_frequency()
     rho = spec.freq_radius()
     low = CUTOFF.phi(rho)
-    base = _weighted_to_space(spec, low).lp_norm(params.p)
+    base = GridFunction(g.extent, spec.filtered(low)).lp_norm(params.p)
     bands = []
     for j in range(1, params.j_max + 1):
         below, low = low, CUTOFF.phi(rho / 2.0**j)
-        bands.append(2.0 ** (params.s * j) * _weighted_to_space(spec, low - below).lp_norm(params.p))
+        bands.append(2.0 ** (params.s * j) * GridFunction(g.extent, spec.filtered(low - below)).lp_norm(params.p))
     if math.isinf(params.p):
         return max([base] + bands)
     p = params.p
@@ -291,16 +295,6 @@ class Sigma2Result:
     stale: bool
 
 
-def _band_grid(band_eval: Callable[[np.ndarray], np.ndarray], oscillation: float):
-    """Frequency-annulus grid for one band: domain [-4, 4), at least 1024
-    points, resolution adapted to the band's oscillation so the modulated
-    content stays below Nyquist."""
-    extent = 4.0
-    needed = max(1024, int(16 * extent * max(oscillation, 1.0)))
-    n = 1 << (needed - 1).bit_length()
-    return grid_from_profile(band_eval, extent, n)
-
-
 def sigma2_norm(m, params: BesovParams, j_range: tuple[int, int]) -> Sigma2Result:
     """Square-summed Besov norms of the dyadic band restrictions of m.
 
@@ -313,17 +307,17 @@ def sigma2_norm(m, params: BesovParams, j_range: tuple[int, int]) -> Sigma2Resul
     """
     from .multipliers import band_oscillation, evaluate  # local import; no cycle at runtime
 
-    js = list(range(j_range[0], j_range[1] + 1))
     bands = []
-    for j in js:
-        def band_eval(xi, j=j):
-            weight = CUTOFF.psi(xi)
-            on = weight != 0
-            out = np.zeros(xi.shape, dtype=complex)
-            out[on] = evaluate(m, 2.0**j * xi[on]) * weight[on]
-            return out
-
-        g = _band_grid(band_eval, band_oscillation(m, j))
+    for j in range(j_range[0], j_range[1] + 1):
+        # the band's grid over [-4, 4): at least 1024 points, fine enough that
+        # the band's oscillation stays below Nyquist
+        n = 1 << (max(1024, int(64 * max(band_oscillation(m, j), 1.0))) - 1).bit_length()
+        xi = -4.0 + (8.0 / n) * np.arange(n)
+        weight = CUTOFF.psi(xi)
+        on = weight != 0
+        samples = np.zeros(n, dtype=complex)
+        samples[on] = evaluate(m, 2.0**j * xi[on]) * weight[on]
+        g = GridFunction(4.0, samples)
         inner = BesovParams(params.p, params.s, min(params.j_max, int(math.log2(g.nyquist)) - 1))
         bands.append((j, besov_norm(g, inner)))
     total = math.sqrt(sum(v**2 for _, v in bands))

@@ -101,12 +101,9 @@ def build_function(f, n: int, extent: float) -> GridFunction:
 # dilated operators
 
 
-def _batched_dilate(spec: GridFunction, m: Multiplier, ts: np.ndarray) -> np.ndarray:
+def _batched_dilate(f: GridFunction, m: Multiplier, ts: np.ndarray) -> np.ndarray:
     """Space-side values of T_{m(t .)} f for every t, stacked as (len(ts), n)."""
-    if spec.side != "frequency":
-        spec = spec.to_frequency()
-    masks = evaluate(m, np.multiply.outer(ts, spec.freq_radius()))
-    return spec.dxi * spec.n * np.fft.ifft(spec._phase() * (masks * spec.samples), axis=1)
+    return f.filtered(evaluate(m, np.multiply.outer(ts, f.freq_radius())))
 
 
 def apply_dilated_multiplier(f: GridFunction, m: Multiplier, t: float) -> GridFunction:
@@ -170,23 +167,14 @@ def maximal_function(
     blocks = sampled_dilations(E, j_range, sampling_depth, augment)
     if not blocks:
         raise ValueError("empty dilation sampling on the requested j window")
-    spec = f.to_frequency()
-    sup_now = np.zeros(spec.samples.shape)
-    sup_prev = np.zeros(spec.samples.shape)
-    seen: set[float] = set()
     coarse = sampled_dilations(E, j_range, max(sampling_depth - 1, 0), augment)
-    for j, pts in blocks.items():
-        ts = 2.0**j * pts
-        keep = [i for i, t in enumerate(ts) if float(t) not in seen]
-        if not keep:  # every dilation of this block was seen in an earlier block
-            continue
-        seen.update(float(ts[i]) for i in keep)
-        vals = np.abs(_batched_dilate(spec, m, ts[keep]))
-        sup_now = np.maximum(sup_now, vals.max(axis=0))
-        prev_pts = set(coarse.get(j, np.array([])).tolist())
-        prev_rows = [i for i, p in enumerate(pts[keep]) if float(p) in prev_pts]
-        if prev_rows:
-            sup_prev = np.maximum(sup_prev, vals[prev_rows].max(axis=0))
+    # blocks share at most an endpoint, which every depth keeps, so a shared
+    # dilation gets the same coarse-sampling mark whichever block it came from
+    ts = np.unique(np.concatenate([2.0**j * pts for j, pts in blocks.items()]))
+    in_coarse = np.isin(ts, np.concatenate([2.0**j * pts for j, pts in coarse.items()]))
+    vals = np.abs(_batched_dilate(f, m, ts))
+    sup_now = vals.max(axis=0)
+    sup_prev = vals[in_coarse].max(axis=0)
     out = GridFunction(f.extent, sup_now.astype(complex))
     denom = float(np.linalg.norm(sup_now)) or 1.0
     increment = float(np.linalg.norm(sup_now - sup_prev)) / denom
@@ -588,4 +576,5 @@ def halfwave_convergence(
     diffs = np.array(diffs)
     good = diffs > 0
     slope = float(np.polyfit(np.log(times[good]), np.log(diffs[good]), 1)[0])
-    return HalfwaveReport(slope, tuple(times), tuple(diffs))
+    # plain floats, so that rates.csv holds numbers rather than numpy reprs
+    return HalfwaveReport(slope, tuple(times.tolist()), tuple(diffs.tolist()))

@@ -274,13 +274,9 @@ def _gauss_nodes(n: int, lo: float, hi: float):
     to build and cache while the count scales with the integrand's
     oscillation.
     """
-    if n <= _PANEL_SIZE:
-        x, w = _leggauss(max(n, 4))
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        return mid + half * x, half * w
     panels = math.ceil(n / _PANEL_SIZE)
     edges = np.linspace(lo, hi, panels + 1)
-    x, w = _leggauss(_PANEL_SIZE)
+    x, w = _leggauss(min(max(n, 4), _PANEL_SIZE))
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * np.diff(edges)
     nodes = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()

@@ -139,7 +139,10 @@ def test_experiment_halfwave(tmp_path):
     assert main(["experiment", "--config", config, "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "experiment_report.json").read_text())
     assert report["results"]["beta_fit"] >= 0.3
-    assert (out / "rates.csv").read_text().splitlines()[0] == "t,sup_difference"
+    header, *rows = (out / "rates.csv").read_text().splitlines()
+    assert header == "t,sup_difference" and rows
+    # every data row is two plain numbers, not numpy scalar reprs
+    assert all(len([float(v) for v in row.split(",")]) == 2 for row in rows), rows[0]
 
 
 def test_experiment_probe(tmp_path):
@@ -386,6 +389,8 @@ def _dim_set(generator):
             "schedule.count must lie in 4..64",
             id="count_1e300",
         ),
+        pytest.param("experiment", dict(_experiment("probe"), trials=65), "trials must lie in 1..64", id="trials_65"),
+        pytest.param("experiment", dict(_experiment("probe"), trials=0), "trials must lie in 1..64", id="trials_0"),
     ],
 )
 def test_config_error_exits_one(tmp_path, capsys, command, payload, named):
@@ -524,18 +529,61 @@ def test_cantor_levels_64_runs(tmp_path):
     assert main(["dim", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
-def test_probe_nonpositive_regularity_is_rejected_before_work(tmp_path, capsys, monkeypatch):
+def _count_maximal_calls(monkeypatch):
     from fracmax import maximal_lab
 
     calls = []
     real = maximal_lab.maximal_function
     monkeypatch.setattr(maximal_lab, "maximal_function", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_probe_nonpositive_regularity_is_rejected_before_work(tmp_path, capsys, monkeypatch):
+    calls = _count_maximal_calls(monkeypatch)
     payload = json.loads((CONFIGS / "probe.json").read_text())
     config = write(tmp_path, "probe.json", dict(payload, regularity_grid=[0.5, -1.0]))
     assert main(["experiment", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "regularity_grid" in err and "-1.0" in err, err
     assert calls == []
+
+
+def test_domination_without_points_in_window_is_rejected_before_work(tmp_path, capsys, monkeypatch):
+    # the lacunary augmentation would fill the window; the kappa estimate of the set itself cannot
+    calls = _count_maximal_calls(monkeypatch)
+    payload = _experiment("domination", set={"generator": {"kind": "explicit", "points": [100.0]}}, j_range=[-1, 1])
+    config = write(tmp_path, "dom.json", payload)
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", config, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "all blocks empty" in err and err.count("\n") == 1, err
+    assert calls == [] and not (out / "experiment_report.json").exists()
+
+
+def test_probe_three_trials_runs(tmp_path, monkeypatch):
+    calls = _count_maximal_calls(monkeypatch)
+    config = write(tmp_path, "probe.json", dict(_experiment("probe", j_range=[-1, 1]), trials=3))
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", config, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "experiment_report.json").read_text())
+    assert len(report["results"]["per_trial"]) == 3 and len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # json.loads raises a plain ValueError past Python's int-string conversion limit
+        pytest.param('{"set": {"generator": {"kind": "power_sequence", "a": ' + "1" * 5000 + "}}}", id="5000_digits"),
+        # and a RecursionError past the interpreter's recursion limit
+        pytest.param('{"set": ' + "[" * 100_000 + "]" * 100_000 + "}", id="deep_nesting"),
+    ],
+)
+def test_unparsable_config_is_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["dim", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: config parse error: ") and err.count("\n") == 1, err
 
 
 def test_probe_vanishing_trial_is_input_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,6 +91,28 @@ def test_grid_roundtrip_and_plancherel():
     rel = np.max(np.abs(back.samples - g.samples)) / np.max(np.abs(g.samples))
     assert rel <= 1e-12
     assert abs(g.l2_norm() - g.to_frequency().l2_norm()) <= 1e-10 * g.l2_norm()
+
+
+@pytest.mark.parametrize("side", ["space", "frequency"])
+@pytest.mark.parametrize("complex_weights", [False, True], ids=["real", "complex"])
+def test_filtered_matches_per_row_inverse_transform(side, complex_weights):
+    rng = np.random.default_rng(3)
+    n = 256
+    g = GridFunction(8.0, rng.standard_normal(n) + 1j * rng.standard_normal(n), side=side)
+    weights = rng.standard_normal((3, n))
+    if complex_weights:
+        weights = weights + 1j * rng.standard_normal((3, n))
+    before = g.samples.copy()
+    rows = g.filtered(weights)
+    assert rows.shape == (3, n)
+    spec = g.to_frequency()
+    for row, w_k in zip(rows, weights):
+        ref = replace(spec, samples=spec.samples * w_k, side="frequency").to_space().samples
+        np.testing.assert_allclose(row, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+    # filtered works in place on its own buffer, never on the input's samples
+    spec.filtered()
+    np.testing.assert_array_equal(g.samples, before)
+    np.testing.assert_array_equal(spec.filtered(), spec.to_space().samples)
 
 
 def test_grid_validation():

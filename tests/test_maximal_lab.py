@@ -212,6 +212,25 @@ def test_maximal_matches_per_dilation_reference():
     np.testing.assert_allclose(sup.samples.real, np.max([dilated(t) for t in ts], axis=0), atol=1e-13)
 
 
+def test_maximal_increment_matches_two_depth_reference():
+    # three blocks of the lacunary union: neighbouring blocks share the endpoint 2 * 2**j = 1 * 2**(j + 1)
+    f = build_function(ModulatedBump(1.0, 1.5), 128, 8.0)
+    m, depth, j_range = LimitedDecay(1.0), 3, (-1, 1)
+    blocks = sampled_dilations(POW_LAC, j_range, depth, augment=True)
+    assert len(blocks) == 3 and all(blocks[j][-1] == 2.0 and blocks[j + 1][0] == 1.0 for j in (-1, 0))
+
+    def sup_over(d):
+        ts = {2.0**j * t for j, pts in sampled_dilations(POW_LAC, j_range, d, augment=True).items() for t in pts}
+        return np.max([np.abs(apply_dilated_multiplier(f, m, t).samples) for t in sorted(ts)], axis=0)
+
+    now, prev = sup_over(depth), sup_over(depth - 1)
+    sup, inc = maximal_function(f, m, POW_LAC, depth, j_range, augment=True)
+    np.testing.assert_allclose(sup.samples.real, now, rtol=0, atol=1e-13)
+    expected = np.linalg.norm(now - prev) / np.linalg.norm(now)
+    assert expected > 0
+    assert inc == pytest.approx(expected, rel=1e-9)
+
+
 # --- H weights -------------------------------------------------------------------
 
 

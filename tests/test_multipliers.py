@@ -23,6 +23,7 @@ from fracmax.multipliers import (
     radial_derivative,
     scaled,
 )
+from fracmax.multipliers import _gauss_nodes, _leggauss
 
 
 def brute_mtilde(m, alpha, rho, n=1_000_000):
@@ -191,6 +192,29 @@ def test_mtilde_multiplier_matches_values():
     rho = np.geomspace(0.5, 64.0, 33)
     direct, _ = mtilde_values(LimitedDecay(1.0), 0.4, rho)
     np.testing.assert_allclose(evaluate(wrapper, rho), direct, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [32, 64, 512])
+def test_gauss_nodes_one_panel_is_the_plain_rule(n):
+    lo, hi = 0.25, 1.5
+    x, w = _leggauss(n)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes, weights = _gauss_nodes(n, lo, hi)
+    assert nodes.tobytes() == (mid + half * x).tobytes()
+    assert weights.tobytes() == (half * w).tobytes()
+    assert np.sum(weights) == pytest.approx(hi - lo, rel=1e-13)
+
+
+def test_gauss_nodes_split_into_512_node_panels():
+    lo, hi = 0.25, 1.5
+    nodes, weights = _gauss_nodes(1024, lo, hi)
+    x, w = _leggauss(512)
+    half = 0.25 * (hi - lo)
+    for k, mid in enumerate((lo + half, hi - half)):
+        np.testing.assert_allclose(nodes[512 * k : 512 * (k + 1)], mid + half * x, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights[512 * k : 512 * (k + 1)], half * w, rtol=1e-14)
+    assert np.all(np.diff(nodes) > 0)
+    assert np.sum(weights) == pytest.approx(hi - lo, rel=1e-13)
 
 
 def test_phase_cycles_and_band_oscillation():
