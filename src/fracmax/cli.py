@@ -22,6 +22,7 @@ import numpy as np
 from . import dilation_sets as ds
 from . import maximal_lab as ml
 from . import verify as vf
+from .lp_frames import band_memo
 from .wire import integer, number, object_field, read_field, tuple_of
 
 EXIT_OK = 0
@@ -177,13 +178,14 @@ def cmd_dim(args) -> int:
 def cmd_verify(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.suite == "all":
-        reports = vf.run_all(args.seed)
-    else:
-        try:
-            reports = [vf.run_suite(args.suite, args.seed)]
-        except KeyError as exc:
-            raise InputError(str(exc.args[0]))
+    with band_memo():  # the suites share band norms within this run only
+        if args.suite == "all":
+            reports = vf.run_all(args.seed)
+        else:
+            try:
+                reports = [vf.run_suite(args.suite, args.seed)]
+            except KeyError as exc:
+                raise InputError(str(exc.args[0]))
     aggregate = {
         "seed": args.seed,
         "workers": 1,

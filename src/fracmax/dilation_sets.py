@@ -347,7 +347,8 @@ def entropy_number(block: BlockSet, delta: float, include_tails: bool = True) ->
         k_hi = int(hi[0]) - 1 if hi_exact[0] else int(math.floor(tail.edge / delta))
         if k_hi >= k_lo:
             parts.append(np.arange(k_lo, k_hi + 1, dtype=np.int64))
-    return int(np.unique(np.concatenate(parts)).size)
+    cells = np.sort(np.concatenate(parts))  # nearly sorted already; faster than np.unique's hashing
+    return int(1 + np.count_nonzero(np.diff(cells))) if cells.size else 0
 
 
 # ---------------------------------------------------------------------------

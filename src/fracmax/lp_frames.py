@@ -10,6 +10,8 @@ Hoelder, and square-summed band norms are Riemann sums over those grids.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
@@ -221,25 +223,36 @@ def besov_norm(g: GridFunction, params: BesovParams) -> float:
     """Truncated inhomogeneous Besov norm with equal inner and outer index.
 
     Low-pass piece plus bands j = 1..j_max weighted by 2**(s j); for p = inf
-    the band sum is replaced by the sup.  The low-pass piece multiplies the
-    spectrum by phi and the bands are those of lp_piece, with each low-pass
-    profile phi(|xi| / 2**k) computed once: band j's bump is the difference
-    of profiles j and j - 1.
+    the band sum is replaced by the sup.
     """
     if 2.0 ** (params.j_max + 1) > g.nyquist + 1e-12:
         raise ValueError("band out of range: j_max exceeds the grid Nyquist range")
+    return _besov_sum(_band_norms(g, params.p, params.j_max), params)
+
+
+def _band_norms(g: GridFunction, p: float, j_max: int) -> list[float]:
+    """Unweighted L^p norms of the pieces j = 0..j_max of g; piece 0 is the low-pass one.
+
+    Piece j multiplies the spectrum by the difference of the low-pass profiles
+    phi(|xi| / 2**j) and phi(|xi| / 2**(j-1)) (0 for j = 0), so for j >= 1 it
+    is lp_piece's band j, and each profile is computed once.
+    """
     spec = g.to_frequency()
     rho = spec.freq_radius()
-    low = CUTOFF.phi(rho)
-    base = GridFunction(g.extent, spec.filtered(low)).lp_norm(params.p)
-    bands = []
-    for j in range(1, params.j_max + 1):
+    low, norms = 0.0, []
+    for j in range(j_max + 1):
         below, low = low, CUTOFF.phi(rho / 2.0**j)
-        bands.append(2.0 ** (params.s * j) * GridFunction(g.extent, spec.filtered(low - below)).lp_norm(params.p))
+        norms.append(GridFunction(g.extent, spec.filtered(low - below)).lp_norm(p))
+    return norms
+
+
+def _besov_sum(norms: list[float], params: BesovParams) -> float:
+    """The Besov norm from the pieces' unweighted norms: piece j weighted by 2**(s j)."""
+    bands = [2.0 ** (params.s * j) * v for j, v in enumerate(norms)]
     if math.isinf(params.p):
-        return max([base] + bands)
+        return max(bands)
     p = params.p
-    return float((base**p + sum(b**p for b in bands)) ** (1.0 / p))
+    return float((bands[0] ** p + sum(b**p for b in bands[1:])) ** (1.0 / p))
 
 
 def hoelder_norm(g: GridFunction, n_deriv: int, s_prime: float) -> float:
@@ -288,6 +301,21 @@ def hoelder_besov_ratio(g: GridFunction, n_deriv: int, s_prime: float) -> float:
 # square-summed band norms of multipliers
 
 
+_BAND_MEMO: ContextVar[dict | None] = ContextVar("band_memo", default=None)
+
+
+@contextmanager
+def band_memo():
+    """Scope in which sigma2_norm keeps each band's unweighted norms, keyed by (m, j, float(p),
+    inner j_max), for later calls and Besov indices; a nested scope shares the outer memo."""
+    memo = _BAND_MEMO.get()
+    token = _BAND_MEMO.set({} if memo is None else memo)
+    try:
+        yield
+    finally:
+        _BAND_MEMO.reset(token)
+
+
 @dataclass(frozen=True)
 class Sigma2Result:
     total: float
@@ -303,23 +331,27 @@ def sigma2_norm(m, params: BesovParams, j_range: tuple[int, int]) -> Sigma2Resul
     norm; m is evaluated only where psi is nonzero, 1/2 < |xi| < 2.  The
     result is the l^2 total with the per-band breakdown.  The stale
     flag reports a truncation-dominated sum: the last two bands contribute
-    more than 1% of the total.
+    more than 1% of the total.  Inside a band_memo scope a band's unweighted
+    norms are computed once and only re-weighted for each index s.
     """
     from .multipliers import band_oscillation, evaluate  # local import; no cycle at runtime
 
+    memo = {} if _BAND_MEMO.get() is None else _BAND_MEMO.get()  # call-local outside a scope
     bands = []
     for j in range(j_range[0], j_range[1] + 1):
         # the band's grid over [-4, 4): at least 1024 points, fine enough that
         # the band's oscillation stays below Nyquist
         n = 1 << (max(1024, int(64 * max(band_oscillation(m, j), 1.0))) - 1).bit_length()
-        xi = -4.0 + (8.0 / n) * np.arange(n)
-        weight = CUTOFF.psi(xi)
-        on = weight != 0
-        samples = np.zeros(n, dtype=complex)
-        samples[on] = evaluate(m, 2.0**j * xi[on]) * weight[on]
-        g = GridFunction(4.0, samples)
-        inner = BesovParams(params.p, params.s, min(params.j_max, int(math.log2(g.nyquist)) - 1))
-        bands.append((j, besov_norm(g, inner)))
+        inner = min(params.j_max, int(math.log2(n / 16.0)) - 1)  # n / 16: Nyquist on [-4, 4)
+        key = (m, j, float(params.p), inner)
+        if key not in memo:
+            xi = -4.0 + (8.0 / n) * np.arange(n)
+            weight = CUTOFF.psi(xi)
+            on = weight != 0
+            samples = np.zeros(n, dtype=complex)
+            samples[on] = evaluate(m, 2.0**j * xi[on]) * weight[on]
+            memo[key] = _band_norms(GridFunction(4.0, samples), params.p, inner)
+        bands.append((j, _besov_sum(memo[key], params)))
     total = math.sqrt(sum(v**2 for _, v in bands))
     stale = False
     if len(bands) >= 2 and total > 0:

@@ -82,7 +82,7 @@ class Custom:
     oscillation: float = 0.0  # local phase frequency hint, cycles per unit radius
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Scaled:
     """m(r .) as a derived multiplier."""
 

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fracmax.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, INPUT_ERRORS, main
+from fracmax.lp_frames import _BAND_MEMO
 from fracmax.maximal_lab import ExperimentConfig, config_from_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -99,6 +100,7 @@ def test_malformed_json_exit_one_with_position(tmp_path, capsys):
 
 def test_unknown_suite_exit_one(tmp_path):
     assert main(["verify", "--suite", "bogus", "--out", str(tmp_path)]) == EXIT_INPUT
+    assert _BAND_MEMO.get() is None
 
 
 def test_verify_single_suite(tmp_path, capsys):
@@ -106,6 +108,17 @@ def test_verify_single_suite(tmp_path, capsys):
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert report["all_passed"] and report["suites"][0]["suite"] == "fraccalc"
     assert "[pass] fraccalc." in capsys.readouterr().out
+
+
+def test_verify_all_twice_in_one_process_is_byte_identical(tmp_path, capsys):
+    # the band memo scope closes after each run, so the second run starts from an empty memo
+    runs = []
+    for name in ("run1", "run2"):
+        assert main(["verify", "--suite", "all", "--out", str(tmp_path / name)]) == EXIT_OK
+        assert _BAND_MEMO.get() is None
+        runs.append(((tmp_path / name / "verify_report.json").read_bytes(), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][1].count("[pass] ") > 0 and "[FAIL]" not in runs[0][1]
 
 
 def test_experiment_domination_and_determinism(tmp_path):

@@ -3,6 +3,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracmax.dilation_sets import (
     GAP_SUM_TERMS,
@@ -12,7 +14,9 @@ from fracmax.dilation_sets import (
     ExplicitPoints,
     LacunaryGrid,
     PowerSequence,
+    TailInfo,
     UnionSet,
+    _boundary_split,
     augmented,
     dimension_bound_check,
     dimension_from_distance_integral,
@@ -166,6 +170,44 @@ def test_entropy_cantor_scale_count():
         block = rescaled_block(DilationSet(CantorLike(3, (0, 2), level)), 0)
         n = entropy_number(block, 3.0**-level)
         assert 2**level <= n <= 3 * 2**level
+
+
+def unique_entropy(block, delta, include_tails=True):
+    """Reference count: entropy_number's cells, counted with np.unique."""
+    x = block.points / delta
+    r, on_boundary = _boundary_split(x)
+    k = np.floor(x).astype(np.int64)
+    parts = [k[~on_boundary], r[on_boundary] - 1, r[on_boundary]]
+    for tail in block.tails if include_tails else ():
+        lo, lo_exact = _boundary_split(np.array([tail.anchor / delta]))
+        k_lo = int(lo[0]) if lo_exact[0] else int(math.floor(tail.anchor / delta))
+        hi, hi_exact = _boundary_split(np.array([tail.edge / delta]))
+        k_hi = int(hi[0]) - 1 if hi_exact[0] else int(math.floor(tail.edge / delta))
+        if k_hi >= k_lo:
+            parts.append(np.arange(k_lo, k_hi + 1, dtype=np.int64))
+    return int(np.unique(np.concatenate(parts)).size)
+
+
+@st.composite
+def entropy_cases(draw):
+    """A block of ascending points in [1, 2], some on exact multiples of delta, with or without tails."""
+    delta = float(draw(st.sampled_from([2, 3]))) ** -draw(st.integers(0, 14))
+    on_grid = st.integers(math.ceil(1.0 / delta), math.floor(2.0 / delta)).map(lambda i: i * delta)
+    in_range = st.one_of(st.floats(1.0, 2.0), on_grid)
+    points = sorted(set(draw(st.lists(in_range, max_size=30))))
+    tails = []
+    for _ in range(draw(st.integers(0, 2))):
+        anchor, edge = sorted(draw(st.lists(in_range, min_size=2, max_size=2)))
+        tails.append(TailInfo(anchor=anchor, edge=edge, power=1.0, n_trunc=10))
+    return BlockSet(0, np.array(points), truncated=bool(tails), tails=tuple(tails)), delta, draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(entropy_cases())
+def test_entropy_matches_the_unique_count(case):
+    block, delta, include_tails = case
+    expected = 0 if block.empty and not block.tails else unique_entropy(block, delta, include_tails)
+    assert entropy_number(block, delta, include_tails) == expected
 
 
 def test_entropy_bad_delta():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from fracmax.lp_frames import (
+    _BAND_MEMO,
     BesovParams,
     GridFunction,
     SmoothCutoff,
+    band_memo,
     besov_norm,
     dilation_invariance_check,
     grid_from_profile,
@@ -288,6 +290,67 @@ def test_sigma2_exact_dyadic_reindexing():
     base = sigma2_norm(LimitedDecay(1.0), BesovParams(2.0, 0.5), (-2, 8)).total
     moved = sigma2_norm(scaled(LimitedDecay(1.0), 2.0), BesovParams(2.0, 0.5), (-3, 7)).total
     assert moved == pytest.approx(base, rel=1e-12)
+
+
+# --- band memo ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [LimitedDecay(1.0), BandBump(), scaled(LimitedDecay(1.0), 2.0)], ids=repr)
+def test_band_memo_gives_the_bits_of_a_fresh_call(m):
+    calls = [(BesovParams(p, s), r) for p in (2.0, 2, math.inf) for r in ((-2, 10), (-2, 6)) for s in (0.5, 1.3)]
+    calls.append((BesovParams(2.0, 0.5, j_max=4), (-2, 6)))
+    fresh = [sigma2_norm(m, params, r) for params, r in calls]
+    with band_memo():
+        memoized = [sigma2_norm(m, params, r) for params, r in calls]
+    assert memoized == fresh  # total, every band and the stale flag, bit for bit
+
+
+def _counting_custom():
+    seen = [0]
+
+    def evaluator(rho):
+        seen[0] += np.size(rho)
+        return evaluate(LimitedDecay(1.0), rho)
+
+    return Custom(evaluator), seen
+
+
+def _points_evaluated(m, seen, s):
+    before = seen[0]
+    sigma2_norm(m, BesovParams(2.0, s), (-2, 4))
+    return seen[0] - before
+
+
+def test_band_memo_skips_sampling_within_its_scope_only():
+    m, seen = _counting_custom()
+    with band_memo():
+        assert _points_evaluated(m, seen, 0.5) > 0
+        assert _points_evaluated(m, seen, 0.9) == 0
+        with band_memo():  # reentrant: the nested scope shares the outer memo
+            assert _points_evaluated(m, seen, 1.3) == 0
+        assert _points_evaluated(m, seen, 0.2) == 0
+    assert _BAND_MEMO.get() is None
+    assert _points_evaluated(m, seen, 0.9) > 0
+    assert _points_evaluated(m, seen, 0.9) > 0  # outside the scope nothing is kept
+
+
+def test_band_memo_is_dropped_when_its_body_raises():
+    m, seen = _counting_custom()
+    with pytest.raises(RuntimeError):
+        with band_memo():
+            assert _points_evaluated(m, seen, 0.5) > 0
+            raise RuntimeError("body failed")
+    assert _BAND_MEMO.get() is None
+    assert _points_evaluated(m, seen, 0.9) > 0
+
+
+def test_band_memo_shares_int_and_float_parameters_bit_for_bit():
+    assert LimitedDecay(1) == LimitedDecay(1.0) and hash(LimitedDecay(1)) == hash(LimitedDecay(1.0))
+    calls = [(LimitedDecay(1.0), BesovParams(2.0, 0.7)), (LimitedDecay(1), BesovParams(2, 0.7))]
+    fresh = [sigma2_norm(m, params, (-2, 6)) for m, params in calls]
+    with band_memo():
+        memoized = [sigma2_norm(m, params, (-2, 6)) for m, params in calls]
+    assert memoized == fresh
 
 
 # --- weighted-Sobolev cross-check -------------------------------------------------

@@ -82,6 +82,15 @@ def test_radial_derivative_matches_finite_difference():
         np.testing.assert_allclose(radial_derivative(m, rho, 1), fd, rtol=1e-4, atol=1e-6)
 
 
+def test_scaled_has_value_equality_and_custom_has_identity():
+    assert scaled(LimitedDecay(1.0), 2.0) == scaled(LimitedDecay(1.0), 2.0)
+    assert hash(scaled(LimitedDecay(1.0), 2.0)) == hash(scaled(LimitedDecay(1.0), 2.0))
+    assert scaled(LimitedDecay(1.0), 2.0) != scaled(LimitedDecay(1.0), 3.0)
+    one = Custom(np.ones_like)
+    assert one == one and Custom(np.ones_like) != Custom(np.ones_like)
+    assert scaled(Custom(np.ones_like), 2.0) != scaled(Custom(np.ones_like), 2.0)
+
+
 def test_scaled_multiplier_composition():
     m = scaled(scaled(LimitedDecay(1.0), 2.0), 3.0)
     assert isinstance(m, Scaled) and m.r == 6.0
