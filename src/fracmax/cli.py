@@ -215,6 +215,8 @@ def cmd_experiment(args) -> int:
         payload.setdefault("seed", args.seed)
         config = ml.config_from_json(payload)
         if kind == "domination":  # kappa is pure, so estimating it first changes no report
+            if config.p != 2:
+                raise ValueError(f"p: domination runs at p = 2 only, got {config.p}")
             kappa_est = config.kappa_estimate()
         elif kind == "halfwave":
             hw_alpha, hw_beta = read_field(spec, "hw_alpha", number, 0.5), read_field(spec, "hw_beta", number, 0.4)
@@ -231,7 +233,6 @@ def cmd_experiment(args) -> int:
     except INPUT_ERRORS as exc:
         raise InputError(f"bad experiment config: {exc}")
     checks = []
-    results: dict = {}
     if kind == "domination":
         report = ml.domination_ratio(config)
         results = {
@@ -246,10 +247,8 @@ def cmd_experiment(args) -> int:
         checks.append({"name": "ratio_stable_under_refinement", "passed": report.stable})
         checks.append({"name": "beta_above_half_kappa", "passed": config.beta > kappa_est / 2.0})
         (out / "ratio_histogram.csv").write_text(report.histogram())
-        rows = ["j,band_sup_norm"]
-        for j in range(config.j_range[0], config.j_range[1] + 1):
-            rows.append(f"{j},{repr(ml.band_sup_norm(config.m, j))}")
-        (out / "band_norms.csv").write_text("\n".join(rows) + "\n")
+        rows = [f"{j},{repr(ml.band_sup_norm(config.m, j))}" for j in range(config.j_range[0], config.j_range[1] + 1)]
+        (out / "band_norms.csv").write_text("\n".join(["j,band_sup_norm"] + rows) + "\n")
     elif kind == "halfwave":
         try:
             times = ml.halfwave_times(config.E, t_min, t_max)
@@ -258,8 +257,7 @@ def cmd_experiment(args) -> int:
             raise InputError(str(exc))
         results = {"beta_fit": report.beta_fit, "n_times": len(report.times)}
         checks.append({"name": "rate_at_least_beta_minus_point_one", "passed": report.beta_fit >= hw_beta - 0.1})
-        rows = ["t,sup_difference"]
-        rows += [f"{repr(t)},{repr(d)}" for t, d in zip(report.times, report.sup_differences)]
+        rows = ["t,sup_difference"] + [f"{repr(t)},{repr(d)}" for t, d in zip(report.times, report.sup_differences)]
         (out / "rates.csv").write_text("\n".join(rows) + "\n")
     elif kind == "probe":
         try:

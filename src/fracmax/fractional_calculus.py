@@ -181,31 +181,31 @@ def _marchaud_uniform(values, alpha, h, grid, exponent):
     return (point + alpha * integral) / math.gamma(1.0 - alpha)
 
 
-def marchaud_matrix(grid: np.ndarray, alpha: float, exponent: float = 1.0) -> np.ndarray:
+def marchaud_matrix(grid: np.ndarray, alpha: float, exponent: float = 1.0, rows=None) -> np.ndarray:
     """Dense weights W with (D^alpha F)(t_i) = (W @ F)[i-1] on any grid.
 
-    Rows correspond to the interior nodes grid[1:].  `exponent` is the local
-    Hoelder order used on the singular cell; it must exceed alpha.
+    Rows correspond to the interior nodes grid[1:]; given `rows`, only the
+    rows at those indices are built.  `exponent` is the local Hoelder order
+    used on the singular cell; it must exceed alpha.
     """
     if exponent <= alpha:
         raise ValueError("Hoelder order insufficient")
     n = grid.size
-    w = np.zeros((n - 1, n))
+    rows = np.arange(n - 1) if rows is None else np.asarray(rows, dtype=int)
+    w = np.zeros((rows.size, n))
     ginv = 1.0 / math.gamma(1.0 - alpha)
-    for i in range(1, n):
+    step = np.diff(grid)
+    for row, i in zip(w, rows + 1):
         t = grid[i]
-        row = w[i - 1]
-        row[i] += ginv * t**-alpha
-        h_sing = t - grid[i - 1]
-        c_sing = alpha * ginv * h_sing**-alpha / (exponent - alpha)
-        row[i] += c_sing
+        c_sing = alpha * ginv * step[i - 1] ** -alpha / (exponent - alpha)
+        row[i] = ginv * t**-alpha + c_sing
         row[i - 1] -= c_sing
         if i >= 2:
             x2 = t - grid[: i - 1]
             x1 = t - grid[1:i]
             pneg = (x1**-alpha - x2**-alpha) / alpha
             r = (x2 ** (1 - alpha) - x1 ** (1 - alpha)) / (1 - alpha)
-            lin = (r - x2 * pneg) / np.diff(grid[:i])
+            lin = (r - x2 * pneg) / step[: i - 1]
             row[i] += alpha * ginv * float(np.sum(pneg))
             row[: i - 1] += alpha * ginv * (-pneg - lin)
             row[1:i] += alpha * ginv * lin

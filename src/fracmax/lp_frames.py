@@ -331,18 +331,22 @@ def sigma2_norm(m, params: BesovParams, j_range: tuple[int, int]) -> Sigma2Resul
     norm; m is evaluated only where psi is nonzero, 1/2 < |xi| < 2.  The
     result is the l^2 total with the per-band breakdown.  The stale
     flag reports a truncation-dominated sum: the last two bands contribute
-    more than 1% of the total.  Inside a band_memo scope a band's unweighted
+    more than 1% of the total, or a band oscillates beyond the top 2**inner
+    of its Besov ladder.  Inside a band_memo scope a band's unweighted
     norms are computed once and only re-weighted for each index s.
     """
     from .multipliers import band_oscillation, evaluate  # local import; no cycle at runtime
 
     memo = {} if _BAND_MEMO.get() is None else _BAND_MEMO.get()  # call-local outside a scope
-    bands = []
+    bands, truncated = [], False
     for j in range(j_range[0], j_range[1] + 1):
         # the band's grid over [-4, 4): at least 1024 points, fine enough that
         # the band's oscillation stays below Nyquist
-        n = 1 << (max(1024, int(64 * max(band_oscillation(m, j), 1.0))) - 1).bit_length()
+        osc = band_oscillation(m, j)
+        n = 1 << (max(1024, int(64 * max(osc, 1.0))) - 1).bit_length()
         inner = min(params.j_max, int(math.log2(n / 16.0)) - 1)  # n / 16: Nyquist on [-4, 4)
+        # the band's content sits near |x| ~ osc, beyond a ladder that stops at 2**inner
+        truncated = truncated or osc > 2.0**inner
         key = (m, j, float(params.p), inner)
         if key not in memo:
             xi = -4.0 + (8.0 / n) * np.arange(n)
@@ -353,11 +357,8 @@ def sigma2_norm(m, params: BesovParams, j_range: tuple[int, int]) -> Sigma2Resul
             memo[key] = _band_norms(GridFunction(4.0, samples), params.p, inner)
         bands.append((j, _besov_sum(memo[key], params)))
     total = math.sqrt(sum(v**2 for _, v in bands))
-    stale = False
-    if len(bands) >= 2 and total > 0:
-        tail = math.sqrt(bands[-1][1] ** 2 + bands[-2][1] ** 2)
-        stale = tail > 0.01 * total
-    return Sigma2Result(total, tuple(bands), stale)
+    tail = math.sqrt(bands[-1][1] ** 2 + bands[-2][1] ** 2) if len(bands) >= 2 else 0.0
+    return Sigma2Result(total, tuple(bands), truncated or (total > 0 and tail > 0.01 * total))
 
 
 def sigma2_weighted_sobolev(m, level: int, j_range: tuple[int, int]) -> float:

@@ -103,7 +103,9 @@ def build_function(f, n: int, extent: float) -> GridFunction:
 
 def _batched_dilate(f: GridFunction, m: Multiplier, ts: np.ndarray) -> np.ndarray:
     """Space-side values of T_{m(t .)} f for every t, stacked as (len(ts), n)."""
-    return f.filtered(evaluate(m, np.multiply.outer(ts, f.freq_radius())))
+    half = f.n // 2  # fftfreq's radii are exactly symmetric: evaluate m on 0..n/2, mirror the rest
+    vals = evaluate(m, np.multiply.outer(ts, f.freq_radius()[: half + 1]))
+    return f.filtered(np.concatenate([vals, vals[:, half - 1 : 0 : -1]], axis=1))
 
 
 def apply_dilated_multiplier(f: GridFunction, m: Multiplier, t: float) -> GridFunction:
@@ -235,8 +237,7 @@ def build_h_weights(blocks: dict[int, np.ndarray], beta: float) -> tuple[HBlock,
         if pts[-1] < 2.0:
             n_, w_ = _halfgap_cells(pts[-1], 2.0 - pts[-1], beta2, 1.0)
             nodes.append(n_), weights.append(w_)
-        all_nodes = np.concatenate(nodes) if nodes else np.array([])
-        all_weights = np.concatenate(weights) if weights else np.array([])
+        all_nodes, all_weights = np.concatenate(nodes), np.concatenate(weights)  # a block has a point
         order = np.argsort(all_nodes)
         out.append(HBlock(j, all_nodes[order], all_weights[order]))
     return tuple(out)
@@ -260,7 +261,9 @@ def _path_hoelder_ok(paths: np.ndarray, alpha: float) -> np.ndarray:
     d2 = np.abs(paths[2:] - paths[:-2])
     scale = np.max(np.abs(paths), axis=0, keepdims=True) + 1e-300
     ratios = np.where(d1 > 1e-13 * scale, d2 / np.maximum(d1, 1e-300), 2.0)
-    est = np.median(np.log2(np.maximum(ratios, 1e-12)), axis=0)
+    # log2 is monotone: the median of the logs is the mean of the logs of the middle two (or one) ratios
+    mid = [(ratios.shape[0] - 1) // 2, ratios.shape[0] // 2]
+    est = np.log2(np.maximum(np.partition(ratios, mid, axis=0)[mid], 1e-12)).mean(axis=0)
     return np.minimum(est, 1.0) > alpha
 
 
@@ -278,7 +281,8 @@ def square_functional(
 
     For each dyadic level the per-pixel path F_j(s) = T_{m(2**j s .)} f(x) is
     sampled on [0, 2] (uniform fill plus the weight nodes), differentiated by
-    the Marchaud scheme along s, and contracted against the level's weights.
+    the Marchaud scheme along s at the weight nodes only, and contracted
+    against the level's weights.
     """
     if not 0 < beta < alpha <= 0.5:
         raise ValueError("need 0 < beta < alpha <= 1/2")
@@ -286,16 +290,13 @@ def square_functional(
     spec = f.to_frequency()
     acc = np.zeros(f.n)
     flagged = np.zeros(f.n, dtype=bool)
-    for block in weights:
-        if block.nodes.size == 0:
-            continue
-        fill = np.linspace(0.0, 2.0, s_resolution + 1)
-        s_grid = np.unique(np.concatenate([fill, block.nodes]))
+    for block in weights:  # every augmented block holds 1 and 2, so it has weight nodes
+        s_grid = np.unique(np.concatenate([np.linspace(0.0, 2.0, s_resolution + 1), block.nodes]))
         paths = _batched_dilate(spec, m, 2.0**block.j * s_grid)  # (n_s, n_pixels)
         flagged |= ~_path_hoelder_ok(paths, alpha)
-        deriv = marchaud_matrix(s_grid, alpha, exponent=1.0) @ paths  # (n_s - 1, n_pixels)
-        cols = np.searchsorted(s_grid[1:], block.nodes)
-        acc += block.weights @ np.abs(deriv[cols]) ** 2
+        rows = np.searchsorted(s_grid[1:], block.nodes)
+        deriv = marchaud_matrix(s_grid, alpha, 1.0, rows) @ paths  # (n_nodes, n_pixels)
+        acc += block.weights @ np.abs(deriv) ** 2
     return SquareFunctionalResult(GridFunction(f.extent, acc.astype(complex)), flagged)
 
 

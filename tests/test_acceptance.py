@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from fracmax import cli
 from fracmax import dilation_sets as ds
 from fracmax import fractional_calculus as fc
 from fracmax import lp_frames as lp
@@ -285,16 +284,11 @@ def test_criterion_12_frame_sanity():
     )
 
 
-def test_criterion_13_verify_all_deterministic(tmp_path):
-    out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    t0 = time.monotonic()
-    code1 = cli.main(["verify", "--suite", "all", "--out", str(out1), "--seed", "0"])
-    dt1 = time.monotonic() - t0
-    t0 = time.monotonic()
-    code2 = cli.main(["verify", "--suite", "all", "--out", str(out2), "--seed", "0"])
-    dt2 = time.monotonic() - t0
-    first = (out1 / "verify_report.json").read_bytes()
-    second = (out2 / "verify_report.json").read_bytes()
+def test_criterion_13_verify_all_deterministic(verify_all_twice):
+    # the two `verify --suite all --seed 0` runs are shared with test_cli (see conftest.py)
+    run1, run2 = verify_all_twice
+    code1, dt1, first = run1.code, run1.seconds, run1.report
+    code2, dt2, second = run2.code, run2.seconds, run2.report
     payload = json.loads(first)
     ok = (
         code1 == 0

@@ -110,15 +110,14 @@ def test_verify_single_suite(tmp_path, capsys):
     assert "[pass] fraccalc." in capsys.readouterr().out
 
 
-def test_verify_all_twice_in_one_process_is_byte_identical(tmp_path, capsys):
+def test_verify_all_twice_in_one_process_is_byte_identical(verify_all_twice):
     # the band memo scope closes after each run, so the second run starts from an empty memo
-    runs = []
-    for name in ("run1", "run2"):
-        assert main(["verify", "--suite", "all", "--out", str(tmp_path / name)]) == EXIT_OK
-        assert _BAND_MEMO.get() is None
-        runs.append(((tmp_path / name / "verify_report.json").read_bytes(), capsys.readouterr().out))
-    assert runs[0] == runs[1]
-    assert runs[0][1].count("[pass] ") > 0 and "[FAIL]" not in runs[0][1]
+    for run in verify_all_twice:
+        assert run.code == EXIT_OK
+        assert run.memo_closed
+    first, second = verify_all_twice
+    assert (first.report, first.stdout) == (second.report, second.stdout)
+    assert first.stdout.count("[pass] ") > 0 and "[FAIL]" not in first.stdout
 
 
 def test_experiment_domination_and_determinism(tmp_path):
@@ -131,6 +130,12 @@ def test_experiment_domination_and_determinism(tmp_path):
     report = json.loads(first)
     assert report["seed"] == 3 and report["config"]["alpha"] == 0.45
     assert (out / "ratio_histogram.csv").exists()
+
+
+@pytest.mark.parametrize("p", [2, 2.0])
+def test_experiment_domination_accepts_p_two(tmp_path, p):
+    config = write(tmp_path, "exp.json", _experiment("domination", p=p))
+    assert main(["experiment", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 def test_experiment_halfwave(tmp_path):
@@ -404,6 +409,9 @@ def _dim_set(generator):
         ),
         pytest.param("experiment", dict(_experiment("probe"), trials=65), "trials must lie in 1..64", id="trials_65"),
         pytest.param("experiment", dict(_experiment("probe"), trials=0), "trials must lie in 1..64", id="trials_0"),
+        # domination runs the p = 2 inequality only
+        pytest.param("experiment", _experiment("domination", p=4), "p: domination runs at p = 2 only", id="domination_p_4"),
+        pytest.param("experiment", _experiment("domination", p=1.5), "p: domination runs at p = 2 only", id="domination_p_1.5"),
     ],
 )
 def test_config_error_exits_one(tmp_path, capsys, command, payload, named):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracmax.fractional_calculus import (
     SampledPath,
@@ -157,6 +159,53 @@ def test_marchaud_matrix_matches_uniform_path():
     w = marchaud_matrix(g, 0.45, exponent=1.0)
     direct = marchaud_derivative(SampledPath(g, vals, hoelder_exponent=1.0), 0.45)
     np.testing.assert_allclose(w @ vals, direct.values, rtol=1e-9, atol=1e-11)
+
+
+def loop_marchaud_matrix(grid, alpha, exponent):
+    """The row loop marchaud_matrix had before it took `rows`, kept as the bitwise reference."""
+    n = grid.size
+    w = np.zeros((n - 1, n))
+    ginv = 1.0 / math.gamma(1.0 - alpha)
+    for i in range(1, n):
+        t = grid[i]
+        row = w[i - 1]
+        row[i] += ginv * t**-alpha
+        h_sing = t - grid[i - 1]
+        c_sing = alpha * ginv * h_sing**-alpha / (exponent - alpha)
+        row[i] += c_sing
+        row[i - 1] -= c_sing
+        if i >= 2:
+            x2 = t - grid[: i - 1]
+            x1 = t - grid[1:i]
+            pneg = (x1**-alpha - x2**-alpha) / alpha
+            r = (x2 ** (1 - alpha) - x1 ** (1 - alpha)) / (1 - alpha)
+            lin = (r - x2 * pneg) / np.diff(grid[:i])
+            row[i] += alpha * ginv * float(np.sum(pneg))
+            row[: i - 1] += alpha * ginv * (-pneg - lin)
+            row[1:i] += alpha * ginv * lin
+    return w
+
+
+@st.composite
+def marchaud_cases(draw):
+    """A grid from 0 with 2..40 nodes and random steps, an order, an exponent above it, and row indices."""
+    steps = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=39))
+    grid = np.concatenate([[0.0], np.cumsum(steps)])
+    alpha = draw(st.floats(0.05, 0.95))
+    exponent = draw(st.floats(alpha, 1.0, exclude_min=True))
+    rows = draw(st.lists(st.integers(0, grid.size - 2), max_size=2 * grid.size))  # duplicates, or no rows
+    return grid, alpha, exponent, np.array(rows, dtype=int)
+
+
+@settings(max_examples=150, deadline=None)
+@given(marchaud_cases())
+def test_marchaud_matrix_rows_are_the_full_matrix_rows_bit_for_bit(case):
+    grid, alpha, exponent, rows = case
+    full = marchaud_matrix(grid, alpha, exponent)
+    assert np.array_equal(full, loop_marchaud_matrix(grid, alpha, exponent))
+    part = marchaud_matrix(grid, alpha, exponent, rows)
+    assert part.shape == (rows.size, grid.size)
+    assert np.array_equal(part, full[rows])
 
 
 def test_estimate_hoelder_smooth_and_rough():

@@ -286,6 +286,19 @@ def test_sigma2_finite_iff_smoothness_below_decay():
     assert div_long.stale
 
 
+def test_sigma2_flags_bands_beyond_the_besov_ladder():
+    # band j of LimitedDecay(1.0) oscillates at 2**j; the default ladder stops at
+    # 2**12, so bands 13 and 14 read as round-off and the sum looks settled
+    res = sigma2_norm(LimitedDecay(1.0), BesovParams(2.0, 0.7), (-2, 14))
+    bands = dict(res.bands)
+    assert bands[13] < 1e-12 and bands[14] < 1e-12
+    assert res.stale
+    # a ladder cut at j_max = 3 misses bands 5 and 6 the same way
+    assert sigma2_norm(LimitedDecay(1.0), BesovParams(2.0, 0.2, j_max=3), (-2, 6)).stale
+    # inside the ladder only the tail rule decides
+    assert not sigma2_norm(LimitedDecay(1.0), BesovParams(2.0, 0.2), (-2, 12)).stale
+
+
 def test_sigma2_exact_dyadic_reindexing():
     base = sigma2_norm(LimitedDecay(1.0), BesovParams(2.0, 0.5), (-2, 8)).total
     moved = sigma2_norm(scaled(LimitedDecay(1.0), 2.0), BesovParams(2.0, 0.5), (-3, 7)).total

@@ -26,6 +26,7 @@ from fracmax.maximal_lab import (
     ModulatedBump,
     RandomBand,
     _batched_dilate,
+    _path_hoelder_ok,
     apply_dilated_multiplier,
     build_function,
     build_h_weights,
@@ -41,7 +42,7 @@ from fracmax.maximal_lab import (
     sampled_dilations,
     square_functional,
 )
-from fracmax.multipliers import BandBump, Custom, LimitedDecay, SlowDecay, evaluate
+from fracmax.multipliers import BandBump, Custom, LimitedDecay, Oscillatory, SlowDecay, evaluate, scaled
 
 LAC = DilationSet(LacunaryGrid())
 POW_LAC = DilationSet(UnionSet((PowerSequence(1.0), LacunaryGrid())))
@@ -85,6 +86,30 @@ def test_dilated_l2_ratio_follows_symbol_decay():
         )
         assert measured == pytest.approx(oracle, rel=1e-10)
     assert out2 / out1 == pytest.approx(0.5, abs=0.05)
+
+
+def full_spectrum_dilate(f, m, ts):
+    """T_{m(t .)} f with m evaluated at every frequency, negative ones included."""
+    return f.filtered(evaluate(m, np.multiply.outer(ts, f.freq_radius())))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 2048])
+@pytest.mark.parametrize(
+    "m",
+    [
+        LimitedDecay(1.0),
+        SlowDecay(1.0, 0.5),
+        Oscillatory(0.5, 0.7),
+        BandBump(),
+        Custom(lambda r: np.exp(0.3j * r) / (1.0 + r)),
+        scaled(LimitedDecay(0.7), 1.7),
+    ],
+    ids=repr,
+)
+def test_batched_dilate_matches_full_spectrum_evaluation(n, m):
+    f = build_function(ModulatedBump(1.0, 1.5), n, 8.0)
+    ts = np.array([0.05, 0.37, 1.0, 1.5, 2.0, 7.3, 40.0])
+    assert np.array_equal(_batched_dilate(f, m, ts), full_spectrum_dilate(f, m, ts))
 
 
 def test_dilation_parameter_must_be_positive():
@@ -295,6 +320,68 @@ def test_square_functional_matches_dense_brute_force():
         )
     assert np.max(np.abs(vals - acc)) <= 0.05 * np.max(acc)
     assert vals[f.n // 2] > 1e3 * vals[5]  # concentrated where f lives
+
+
+def test_augmented_blocks_all_carry_weight_nodes():
+    # square_functional differentiates at the weight nodes and has no branch for a block without any
+    sets = [LAC, POW_LAC, DilationSet(CantorLike(3, (0, 2), 6)), DilationSet(ExplicitPoints((1.1, 1.3, 3.4)))]
+    for E in sets:
+        for depth in (0, 2, 5):
+            blocks = sampled_dilations(E, (-3, 4), depth, augment=True)
+            for j, pts in blocks.items():
+                assert pts[0] == 1.0 and pts[-1] == 2.0
+            for block in build_h_weights(blocks, 0.3):
+                assert block.nodes.size >= 10
+                assert np.all((block.nodes > 1.0) & (block.nodes < 2.0))
+
+
+def full_matrix_square_functional(f, m, E, alpha, beta, depth, j_range, s_resolution):
+    """The square functional from the full Marchaud matrix and full-spectrum paths, rows picked afterwards."""
+    blocks = build_h_weights(sampled_dilations(E, j_range, depth, augment=True), beta)
+    spec, acc = f.to_frequency(), np.zeros(f.n)
+    for block in blocks:
+        s_grid = np.unique(np.concatenate([np.linspace(0.0, 2.0, s_resolution + 1), block.nodes]))
+        deriv = marchaud_matrix(s_grid, alpha, exponent=1.0) @ full_spectrum_dilate(spec, m, 2.0**block.j * s_grid)
+        acc += block.weights @ np.abs(deriv[np.searchsorted(s_grid[1:], block.nodes)]) ** 2
+    return acc
+
+
+@pytest.mark.parametrize("m", [BandBump(), LimitedDecay(1.0)], ids=repr)
+def test_square_functional_is_the_full_matrix_contraction_bit_for_bit(m):
+    f = build_function(ModulatedBump(1.0, 2.0), 256, 8.0)
+    res = square_functional(f, m, POW_LAC, 0.45, 0.3, sampling_depth=3, j_range=(-2, 2), s_resolution=64)
+    expected = full_matrix_square_functional(f, m, POW_LAC, 0.45, 0.3, 3, (-2, 2), 64)
+    assert np.array_equal(res.values.samples.real, expected)
+    assert np.all(res.values.samples.imag == 0)
+
+
+def median_hoelder_estimate(paths):
+    """The per-path estimate _path_hoelder_ok thresholds, by np.median over all log ratios."""
+    d1 = np.abs(paths[1:-1] - paths[:-2])
+    d2 = np.abs(paths[2:] - paths[:-2])
+    scale = np.max(np.abs(paths), axis=0, keepdims=True) + 1e-300
+    ratios = np.where(d1 > 1e-13 * scale, d2 / np.maximum(d1, 1e-300), 2.0)
+    return np.median(np.log2(np.maximum(ratios, 1e-12)), axis=0)
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 3, 4, 5, 6, 7, 8, 51, 52])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_path_hoelder_ok_matches_the_median_formula(nodes, seed):
+    rng = np.random.default_rng(seed)
+    # small integer values make tied ratios common
+    paths = rng.integers(-2, 3, (nodes, 40)) + 1j * rng.integers(-2, 3, (nodes, 40))
+    paths[:, 0] = 1.0 + 1.0j  # constant
+    paths[:, 1] = 0.0
+    paths[:, 2] = np.arange(nodes)  # linear: every ratio is 2
+    paths[:, 3] = np.arange(nodes) ** 0.5  # a true Hoelder exponent of 1/2
+    paths[:, 4:8] = rng.standard_normal((nodes, 4)) * 10.0 ** rng.integers(-6, 6, (1, 4))
+    if nodes < 3:
+        assert np.array_equal(_path_hoelder_ok(paths, 0.45), np.ones(40, dtype=bool))
+        return
+    est = np.minimum(median_hoelder_estimate(paths), 1.0)
+    # thresholds at the estimates and one ulp below them, where an estimate one ulp off flips a flag
+    for alpha in [0.45, 0.5, 1.0] + est.tolist() + np.nextafter(est, -np.inf).tolist():
+        assert np.array_equal(_path_hoelder_ok(paths, alpha), est > alpha)
 
 
 def test_square_functional_validates_exponents():
