@@ -1,8 +1,11 @@
 """Command-line front end: dimension reports, verification suites, experiments.
 
 Exit codes: 0 success, 1 input error, 2 verification/assertion failure.
-Reports are deterministic for a fixed config and seed: keys are sorted, no
-timestamps are embedded, and every report echoes the fully resolved config.
+Reports are deterministic for a fixed config and seed: keys are sorted and no
+timestamps are embedded.  A dim report echoes its config as given.  An
+experiment report echoes the fields its kind reads, resolved, in the layout of
+the config file, so the echo runs as a config again; the fields the kind
+ignores are named on one `note:` line on stderr, outside the report.
 Reports are strict JSON: one holding a NaN or infinity is not written, and the
 run exits 1.
 Every report carries `"workers": 1`: fracmax runs serially, and the field
@@ -75,8 +78,6 @@ def _load_config(path: str) -> dict:
 DIM_METHODS = ("kappa", "minkowski", "distance_integral", "gap_sum")
 # the slope fit reads the last four scales; 64 scales bound the covering-count work
 MAX_SCHEDULE_COUNT = 64
-# the probe builds one test input per trial before any work
-MAX_TRIALS = 64
 INPUT_ERRORS = (KeyError, ValueError, TypeError, OverflowError)
 
 
@@ -204,85 +205,37 @@ def cmd_verify(args) -> int:
 # experiment
 
 
+def _unread(spec: dict, echo: dict, prefix: str = ""):
+    """Dotted paths of the keys of a config that its resolved echo lacks: the fields the run ignored."""
+    for key, value in spec.items():
+        if key not in echo:
+            yield prefix + key
+        elif isinstance(value, dict) and isinstance(echo[key], dict):
+            yield from _unread(value, echo[key], f"{prefix}{key}.")
+
+
 def cmd_experiment(args) -> int:
     spec = _load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    kind = spec.get("kind")
-    # every field is read and checked before any work starts
+    # every field is read and checked before any work starts; --seed fills a missing config.seed
     try:
-        payload = dict(spec["config"])
-        payload.setdefault("seed", args.seed)
-        config = ml.config_from_json(payload)
-        if kind == "domination":  # kappa is pure, so estimating it first changes no report
-            if config.p != 2:
-                raise ValueError(f"p: domination runs at p = 2 only, got {config.p}")
-            kappa_est = config.kappa_estimate()
-        elif kind == "halfwave":
-            hw_alpha, hw_beta = read_field(spec, "hw_alpha", number, 0.5), read_field(spec, "hw_beta", number, 0.4)
-            t_min, t_max = read_field(spec, "t_min", number, 1.0 / 40), read_field(spec, "t_max", number, 0.35)
-            if not (0 < hw_alpha < 1 and hw_beta < 1 and 0 < t_min < t_max):
-                raise ValueError("need 0 < hw_alpha < 1, hw_beta < 1 and 0 < t_min < t_max")
-        elif kind == "probe":
-            trials = read_field(spec, "trials", integer, 3)
-            if not 1 <= trials <= MAX_TRIALS:
-                raise ValueError(f"trials must lie in 1..{MAX_TRIALS}, got {trials}")
-            regularity_grid = read_field(spec, "regularity_grid", tuple_of(number), [])
-            if not all(a > 0 for a in regularity_grid):
-                raise ValueError(f"regularity_grid entries must be positive, got {list(regularity_grid)}")
+        experiment = ml.EXPERIMENTS.from_json(dict(spec, config={"seed": args.seed, **object_field(spec, "config")}))
     except INPUT_ERRORS as exc:
         raise InputError(f"bad experiment config: {exc}")
-    checks = []
-    if kind == "domination":
-        report = ml.domination_ratio(config)
-        results = {
-            "max_ratio": report.max_ratio,
-            "refined_ratio": report.refined_ratio,
-            "relative_change": report.relative_change,
-            "excluded_pixels": report.excluded_pixels,
-            "flagged_pixels": report.flagged_pixels,
-            "maximal_increment": report.maximal_increment,
-            "kappa_estimate": kappa_est,
-        }
-        checks.append({"name": "ratio_stable_under_refinement", "passed": report.stable})
-        checks.append({"name": "beta_above_half_kappa", "passed": config.beta > kappa_est / 2.0})
-        (out / "ratio_histogram.csv").write_text(report.histogram())
-        rows = [f"{j},{repr(ml.band_sup_norm(config.m, j))}" for j in range(config.j_range[0], config.j_range[1] + 1)]
-        (out / "band_norms.csv").write_text("\n".join(["j,band_sup_norm"] + rows) + "\n")
-    elif kind == "halfwave":
-        try:
-            times = ml.halfwave_times(config.E, t_min, t_max)
-            report = ml.halfwave_convergence(config.build_f(), hw_alpha, hw_beta, times)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        results = {"beta_fit": report.beta_fit, "n_times": len(report.times)}
-        checks.append({"name": "rate_at_least_beta_minus_point_one", "passed": report.beta_fit >= hw_beta - 0.1})
-        rows = ["t,sup_difference"] + [f"{repr(t)},{repr(d)}" for t, d in zip(report.times, report.sup_differences)]
-        (out / "rates.csv").write_text("\n".join(rows) + "\n")
-    elif kind == "probe":
-        try:
-            report = ml.operator_norm_probe(config, trials=trials, regularity_grid=regularity_grid)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        results = {
-            "lower_bound": report.lower_bound,
-            "per_trial": list(map(list, report.per_trial)),
-            "regularity_sweep": list(map(list, report.regularity_sweep)),
-        }
-        rows = ["trial,lp_norm"] + [f"{name},{repr(v)}" for name, v in report.per_trial]
-        (out / "trials.csv").write_text("\n".join(rows) + "\n")
-    else:
-        raise InputError(f"unknown experiment kind {kind!r}")
-
-    payload = {
-        "kind": kind,
-        "config": ml.config_to_json(config),
-        "seed": args.seed,
-        "workers": 1,
-        "results": results,
-        "checks": checks,
-    }
-    (out / "experiment_report.json").write_text(_dump(payload))
+    try:
+        results, checks, files = experiment.run()
+    except ValueError as exc:  # an input the run cannot use: an empty window, a vanishing f, too few times
+        raise InputError(str(exc))
+    for name, text in files.items():
+        (out / name).write_text(text)
+    echo = ml.EXPERIMENTS.to_json(experiment)
+    report = {"kind": spec["kind"], "config": echo, "seed": args.seed, "workers": 1}
+    report.update(results=results, checks=checks)
+    (out / "experiment_report.json").write_text(_dump(report))
+    ignored = ", ".join(_unread(spec, echo))  # once the report is written, so that a failed run prints one line
+    if ignored:
+        print(f"note: {spec['kind']} ignores config fields: {ignored}", file=sys.stderr)
     return EXIT_OK if all(c["passed"] for c in checks) else EXIT_FAILED
 
 

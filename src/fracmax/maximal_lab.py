@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .multipliers import (
     band_oscillation,
     evaluate,
 )
-from .wire import Registry, integer, number, read_field
+from .wire import Registry, integer, number, tuple_of
 
 EXCLUSION_FACTOR = 1e-12
 
@@ -93,8 +92,12 @@ class RandomBand:
 
 
 def build_function(f, n: int, extent: float) -> GridFunction:
-    """Space-side samples of a built-in test function on the 1-d grid over [-extent, extent)."""
-    return grid_from_profile(f.profile, extent, n, side=f.side).to_space()
+    """Space-side samples of a built-in test function on the 1-d grid over [-extent, extent); an input
+    that vanishes there (a random band above the grid's Nyquist frequency) is a ValueError."""
+    g = grid_from_profile(f.profile, extent, n, side=f.side).to_space()
+    if not np.any(g.samples):
+        raise ValueError(f"trial input {FUNCTIONS.to_json(f)['kind']} vanishes on the {n}-point grid")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -301,80 +304,170 @@ def square_functional(
 
 
 # ---------------------------------------------------------------------------
-# experiment configuration and reports
+# experiment kinds: each reads only its own fields of an experiment file, and
+# `run` returns its results, its checks and the text of its extra files
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    E: DilationSet
-    m: Multiplier
-    f: GaussianBump | ModulatedBump | RandomBand
-    alpha: float = 0.45
-    beta: float = 0.3
-    p: float = 2.0
+EXPERIMENTS = Registry("kind", "experiment kind")
+MAX_TRIALS = 64  # the probe builds one test input per trial before any work
+GRID_FIELDS = {
+    "config.set": DilationSet.from_json,
+    "config.grid.n": integer,
+    "config.grid.extent": number,
+    "config.grid.dim": integer,
+}
+MAXIMAL_FIELDS = {
+    **GRID_FIELDS,
+    "config.multiplier": FAMILIES.from_json,
+    "config.j_range": block_range,
+    "config.depth": integer,
+}
+
+
+@dataclass(frozen=True, kw_only=True)
+class GridExperiment:
+    """A dilation set and the 1-d grid of n samples over [-extent, extent)."""
+
+    set: DilationSet
     n: int = 1024
     extent: float = 8.0
-    j_range: tuple[int, int] = (-3, 4)
-    depth: int = 4
-    s_resolution: int = 128
-    seed: int = 0
+    dim: int = 1
 
     def __post_init__(self):
-        if not 0 < self.beta < self.alpha <= 0.5:
-            raise ValueError("need 0 < beta < alpha <= 1/2")
-        if not 1 < self.p < math.inf:
-            raise ValueError("integrability index must lie in (1, inf)")
+        if self.dim != 1:
+            raise ValueError("built-in experiment inputs are 1-d")
         if self.n < 1 or self.n & (self.n - 1):
             raise ValueError(f"grid side n must be a power of two, got {self.n}")
         if not self.extent > 0:
             raise ValueError(f"grid extent must be positive, got {self.extent}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class MaximalExperiment(GridExperiment):
+    """A grid experiment on the maximal function of a multiplier over the sampled blocks j_range of the set."""
+
+    multiplier: Multiplier
+    j_range: tuple[int, int] = (-3, 4)
+    depth: int = 4
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.depth < 0:
             raise ValueError(f"sampling depth must be nonnegative, got {self.depth}")
-        if self.s_resolution < 1:
-            raise ValueError(f"s_resolution must be positive, got {self.s_resolution}")
         block_range(self.j_range)
 
-    def build_f(self) -> GridFunction:
-        return build_function(self.f, self.n, self.extent)
 
-    def kappa_estimate(self) -> float:
-        sched = geometric_schedule(0.07, 0.7e-5, 7)
-        return kappa(self.E, sched, self.j_range).value
+@EXPERIMENTS.register(
+    "domination", **MAXIMAL_FIELDS, **{"config.f": FUNCTIONS.from_json, "config.s_resolution": integer},
+    **{"config.alpha": number, "config.beta": number, "config.p": number},
+)
+@dataclass(frozen=True, kw_only=True)
+class Domination(MaximalExperiment):
+    """The p = 2 domination of the squared maximal function of f by the square functional."""
+
+    f: GaussianBump | ModulatedBump | RandomBand
+    alpha: float = 0.45
+    beta: float = 0.3
+    p: float = 2.0
+    s_resolution: int = 128
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 < self.beta < self.alpha <= 0.5:
+            raise ValueError("need 0 < beta < alpha <= 1/2")
+        if self.p != 2:
+            raise ValueError(f"p: domination runs at p = 2 only, got {self.p}")
+        if self.s_resolution < 1:
+            raise ValueError(f"s_resolution must be positive, got {self.s_resolution}")
+
+    def run(self) -> tuple[dict, list, dict]:
+        # kappa is pure, so estimating it first changes no report; a window with no block fails before any work
+        kappa_est = kappa(self.set, geometric_schedule(0.07, 0.7e-5, 7), self.j_range).value
+        report = domination_ratio(self)
+        results = {**{k: v for k, v in vars(report).items() if k != "ratios"}, "kappa_estimate": kappa_est}
+        checks = [{"name": "ratio_stable_under_refinement", "passed": report.stable}]
+        checks.append({"name": "beta_above_half_kappa", "passed": self.beta > kappa_est / 2.0})
+        rows = [f"{j},{repr(band_sup_norm(self.multiplier, j))}" for j in range(self.j_range[0], self.j_range[1] + 1)]
+        band_norms = "\n".join(["j,band_sup_norm"] + rows) + "\n"
+        return results, checks, {"ratio_histogram.csv": report.histogram(), "band_norms.csv": band_norms}
 
 
-def config_to_json(config: ExperimentConfig) -> dict:
-    return {
-        "set": config.E.to_json(),
-        "multiplier": FAMILIES.to_json(config.m),
-        "f": FUNCTIONS.to_json(config.f),
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "p": config.p,
-        "grid": {"n": config.n, "extent": config.extent, "dim": 1},
-        "j_range": list(config.j_range),
-        "depth": config.depth,
-        "s_resolution": config.s_resolution,
-        "seed": config.seed,
-    }
+@EXPERIMENTS.register(
+    "halfwave", **GRID_FIELDS, **{"config.f": FUNCTIONS.from_json},
+    hw_alpha=number, hw_beta=number, t_min=number, t_max=number,
+)
+@dataclass(frozen=True, kw_only=True)
+class Halfwave(GridExperiment):
+    """The small-time rate of the order-hw_alpha half-wave evolution of f at the set's times in [t_min, t_max]."""
+
+    f: GaussianBump | ModulatedBump | RandomBand
+    hw_alpha: float = 0.5
+    hw_beta: float = 0.4
+    t_min: float = 1.0 / 40
+    t_max: float = 0.35
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (0 < self.hw_alpha < 1 and self.hw_beta < 1 and 0 < self.t_min < self.t_max):
+            raise ValueError("need 0 < hw_alpha < 1, hw_beta < 1 and 0 < t_min < t_max")
+
+    def run(self) -> tuple[dict, list, dict]:
+        times = halfwave_times(self.set, self.t_min, self.t_max)
+        report = halfwave_convergence(build_function(self.f, self.n, self.extent), self.hw_alpha, times)
+        results = {"beta_fit": report.beta_fit, "n_times": len(report.times)}
+        checks = [{"name": "rate_at_least_beta_minus_point_one", "passed": report.beta_fit >= self.hw_beta - 0.1}]
+        rows = ["t,sup_difference"] + [f"{repr(t)},{repr(d)}" for t, d in zip(report.times, report.sup_differences)]
+        return results, checks, {"rates.csv": "\n".join(rows) + "\n"}
 
 
-def config_from_json(payload: dict) -> ExperimentConfig:
-    if read_field(payload, "grid.dim", integer, 1) != 1:
-        raise ValueError("built-in experiment inputs are 1-d")
-    return ExperimentConfig(
-        E=read_field(payload, "set", DilationSet.from_json),
-        m=read_field(payload, "multiplier", FAMILIES.from_json),
-        f=read_field(payload, "f", FUNCTIONS.from_json),
-        alpha=read_field(payload, "alpha", number, 0.45),
-        beta=read_field(payload, "beta", number, 0.3),
-        p=read_field(payload, "p", number, 2.0),
-        n=read_field(payload, "grid.n", integer, 1024),
-        extent=read_field(payload, "grid.extent", number, 8.0),
-        j_range=read_field(payload, "j_range", block_range, (-3, 4)),
-        depth=read_field(payload, "depth", integer, 4),
-        s_resolution=read_field(payload, "s_resolution", integer, 128),
-        seed=read_field(payload, "seed", integer, 0),
-    )
+@EXPERIMENTS.register(
+    "probe", **MAXIMAL_FIELDS, **{"config.p": number, "config.seed": integer},
+    trials=integer, regularity_grid=tuple_of(number),
+)
+@dataclass(frozen=True, kw_only=True)
+class Probe(MaximalExperiment):
+    """Empirical lower bound for the maximal operator norm on L^p.
+
+    Runs the maximal function on `trials` normalized built-in inputs (the
+    random band seeded by `seed`); optionally sweeps LimitedDecay(a) over the
+    decays a of regularity_grid to record how the bound moves as the
+    regularity crosses the critical index.
+    """
+
+    p: float = 2.0
+    seed: int = 0
+    trials: int = 3
+    regularity_grid: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 1 < self.p < math.inf:
+            raise ValueError("integrability index must lie in (1, inf)")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must lie in 1..{MAX_TRIALS}, got {self.trials}")
+        if not all(a > 0 for a in self.regularity_grid):
+            raise ValueError(f"regularity_grid entries must be positive, got {list(self.regularity_grid)}")
+
+    def run(self) -> tuple[dict, list, dict]:
+        specs = [GaussianBump(0.5 + 0.5 * k) for k in range(max(1, self.trials - 2))]
+        if self.trials >= 2:
+            specs.append(ModulatedBump(1.0, 4.0))
+        if self.trials >= 3:
+            specs.append(RandomBand(3, self.seed))
+        # every input is built, and a vanishing one rejected, before any maximal function runs
+        inputs = [build_function(spec, self.n, self.extent) for spec in specs]
+
+        def maximal_norm(f: GridFunction, m: Multiplier) -> float:
+            """L^p norm of the maximal function of the L^p-normalized input."""
+            f = GridFunction(f.extent, f.samples / f.lp_norm(self.p))
+            sup, _ = maximal_function(f, m, self.set, self.depth, self.j_range)
+            return sup.lp_norm(self.p)
+
+        per_trial = [(FUNCTIONS.to_json(s)["kind"], maximal_norm(f, self.multiplier)) for s, f in zip(specs, inputs)]
+        sweep = [(float(a), maximal_norm(inputs[0], LimitedDecay(float(a)))) for a in self.regularity_grid]
+        results = {"lower_bound": max(v for _, v in per_trial), "per_trial": per_trial, "regularity_sweep": sweep}
+        rows = ["trial,lp_norm"] + [f"{name},{repr(v)}" for name, v in per_trial]
+        return results, [], {"trials.csv": "\n".join(rows) + "\n"}
 
 
 @dataclass(frozen=True)
@@ -401,20 +494,11 @@ class DominationReport:
         return "\n".join(rows) + "\n"
 
 
-def _pointwise_ratio(config: ExperimentConfig, depth: int, s_resolution: int):
-    f = config.build_f()
+def _pointwise_ratio(config: Domination, f: GridFunction, depth: int, s_resolution: int):
+    m, E, j_range = config.multiplier, config.set, config.j_range
     # both sides of the inequality run over the lacunary-augmented set
-    sup, increment = maximal_function(f, config.m, config.E, depth, config.j_range, augment=True)
-    sq = square_functional(
-        f,
-        config.m,
-        config.E,
-        config.alpha,
-        config.beta,
-        sampling_depth=depth,
-        j_range=config.j_range,
-        s_resolution=s_resolution,
-    )
+    sup, increment = maximal_function(f, m, E, depth, j_range, augment=True)
+    sq = square_functional(f, m, E, config.alpha, config.beta, depth, j_range, s_resolution)
     top = np.abs(sup.samples.real) ** 2
     bot = sq.values.samples.real
     excluded = (top <= EXCLUSION_FACTOR * top.max()) & (bot <= EXCLUSION_FACTOR * bot.max())
@@ -423,13 +507,13 @@ def _pointwise_ratio(config: ExperimentConfig, depth: int, s_resolution: int):
     return ratios, excluded, sq.flagged, increment
 
 
-def domination_ratio(config: ExperimentConfig) -> DominationReport:
+def domination_ratio(config: Domination) -> DominationReport:
     """Max pointwise ratio of squared maximal function to square functional,
     with its stability under doubling both the set sampling and the s-grid."""
-    base, excluded, flagged, increment = _pointwise_ratio(config, config.depth, config.s_resolution)
-    fine, _, _, _ = _pointwise_ratio(config, config.depth + 1, 2 * config.s_resolution)
-    all_excluded = bool(np.all(np.isnan(base)))
-    max_base = 0.0 if all_excluded else float(np.nanmax(base))
+    f = build_function(config.f, config.n, config.extent)
+    base, excluded, flagged, increment = _pointwise_ratio(config, f, config.depth, config.s_resolution)
+    fine, _, _, _ = _pointwise_ratio(config, f, config.depth + 1, 2 * config.s_resolution)
+    max_base = 0.0 if np.all(np.isnan(base)) else float(np.nanmax(base))
     max_fine = 0.0 if np.all(np.isnan(fine)) else float(np.nanmax(fine))
     change = abs(max_fine - max_base) / max_base if max_base > 0 else 0.0
     return DominationReport(
@@ -479,52 +563,6 @@ def mm_linf_h_norm(
 
 
 # ---------------------------------------------------------------------------
-# operator-norm probing
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    lower_bound: float
-    per_trial: tuple[tuple[str, float], ...]
-    regularity_sweep: tuple[tuple[float, float], ...]
-
-
-def operator_norm_probe(
-    config: ExperimentConfig,
-    trials: int = 3,
-    regularity_grid: Sequence[float] = (),
-) -> ProbeReport:
-    """Empirical lower bound for the maximal operator norm on L^p.
-
-    Runs the maximal function on normalized test inputs; optionally sweeps a
-    family of multipliers of varying decay to record how the bound moves as
-    the regularity crosses the critical index.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    specs = [GaussianBump(0.5 + 0.5 * k) for k in range(max(1, trials - 2))]
-    if trials >= 2:
-        specs.append(ModulatedBump(1.0, 4.0))
-    if trials >= 3:
-        specs.append(RandomBand(3, config.seed))
-
-    def maximal_norm(spec, m: Multiplier) -> float:
-        """L^p norm of the maximal function of the L^p-normalized input."""
-        f = build_function(spec, config.n, config.extent)
-        norm = f.lp_norm(config.p)
-        if not norm > 0:
-            raise ValueError(f"trial input {FUNCTIONS.to_json(spec)['kind']} vanishes on the {config.n}-point grid")
-        f = GridFunction(f.extent, f.samples / norm)
-        sup, _ = maximal_function(f, m, config.E, config.depth, config.j_range)
-        return sup.lp_norm(config.p)
-
-    per_trial = [(FUNCTIONS.to_json(spec)["kind"], maximal_norm(spec, config.m)) for spec in specs]
-    sweep = [(float(a), maximal_norm(specs[0], LimitedDecay(float(a)))) for a in regularity_grid]
-    bound = max(value for _, value in per_trial)
-    return ProbeReport(bound, tuple(per_trial), tuple(sweep))
-
-
-# ---------------------------------------------------------------------------
 # fractional half-wave convergence
 
 
@@ -550,12 +588,7 @@ def halfwave_times(E: DilationSet, t_min: float, t_max: float) -> np.ndarray:
     return ts
 
 
-def halfwave_convergence(
-    f: GridFunction,
-    alpha: float,
-    beta: float,
-    times: np.ndarray,
-) -> HalfwaveReport:
+def halfwave_convergence(f: GridFunction, alpha: float, times: np.ndarray) -> HalfwaveReport:
     """Fitted small-time rate of sup |e^{-i t (-Lap)^{alpha/2}} f - f|.
 
     Evolves spectrally with the phase e^{-i t (2 pi |xi|)^alpha}; the fitted
@@ -563,8 +596,6 @@ def halfwave_convergence(
     """
     if not 0 < alpha < 1:
         raise ValueError("propagator order must lie in (0, 1)")
-    if not beta < 1:
-        raise ValueError("target rate must lie below 1")
     times = np.asarray(sorted(set(float(t) for t in times)))
     if times.size < 3:
         raise ValueError("need at least three evaluation times for a rate fit")
@@ -576,6 +607,8 @@ def halfwave_convergence(
         diffs.append(float(np.max(np.abs(evolved.to_space().samples - f.to_space().samples))))
     diffs = np.array(diffs)
     good = diffs > 0
+    if good.sum() < 2:  # a constant or non-finite input: there is nothing to fit
+        raise ValueError(f"the evolution moves f at {good.sum()} of {times.size} times; a rate fit needs two")
     slope = float(np.polyfit(np.log(times[good]), np.log(diffs[good]), 1)[0])
     # plain floats, so that rates.csv holds numbers rather than numpy reprs
     return HalfwaveReport(slope, tuple(times.tolist()), tuple(diffs.tolist()))

@@ -329,17 +329,8 @@ def suite_maximal(seed: int = 0) -> list[Check]:
                 worst = max(worst, ml.mm_linf_h_norm(m, E, beta, xi_samples, j_range=(-4, 4), depth=6))
     checks.append(_at_most("h_norm_bound_12_cases", worst, 16.0))
 
-    config = ml.ExperimentConfig(
-        E=pow_lac,
-        m=mu.BandBump(),
-        f=ml.GaussianBump(1.0),
-        alpha=0.45,
-        beta=0.3,
-        n=512,
-        j_range=(-2, 3),
-        depth=3,
-        s_resolution=96,
-        seed=seed,
+    config = ml.Domination(
+        set=pow_lac, multiplier=mu.BandBump(), f=ml.GaussianBump(1.0), n=512, j_range=(-2, 3), depth=3, s_resolution=96
     )
     report = ml.domination_ratio(config)
     checks.append(
@@ -354,11 +345,11 @@ def suite_maximal(seed: int = 0) -> list[Check]:
     x = -extent + (2 * extent / n) * np.arange(n)
     mode = lp.GridFunction(extent, np.exp(2j * np.pi * 2.0 * x))
     times = np.geomspace(1e-4, 1e-3, 8) / (2 * np.pi * 2.0) ** 0.5
-    slope = ml.halfwave_convergence(mode, 0.5, 0.4, times).beta_fit
+    slope = ml.halfwave_convergence(mode, 0.5, times).beta_fit
     checks.append(_within("halfwave_single_mode_slope", slope, 1.0, 0.02))
     times = ml.halfwave_times(ds.DilationSet(ds.PowerSequence(1.0)), 1.0 / 40, 0.35)
     gauss = ml.build_function(ml.GaussianBump(1.0), 1024, 8.0)
-    beta_fit = ml.halfwave_convergence(gauss, 0.5, 0.4, times).beta_fit
+    beta_fit = ml.halfwave_convergence(gauss, 0.5, times).beta_fit
     checks.append(Check("halfwave_gaussian_rate", beta_fit >= 0.3, beta_fit, "x >= 0.3"))
     return checks
 

@@ -2,14 +2,17 @@
 
 Each concept keeps one `Registry`.  A class joins it under its wire name with
 one coercion per field; the registry turns instances into plain dicts and
-back.  An unknown tag raises ValueError, a missing field KeyError, and extra
-keys are ignored.  A coercion error names its field, nested fields outermost
-first (`members: a: expected a number, got '1.0'`).
+back.  A field's wire path may be dotted (`grid.n` is key `n` of the object
+`grid`, read into attribute `n`), and an absent field with a dataclass default
+reads as that default.  An unknown tag raises ValueError, a missing field
+KeyError, and extra keys are ignored.  A coercion error names its field,
+nested fields outermost first (`members: a: expected a number, got '1.0'`).
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import MISSING, fields
 from typing import Callable
 
 
@@ -63,39 +66,55 @@ def read_field(payload: dict, path: str, coerce: Callable, *default):
         raise
 
 
+def _plain(value):
+    """The JSON form of a field value: tuples as lists, and registered classes and sets through their codecs."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if type(value) in _WIRE_NAMES:
+        return _WIRE_NAMES[type(value)][0].to_json(value)
+    return value.to_json() if hasattr(value, "to_json") else value
+
+
 class Registry:
     """Wire names and field coercions of one family of frozen dataclasses."""
 
     def __init__(self, tag: str, noun: str):
         self.tag, self.noun = tag, noun
         self._by_name: dict[str, tuple[type, dict[str, Callable]]] = {}
-        self._by_class: dict[type, str] = {}
 
     def register(self, name: str, **fields: Callable):
-        """Class decorator: `name` on the wire, `fields` maps attribute -> coercion."""
+        """Class decorator: `name` on the wire, `fields` maps wire path -> coercion."""
 
         def decorate(cls):
             self._by_name[name] = (cls, fields)
-            self._by_class[cls] = name
+            _WIRE_NAMES[cls] = (self, name)
             return cls
 
         return decorate
 
     def to_json(self, obj) -> dict:
-        name = self._by_class.get(type(obj))
-        if name is None:
+        registry, name = _WIRE_NAMES.get(type(obj), (None, None))
+        if registry is not self:
             raise ValueError(f"{self.tag} {type(obj).__name__} has no wire format")
-        return {self.tag: name, **{f: self._plain(getattr(obj, f)) for f in self._by_name[name][1]}}
-
-    def _plain(self, value):
-        if isinstance(value, tuple):
-            return [self._plain(v) for v in value]
-        return self.to_json(value) if type(value) in self._by_class else value
+        out = {self.tag: name}
+        for path in self._by_name[name][1]:
+            *parents, key = path.split(".")
+            node = out
+            for parent in parents:
+                node = node.setdefault(parent, {})
+            node[key] = _plain(getattr(obj, key))
+        return out
 
     def from_json(self, payload: dict):
         spec = dict(payload)
         try:
-            cls, fields = self._by_name[spec.get(self.tag)]
+            cls, coercions = self._by_name[spec.get(self.tag)]
         except (KeyError, TypeError):
             raise ValueError(f"unknown {self.noun} {spec.get(self.tag)!r}") from None
-        return cls(**{f: read_field(spec, f, coerce) for f, coerce in fields.items()})
+        defaults = {f.name: [_plain(f.default)] for f in fields(cls) if f.default is not MISSING}
+        attrs = {path: path.rsplit(".", 1)[-1] for path in coercions}
+        return cls(**{attrs[p]: read_field(spec, p, c, *defaults.get(attrs[p], [])) for p, c in coercions.items()})
+
+
+# the registry and wire name of every registered class, so that a field may hold a class of another registry
+_WIRE_NAMES: dict[type, tuple[Registry, str]] = {}

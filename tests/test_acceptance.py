@@ -182,9 +182,9 @@ def test_criterion_08_domination_ratio_stability():
     all_finite = True
     for E in sets.values():
         for m in mults.values():
-            config = ml.ExperimentConfig(
-                E=E,
-                m=m,
+            config = ml.Domination(
+                set=E,
+                multiplier=m,
                 f=ml.GaussianBump(1.0),
                 alpha=0.45,
                 beta=0.3,
@@ -244,10 +244,10 @@ def test_criterion_11_halfwave_rates():
     x = -extent + (2 * extent / n) * np.arange(n)
     mode = lp.GridFunction(extent, np.exp(2j * np.pi * 2.0 * x))
     times = np.geomspace(1e-4, 1e-3, 8) / (2 * np.pi * 2.0) ** 0.5
-    slope = ml.halfwave_convergence(mode, 0.5, 0.4, times).beta_fit
+    slope = ml.halfwave_convergence(mode, 0.5, times).beta_fit
     gauss = ml.build_function(ml.GaussianBump(1.0), 1024, 8.0)
     seq_times = ml.halfwave_times(ds.DilationSet(ds.PowerSequence(1.0)), 1.0 / 40, 0.35)
-    beta_fit = ml.halfwave_convergence(gauss, 0.5, 0.4, seq_times).beta_fit
+    beta_fit = ml.halfwave_convergence(gauss, 0.5, seq_times).beta_fit
     dt = time.monotonic() - t0
     ok = abs(slope - 1.0) <= 0.02 and beta_fit >= 0.3 and dt < 60.0
     report(

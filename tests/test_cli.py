@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fracmax.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, INPUT_ERRORS, main
 from fracmax.lp_frames import _BAND_MEMO
-from fracmax.maximal_lab import ExperimentConfig, config_from_json
+from fracmax.maximal_lab import EXPERIMENTS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -37,6 +37,31 @@ DOMINATION_CONFIG = {
         "j_range": [-2, 2],
         "depth": 2,
         "s_resolution": 64,
+    },
+}
+
+HALFWAVE_CONFIG = {
+    "kind": "halfwave",
+    "hw_alpha": 0.5,
+    "hw_beta": 0.4,
+    "t_min": 0.025,
+    "t_max": 0.35,
+    "config": {
+        "set": {"generator": {"kind": "power_sequence", "a": 1.0}},
+        "f": {"kind": "gaussian_bump", "width": 1.0},
+        "grid": {"n": 512, "extent": 8.0, "dim": 1},
+    },
+}
+
+PROBE_CONFIG = {
+    "kind": "probe",
+    "trials": 2,
+    "config": {
+        "set": {"generator": {"kind": "lacunary"}},
+        "multiplier": {"family": "band_bump"},
+        "grid": {"n": 256, "extent": 8.0, "dim": 1},
+        "j_range": [-1, 1],
+        "depth": 2,
     },
 }
 
@@ -128,7 +153,7 @@ def test_experiment_domination_and_determinism(tmp_path):
     assert main(["experiment", "--config", config, "--out", str(out), "--seed", "3"]) == EXIT_OK
     assert (out / "experiment_report.json").read_bytes() == first
     report = json.loads(first)
-    assert report["seed"] == 3 and report["config"]["alpha"] == 0.45
+    assert report["seed"] == 3 and report["config"]["config"]["alpha"] == 0.45
     assert (out / "ratio_histogram.csv").exists()
 
 
@@ -139,20 +164,7 @@ def test_experiment_domination_accepts_p_two(tmp_path, p):
 
 
 def test_experiment_halfwave(tmp_path):
-    payload = {
-        "kind": "halfwave",
-        "hw_alpha": 0.5,
-        "hw_beta": 0.4,
-        "t_min": 0.025,
-        "t_max": 0.35,
-        "config": {
-            "set": {"generator": {"kind": "power_sequence", "a": 1.0}},
-            "multiplier": {"family": "band_bump"},
-            "f": {"kind": "gaussian_bump", "width": 1.0},
-            "grid": {"n": 512, "extent": 8.0, "dim": 1},
-        },
-    }
-    config = write(tmp_path, "hw.json", payload)
+    config = write(tmp_path, "hw.json", HALFWAVE_CONFIG)
     out = tmp_path / "out"
     assert main(["experiment", "--config", config, "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "experiment_report.json").read_text())
@@ -164,19 +176,7 @@ def test_experiment_halfwave(tmp_path):
 
 
 def test_experiment_probe(tmp_path):
-    payload = {
-        "kind": "probe",
-        "trials": 2,
-        "config": {
-            "set": {"generator": {"kind": "lacunary"}},
-            "multiplier": {"family": "band_bump"},
-            "f": {"kind": "gaussian_bump", "width": 1.0},
-            "grid": {"n": 256, "extent": 8.0, "dim": 1},
-            "j_range": [-1, 1],
-            "depth": 2,
-        },
-    }
-    config = write(tmp_path, "probe.json", payload)
+    config = write(tmp_path, "probe.json", PROBE_CONFIG)
     out = tmp_path / "out"
     assert main(["experiment", "--config", config, "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "experiment_report.json").read_text())
@@ -205,6 +205,71 @@ def test_halfwave_on_cantor_set_is_input_error(tmp_path, capsys):
     assert err == "error: a Cantor set has no small-time schedule\n"
 
 
+READ_FIELDS = {
+    "domination": ({"set", "multiplier", "f", "alpha", "beta", "p", "grid", "j_range", "depth", "s_resolution"}, set()),
+    "halfwave": ({"set", "f", "grid"}, {"hw_alpha", "hw_beta", "t_min", "t_max"}),
+    "probe": ({"set", "multiplier", "p", "grid", "j_range", "depth", "seed"}, {"trials", "regularity_grid"}),
+}
+
+
+@pytest.mark.parametrize("payload", [DOMINATION_CONFIG, HALFWAVE_CONFIG, PROBE_CONFIG], ids=lambda p: p["kind"])
+def test_experiment_echo_holds_exactly_the_fields_read(tmp_path, payload):
+    config_fields, top_fields = READ_FIELDS[payload["kind"]]
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", write(tmp_path, "exp.json", payload), "--out", str(out)]) == EXIT_OK
+    report = (out / "experiment_report.json").read_bytes()
+    echo = json.loads(report)["config"]
+    assert echo.keys() == {"kind", "config"} | top_fields
+    assert echo["config"].keys() == config_fields and echo["config"]["grid"].keys() == {"n", "extent", "dim"}
+    # the echo is the resolved config file: run again, it writes the same report
+    again = tmp_path / "again"
+    assert main(["experiment", "--config", write(tmp_path, "echo.json", echo), "--out", str(again)]) == EXIT_OK
+    assert (again / "experiment_report.json").read_bytes() == report
+
+
+@pytest.mark.parametrize(
+    "payload, note",
+    [
+        pytest.param(
+            dict(HALFWAVE_CONFIG, config=dict(HALFWAVE_CONFIG["config"], multiplier={"family": "band_bump"}, alpha=0.6)),
+            "note: halfwave ignores config fields: config.multiplier, config.alpha\n",
+            id="halfwave_multiplier",
+        ),
+        pytest.param(
+            dict(PROBE_CONFIG, config=dict(PROBE_CONFIG["config"], f={"kind": "nope"})),
+            "note: probe ignores config fields: config.f\n",
+            id="probe_f",
+        ),
+        pytest.param(
+            dict(
+                DOMINATION_CONFIG,
+                config=dict(DOMINATION_CONFIG["config"], f={"kind": "gaussian_bump", "width": 1, "smoothness": 0}),
+            ),
+            "note: domination ignores config fields: config.f.smoothness\n",
+            id="domination_f_extra_key",
+        ),
+    ],
+)
+def test_ignored_fields_are_named_on_stderr(tmp_path, capsys, payload, note):
+    # a fault in a field the kind ignores is no input error; the seed --seed fills in is never named
+    out = tmp_path / "o"
+    config = write(tmp_path, "exp.json", payload)
+    assert main(["experiment", "--config", config, "--out", str(out), "--seed", "5"]) == EXIT_OK
+    assert capsys.readouterr().err == note
+    assert (out / "experiment_report.json").exists()
+
+
+@pytest.mark.parametrize("payload", [DOMINATION_CONFIG, HALFWAVE_CONFIG], ids=lambda p: p["kind"])
+def test_vanishing_input_is_input_error(tmp_path, capsys, payload):
+    # band 12 lies above the Nyquist frequency 8 of a 256-point grid over [-8, 8)
+    f = {"kind": "random_band", "band": 12, "seed": 1}
+    payload = dict(payload, config=dict(payload["config"], f=f, grid={"n": 256}))
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", write(tmp_path, "exp.json", payload), "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: trial input random_band vanishes on the 256-point grid\n"
+    assert not (out / "experiment_report.json").exists()
+
+
 def _experiment(kind, **changes):
     """The domination test config run as `kind`, with config entries replaced."""
     return dict(DOMINATION_CONFIG, kind=kind, config=dict(DOMINATION_CONFIG["config"], **changes))
@@ -223,7 +288,7 @@ def _dim_set(generator):
         pytest.param("experiment", _experiment("domination", depth=-1), "depth", id="negative_depth"),
         pytest.param("experiment", _experiment("domination", grid={"n": 1000}), None, id="n_not_power_of_two"),
         pytest.param("experiment", _experiment("domination", j_range=[2, -2]), "j_range: ", id="reversed_j_range"),
-        pytest.param("experiment", _experiment("probe", f={"kind": "nope"}), "f: ", id="unknown_f_kind"),
+        pytest.param("experiment", _experiment("domination", f={"kind": "nope"}), "f: ", id="unknown_f_kind"),
         pytest.param(
             "experiment", _experiment("domination", f={"kind": "gaussian_bump", "width": 0.0}), "f: ", id="zero_width"
         ),
@@ -299,6 +364,12 @@ def _dim_set(generator):
             None,
             id="halfwave_two_times",
         ),
+        pytest.param(
+            "experiment",
+            dict(HALFWAVE_CONFIG, config=dict(HALFWAVE_CONFIG["config"], f={"kind": "gaussian_bump", "width": 1e100})),
+            "the evolution moves f at 0 of ",
+            id="halfwave_constant_input",
+        ),
         pytest.param("dim", dict(DIM_CONFIG, j=1.5), "j: ", id="fractional_j"),
         pytest.param("experiment", _experiment("domination", j_range=[False, True]), "j_range: ", id="bool_j_range"),
         pytest.param(
@@ -307,7 +378,7 @@ def _dim_set(generator):
             "set: levels: ",
             id="fractional_cantor_levels",
         ),
-        pytest.param("experiment", _experiment("domination", seed=True), "seed: ", id="bool_seed"),
+        pytest.param("experiment", _experiment("probe", seed=True), "seed: ", id="bool_seed"),
         pytest.param("dim", _dim_set({"kind": "power_sequence", "a": "1.0"}), "set: a: ", id="string_a"),
         pytest.param("dim", _dim_set({"kind": "power_sequence", "a": True}), "set: a: ", id="bool_a"),
         pytest.param("dim", _dim_set({"kind": "explicit", "points": [True, 1.5]}), "set: points: ", id="bool_point"),
@@ -459,34 +530,45 @@ def test_integral_float_fields_read_as_integers(tmp_path):
     assert main(["dim", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
-# the experiment config with each fuzzed field in place; `f` is drawn from FUZZ_F_SPECS
-FUZZ_EXPERIMENT_CONFIG = dict(DOMINATION_CONFIG["config"], seed=0)
+# one config file per experiment kind, holding every field the kind reads
+FUZZ_EXPERIMENTS = {
+    "domination": _experiment("domination", p=2.0),
+    "halfwave": HALFWAVE_CONFIG,
+    "probe": dict(PROBE_CONFIG, trials=3, regularity_grid=[0.5, 1.0], config=dict(PROBE_CONFIG["config"], p=2.0, seed=0)),
+}
 FUZZ_F_SPECS = [
     {"kind": "gaussian_bump", "width": 1.0},
     {"kind": "modulated_bump", "width": 1.0, "freq": 2.0},
     {"kind": "random_band", "band": 2, "seed": 5},
 ]
-FUZZ_EXPERIMENT_FIELDS = (
-    [(key,) for key in sorted(FUZZ_EXPERIMENT_CONFIG)]
-    + [("grid", key) for key in ("n", "extent", "dim")]
-    + [("f", key) for key in ("kind", "width", "freq", "band", "seed")]
-)
+# each kind's top-level and config fields, its grid fields and, if it reads `f`, the fields of `f`
+FUZZ_EXPERIMENT_FIELDS = [
+    (kind, path)
+    for kind, base in FUZZ_EXPERIMENTS.items()
+    for path in [(key,) for key in sorted(base) if key not in ("kind", "config")]
+    + [("config", key) for key in sorted(base["config"])]
+    + [("config", "grid", key) for key in ("n", "extent", "dim")]
+    + [("config", "f", key) for key in ("kind", "width", "freq", "band", "seed") if "f" in base["config"]]
+]
 
 
 @settings(max_examples=200, deadline=None)
-@given(f=st.sampled_from(FUZZ_F_SPECS), path=st.sampled_from(FUZZ_EXPERIMENT_FIELDS), value=JSON_VALUES)
-def test_experiment_config_fuzz_raises_only_input_errors(f, path, value):
-    payload = copy.deepcopy(dict(FUZZ_EXPERIMENT_CONFIG, f=f))
+@given(f=st.sampled_from(FUZZ_F_SPECS), target=st.sampled_from(FUZZ_EXPERIMENT_FIELDS), value=JSON_VALUES)
+def test_experiment_config_fuzz_raises_only_input_errors(f, target, value):
+    kind, path = target
+    payload = copy.deepcopy(FUZZ_EXPERIMENTS[kind])
+    if "f" in payload["config"]:
+        payload["config"]["f"] = dict(f)
     *parents, key = path
     node = payload
     for parent in parents:
         node = node[parent]
     node[key] = value
     try:
-        config = config_from_json(payload)
+        experiment = EXPERIMENTS.from_json(payload)
     except INPUT_ERRORS:
         return
-    assert isinstance(config, ExperimentConfig)
+    assert EXPERIMENTS.to_json(experiment)["kind"] == kind
 
 
 # every registry kind with fields, and the slots of an experiment config that take one
@@ -504,7 +586,18 @@ FUZZ_KINDS = {
     "f": FUZZ_F_SPECS,
 }
 FUZZ_KINDS["member"] = FUZZ_KINDS["generator"]
-FUZZ_NESTED_FIELDS = [(slot, spec, key) for slot, specs in FUZZ_KINDS.items() for spec in specs for key in spec]
+# per experiment kind: the registry slots it reads, its `config` object and its top-level fields
+FUZZ_NESTED_FIELDS = [
+    (kind, slot, spec, key)
+    for kind, base in FUZZ_EXPERIMENTS.items()
+    for slot, specs in {
+        **{slot: specs for slot, specs in FUZZ_KINDS.items() if slot in ("generator", "member") or slot in base["config"]},
+        "config": [base["config"]],
+        "top": [{key: value for key, value in base.items() if key not in ("kind", "config")}],
+    }.items()
+    for spec in specs
+    for key in spec
+]
 
 
 def _not_a_number(value):
@@ -514,26 +607,31 @@ def _not_a_number(value):
 @settings(max_examples=200, deadline=None)
 @given(target=st.sampled_from(FUZZ_NESTED_FIELDS), value=JSON_VALUES)
 def test_nested_config_fuzz_rejects_non_numbers(target, value):
-    slot, base, key = target
+    kind, slot, base, key = target
     spec = dict(base, **{key: value})
-    payload = copy.deepcopy(FUZZ_EXPERIMENT_CONFIG)
+    payload = copy.deepcopy(FUZZ_EXPERIMENTS[kind])
+    config = payload["config"]
     if slot == "generator":
-        payload["set"] = {"generator": spec}
+        config["set"] = {"generator": spec}
     elif slot == "member":
-        payload["set"] = {"generator": {"kind": "union", "members": [spec, {"kind": "lacunary"}]}}
+        config["set"] = {"generator": {"kind": "union", "members": [spec, {"kind": "lacunary"}]}}
+    elif slot == "config":
+        config.update(spec)
+    elif slot == "top":
+        payload.update(spec)
     else:
-        payload[slot] = spec
+        config[slot] = spec
     # a number field given a bool or a string, or a list field given a list holding one
     field = base[key]
     must_raise = (isinstance(field, (int, float)) and _not_a_number(value)) or (
         isinstance(field, list) and isinstance(value, list) and any(map(_not_a_number, value))
     )
     try:
-        config = config_from_json(payload)
+        experiment = EXPERIMENTS.from_json(payload)
     except INPUT_ERRORS:
         return
-    assert not must_raise, (slot, key, value)
-    assert isinstance(config, ExperimentConfig)
+    assert not must_raise, (kind, slot, key, value)
+    assert EXPERIMENTS.to_json(experiment)["kind"] == kind
 
 
 def test_table_exponent_zero_is_used(tmp_path):

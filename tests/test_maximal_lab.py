@@ -20,25 +20,24 @@ from fracmax.dilation_sets import (
 from fracmax.fractional_calculus import marchaud_matrix
 from fracmax.lp_frames import GridFunction
 from fracmax.maximal_lab import (
+    EXPERIMENTS,
     FUNCTIONS,
-    ExperimentConfig,
+    Domination,
     GaussianBump,
     ModulatedBump,
+    Probe,
     RandomBand,
     _batched_dilate,
     _path_hoelder_ok,
     apply_dilated_multiplier,
     build_function,
     build_h_weights,
-    config_from_json,
-    config_to_json,
     halfwave_convergence,
     halfwave_times,
     domination_ratio,
     maximal_function,
     mm_linf_h_norm,
     nested_sample,
-    operator_norm_probe,
     sampled_dilations,
     square_functional,
 )
@@ -393,9 +392,9 @@ def test_square_functional_validates_exponents():
 
 
 def test_domination_ratio_stability_small_config():
-    config = ExperimentConfig(
-        E=POW_LAC,
-        m=BandBump(),
+    config = Domination(
+        set=POW_LAC,
+        multiplier=BandBump(),
         f=GaussianBump(1.0),
         alpha=0.45,
         beta=0.3,
@@ -412,9 +411,9 @@ def test_domination_ratio_stability_small_config():
 
 
 def test_domination_zero_function_trivially_passes():
-    config = ExperimentConfig(
-        E=LAC,
-        m=Custom(lambda r: np.zeros_like(r)),
+    config = Domination(
+        set=LAC,
+        multiplier=Custom(lambda r: np.zeros_like(r)),
         f=GaussianBump(1.0),
         n=256,
         j_range=(-2, 2),
@@ -427,9 +426,9 @@ def test_domination_zero_function_trivially_passes():
 
 
 def test_domination_histogram_csv():
-    config = ExperimentConfig(
-        E=LAC,
-        m=BandBump(),
+    config = Domination(
+        set=LAC,
+        multiplier=BandBump(),
         f=GaussianBump(1.0),
         n=256,
         j_range=(-2, 2),
@@ -462,44 +461,34 @@ def test_mm_linf_h_norm_zero_multiplier():
 
 
 def test_probe_zero_multiplier():
-    config = ExperimentConfig(
-        E=LAC, m=Custom(lambda r: np.zeros_like(r)), f=GaussianBump(1.0), n=256,
-        j_range=(-2, 2), depth=2,
-    )
-    assert operator_norm_probe(config, trials=1).lower_bound == 0.0
+    config = Probe(set=LAC, multiplier=Custom(lambda r: np.zeros_like(r)), n=256, j_range=(-2, 2), depth=2, trials=1)
+    assert config.run()[0]["lower_bound"] == 0.0
 
 
 def test_probe_singleton_band_bump_bounded_by_one():
-    config = ExperimentConfig(
-        E=DilationSet(ExplicitPoints((1.0,))),
-        m=BandBump(),
-        f=GaussianBump(1.0),
+    config = Probe(
+        set=DilationSet(ExplicitPoints((1.0,))),
+        multiplier=BandBump(),
         n=512,
         j_range=(0, 0),
         depth=2,
+        trials=3,
     )
-    report = operator_norm_probe(config, trials=3)
-    assert report.lower_bound <= 1.0 + 1e-10
+    assert config.run()[0]["lower_bound"] <= 1.0 + 1e-10
 
 
 def test_probe_monotone_in_set():
-    base = dict(m=LimitedDecay(1.0), f=GaussianBump(1.0), n=512, j_range=(0, 0), depth=3)
-    small = operator_norm_probe(
-        ExperimentConfig(E=DilationSet(ExplicitPoints((1.0, 1.5))), **base), trials=2
-    )
-    large = operator_norm_probe(
-        ExperimentConfig(E=DilationSet(ExplicitPoints((1.0, 1.25, 1.5, 1.75))), **base), trials=2
-    )
-    assert large.lower_bound >= small.lower_bound - 1e-12
+    base = dict(multiplier=LimitedDecay(1.0), n=512, j_range=(0, 0), depth=3, trials=2)
+    small = Probe(set=DilationSet(ExplicitPoints((1.0, 1.5))), **base).run()[0]
+    large = Probe(set=DilationSet(ExplicitPoints((1.0, 1.25, 1.5, 1.75))), **base).run()[0]
+    assert large["lower_bound"] >= small["lower_bound"] - 1e-12
 
 
 def test_probe_regularity_sweep_recorded():
-    config = ExperimentConfig(
-        E=LAC, m=BandBump(), f=GaussianBump(1.0), n=256, j_range=(-1, 1), depth=2
-    )
-    report = operator_norm_probe(config, trials=1, regularity_grid=(0.5, 1.0, 1.5))
-    assert len(report.regularity_sweep) == 3
-    assert all(v >= 0 for _, v in report.regularity_sweep)
+    config = Probe(set=LAC, multiplier=BandBump(), n=256, j_range=(-1, 1), depth=2, trials=1, regularity_grid=(0.5, 1.0, 1.5))
+    sweep = config.run()[0]["regularity_sweep"]
+    assert len(sweep) == 3
+    assert all(v >= 0 for _, v in sweep)
 
 
 # --- half-wave convergence ------------------------------------------------------------
@@ -511,13 +500,13 @@ def test_halfwave_single_mode_slope_one():
     xi0 = 2.0
     f = GridFunction(extent, np.exp(2j * np.pi * xi0 * x))
     times = np.geomspace(1e-4, 1e-3, 8) / (2 * np.pi * xi0) ** 0.5
-    report = halfwave_convergence(f, 0.5, 0.4, times)
+    report = halfwave_convergence(f, 0.5, times)
     assert report.beta_fit == pytest.approx(1.0, abs=0.02)
 
 
 def test_halfwave_gaussian_along_power_sequence():
     times = halfwave_times(DilationSet(PowerSequence(1.0)), 1.0 / 40, 0.35)
-    report = halfwave_convergence(gaussian(n=1024), 0.5, 0.4, times)
+    report = halfwave_convergence(gaussian(n=1024), 0.5, times)
     assert report.beta_fit >= 0.3
 
 
@@ -525,26 +514,27 @@ def test_halfwave_times_extraction():
     lac_times = halfwave_times(LAC, 0.01, 0.5)
     assert set(lac_times.tolist()) == {2.0**-k for k in range(1, 7)}
     with pytest.raises(ValueError):
-        halfwave_convergence(gaussian(n=256), 0.5, 0.4, np.array([0.1, 0.2]))
+        halfwave_convergence(gaussian(n=256), 0.5, np.array([0.1, 0.2]))
 
 
 # --- config wire format -----------------------------------------------------------------
 
 
 def test_config_json_roundtrip():
-    config = ExperimentConfig(
-        E=POW_LAC,
-        m=LimitedDecay(1.0),
+    config = Domination(
+        set=POW_LAC,
+        multiplier=LimitedDecay(1.0),
         f=ModulatedBump(1.5, 3.0),
         alpha=0.4,
         beta=0.25,
         n=512,
         depth=3,
-        seed=11,
     )
-    payload = json.loads(json.dumps(config_to_json(config)))
-    back = config_from_json(payload)
+    payload = json.loads(json.dumps(EXPERIMENTS.to_json(config)))
+    back = EXPERIMENTS.from_json(payload)
     assert back == config
+    probe = Probe(set=POW_LAC, multiplier=LimitedDecay(1.0), seed=11, trials=2, regularity_grid=(0.5, 1.0))
+    assert EXPERIMENTS.from_json(json.loads(json.dumps(EXPERIMENTS.to_json(probe)))) == probe
     # the test-function codec: extra keys (smoothness among them) are ignored,
     # an unknown kind is a ValueError and a missing field a KeyError
     assert FUNCTIONS.from_json({"kind": "gaussian_bump", "width": 2, "smoothness": 0.1}) == GaussianBump(2.0)
