@@ -124,8 +124,8 @@ def cmd_dim(args) -> int:
     if block.empty and not block.tails:
         raise InputError(f"block {j} of the set is empty")
 
+    counts = [ds.entropy_number(block, float(d)) for d in sched]  # counts.csv and the Minkowski slope read these
     results: dict = {}
-    failures = []
     for method in methods:
         if method == "kappa":
             try:
@@ -133,18 +133,17 @@ def cmd_dim(args) -> int:
             except ValueError as exc:  # every block of j_range is empty
                 raise InputError(f"bad dim config: {exc}")
         elif method == "minkowski":
-            est = ds.minkowski_dimension(block, sched)
+            est = ds.entropy_slope(sched, counts)
         elif method == "distance_integral":
             est = ds.dimension_from_distance_integral(block)
         else:
             est = ds.dimension_from_gap_sums(E.generator.sequence)
         results[method] = asdict(est)
 
-    for a in exponents:
-        report = ds.dimension_bound_check(block, a, sched, bound_constant)
-        results.setdefault("bound_checks", []).append(asdict(report))
-        if not report.passed:
-            failures.append(f"bound check a={a}")
+    reports = ds.dimension_bound_check(block, exponents, sched, bound_constant) if exponents else []
+    if reports:
+        results["bound_checks"] = [asdict(r) for r in reports]
+    failures = [f"bound check a={r.a}" for r in reports if not r.passed]
 
     if expect:
         est_value = results[expect["method"]]["value"]
@@ -156,9 +155,7 @@ def cmd_dim(args) -> int:
     if table_a is None:
         table_a = float(results.get("minkowski", results.get("kappa", {"value": 0.5}))["value"])
     rows = ["delta,count,delta_pow_a_count"]
-    for delta in sched:
-        count = ds.entropy_number(block, float(delta))
-        rows.append(f"{repr(float(delta))},{count},{repr(float(delta**table_a * count))}")
+    rows += [f"{repr(float(d))},{n},{repr(float(d**table_a * n))}" for d, n in zip(sched, counts)]
     (out / "counts.csv").write_text("\n".join(rows) + "\n")
 
     report_payload = {

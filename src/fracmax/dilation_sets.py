@@ -452,27 +452,26 @@ def kappa(E: DilationSet, delta_schedule: Sequence[float], j_range: tuple[int, i
     """Dilation-dimension estimate: slope of sup_j log N(E_j, delta) in -log delta.
 
     The sup runs over the finite j_range; the slope is a least-squares fit
-    over the final four schedule points, the standard box-counting practice.
+    over the final four schedule points, the standard box-counting practice,
+    and only those four are counted.
     """
-    sched = _validate_schedule(delta_schedule, minimum=4)
+    fit = _validate_schedule(delta_schedule, minimum=4)[-4:]
     blocks = [rescaled_block(E, j) for j in range(j_range[0], j_range[1] + 1)]
     blocks = [b for b in blocks if not b.empty or b.tails]
     if not blocks:
         raise ValueError("all blocks empty on the requested j range")
-    return _entropy_slope(blocks, sched)
+    return entropy_slope(fit, [max(entropy_number(b, d) for b in blocks) for d in fit])
 
 
 def minkowski_dimension(block: BlockSet, delta_schedule: Sequence[float]) -> DimensionEstimate:
-    """Box-counting slope of log N(block, delta) against log(1/delta)."""
-    return _entropy_slope([block], _validate_schedule(delta_schedule, minimum=4))
+    """Box-counting slope of log N(block, delta) against log(1/delta), counted at the final four scales."""
+    fit = _validate_schedule(delta_schedule, minimum=4)[-4:]
+    return entropy_slope(fit, [entropy_number(block, d) for d in fit])
 
 
-def _entropy_slope(blocks: Sequence[BlockSet], sched: np.ndarray) -> DimensionEstimate:
-    """Slope of log max_block N(block, delta) in -log delta over the final schedule points."""
-    log_n = np.array(
-        [math.log(max(max(entropy_number(b, d) for b in blocks), 1)) for d in sched]
-    )
-    slope, residual = _slope_fit(-np.log(sched), log_n)
+def entropy_slope(sched: np.ndarray, counts: Sequence[int]) -> DimensionEstimate:
+    """Slope of log N in -log delta over the final four of at least four scales, N = counts[i] at sched[i]."""
+    slope, residual = _slope_fit(-np.log(sched), np.array([math.log(max(c, 1)) for c in counts]))
     value = min(1.0, max(0.0, slope))
     return DimensionEstimate(value, "entropy_slope", (float(sched[-1]), float(sched[-4])), residual)
 
@@ -488,17 +487,18 @@ def dimension_from_distance_integral(block: BlockSet) -> DimensionEstimate:
 
 def _threshold_scan(passes, method: str) -> DimensionEstimate:
     """First exponent of the ascending grid 0.02, 0.04, .., 0.98 that `passes`;
-    the grid spacing there is reported as residual."""
+    the grid spacing there is reported as residual.  The verdicts are taken in
+    order and only as far as the answer reads them."""
     a_grid = np.linspace(0.02, 0.98, 49)
-    verdicts = [passes(float(a)) for a in a_grid]
-    if all(verdicts):
-        value, resid = float(a_grid[0]), float(a_grid[1] - a_grid[0])
-    elif not any(verdicts):
-        value, resid = 1.0, float(a_grid[-1] - a_grid[-2])
+    verdicts = (passes(float(a)) for a in a_grid)
+    if next(verdicts):  # the first exponent: its spacing if every verdict passes, else exactly
+        value, resid = float(a_grid[0]), float(a_grid[1] - a_grid[0]) if all(verdicts) else 0.0
     else:
-        idx = next(i for i, v in enumerate(verdicts) if v)
-        value = float(a_grid[idx])
-        resid = float(a_grid[idx] - a_grid[idx - 1]) if idx else 0.0
+        idx = next((i for i, v in enumerate(verdicts, 1) if v), None)
+        if idx is None:
+            value, resid = 1.0, float(a_grid[-1] - a_grid[-2])
+        else:
+            value, resid = float(a_grid[idx]), float(a_grid[idx] - a_grid[idx - 1])
     return DimensionEstimate(min(1.0, max(0.0, value)), method, (0.0, 0.0), resid)
 
 
@@ -524,7 +524,8 @@ def gap_sum_converges(gaps: np.ndarray, a: float) -> bool:
     """
     if a <= 0:
         raise ValueError("exponent must be positive")
-    csum = np.cumsum(gaps**a)
+    csum = gaps**a
+    np.cumsum(csum, out=csum)  # the same sequential sum, in place
     # an empty block after an empty one counts as convergent
     lo = csum[GAP_SUM_TERMS // 2 - 1] - csum[GAP_SUM_TERMS // 4 - 1]
     hi = csum[GAP_SUM_TERMS - 1] - csum[GAP_SUM_TERMS // 2 - 1]
@@ -603,32 +604,30 @@ class BoundCheckReport:
 
 def dimension_bound_check(
     block: BlockSet,
-    a: float,
+    exponents: Sequence[float],
     delta_schedule: Sequence[float],
     constant: float = 10.0,
-) -> BoundCheckReport:
-    """Two-sided comparison of covering counts against the distance integral.
+) -> list[BoundCheckReport]:
+    """Two-sided comparison of covering counts against the distance integral, one report per exponent a.
 
     LHS = sup over the schedule of delta**a * N; MID = the closed-form
     distance integral; RHS = 1 + the log-trapezoid quadrature of
     lambda**a N(lambda) dlambda/lambda over the same schedule.  All three
     sides are evaluated for the materialized finite point set, so the check
-    is self-consistent at the block's truncation resolution.
+    is self-consistent at the block's truncation resolution.  The counts do
+    not depend on a: each scale is counted once.
     """
     sched = _validate_schedule(delta_schedule)
-    counts = np.array(
-        [entropy_number(block, float(d), include_tails=False) for d in sched], dtype=float
-    )
-    lhs = float(np.max(sched**a * counts))
-    mid = finite_distance_integral(block, a)
-    # integrand lambda**a * N against d(log lambda), schedule descending
-    lam = sched[::-1]
-    integrand = lam**a * counts[::-1]
-    rhs = 1.0 + float(np.trapezoid(integrand, np.log(lam)))
-    ratio_left = lhs / mid if mid > 0 else math.inf
-    ratio_right = mid / rhs if rhs > 0 else math.inf
-    passed = ratio_left <= constant and ratio_right <= constant
-    return BoundCheckReport(a, lhs, mid, rhs, ratio_left, ratio_right, passed)
+    counts = np.array([entropy_number(block, float(d), include_tails=False) for d in sched], dtype=float)
+    lam = sched[::-1]  # the integrand lambda**a * N runs against d(log lambda), lambda ascending
+    reports = []
+    for a in exponents:
+        lhs, mid = float(np.max(sched**a * counts)), finite_distance_integral(block, a)
+        rhs = 1.0 + float(np.trapezoid(lam**a * counts[::-1], np.log(lam)))
+        left = lhs / mid if mid > 0 else math.inf
+        right = mid / rhs if rhs > 0 else math.inf
+        reports.append(BoundCheckReport(a, lhs, mid, rhs, left, right, left <= constant and right <= constant))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,9 @@ class GaussianBump:
     side = "space"
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError(f"bump width must be positive, got {self.width}")
+        # width**2 is a Python float in profile(): past about 1.3e154 it raises OverflowError
+        if not 0 < self.width <= 1e150:
+            raise ValueError(f"bump width must lie in (0, 1e150], got {self.width}")
 
     def profile(self, x: np.ndarray) -> np.ndarray:
         return np.exp(-(x**2) / (2.0 * self.width**2))
@@ -93,10 +94,15 @@ class RandomBand:
 
 def build_function(f, n: int, extent: float) -> GridFunction:
     """Space-side samples of a built-in test function on the 1-d grid over [-extent, extent); an input
-    that vanishes there (a random band above the grid's Nyquist frequency) is a ValueError."""
-    g = grid_from_profile(f.profile, extent, n, side=f.side).to_space()
+    that vanishes there (a random band above the grid's Nyquist frequency) or samples a non-finite value
+    (an overflowing phase, an underflowing width) is a ValueError."""
+    with np.errstate(all="ignore"):  # a non-finite sample is reported below, not warned about
+        g = grid_from_profile(f.profile, extent, n, side=f.side).to_space()
+    kind = FUNCTIONS.to_json(f)["kind"]
+    if not np.all(np.isfinite(g.samples)):
+        raise ValueError(f"trial input {kind} samples a non-finite value on the {n}-point grid")
     if not np.any(g.samples):
-        raise ValueError(f"trial input {FUNCTIONS.to_json(f)['kind']} vanishes on the {n}-point grid")
+        raise ValueError(f"trial input {kind} vanishes on the {n}-point grid")
     return g
 
 

@@ -82,11 +82,8 @@ def suite_dimension(seed: int = 0) -> list[Check]:
             ds.DilationSet(ds.UnionSet((ds.CantorLike(3, (0, 2), 6), ds.ExplicitPoints((1.1, 1.7))))), 0
         ),
     }
-    worst = 0.0
-    for block in suite.values():
-        for a in (0.3, 0.5, 0.7):
-            rep = ds.dimension_bound_check(block, a, bound_sched)
-            worst = max(worst, rep.ratio_left, rep.ratio_right)
+    reports = [r for block in suite.values() for r in ds.dimension_bound_check(block, (0.3, 0.5, 0.7), bound_sched)]
+    worst = max(max(r.ratio_left, r.ratio_right) for r in reports)
     checks.append(_at_most("bound_check_30_cases_worst_ratio", worst, 10.0))
 
     for a_seq in (0.5, 1.0, 2.0):

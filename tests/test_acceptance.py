@@ -68,8 +68,7 @@ def test_criterion_03_dimension_lemma_two_sided():
     worst = 0.0
     cases = 0
     for block in suite.values():
-        for a in (0.3, 0.5, 0.7):
-            rep = ds.dimension_bound_check(block, a, sched, constant=10.0)
+        for rep in ds.dimension_bound_check(block, (0.3, 0.5, 0.7), sched, constant=10.0):
             worst = max(worst, rep.ratio_left, rep.ratio_right)
             cases += 1
     dt = time.monotonic() - t0

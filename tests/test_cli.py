@@ -1,3 +1,4 @@
+import collections
 import copy
 import json
 from pathlib import Path
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fracmax.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, INPUT_ERRORS, main
+from fracmax.dilation_sets import geometric_schedule
 from fracmax.lp_frames import _BAND_MEMO
 from fracmax.maximal_lab import EXPERIMENTS
 
@@ -268,6 +270,56 @@ def test_vanishing_input_is_input_error(tmp_path, capsys, payload):
     assert main(["experiment", "--config", write(tmp_path, "exp.json", payload), "--out", str(out)]) == EXIT_INPUT
     assert capsys.readouterr().err == "error: trial input random_band vanishes on the 256-point grid\n"
     assert not (out / "experiment_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        # width**2 overflows a Python float: rejected with the config, before any work
+        pytest.param(
+            {"kind": "gaussian_bump", "width": 1e300},
+            "error: bad experiment config: config.f: bump width must lie in (0, 1e150], got 1e+300\n",
+            id="huge_width",
+        ),
+        # the phase 2 pi freq x overflows: rejected once sampled, with no RuntimeWarning
+        pytest.param(
+            {"kind": "modulated_bump", "width": 1.0, "freq": 1e308},
+            "error: trial input modulated_bump samples a non-finite value on the 256-point grid\n",
+            id="overflowing_phase",
+        ),
+    ],
+)
+def test_unusable_input_fails_before_any_maximal_function(tmp_path, capsys, monkeypatch, f, message):
+    from fracmax import maximal_lab
+
+    calls = []
+    original = maximal_lab.maximal_function
+    monkeypatch.setattr(maximal_lab, "maximal_function", lambda *a, **k: calls.append(1) or original(*a, **k))
+    payload = dict(DOMINATION_CONFIG, config=dict(DOMINATION_CONFIG["config"], f=f))
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", write(tmp_path, "exp.json", payload), "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == message
+    assert calls == [] and not (out / "experiment_report.json").exists()
+
+
+def test_dim_counts_each_block_scale_and_tails_once(tmp_path, monkeypatch):
+    # counts.csv, the Minkowski slope and the bound checks share their counts; only kappa recounts,
+    # at its own four fitted scales
+    from fracmax import dilation_sets as ds
+
+    calls = collections.Counter()
+    original = ds.entropy_number
+    monkeypatch.setattr(
+        ds, "entropy_number", lambda b, d, include_tails=True: calls.update([(b.j, float(d), include_tails)])
+        or original(b, d, include_tails)
+    )
+    payload = dict(DIM_CONFIG, methods=["kappa", "minkowski", "distance_integral", "gap_sum"])
+    payload["bound_check"] = {"exponents": [0.3, 0.5, 0.7]}
+    assert main(["dim", "--config", write(tmp_path, "dim.json", payload), "--out", str(tmp_path / "o")]) == EXIT_OK
+    sched = [float(d) for d in geometric_schedule(0.07, 0.7e-6, 9)]
+    assert {key for key in calls if key[0] == 0} == {(0, d, t) for d in sched for t in (True, False)}
+    assert {key for key, n in calls.items() if n > 1} == {(0, d, True) for d in sched[-4:]}
+    assert max(calls.values()) == 2
 
 
 def _experiment(kind, **changes):

@@ -9,20 +9,25 @@ from hypothesis import strategies as st
 from fracmax.dilation_sets import (
     GAP_SUM_TERMS,
     BlockSet,
+    BoundCheckReport,
     CantorLike,
     DilationSet,
+    DimensionEstimate,
     ExplicitPoints,
     LacunaryGrid,
     PowerSequence,
     TailInfo,
     UnionSet,
     _boundary_split,
+    _slope_fit,
+    _threshold_scan,
     augmented,
     dimension_bound_check,
     dimension_from_distance_integral,
     dimension_from_gap_sums,
     distance_integral,
     entropy_number,
+    entropy_slope,
     finite_distance_integral,
     gap_sum_converges,
     geometric_schedule,
@@ -318,6 +323,78 @@ def test_dimension_from_distance_integral_matches():
     assert est.value == pytest.approx(0.5, abs=0.05)
 
 
+def all_scales_entropy_slope(blocks, sched):
+    """Reference estimate: the max count over the blocks at every scale of the schedule, fitted over the last four."""
+    log_n = np.array([math.log(max(max(entropy_number(b, d) for b in blocks), 1)) for d in sched])
+    slope, residual = _slope_fit(-np.log(sched), log_n)
+    value = min(1.0, max(0.0, slope))
+    return DimensionEstimate(value, "entropy_slope", (float(sched[-1]), float(sched[-4])), residual)
+
+
+SLOPE_SETS = [
+    PowerSequence(1.0),
+    PowerSequence(0.5),
+    PowerSequence(2.0),
+    LacunaryGrid(),
+    CantorLike(3, (0, 2), 8),
+    ExplicitPoints((1.1, 1.3, 1.7, 2.6, 3.4)),
+    UnionSet((PowerSequence(1.0), LacunaryGrid())),
+]
+SLOPE_SCHEDULES = [SCHED, geometric_schedule(0.3, 1e-4, 4), geometric_schedule(0.5, 1e-5, 12)]
+
+
+@pytest.mark.parametrize("gen", SLOPE_SETS, ids=repr)
+@pytest.mark.parametrize("sched", SLOPE_SCHEDULES, ids=lambda s: f"{s.size}_scales")
+def test_fitted_scale_estimates_are_the_all_scale_estimates_bit_for_bit(gen, sched):
+    E = DilationSet(gen)
+    blocks = [b for b in (rescaled_block(E, j) for j in range(-2, 4)) if not b.empty or b.tails]
+    assert kappa(E, sched, (-2, 3)) == all_scales_entropy_slope(blocks, sched)
+    block = rescaled_block(E, 0)
+    expected = all_scales_entropy_slope([block], sched)
+    assert minkowski_dimension(block, sched) == expected
+    # the counts `fracmax dim` shares with counts.csv: every scale, at Python-float deltas
+    assert entropy_slope(sched, [entropy_number(block, float(d)) for d in sched]) == expected
+
+
+def full_threshold_scan(verdicts, method):
+    """Reference scan: every verdict of the grid first, then the answer."""
+    a_grid = np.linspace(0.02, 0.98, 49)
+    if all(verdicts):
+        value, resid = float(a_grid[0]), float(a_grid[1] - a_grid[0])
+    elif not any(verdicts):
+        value, resid = 1.0, float(a_grid[-1] - a_grid[-2])
+    else:
+        idx = next(i for i, v in enumerate(verdicts) if v)
+        value = float(a_grid[idx])
+        resid = float(a_grid[idx] - a_grid[idx - 1]) if idx else 0.0
+    return DimensionEstimate(min(1.0, max(0.0, value)), method, (0.0, 0.0), resid)
+
+
+VERDICT_PATTERNS = st.one_of(
+    st.just([True] * 49),
+    st.just([False] * 49),
+    st.integers(1, 48).map(lambda k: [True] * k + [False] * (49 - k)),
+    st.integers(1, 48).map(lambda k: [False] * k + [True] * (49 - k)),
+    st.lists(st.booleans(), min_size=49, max_size=49),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VERDICT_PATTERNS)
+def test_threshold_scan_matches_the_full_scan(verdicts):
+    grid = [float(a) for a in np.linspace(0.02, 0.98, 49)]
+    seen = []
+
+    def passes(a):
+        seen.append(grid.index(a))
+        return verdicts[seen[-1]]
+
+    assert _threshold_scan(passes, "gap_sum") == full_threshold_scan(verdicts, "gap_sum")
+    assert seen == list(range(len(seen)))  # in order, each exponent once
+    if not verdicts[0]:  # it stops at the first pass
+        assert len(seen) == (verdicts.index(True) + 1 if any(verdicts) else 49)
+
+
 # --- gap sums and weak-type membership ---------------------------------------
 
 
@@ -354,6 +431,24 @@ def test_gap_sum_flip_matches_corollary(a_seq):
         else:
             lo = mid
     assert 0.5 * (lo + hi) == pytest.approx(1.0 / (1.0 + a_seq), abs=0.05)
+
+
+@pytest.mark.parametrize("rule", ["harmonic", "power_1", "geometric"])
+def test_gap_sum_partial_sums_are_the_out_of_place_cumsum_bit_for_bit(monkeypatch, rule):
+    seq = {"harmonic": lambda n: 1.0 / n, "power_1": lambda n: 1.0 + 1.0 / n, "geometric": lambda n: 2.0**-n}[rule]
+    gaps = sequence_gaps(seq)
+    cumsum, sums = np.cumsum, []
+    monkeypatch.setattr(np, "cumsum", lambda x, *args, **kw: sums.append(cumsum(x, *args, **kw)) or sums[-1])
+    for a in np.linspace(0.02, 0.98, 49):
+        gap_sum_converges(gaps, float(a))
+        assert sums[-1].tobytes() == cumsum(gaps ** float(a)).tobytes()
+
+
+@pytest.mark.parametrize("a", [2.5, 3.0])
+def test_gap_sum_dimension_of_steep_power_sequences_on_their_offsets(a):
+    # the offsets n**-a keep their gaps; on 1 + n**-a most of the 2**17 gaps round to 0 (see README)
+    est = dimension_from_gap_sums(PowerSequence(a).offsets)
+    assert est.value == pytest.approx(1.0 / (1.0 + a), abs=0.05)
 
 
 def test_lorentz_membership_cases():
@@ -414,12 +509,35 @@ def bound_suite():
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.7])
 def test_dimension_bound_check_suite(a):
     for name, block in bound_suite().items():
-        report = dimension_bound_check(block, a, BOUND_SCHED)
+        [report] = dimension_bound_check(block, [a], BOUND_SCHED)
         assert report.passed, f"{name} a={a}: {report}"
 
 
+def per_exponent_bound_check(block, a, sched, constant):
+    """Reference check for one exponent: it counts every scale again for each a."""
+    counts = np.array([entropy_number(block, float(d), include_tails=False) for d in sched], dtype=float)
+    lhs = float(np.max(sched**a * counts))
+    mid = finite_distance_integral(block, a)
+    lam = sched[::-1]
+    rhs = 1.0 + float(np.trapezoid(lam**a * counts[::-1], np.log(lam)))
+    ratio_left = lhs / mid if mid > 0 else math.inf
+    ratio_right = mid / rhs if rhs > 0 else math.inf
+    passed = ratio_left <= constant and ratio_right <= constant
+    return BoundCheckReport(a, lhs, mid, rhs, ratio_left, ratio_right, passed)
+
+
+@pytest.mark.parametrize("constant", [10.0, 1.5])
+def test_dimension_bound_check_is_the_per_exponent_check_field_by_field(constant):
+    exponents = (0.3, 0.5, 0.7, 0.05, 0.95)
+    for name, block in bound_suite().items():
+        reports = dimension_bound_check(block, exponents, BOUND_SCHED, constant)
+        expected = [per_exponent_bound_check(block, a, BOUND_SCHED, constant) for a in exponents]
+        assert [asdict(r) for r in reports] == [asdict(r) for r in expected], name
+    assert dimension_bound_check(BlockSet(0, np.array([1.0, 2.0])), [], BOUND_SCHED) == []
+
+
 def test_dimension_bound_check_two_points_detail():
-    report = dimension_bound_check(BlockSet(0, np.array([1.0, 2.0])), 0.5, BOUND_SCHED)
+    [report] = dimension_bound_check(BlockSet(0, np.array([1.0, 2.0])), [0.5], BOUND_SCHED)
     assert report.mid == pytest.approx(2.0 * math.sqrt(2.0))
     assert report.ratio_left <= 10 and report.ratio_right <= 10
 
