@@ -170,7 +170,8 @@ class GridFunction:
         spectrum as it is.  The transform and its scale work in place on one buffer.
         """
         spec = self.to_frequency()
-        out = spec._phase() * (spec.samples if weights is None else weights * spec.samples)
+        out = spec._phase() * spec.samples  # the +-1 phase on the 1-d spectrum, once
+        out = out if weights is None else weights * out  # rebinding frees the 1-d product before the transform
         return np.multiply(np.fft.ifft(out, axis=-1, out=out), spec.dxi * spec.n, out=out)
 
     def lp_norm(self, p: float) -> float:

@@ -186,10 +186,8 @@ def maximal_function(
     vals = np.abs(_batched_dilate(f, m, ts))
     sup_now = vals.max(axis=0)
     sup_prev = vals[in_coarse].max(axis=0)
-    out = GridFunction(f.extent, sup_now.astype(complex))
     denom = float(np.linalg.norm(sup_now)) or 1.0
-    increment = float(np.linalg.norm(sup_now - sup_prev)) / denom
-    return out, increment
+    return GridFunction(f.extent, sup_now.astype(complex)), float(np.linalg.norm(sup_now - sup_prev)) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +231,13 @@ def build_h_weights(blocks: dict[int, np.ndarray], beta: float) -> tuple[HBlock,
     beta2 = 2.0 * beta
     out = []
     for j, pts in sorted(blocks.items()):
-        nodes, weights = [], []
-        if pts[0] > 1.0:
-            n_, w_ = _halfgap_cells(pts[0], pts[0] - 1.0, beta2, -1.0)
-            nodes.append(n_), weights.append(w_)
+        cells = [_halfgap_cells(pts[0], pts[0] - 1.0, beta2, -1.0)] if pts[0] > 1.0 else []
         for left, right in zip(pts[:-1], pts[1:]):
             half = 0.5 * (right - left)
-            n_, w_ = _halfgap_cells(left, half, beta2, 1.0)
-            nodes.append(n_), weights.append(w_)
-            n_, w_ = _halfgap_cells(right, half, beta2, -1.0)
-            nodes.append(n_), weights.append(w_)
+            cells += [_halfgap_cells(left, half, beta2, 1.0), _halfgap_cells(right, half, beta2, -1.0)]
         if pts[-1] < 2.0:
-            n_, w_ = _halfgap_cells(pts[-1], 2.0 - pts[-1], beta2, 1.0)
-            nodes.append(n_), weights.append(w_)
-        all_nodes, all_weights = np.concatenate(nodes), np.concatenate(weights)  # a block has a point
+            cells.append(_halfgap_cells(pts[-1], 2.0 - pts[-1], beta2, 1.0))
+        all_nodes, all_weights = (np.concatenate(parts) for parts in zip(*cells))  # a block has a point
         order = np.argsort(all_nodes)
         out.append(HBlock(j, all_nodes[order], all_weights[order]))
     return tuple(out)
@@ -258,8 +249,9 @@ def build_h_weights(blocks: dict[int, np.ndarray], beta: float) -> tuple[HBlock,
 
 @dataclass(frozen=True, eq=False)
 class SquareFunctionalResult:
-    values: GridFunction  # real, nonnegative per pixel
-    flagged: np.ndarray  # pixels whose path failed the Hoelder precondition
+    values: GridFunction  # real, nonnegative per pixel, at the base sampling
+    refined: GridFunction  # the same at depth + 1 and 2 s_resolution
+    flagged: np.ndarray  # pixels whose base-sampling path failed the Hoelder precondition
 
 
 def _path_hoelder_ok(paths: np.ndarray, alpha: float) -> np.ndarray:
@@ -286,27 +278,37 @@ def square_functional(
     j_range: tuple[int, int] = (-3, 4),
     s_resolution: int = 128,
 ) -> SquareFunctionalResult:
-    """Distance-weighted square sum of fractional path derivatives, per pixel.
+    """Distance-weighted square sum of fractional path derivatives, per pixel, at two samplings.
 
     For each dyadic level the per-pixel path F_j(s) = T_{m(2**j s .)} f(x) is
     sampled on [0, 2] (uniform fill plus the weight nodes), differentiated by
     the Marchaud scheme along s at the weight nodes only, and contracted
-    against the level's weights.
+    against the level's weights.  `values` samples the set at sampling_depth
+    with s_resolution fill cells, `refined` at depth + 1 with twice the cells.
+    Per level the refined paths are batched once; the base grid gathers the
+    rows it shares with them (linspace(0, 2, R + 1) is linspace(0, 2, 2R + 1)[::2]
+    bit for bit) and dilates only the rest.  Each sampling keeps its own
+    product and accumulator, so its values are those of a one-sampling run.
     """
     if not 0 < beta < alpha <= 0.5:
         raise ValueError("need 0 < beta < alpha <= 1/2")
-    weights = build_h_weights(sampled_dilations(E, j_range, sampling_depth, augment=True), beta)
-    spec = f.to_frequency()
-    acc = np.zeros(f.n)
-    flagged = np.zeros(f.n, dtype=bool)
-    for block in weights:  # every augmented block holds 1 and 2, so it has weight nodes
-        s_grid = np.unique(np.concatenate([np.linspace(0.0, 2.0, s_resolution + 1), block.nodes]))
-        paths = _batched_dilate(spec, m, 2.0**block.j * s_grid)  # (n_s, n_pixels)
-        flagged |= ~_path_hoelder_ok(paths, alpha)
-        rows = np.searchsorted(s_grid[1:], block.nodes)
-        deriv = marchaud_matrix(s_grid, alpha, 1.0, rows) @ paths  # (n_nodes, n_pixels)
-        acc += block.weights @ np.abs(deriv) ** 2
-    return SquareFunctionalResult(GridFunction(f.extent, acc.astype(complex)), flagged)
+    samplings = ((sampling_depth, s_resolution), (sampling_depth + 1, 2 * s_resolution))
+    spec, accs, flagged = f.to_frequency(), (np.zeros(f.n), np.zeros(f.n)), np.zeros(f.n, dtype=bool)
+    # every depth samples the same levels, and every augmented block holds 1 and 2, so it has weight nodes
+    for blocks in zip(*[build_h_weights(sampled_dilations(E, j_range, d, augment=True), beta) for d, _ in samplings]):
+        grids = [np.union1d(np.linspace(0.0, 2.0, r + 1), b.nodes) for (_, r), b in zip(samplings, blocks)]
+        fine = _batched_dilate(spec, m, 2.0 ** blocks[0].j * grids[1])  # (n_s, n_pixels)
+        pos = np.searchsorted(grids[1], grids[0])  # both grids end at 2, so every position is in range
+        shared = grids[1][pos] == grids[0]
+        base = np.take(fine, pos, axis=0)  # then the rows the refined grid lacks are dilated in place
+        base[~shared] = _batched_dilate(spec, m, 2.0 ** blocks[0].j * grids[0][~shared])
+        flagged |= ~_path_hoelder_ok(base, alpha)
+        for acc, grid, block, paths in zip(accs, grids, blocks, (base, fine)):
+            deriv = marchaud_matrix(grid, alpha, 1.0, np.searchsorted(grid[1:], block.nodes)) @ paths
+            acc += block.weights @ np.abs(deriv) ** 2
+        del base, fine, paths  # this level's batches go before the next level's are made
+    values, refined = (GridFunction(f.extent, acc.astype(complex)) for acc in accs)
+    return SquareFunctionalResult(values, refined, flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +318,7 @@ def square_functional(
 
 EXPERIMENTS = Registry("kind", "experiment kind")
 MAX_TRIALS = 64  # the probe builds one test input per trial before any work
+MAX_BATCH = 1 << 23  # (dilations x pixels) values one batch may hold, 128 MB complex, checked before any work
 GRID_FIELDS = {
     "config.set": DilationSet.from_json,
     "config.grid.n": integer,
@@ -362,6 +365,14 @@ class MaximalExperiment(GridExperiment):
             raise ValueError(f"sampling depth must be nonnegative, got {self.depth}")
         block_range(self.j_range)
 
+    def bound_batch(self, depth: int, s_fill: int, fields: str):
+        """Reject a run whose largest (dilations x pixels) batch may pass MAX_BATCH values: a block keeps at most
+        2**depth + 2 depth + 5 sampled points, all go at once, and an s-grid adds 10 weight nodes per gap."""
+        points = 2.0 ** min(depth, 64) + 2 * depth + 5
+        rows = max((self.j_range[1] - self.j_range[0] + 1) * points, s_fill + 10 * (points + 1) if s_fill else 0)
+        if self.n * rows > MAX_BATCH:
+            raise ValueError(f"{fields}: one dilation batch may hold {self.n * rows:.3g} values, above {MAX_BATCH}")
+
 
 @EXPERIMENTS.register(
     "domination", **MAXIMAL_FIELDS, **{"config.f": FUNCTIONS.from_json, "config.s_resolution": integer},
@@ -385,6 +396,9 @@ class Domination(MaximalExperiment):
             raise ValueError(f"p: domination runs at p = 2 only, got {self.p}")
         if self.s_resolution < 1:
             raise ValueError(f"s_resolution must be positive, got {self.s_resolution}")
+        # the refined run samples at depth + 1, with 2 s_resolution + 1 fill points per s-grid
+        fields = "config.depth, config.s_resolution, config.j_range, config.grid.n"
+        self.bound_batch(self.depth + 1, 2 * self.s_resolution + 1, fields)
 
     def run(self) -> tuple[dict, list, dict]:
         # kappa is pure, so estimating it first changes no report; a window with no block fails before any work
@@ -453,6 +467,7 @@ class Probe(MaximalExperiment):
             raise ValueError(f"trials must lie in 1..{MAX_TRIALS}, got {self.trials}")
         if not all(a > 0 for a in self.regularity_grid):
             raise ValueError(f"regularity_grid entries must be positive, got {list(self.regularity_grid)}")
+        self.bound_batch(self.depth, 0, "config.depth, config.j_range, config.grid.n")
 
     def run(self) -> tuple[dict, list, dict]:
         specs = [GaussianBump(0.5 + 0.5 * k) for k in range(max(1, self.trials - 2))]
@@ -500,37 +515,24 @@ class DominationReport:
         return "\n".join(rows) + "\n"
 
 
-def _pointwise_ratio(config: Domination, f: GridFunction, depth: int, s_resolution: int):
-    m, E, j_range = config.multiplier, config.set, config.j_range
-    # both sides of the inequality run over the lacunary-augmented set
-    sup, increment = maximal_function(f, m, E, depth, j_range, augment=True)
-    sq = square_functional(f, m, E, config.alpha, config.beta, depth, j_range, s_resolution)
-    top = np.abs(sup.samples.real) ** 2
-    bot = sq.values.samples.real
-    excluded = (top <= EXCLUSION_FACTOR * top.max()) & (bot <= EXCLUSION_FACTOR * bot.max())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(excluded, np.nan, top / bot)
-    return ratios, excluded, sq.flagged, increment
-
-
 def domination_ratio(config: Domination) -> DominationReport:
     """Max pointwise ratio of squared maximal function to square functional,
-    with its stability under doubling both the set sampling and the s-grid."""
+    with its stability under doubling both the set sampling and the s-grid.
+    Both sides of the inequality run over the lacunary-augmented set."""
     f = build_function(config.f, config.n, config.extent)
-    base, excluded, flagged, increment = _pointwise_ratio(config, f, config.depth, config.s_resolution)
-    fine, _, _, _ = _pointwise_ratio(config, f, config.depth + 1, 2 * config.s_resolution)
-    max_base = 0.0 if np.all(np.isnan(base)) else float(np.nanmax(base))
-    max_fine = 0.0 if np.all(np.isnan(fine)) else float(np.nanmax(fine))
+    m, E, j_range = config.multiplier, config.set, config.j_range
+    sq = square_functional(f, m, E, config.alpha, config.beta, config.depth, j_range, config.s_resolution)
+    runs = []
+    for depth, bot in ((config.depth, sq.values.samples.real), (config.depth + 1, sq.refined.samples.real)):
+        sup, increment = maximal_function(f, m, E, depth, j_range, augment=True)
+        top = np.abs(sup.samples.real) ** 2
+        excluded = (top <= EXCLUSION_FACTOR * top.max()) & (bot <= EXCLUSION_FACTOR * bot.max())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(excluded, np.nan, top / bot)
+        runs.append((ratios, 0.0 if np.all(np.isnan(ratios)) else float(np.nanmax(ratios)), excluded, increment))
+    (base, max_base, excluded, increment), (_, max_fine, _, _) = runs
     change = abs(max_fine - max_base) / max_base if max_base > 0 else 0.0
-    return DominationReport(
-        max_ratio=max_base,
-        refined_ratio=max_fine,
-        relative_change=change,
-        excluded_pixels=int(np.sum(excluded)),
-        flagged_pixels=int(np.sum(flagged)),
-        maximal_increment=increment,
-        ratios=base,
-    )
+    return DominationReport(max_base, max_fine, change, int(np.sum(excluded)), int(np.sum(sq.flagged)), increment, base)
 
 
 # ---------------------------------------------------------------------------

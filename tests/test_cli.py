@@ -535,6 +535,15 @@ def _dim_set(generator):
         # domination runs the p = 2 inequality only
         pytest.param("experiment", _experiment("domination", p=4), "p: domination runs at p = 2 only", id="domination_p_4"),
         pytest.param("experiment", _experiment("domination", p=1.5), "p: domination runs at p = 2 only", id="domination_p_1.5"),
+        # bounds on the work an experiment config asks for, checked before any work (kappa included)
+        pytest.param("experiment", _experiment("domination", depth=60), "bad experiment config: config.depth", id="depth_60"),
+        pytest.param("experiment", _experiment("domination", depth=25), "bad experiment config: config.depth", id="depth_25"),
+        pytest.param("experiment", _experiment("domination", depth=10**30), "config.depth", id="depth_1e30"),
+        pytest.param("experiment", _experiment("domination", s_resolution=10**6), "config.s_resolution", id="s_res_1e6"),
+        pytest.param("experiment", _experiment("domination", grid={"n": 1 << 24}), "config.grid.n", id="n_2_24"),
+        pytest.param("experiment", _experiment("domination", j_range=[-1100, 1100], depth=8), "config.j_range", id="j_wide"),
+        pytest.param("experiment", _experiment("probe", depth=30), "bad experiment config: config.depth", id="probe_depth_30"),
+        pytest.param("experiment", _experiment("probe", grid={"n": 1 << 24}), "config.grid.n", id="probe_n_2_24"),
     ],
 )
 def test_config_error_exits_one(tmp_path, capsys, command, payload, named):

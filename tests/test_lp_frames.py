@@ -117,6 +117,30 @@ def test_filtered_matches_per_row_inverse_transform(side, complex_weights):
     np.testing.assert_array_equal(spec.filtered(), spec.to_space().samples)
 
 
+def filtered_phase_after_weights(g, weights):
+    """`filtered` with the +-1 phase multiplied into the whole (filters x n) product, after the weights."""
+    spec = g.to_frequency()
+    out = spec._phase() * (spec.samples if weights is None else weights * spec.samples)
+    return np.multiply(np.fft.ifft(out, axis=-1, out=out), spec.dxi * spec.n, out=out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 2048])
+@pytest.mark.parametrize("spectrum", ["random", "zero"])
+@pytest.mark.parametrize("weights", [None, "real", "complex", "dilated"])
+def test_filtered_keeps_the_bits_of_the_phase_after_the_weights(n, spectrum, weights):
+    rng = np.random.default_rng(n)
+    samples = rng.standard_normal(n) + 1j * rng.standard_normal(n) if spectrum == "random" else np.zeros(n, complex)
+    g = GridFunction(8.0, samples, side="frequency")
+    if weights == "real":
+        weights = rng.standard_normal((3, n))
+    elif weights == "complex":
+        weights = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    elif weights == "dilated":
+        weights = evaluate(LimitedDecay(1.0), np.multiply.outer([0.5, 1.0, 1.7], g.freq_radius()))
+    got, want = g.filtered(weights), filtered_phase_after_weights(g, weights)
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()  # signed zeros too
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridFunction(4.0, np.zeros(100, dtype=complex))  # not a power of two

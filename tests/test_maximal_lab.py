@@ -1,12 +1,15 @@
 import json
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fracmax.maximal_lab as ml
 from fracmax.dilation_sets import (
     BlockSet,
     CantorLike,
@@ -345,6 +348,15 @@ def full_matrix_square_functional(f, m, E, alpha, beta, depth, j_range, s_resolu
     return acc
 
 
+def one_sampling_flags(f, m, E, alpha, beta, depth, j_range, s_resolution):
+    """The Hoelder flags of one sampling's full-spectrum paths."""
+    flagged = np.zeros(f.n, dtype=bool)
+    for block in build_h_weights(sampled_dilations(E, j_range, depth, augment=True), beta):
+        s_grid = np.unique(np.concatenate([np.linspace(0.0, 2.0, s_resolution + 1), block.nodes]))
+        flagged |= ~_path_hoelder_ok(full_spectrum_dilate(f.to_frequency(), m, 2.0**block.j * s_grid), alpha)
+    return flagged
+
+
 @pytest.mark.parametrize("m", [BandBump(), LimitedDecay(1.0)], ids=repr)
 def test_square_functional_is_the_full_matrix_contraction_bit_for_bit(m):
     f = build_function(ModulatedBump(1.0, 2.0), 256, 8.0)
@@ -352,6 +364,10 @@ def test_square_functional_is_the_full_matrix_contraction_bit_for_bit(m):
     expected = full_matrix_square_functional(f, m, POW_LAC, 0.45, 0.3, 3, (-2, 2), 64)
     assert np.array_equal(res.values.samples.real, expected)
     assert np.all(res.values.samples.imag == 0)
+    # the refined sampling, from the same call, is the one-sampling run at depth + 1 and 2 s_resolution
+    refined = full_matrix_square_functional(f, m, POW_LAC, 0.45, 0.3, 4, (-2, 2), 128)
+    assert res.refined.samples.tobytes() == refined.astype(complex).tobytes()
+    assert np.array_equal(res.flagged, one_sampling_flags(f, m, POW_LAC, 0.45, 0.3, 3, (-2, 2), 64))
 
 
 def median_hoelder_estimate(paths):
@@ -410,6 +426,86 @@ def test_domination_ratio_stability_small_config():
     assert report.stable
 
 
+def two_pass_domination_ratio(config):
+    """domination_ratio as two independent runs, each with its own maximal function and one-sampling square
+    functional, built here from full-spectrum paths and the full Marchaud matrix."""
+
+    def pointwise_ratio(f, depth, s_resolution):
+        m, E, j_range, alpha, beta = config.multiplier, config.set, config.j_range, config.alpha, config.beta
+        sup, increment = maximal_function(f, m, E, depth, j_range, augment=True)
+        top = np.abs(sup.samples.real) ** 2
+        bot = full_matrix_square_functional(f, m, E, alpha, beta, depth, j_range, s_resolution)
+        excluded = (top <= ml.EXCLUSION_FACTOR * top.max()) & (bot <= ml.EXCLUSION_FACTOR * bot.max())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(excluded, np.nan, top / bot)
+        return ratios, excluded, one_sampling_flags(f, m, E, alpha, beta, depth, j_range, s_resolution), increment
+
+    f = build_function(config.f, config.n, config.extent)
+    base, excluded, flagged, increment = pointwise_ratio(f, config.depth, config.s_resolution)
+    fine, _, _, _ = pointwise_ratio(f, config.depth + 1, 2 * config.s_resolution)
+    max_base = 0.0 if np.all(np.isnan(base)) else float(np.nanmax(base))
+    max_fine = 0.0 if np.all(np.isnan(fine)) else float(np.nanmax(fine))
+    change = abs(max_fine - max_base) / max_base if max_base > 0 else 0.0
+    return max_base, max_fine, change, int(np.sum(excluded)), int(np.sum(flagged)), increment, base
+
+
+def level_grids(E, j_range, depth, s_resolution, beta=0.3):
+    """Per level: the s-grid of the base sampling and of the refined one (depth + 1, 2 s_resolution)."""
+    return [
+        tuple(np.union1d(np.linspace(0.0, 2.0, r + 1), b.nodes) for r, b in zip((s_resolution, 2 * s_resolution), bs))
+        for bs in zip(*[build_h_weights(sampled_dilations(E, j_range, d, augment=True), beta) for d in (depth, depth + 1)])
+    ]
+
+
+ALL_FAMILIES = [
+    LimitedDecay(1.0),
+    SlowDecay(1.0, 0.5),
+    Oscillatory(0.5, 0.7),
+    BandBump(),
+    Custom(lambda r: np.exp(0.3j * r) / (1.0 + r)),
+    scaled(LimitedDecay(0.7), 1.7),
+]
+
+
+@pytest.mark.parametrize("m", ALL_FAMILIES, ids=repr)
+@pytest.mark.parametrize("E, base_has_own_rows", [(POW_LAC, True), (LAC, False)], ids=["pow_lac", "lac"])
+def test_domination_ratio_is_the_two_pass_form_bit_for_bit(m, E, base_has_own_rows):
+    config = Domination(set=E, multiplier=m, f=ModulatedBump(1.0, 2.0), n=256, j_range=(-2, 2), depth=3, s_resolution=24)
+    # the power sequence adds sampled points at depth + 1, so the base grid has weight nodes the refined one lacks
+    grids = level_grids(E, (-2, 2), 3, 24)
+    assert any(np.setdiff1d(base, fine).size for base, fine in grids) == base_has_own_rows
+    report = domination_ratio(config)
+    *fields, ratios = two_pass_domination_ratio(config)
+    assert [report.max_ratio, report.refined_ratio, report.relative_change] == fields[:3]
+    assert [report.excluded_pixels, report.flagged_pixels, report.maximal_increment] == fields[3:]
+    assert report.ratios.tobytes() == ratios.tobytes()
+
+
+def test_square_functional_dilates_the_refined_grid_and_only_the_base_rows_it_lacks(monkeypatch):
+    dilated, checked = [], []
+
+    def counting_dilate(f, m, ts):
+        dilated.append(ts.copy())
+        return _batched_dilate(f, m, ts)
+
+    def counting_hoelder(paths, alpha):
+        checked.append(paths.shape[0])
+        return _path_hoelder_ok(paths, alpha)
+
+    monkeypatch.setattr(ml, "_batched_dilate", counting_dilate)
+    monkeypatch.setattr(ml, "_path_hoelder_ok", counting_hoelder)
+    f = build_function(GaussianBump(1.0), 256, 8.0)
+    square_functional(f, BandBump(), POW_LAC, 0.45, 0.3, 3, (-2, 2), 24)
+    grids = level_grids(POW_LAC, (-2, 2), 3, 24)
+    assert checked == [base.size for base, _ in grids]  # the Hoelder check sees the base sampling only
+    # per level one batch of the refined grid and one of the base rows it lacks
+    expected = [2.0**j * ts for j, (base, fine) in zip(range(-2, 3), grids) for ts in (fine, np.setdiff1d(base, fine))]
+    assert len(dilated) == len(expected) and all(np.array_equal(a, b) for a, b in zip(dilated, expected))
+    lacking = sum(np.setdiff1d(base, fine).size for base, fine in grids)
+    assert sum(ts.size for ts in dilated) == sum(fine.size for _, fine in grids) + lacking
+    assert 0 < lacking < sum(base.size for base, _ in grids)
+
+
 def test_domination_zero_function_trivially_passes():
     config = Domination(
         set=LAC,
@@ -438,6 +534,41 @@ def test_domination_histogram_csv():
     hist = domination_ratio(config).histogram(bins=8)
     lines = hist.splitlines()
     assert lines[0] == "lo,hi,count" and len(lines) == 9
+
+
+DENSE = DilationSet(UnionSet((PowerSequence(0.5), ExplicitPoints(tuple(np.geomspace(0.3, 3.0, 4000))))))
+
+
+@pytest.mark.parametrize("E", [LAC, POW_LAC, DENSE], ids=["lac", "pow_lac", "dense"])
+@pytest.mark.parametrize("depth", [0, 2, 5])
+@pytest.mark.parametrize("kind", [Domination, Probe], ids=["domination", "probe"])
+def test_batch_bound_covers_every_batch_the_run_makes(monkeypatch, kind, E, depth):
+    """A config is rejected before any work once its largest (dilations x pixels) batch may pass MAX_BATCH."""
+    rows = []
+
+    def counting_dilate(f, m, ts):
+        rows.append(ts.size)
+        return _batched_dilate(f, m, ts)
+
+    extra = {"f": GaussianBump(1.0), "s_resolution": 16} if kind is Domination else {"trials": 1}
+    config = kind(set=E, multiplier=BandBump(), n=64, j_range=(-2, 1), depth=depth, **extra)
+    monkeypatch.setattr(ml, "_batched_dilate", counting_dilate)
+    config.run()
+    monkeypatch.setattr(ml, "MAX_BATCH", 64 * max(rows) - 1)
+    with pytest.raises(ValueError, match="config.depth, .*config.grid.n: one dilation batch may hold"):
+        replace(config)  # runs the checks of __post_init__ again
+
+
+def test_no_benchmark_pool_op_passes_the_batch_bound():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    ops = [op for op in workloads.pool("experiments") if op.config["kind"] != "halfwave"]
+    assert len(ops) > 80
+    for op in ops:
+        EXPERIMENTS.from_json(dict(op.config, config={"seed": 0, **op.config["config"]}))
 
 
 # --- H-norm bound -----------------------------------------------------------------
