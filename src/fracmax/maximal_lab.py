@@ -163,31 +163,17 @@ def sampled_dilations(
 
 
 def maximal_function(
-    f: GridFunction,
-    m: Multiplier,
-    E: DilationSet,
-    sampling_depth: int = 4,
-    j_range: tuple[int, int] = (-3, 4),
-    augment: bool = False,
-) -> tuple[GridFunction, float]:
-    """Pointwise sup of |T_{m(t .)} f| over the sampled dilation set.
-
-    Returns the sup together with the relative L2 increment from the previous
-    sampling depth, a convergence indicator for the discretized supremum.
-    """
-    blocks = sampled_dilations(E, j_range, sampling_depth, augment)
-    if not blocks:
+    f: GridFunction, m: Multiplier, E: DilationSet, depths: tuple[int, ...], j_range: tuple[int, int], augment=False
+) -> list[np.ndarray]:
+    """Pointwise sups of |T_{m(t .)} f| over the set sampled at each ascending depth: the samplings are nested,
+    so only the deepest is dilated, and each sup is the exact max over the rows its own sampling holds."""
+    samplings = [sampled_dilations(E, j_range, d, augment) for d in depths]
+    if not samplings[-1]:
         raise ValueError("empty dilation sampling on the requested j window")
-    coarse = sampled_dilations(E, j_range, max(sampling_depth - 1, 0), augment)
-    # blocks share at most an endpoint, which every depth keeps, so a shared
-    # dilation gets the same coarse-sampling mark whichever block it came from
-    ts = np.unique(np.concatenate([2.0**j * pts for j, pts in blocks.items()]))
-    in_coarse = np.isin(ts, np.concatenate([2.0**j * pts for j, pts in coarse.items()]))
-    vals = np.abs(_batched_dilate(f, m, ts))
-    sup_now = vals.max(axis=0)
-    sup_prev = vals[in_coarse].max(axis=0)
-    denom = float(np.linalg.norm(sup_now)) or 1.0
-    return GridFunction(f.extent, sup_now.astype(complex)), float(np.linalg.norm(sup_now - sup_prev)) / denom
+    # blocks share at most an endpoint, which every depth keeps, so a shared dilation is one row
+    ts = [np.unique(np.concatenate([2.0**j * pts for j, pts in blocks.items()])) for blocks in samplings]
+    vals = np.abs(_batched_dilate(f, m, ts[-1]))
+    return [vals[np.isin(ts[-1], own)].max(axis=0) for own in ts[:-1]] + [vals.max(axis=0)]
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +303,7 @@ def square_functional(
 
 
 EXPERIMENTS = Registry("kind", "experiment kind")
-MAX_TRIALS = 64  # the probe builds one test input per trial before any work
+MAX_TRIALS = 64  # the probe builds one test input per trial and runs one maximal function per decay
 MAX_BATCH = 1 << 23  # (dilations x pixels) values one batch may hold, 128 MB complex, checked before any work
 GRID_FIELDS = {
     "config.set": DilationSet.from_json,
@@ -465,6 +451,8 @@ class Probe(MaximalExperiment):
             raise ValueError("integrability index must lie in (1, inf)")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(f"trials must lie in 1..{MAX_TRIALS}, got {self.trials}")
+        if len(self.regularity_grid) > MAX_TRIALS:
+            raise ValueError(f"regularity_grid may hold at most {MAX_TRIALS} decays, got {len(self.regularity_grid)}")
         if not all(a > 0 for a in self.regularity_grid):
             raise ValueError(f"regularity_grid entries must be positive, got {list(self.regularity_grid)}")
         self.bound_batch(self.depth, 0, "config.depth, config.j_range, config.grid.n")
@@ -481,8 +469,8 @@ class Probe(MaximalExperiment):
         def maximal_norm(f: GridFunction, m: Multiplier) -> float:
             """L^p norm of the maximal function of the L^p-normalized input."""
             f = GridFunction(f.extent, f.samples / f.lp_norm(self.p))
-            sup, _ = maximal_function(f, m, self.set, self.depth, self.j_range)
-            return sup.lp_norm(self.p)
+            [sup] = maximal_function(f, m, self.set, (self.depth,), self.j_range)
+            return GridFunction(f.extent, sup).lp_norm(self.p)
 
         per_trial = [(FUNCTIONS.to_json(s)["kind"], maximal_norm(f, self.multiplier)) for s, f in zip(specs, inputs)]
         sweep = [(float(a), maximal_norm(inputs[0], LimitedDecay(float(a)))) for a in self.regularity_grid]
@@ -505,33 +493,35 @@ class DominationReport:
     def stable(self) -> bool:
         return self.relative_change < 0.10
 
-    def histogram(self, bins: int = 32) -> str:
+    def histogram(self) -> str:
         finite = self.ratios[np.isfinite(self.ratios)]
         if finite.size == 0:
             return "lo,hi,count\n"
-        counts, edges = np.histogram(finite, bins=bins)
+        counts, edges = np.histogram(finite, bins=32)
         rows = ["lo,hi,count"]
         rows += [f"{repr(float(lo))},{repr(float(hi))},{c}" for lo, hi, c in zip(edges, edges[1:], counts)]
         return "\n".join(rows) + "\n"
 
 
 def domination_ratio(config: Domination) -> DominationReport:
-    """Max pointwise ratio of squared maximal function to square functional,
-    with its stability under doubling both the set sampling and the s-grid.
+    """Max pointwise ratio of squared maximal function to square functional, with its stability under doubling
+    both the set sampling and the s-grid, and the sup's relative L2 increment from depth - 1 to depth.
     Both sides of the inequality run over the lacunary-augmented set."""
     f = build_function(config.f, config.n, config.extent)
     m, E, j_range = config.multiplier, config.set, config.j_range
     sq = square_functional(f, m, E, config.alpha, config.beta, config.depth, j_range, config.s_resolution)
+    depths = (max(config.depth - 1, 0), config.depth, config.depth + 1)
+    prev, now, fine = maximal_function(f, m, E, depths, j_range, augment=True)
     runs = []
-    for depth, bot in ((config.depth, sq.values.samples.real), (config.depth + 1, sq.refined.samples.real)):
-        sup, increment = maximal_function(f, m, E, depth, j_range, augment=True)
-        top = np.abs(sup.samples.real) ** 2
+    for sup, bot in ((now, sq.values.samples.real), (fine, sq.refined.samples.real)):
+        top = sup**2
         excluded = (top <= EXCLUSION_FACTOR * top.max()) & (bot <= EXCLUSION_FACTOR * bot.max())
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(excluded, np.nan, top / bot)
-        runs.append((ratios, 0.0 if np.all(np.isnan(ratios)) else float(np.nanmax(ratios)), excluded, increment))
-    (base, max_base, excluded, increment), (_, max_fine, _, _) = runs
+        runs.append((ratios, 0.0 if np.all(np.isnan(ratios)) else float(np.nanmax(ratios)), excluded))
+    (base, max_base, excluded), (_, max_fine, _) = runs
     change = abs(max_fine - max_base) / max_base if max_base > 0 else 0.0
+    increment = float(np.linalg.norm(now - prev)) / (float(np.linalg.norm(now)) or 1.0)
     return DominationReport(max_base, max_fine, change, int(np.sum(excluded)), int(np.sum(sq.flagged)), increment, base)
 
 

@@ -156,7 +156,7 @@ def test_experiment_domination_and_determinism(tmp_path):
     assert (out / "experiment_report.json").read_bytes() == first
     report = json.loads(first)
     assert report["seed"] == 3 and report["config"]["config"]["alpha"] == 0.45
-    assert (out / "ratio_histogram.csv").exists()
+    assert len((out / "ratio_histogram.csv").read_text().splitlines()) == 33  # a header and 32 bins
 
 
 @pytest.mark.parametrize("p", [2, 2.0])
@@ -532,6 +532,12 @@ def _dim_set(generator):
         ),
         pytest.param("experiment", dict(_experiment("probe"), trials=65), "trials must lie in 1..64", id="trials_65"),
         pytest.param("experiment", dict(_experiment("probe"), trials=0), "trials must lie in 1..64", id="trials_0"),
+        pytest.param(
+            "experiment",
+            dict(_experiment("probe"), regularity_grid=[1.0] * 65),
+            "regularity_grid may hold at most 64 decays, got 65",
+            id="regularity_grid_65",
+        ),
         # domination runs the p = 2 inequality only
         pytest.param("experiment", _experiment("domination", p=4), "p: domination runs at p = 2 only", id="domination_p_4"),
         pytest.param("experiment", _experiment("domination", p=1.5), "p: domination runs at p = 2 only", id="domination_p_1.5"),

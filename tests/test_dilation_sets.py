@@ -207,7 +207,7 @@ def entropy_cases(draw):
     return BlockSet(0, np.array(points), truncated=bool(tails), tails=tuple(tails)), delta, draw(st.booleans())
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(entropy_cases())
 def test_entropy_matches_the_unique_count(case):
     block, delta, include_tails = case

@@ -173,16 +173,16 @@ def test_singleton_set_reduces_to_plain_operator():
     f = gaussian()
     single = DilationSet(ExplicitPoints((1.0,)))
     direct = apply_dilated_multiplier(f, BandBump(), 1.0)
-    sup, increment = maximal_function(f, BandBump(), single, 4, (0, 0))
-    np.testing.assert_allclose(sup.samples.real, np.abs(direct.samples), atol=1e-13)
-    assert increment == 0.0
+    prev, sup = maximal_function(f, BandBump(), single, (3, 4), (0, 0))
+    np.testing.assert_allclose(sup, np.abs(direct.samples), atol=1e-13)
+    assert np.array_equal(prev, sup)
 
 
 def test_plancherel_contraction_singleton():
     f = gaussian()
     single = DilationSet(ExplicitPoints((1.0,)))
-    sup, _ = maximal_function(f, BandBump(), single, 4, (0, 0))
-    l2 = math.sqrt(float(np.sum(sup.samples.real**2) * sup.dx))
+    [sup] = maximal_function(f, BandBump(), single, (4,), (0, 0))
+    l2 = math.sqrt(float(np.sum(sup**2) * f.dx))
     assert l2 <= f.l2_norm() + 1e-10  # sup|m| = 1 for the annular bump
 
 
@@ -190,35 +190,32 @@ def test_maximal_monotone_under_set_inclusion():
     f = gaussian()
     small = DilationSet(ExplicitPoints((1.0, 1.5)))
     large = DilationSet(ExplicitPoints((1.0, 1.25, 1.5, 1.75)))
-    s1, _ = maximal_function(f, LimitedDecay(1.0), small, 4, (0, 0))
-    s2, _ = maximal_function(f, LimitedDecay(1.0), large, 4, (0, 0))
-    assert np.all(s2.samples.real >= s1.samples.real - 1e-15)
+    [s1] = maximal_function(f, LimitedDecay(1.0), small, (4,), (0, 0))
+    [s2] = maximal_function(f, LimitedDecay(1.0), large, (4,), (0, 0))
+    assert np.all(s2 >= s1 - 1e-15)
 
 
 def test_maximal_depth_refinement_settles():
     f = gaussian(n=1024)
-    sup_a, _ = maximal_function(f, BandBump(), LAC, 4, (-3, 4))
-    sup_b, inc = maximal_function(f, BandBump(), LAC, 5, (-3, 4))
-    l2 = math.sqrt(float(np.sum(sup_b.samples.real**2) * sup_b.dx))
-    delta = math.sqrt(float(np.sum((sup_b.samples.real - sup_a.samples.real) ** 2) * sup_b.dx))
+    sup_a, sup_b = maximal_function(f, BandBump(), LAC, (4, 5), (-3, 4))
+    l2 = math.sqrt(float(np.sum(sup_b**2) * f.dx))
+    delta = math.sqrt(float(np.sum((sup_b - sup_a) ** 2) * f.dx))
     assert delta <= 0.02 * l2
-    assert inc <= 0.02
 
 
 def test_maximal_block_of_repeated_dilations_is_skipped():
     # block 1 of {1 + 1/n} holds only the dilation 2, already seen in block 0
     f = gaussian(n=256)
     E = DilationSet(PowerSequence(1.0))
-    sup, inc = maximal_function(f, BandBump(), E, 3, (0, 1))
-    sup0, inc0 = maximal_function(f, BandBump(), E, 3, (0, 0))
-    np.testing.assert_array_equal(sup.samples, sup0.samples)
-    assert inc == inc0
+    sups = maximal_function(f, BandBump(), E, (2, 3), (0, 1))
+    sups0 = maximal_function(f, BandBump(), E, (2, 3), (0, 0))
+    assert all(np.array_equal(a, b) for a, b in zip(sups, sups0))
 
 
 def test_maximal_empty_window_raises():
     f = gaussian()
     with pytest.raises(ValueError, match="empty dilation sampling"):
-        maximal_function(f, BandBump(), DilationSet(ExplicitPoints((7.0,))), 3, (10, 11))
+        maximal_function(f, BandBump(), DilationSet(ExplicitPoints((7.0,))), (3,), (10, 11))
 
 
 def test_maximal_matches_per_dilation_reference():
@@ -227,7 +224,7 @@ def test_maximal_matches_per_dilation_reference():
     x = -extent + (2 * extent / n) * np.arange(n)
     f = GridFunction(extent, np.exp(-(x**2)) * np.exp(2j * np.pi * 2.0 * x))
     E, m = DilationSet(ExplicitPoints((1.0, 1.3, 1.7))), LimitedDecay(1.0)
-    sup, _ = maximal_function(f, m, E, 2, (-1, 0))
+    [sup] = maximal_function(f, m, E, (2,), (-1, 0))
     spec = f.to_frequency()
     ts = [2.0**j * t for j, pts in sampled_dilations(E, (-1, 0), 2).items() for t in pts]
     assert len(ts) >= 3
@@ -236,10 +233,10 @@ def test_maximal_matches_per_dilation_reference():
         masked = spec.samples * evaluate(m, t * spec.freq_radius())
         return np.abs(replace(spec, samples=masked, side="frequency").to_space().samples)
 
-    np.testing.assert_allclose(sup.samples.real, np.max([dilated(t) for t in ts], axis=0), atol=1e-13)
+    np.testing.assert_allclose(sup, np.max([dilated(t) for t in ts], axis=0), atol=1e-13)
 
 
-def test_maximal_increment_matches_two_depth_reference():
+def test_maximal_increment_matches_two_depth_reference(monkeypatch):
     # three blocks of the lacunary union: neighbouring blocks share the endpoint 2 * 2**j = 1 * 2**(j + 1)
     f = build_function(ModulatedBump(1.0, 1.5), 128, 8.0)
     m, depth, j_range = LimitedDecay(1.0), 3, (-1, 1)
@@ -251,11 +248,47 @@ def test_maximal_increment_matches_two_depth_reference():
         return np.max([np.abs(apply_dilated_multiplier(f, m, t).samples) for t in sorted(ts)], axis=0)
 
     now, prev = sup_over(depth), sup_over(depth - 1)
-    sup, inc = maximal_function(f, m, POW_LAC, depth, j_range, augment=True)
-    np.testing.assert_allclose(sup.samples.real, now, rtol=0, atol=1e-13)
     expected = np.linalg.norm(now - prev) / np.linalg.norm(now)
     assert expected > 0
-    assert inc == pytest.approx(expected, rel=1e-9)
+    config = Domination(set=POW_LAC, multiplier=m, f=ModulatedBump(1.0, 1.5), n=128, j_range=j_range, depth=depth)
+    calls = []
+    monkeypatch.setattr(ml, "maximal_function", lambda *a, **k: calls.append(a[3]) or maximal_function(*a, **k))
+    assert domination_ratio(config).maximal_increment == pytest.approx(expected, rel=1e-9)
+    assert calls == [(depth - 1, depth, depth + 1)]  # one batch serves the increment and both ratios
+
+
+def per_depth_sups(f, m, E, depths, j_range, augment=False):
+    """The sup over each depth's own sampling, from one batch of that depth's dilations alone."""
+    return [
+        np.abs(_batched_dilate(f, m, np.unique([2.0**j * t for j, pts in blocks.items() for t in pts]))).max(axis=0)
+        for blocks in (sampled_dilations(E, j_range, d, augment) for d in depths)
+    ]
+
+
+@pytest.mark.parametrize(
+    "depths, augment",
+    [((2, 3, 4), True), ((0, 0, 1), True), ((1, 3), False), ((3,), False)],
+    ids=["augmented", "augmented_from_depth_0", "plain", "one_depth"],
+)
+def test_maximal_function_dilates_the_deepest_sampling_once(monkeypatch, depths, augment):
+    f, m, E, j_range = build_function(ModulatedBump(1.0, 1.5), 128, 8.0), LimitedDecay(1.0), POW_LAC, (-1, 1)
+    # neighbouring blocks share the endpoint 2 * 2**j = 1 * 2**(j + 1), which is one row of the batch
+    deepest = sampled_dilations(E, j_range, depths[-1], augment)
+    assert all(deepest[j][-1] == 2.0 and deepest[j + 1][0] == 1.0 for j in (-1, 0))
+    expected = per_depth_sups(f, m, E, depths, j_range, augment)
+    dilated = []
+
+    def counting_dilate(f, m, ts):
+        dilated.append(ts.copy())
+        return _batched_dilate(f, m, ts)
+
+    monkeypatch.setattr(ml, "_batched_dilate", counting_dilate)
+    sups = maximal_function(f, m, E, depths, j_range, augment)
+    assert len(dilated) == 1
+    assert np.array_equal(dilated[0], np.unique([2.0**j * t for j, pts in deepest.items() for t in pts]))
+    assert len(sups) == len(depths) and all(a.tobytes() == b.tobytes() for a, b in zip(sups, expected))
+    if depths[0] < depths[-1]:
+        assert not np.array_equal(sups[0], sups[-1])  # the shallowest sampling really lacks rows that matter
 
 
 # --- H weights -------------------------------------------------------------------
@@ -427,22 +460,25 @@ def test_domination_ratio_stability_small_config():
 
 
 def two_pass_domination_ratio(config):
-    """domination_ratio as two independent runs, each with its own maximal function and one-sampling square
-    functional, built here from full-spectrum paths and the full Marchaud matrix."""
+    """domination_ratio as two independent runs, each with the sup over its own depth's dilations alone and a
+    one-sampling square functional built here from full-spectrum paths and the full Marchaud matrix; the increment
+    takes the depth - 1 sup from its own dilations too."""
+    m, E, j_range, alpha, beta = config.multiplier, config.set, config.j_range, config.alpha, config.beta
 
     def pointwise_ratio(f, depth, s_resolution):
-        m, E, j_range, alpha, beta = config.multiplier, config.set, config.j_range, config.alpha, config.beta
-        sup, increment = maximal_function(f, m, E, depth, j_range, augment=True)
-        top = np.abs(sup.samples.real) ** 2
+        [sup] = per_depth_sups(f, m, E, (depth,), j_range, augment=True)
+        top = sup**2
         bot = full_matrix_square_functional(f, m, E, alpha, beta, depth, j_range, s_resolution)
         excluded = (top <= ml.EXCLUSION_FACTOR * top.max()) & (bot <= ml.EXCLUSION_FACTOR * bot.max())
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(excluded, np.nan, top / bot)
-        return ratios, excluded, one_sampling_flags(f, m, E, alpha, beta, depth, j_range, s_resolution), increment
+        return ratios, excluded, one_sampling_flags(f, m, E, alpha, beta, depth, j_range, s_resolution), sup
 
     f = build_function(config.f, config.n, config.extent)
-    base, excluded, flagged, increment = pointwise_ratio(f, config.depth, config.s_resolution)
+    base, excluded, flagged, now = pointwise_ratio(f, config.depth, config.s_resolution)
     fine, _, _, _ = pointwise_ratio(f, config.depth + 1, 2 * config.s_resolution)
+    [prev] = per_depth_sups(f, m, E, (max(config.depth - 1, 0),), j_range, augment=True)
+    increment = float(np.linalg.norm(now - prev)) / (float(np.linalg.norm(now)) or 1.0)
     max_base = 0.0 if np.all(np.isnan(base)) else float(np.nanmax(base))
     max_fine = 0.0 if np.all(np.isnan(fine)) else float(np.nanmax(fine))
     change = abs(max_fine - max_base) / max_base if max_base > 0 else 0.0
@@ -531,9 +567,12 @@ def test_domination_histogram_csv():
         depth=2,
         s_resolution=64,
     )
-    hist = domination_ratio(config).histogram(bins=8)
-    lines = hist.splitlines()
-    assert lines[0] == "lo,hi,count" and len(lines) == 9
+    report = domination_ratio(config)
+    lines = report.histogram().splitlines()
+    assert lines[0] == "lo,hi,count" and len(lines) == 33  # the 32 bins of ratio_histogram.csv
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))  # the bins tile the ratios' range
+    assert sum(row[2] for row in rows) == np.isfinite(report.ratios).sum() > 0
 
 
 DENSE = DilationSet(UnionSet((PowerSequence(0.5), ExplicitPoints(tuple(np.geomspace(0.3, 3.0, 4000))))))
