@@ -10,7 +10,7 @@ slopes) operates on those blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence, Union
 
@@ -68,7 +68,7 @@ class PowerSequence:
         a = self.a
         # gap(n) = n**-a - (n+1)**-a ~ a * n**-(1+a); find last n with gap >= floor
         n_star = max(1.0, (a / max(gap_floor, 1e-300)) ** (1.0 / (1.0 + a)))
-        n_max = int(min(cap, math.ceil(n_star * 2)))
+        n_max = math.ceil(min(cap, n_star * 2))  # clamped first: n_star is inf for a huge a
         n = np.arange(1, n_max + 1, dtype=float)
         pts = self.sequence(n)
         gaps = -np.diff(pts)  # decreasing sequence
@@ -80,11 +80,16 @@ class PowerSequence:
         return pts, True, (tail,)
 
     def small_times(self, t_min: float, t_max: float) -> np.ndarray:
-        """The offsets to the accumulation point 1."""
-        n_lo = max(1, math.floor(t_max ** (-1.0 / self.a)))
-        n_hi = math.ceil(t_min ** (-1.0 / self.a)) + 1
-        n = np.arange(n_lo, min(n_hi, n_lo + 100000) + 1, dtype=float)
-        return self.offsets(n)
+        """The offsets to the accumulation point 1, n**-a for up to 100001 n from the first below t_max."""
+        try:
+            n_lo = max(1, math.floor(t_max ** (-1.0 / self.a)))
+        except OverflowError:  # for a tiny a every float n has its offset above t_max
+            return np.array([])
+        try:
+            n_hi = min(math.ceil(t_min ** (-1.0 / self.a)) + 1, n_lo + 100000)
+        except OverflowError:  # the window runs past the largest float n
+            n_hi = n_lo + 100000
+        return self.offsets(np.arange(n_lo, n_hi + 1, dtype=float))
 
 
 @GENERATORS.register("explicit", points=tuple_of(number))
@@ -234,12 +239,14 @@ class TailInfo:
 
 @dataclass(frozen=True, eq=False)
 class BlockSet:
-    """Points of (2**-j * E) intersected with [1, 2], sorted ascending."""
+    """Points of (2**-j * E) intersected with [1, 2], sorted ascending; `counts` keeps entropy_number's
+    counts by (delta, include_tails), so a block shared through _cached_block is counted once per scale."""
 
     j: int
     points: np.ndarray
     truncated: bool = False
     tails: tuple[TailInfo, ...] = ()
+    counts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -334,6 +341,9 @@ def entropy_number(block: BlockSet, delta: float, include_tails: bool = True) ->
     """
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    key = (delta, include_tails)
+    if key in block.counts:
+        return block.counts[key]
     if block.empty and not block.tails:
         return 0
     x = block.points / delta
@@ -348,7 +358,8 @@ def entropy_number(block: BlockSet, delta: float, include_tails: bool = True) ->
         if k_hi >= k_lo:
             parts.append(np.arange(k_lo, k_hi + 1, dtype=np.int64))
     cells = np.sort(np.concatenate(parts))  # nearly sorted already; faster than np.unique's hashing
-    return int(1 + np.count_nonzero(np.diff(cells))) if cells.size else 0
+    block.counts[key] = int(1 + np.count_nonzero(np.diff(cells))) if cells.size else 0
+    return block.counts[key]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ Hoelder, and square-summed band norms are Riemann sums over those grids.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -236,14 +237,20 @@ def _band_norms(g: GridFunction, p: float, j_max: int) -> list[float]:
 
     Piece j multiplies the spectrum by the difference of the low-pass profiles
     phi(|xi| / 2**j) and phi(|xi| / 2**(j-1)) (0 for j = 0), so for j >= 1 it
-    is lp_piece's band j, and each profile is computed once.
+    is lp_piece's band j.  The difference vanishes off 2**(j-1) < |xi| < 2**(j+1)
+    (|xi| < 2 for j = 0), so each profile is computed there once and the signed
+    spectrum is weighted there only; the zeros elsewhere can change only the sign
+    of a zero output, so every norm has the bits of the product over the whole grid.
     """
-    spec = g.to_frequency()
-    rho = spec.freq_radius()
-    low, norms = 0.0, []
+    rho, signed = g.freq_radius(), g._phase() * g.to_frequency().samples  # as in filtered, once
+    below, norms = np.zeros(g.n), []  # phi(|xi| / 2**(j-1)) on the windows still to come
     for j in range(j_max + 1):
-        below, low = low, CUTOFF.phi(rho / 2.0**j)
-        norms.append(GridFunction(g.extent, spec.filtered(low - below)).lp_norm(p))
+        window = (rho < 2.0 ** (j + 1)) & (rho > (2.0 ** (j - 1) if j else -1.0))
+        low, piece = CUTOFF.phi(rho[window] / 2.0**j), np.zeros(g.n, dtype=complex)
+        piece[window] = (low - below[window]) * signed[window]
+        below[window] = low
+        piece = np.multiply(np.fft.ifft(piece, out=piece), g.dxi * g.n, out=piece)
+        norms.append(GridFunction(g.extent, piece).lp_norm(p))
     return norms
 
 
@@ -308,7 +315,8 @@ _BAND_MEMO: ContextVar[dict | None] = ContextVar("band_memo", default=None)
 @contextmanager
 def band_memo():
     """Scope in which sigma2_norm keeps each band's unweighted norms, keyed by (m, j, float(p),
-    inner j_max), for later calls and Besov indices; a nested scope shares the outer memo."""
+    inner j_max) and by the band's sample bytes, for later calls and Besov indices; a nested
+    scope shares the outer memo."""
     memo = _BAND_MEMO.get()
     token = _BAND_MEMO.set({} if memo is None else memo)
     try:
@@ -355,7 +363,11 @@ def sigma2_norm(m, params: BesovParams, j_range: tuple[int, int]) -> Sigma2Resul
             on = weight != 0
             samples = np.zeros(n, dtype=complex)
             samples[on] = evaluate(m, 2.0**j * xi[on]) * weight[on]
-            memo[key] = _band_norms(GridFunction(4.0, samples), params.p, inner)
+            same = (hashlib.sha256(samples).digest(), float(params.p), inner)  # equal samples, equal norms
+            if same not in memo:  # an all-zero band has zero norms and needs no transform
+                zero = not samples.any()
+                memo[same] = [0.0] * (inner + 1) if zero else _band_norms(GridFunction(4.0, samples), params.p, inner)
+            memo[key] = memo[same]
         bands.append((j, _besov_sum(memo[key], params)))
     total = math.sqrt(sum(v**2 for _, v in bands))
     tail = math.sqrt(bands[-1][1] ** 2 + bands[-2][1] ** 2) if len(bands) >= 2 else 0.0

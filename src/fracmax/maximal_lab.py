@@ -199,11 +199,9 @@ def _halfgap_cells(anchor: float, width: float, beta2: float, outward: float):
     edges = width * 2.0 ** -np.arange(5, -1, -1.0)
     edges[0] = 0.0
     lo, hi = edges[:-1], edges[1:]
-    weights = (hi**beta2 - lo**beta2) / beta2
-    centers = (beta2 / (beta2 + 1.0)) * (hi ** (beta2 + 1.0) - lo ** (beta2 + 1.0)) / (
-        hi**beta2 - lo**beta2
-    )
-    return anchor + outward * centers, weights
+    mass = hi**beta2 - lo**beta2
+    centers = (beta2 / (beta2 + 1.0)) * (hi ** (beta2 + 1.0) - lo ** (beta2 + 1.0)) / mass
+    return anchor + outward * centers, mass / beta2
 
 
 def build_h_weights(blocks: dict[int, np.ndarray], beta: float) -> tuple[HBlock, ...]:
@@ -538,25 +536,19 @@ def band_sup_norm(m: Multiplier, j: int) -> float:
 
 
 def mm_linf_h_norm(
-    m: Multiplier,
-    E: DilationSet,
-    beta: float,
-    xi_samples: np.ndarray,
-    j_range: tuple[int, int] = (-4, 4),
+    m: Multiplier, E: DilationSet, beta: float, xi_samples: np.ndarray, j_range: tuple[int, int] = (-4, 4),
     depth: int = 8,
 ) -> float:
     """Ratio of the sup over frequencies of the weighted square sum of dilated
     symbol values to the square-summed band sup norms."""
     weights = build_h_weights(sampled_dilations(E, j_range, depth, augment=True), beta)
-    sup_h2 = 0.0
-    for xi in np.asarray(xi_samples, dtype=float):
-        h2 = 0.0
-        for block in weights:
-            vals = evaluate(m, 2.0**block.j * block.nodes * abs(xi))
-            h2 += float(block.weights @ np.abs(vals) ** 2)
-        sup_h2 = max(sup_h2, h2)
+    rho = np.abs(np.asarray(xi_samples, dtype=float))
+    h2 = np.zeros(rho.size)  # per frequency, summed over the blocks in order
+    for block in weights:  # a row per frequency; a dot per row keeps the bits of one evaluation per frequency
+        vals = np.abs(evaluate(m, np.multiply.outer(rho, 2.0**block.j * block.nodes))) ** 2
+        h2 += [float(block.weights @ row) for row in vals]
     sigma_inf = math.sqrt(sum(band_sup_norm(m, block.j) ** 2 for block in weights))
-    sup_h = math.sqrt(sup_h2)
+    sup_h = math.sqrt(max(0.0, *h2))
     return sup_h / sigma_inf if sigma_inf > 0 else (0.0 if sup_h == 0 else math.inf)
 
 

@@ -243,15 +243,9 @@ def decay_profile(m: Multiplier, j_range: tuple[int, int], order: int) -> tuple[
     js = np.arange(j_range[0], j_range[1] + 1)
     slopes = []
     for k in range(order + 1):
-        sups = []
-        for j in js:
-            rho = np.linspace(2.0 ** (j - 1.0), 2.0 ** (j + 1.0), 256)
-            sups.append(float(np.max(np.abs(radial_derivative(m, rho, k)))))
-        sups = np.array(sups)
-        if np.any(sups <= 0):
-            slopes.append(-math.inf)
-        else:
-            slopes.append(float(np.polyfit(js, np.log2(sups), 1)[0]))
+        rhos = (np.linspace(2.0 ** (j - 1.0), 2.0 ** (j + 1.0), 256) for j in js)
+        sups = np.array([float(np.max(np.abs(radial_derivative(m, rho, k)))) for rho in rhos])
+        slopes.append(-math.inf if np.any(sups <= 0) else float(np.polyfit(js, np.log2(sups), 1)[0]))
     return tuple(slopes)
 
 

@@ -207,6 +207,27 @@ def test_halfwave_on_cantor_set_is_input_error(tmp_path, capsys):
     assert err == "error: a Cantor set has no small-time schedule\n"
 
 
+def test_power_sequence_with_a_huge_decay_runs_dim_and_domination(tmp_path, capsys):
+    # a = 1e300 made the block's point count inf: domination ended in a traceback, dim in a line naming no field
+    huge = {"generator": {"kind": "power_sequence", "a": 1e300}}
+    dim = dict(DIM_CONFIG, set=huge, expect={"method": "kappa", "value": 0.0, "tol": 0.05})
+    assert main(["dim", "--config", write(tmp_path, "dim.json", dim), "--out", str(tmp_path / "d")]) == EXIT_OK
+    assert json.loads((tmp_path / "d" / "dim_report.json").read_text())["results"]["kappa"]["value"] == 0.0
+    config = write(tmp_path, "exp.json", _experiment("domination", set=huge))
+    assert main(["experiment", "--config", config, "--out", str(tmp_path / "e")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("a", [0.001, 0.003])
+def test_halfwave_at_a_tiny_decay_has_too_few_times(tmp_path, capsys, a):
+    # t**(-1/a) overflowed; now the set gives no time (a = 0.001) or one repeated time (a = 0.003) in the window
+    tiny = {"generator": {"kind": "power_sequence", "a": a}}
+    payload = dict(HALFWAVE_CONFIG, config=dict(HALFWAVE_CONFIG["config"], set=tiny))
+    config = write(tmp_path, "hw.json", payload)
+    assert main(["experiment", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: need at least three evaluation times for a rate fit\n"
+
+
 READ_FIELDS = {
     "domination": ({"set", "multiplier", "f", "alpha", "beta", "p", "grid", "j_range", "depth", "s_resolution"}, set()),
     "halfwave": ({"set", "f", "grid"}, {"hw_alpha", "hw_beta", "t_min", "t_max"}),

@@ -150,6 +150,22 @@ def test_augmented_adjoins_lacunary_grid():
     np.testing.assert_allclose(block.points, [1.0, 2.0])
 
 
+def test_power_sequence_with_a_huge_decay_is_the_points_one_and_two():
+    # (a / gap_floor)**(1 / (1 + a)) is inf for a = 1e300; n_max is clamped to the cap before the ceiling
+    pts, truncated, (tail,) = PowerSequence(1e300).materialize(0, 1_000_000, 1e-9)
+    assert pts.tolist() == [1.0, 2.0] and truncated and tail.n_trunc == 2
+
+
+def test_power_sequence_small_times_at_tiny_decays():
+    # for a = 0.001 even the largest float n has its offset n**-a above t_max: no times
+    assert PowerSequence(0.001).small_times(0.025, 0.35).size == 0
+    # for a = 0.003 only t_min**(-1/a) overflows: the offsets of the first 100001 n from n_lo on
+    times = PowerSequence(0.003).small_times(0.025, 0.35)
+    assert times.size == 100001 and np.all((0.025 <= times) & (times <= 0.35))
+    times = PowerSequence(1.0).small_times(0.025, 0.35)
+    assert times.tolist() == [1.0 / n for n in range(2, 42)]
+
+
 def test_materialization_cap_flags_truncation():
     E = DilationSet(PowerSequence(1.0), materialization_cap=100)
     block = rescaled_block(E, 0)
@@ -213,6 +229,21 @@ def test_entropy_matches_the_unique_count(case):
     block, delta, include_tails = case
     expected = 0 if block.empty and not block.tails else unique_entropy(block, delta, include_tails)
     assert entropy_number(block, delta, include_tails) == expected
+
+
+@pytest.mark.parametrize(
+    "gen", [PowerSequence(1.0), CantorLike(3, (0, 2), 8), UnionSet((PowerSequence(2.0), LacunaryGrid()))]
+)
+def test_cached_count_matches_a_fresh_block(gen):
+    block = rescaled_block(DilationSet(gen), 0)
+    fresh = BlockSet(block.j, block.points.copy(), block.truncated, block.tails)
+    for delta in [float(d) for d in SCHED] + [2.0**-k for k in range(1, 14)]:
+        for include_tails in (True, False):
+            first = entropy_number(block, delta, include_tails)
+            assert block.counts[(delta, include_tails)] == first
+            assert entropy_number(block, delta, include_tails) == first == entropy_number(fresh, delta, include_tails)
+    assert rescaled_block(DilationSet(gen), 0) is block  # the counts live on the one shared block
+    assert repr(block) == repr(BlockSet(block.j, block.points, block.truncated, block.tails))
 
 
 def test_entropy_bad_delta():

@@ -10,6 +10,8 @@ from fracmax.lp_frames import (
     BesovParams,
     GridFunction,
     SmoothCutoff,
+    _band_norms,
+    _besov_sum,
     band_memo,
     besov_norm,
     dilation_invariance_check,
@@ -221,6 +223,21 @@ def test_besov_integrability_index_must_exceed_one():
         BesovParams(1.0, 0.5)
 
 
+@pytest.mark.parametrize("n", [1024, 8192])
+@pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
+def test_besov_norm_keeps_the_bits_of_the_pieces_over_the_whole_grid(n, p):
+    # _band_norms weights each piece on its window only; its norms are those of lp_piece's full-grid product
+    rng = np.random.default_rng(n)
+    smooth = make_grid(FIVE_FUNCTIONS[4], n=n)
+    rough = GridFunction(8.0, rng.standard_normal(n) + 1j * rng.standard_normal(n), side="frequency")
+    for g in (smooth, rough):
+        params = BesovParams(p, 0.7, j_max=int(math.log2(g.nyquist)) - 1)
+        low = GridFunction(g.extent, g.filtered(CUT.phi(g.freq_radius()))).lp_norm(p)
+        pieces = [low] + [lp_piece(g, j).lp_norm(p) for j in range(1, params.j_max + 1)]
+        assert _band_norms(g, p, params.j_max) == pieces
+        assert besov_norm(g, params) == _besov_sum(pieces, params)
+
+
 # --- Hoelder norms ---------------------------------------------------------------
 
 
@@ -337,9 +354,40 @@ def test_band_memo_gives_the_bits_of_a_fresh_call(m):
     calls = [(BesovParams(p, s), r) for p in (2.0, 2, math.inf) for r in ((-2, 10), (-2, 6)) for s in (0.5, 1.3)]
     calls.append((BesovParams(2.0, 0.5, j_max=4), (-2, 6)))
     fresh = [sigma2_norm(m, params, r) for params, r in calls]
+    (params, (lo, hi)), moved = calls[0], scaled(m, 2.0)
+    fresh_moved = sigma2_norm(moved, params, (lo - 1, hi - 1))
     with band_memo():
         memoized = [sigma2_norm(m, params, r) for params, r in calls]
+        # band j of m(2 .) samples what band j + 1 of m samples, so the memo serves it by its bytes
+        memoized_moved = sigma2_norm(moved, params, (lo - 1, hi - 1))
     assert memoized == fresh  # total, every band and the stale flag, bit for bit
+    assert memoized_moved == fresh_moved
+
+
+def _counting_inverse_ffts(monkeypatch):
+    calls, ifft = [0], np.fft.ifft
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    return calls
+
+
+def test_band_memo_transforms_equal_samples_once_and_zero_bands_never(monkeypatch):
+    m, params = LimitedDecay(1.0), BesovParams(2.0, 0.5)
+    calls = _counting_inverse_ffts(monkeypatch)
+    far = sigma2_norm(BandBump(), params, (3, 9))  # the bump's bands vanish beyond j = 1
+    assert calls[0] == 0 and far.total == 0.0 and all(v == 0.0 for _, v in far.bands)
+    assert _band_norms(GridFunction(4.0, np.zeros(1024, dtype=complex)), 2.0, 5) == [0.0] * 6
+    fresh_moved = sigma2_norm(scaled(m, 2.0), params, (-3, 7))
+    with band_memo():
+        sigma2_norm(m, params, (-2, 8))
+        before = calls[0]
+        assert sigma2_norm(scaled(m, 2.0), params, (-3, 7)) == fresh_moved
+        assert sigma2_norm(BandBump(), params, (3, 9)) == far
+        assert calls[0] == before > 0
 
 
 def _counting_custom():
