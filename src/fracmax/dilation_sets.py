@@ -80,16 +80,18 @@ class PowerSequence:
         return pts, True, (tail,)
 
     def small_times(self, t_min: float, t_max: float) -> np.ndarray:
-        """The offsets to the accumulation point 1, n**-a for up to 100001 n from the first below t_max."""
+        """The offsets n**-a to the accumulation point 1 over the window's n: all of them, or 100001 spread over it."""
         try:
             n_lo = max(1, math.floor(t_max ** (-1.0 / self.a)))
         except OverflowError:  # for a tiny a every float n has its offset above t_max
             return np.array([])
         try:
-            n_hi = min(math.ceil(t_min ** (-1.0 / self.a)) + 1, n_lo + 100000)
-        except OverflowError:  # the window runs past the largest float n
+            n_hi = math.ceil(t_min ** (-1.0 / self.a)) + 1
+        except OverflowError:  # the window runs past the largest float n: the 100001 n from n_lo on
             n_hi = n_lo + 100000
-        return self.offsets(np.arange(n_lo, n_hi + 1, dtype=float))
+        if n_hi - n_lo <= 100000:
+            return self.offsets(np.arange(n_lo, n_hi + 1, dtype=float))
+        return self.offsets(np.round(np.geomspace(float(n_lo), float(n_hi), 100001)))  # both ends can pass int64
 
 
 @GENERATORS.register("explicit", points=tuple_of(number))

@@ -124,56 +124,60 @@ def apply_dilated_multiplier(f: GridFunction, m: Multiplier, t: float) -> GridFu
     return GridFunction(f.extent, _batched_dilate(f, m, np.array([t]))[0])
 
 
-def nested_sample(points: np.ndarray, depth: int) -> np.ndarray:
-    """Finite sample of a block, nested across depths (doubling refines).
+def nested_sample(points: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Finite sample of a nonempty block, and each sampled point's depth label.
 
-    Combines the block points nearest to the dyadic value grid 1 + k/2**depth
-    (coverage of [1, 2]) with geometric index ladders from both ends
-    (coverage of accumulation clusters).  Both ingredients are nested under
-    depth doubling, so refinement only ever adds dilations.
+    Combines the block points nearest to the dyadic value grid 1 + k/2**depth (coverage of [1, 2]) with geometric
+    index ladders from both ends (coverage of accumulation clusters).  Both are nested under depth doubling, so a
+    point's label is the shallowest depth that samples it, and the sample at d <= depth is the points labelled <= d.
     """
-    n = points.size
-    if n == 0:
-        return points
-    targets = 1.0 + np.arange((1 << depth) + 1) / float(1 << depth)
+    n, k = points.size, np.arange((1 << depth) + 1)
+    targets = 1.0 + k / float(1 << depth)
     pos = np.searchsorted(points, targets)
     below, above = np.maximum(pos - 1, 0), np.minimum(pos, n - 1)
     # the nearer neighbour of each target; a tie goes to the one below
     snap = np.where(np.abs(points[above] - targets) < np.abs(points[below] - targets), above, below)
-    steps = 1 << np.arange(depth + 1)
-    ladder = np.concatenate([[0, n - 1], np.minimum(steps, n - 1), np.maximum(n - 1 - steps, 0)])
-    return points[np.unique(np.concatenate([snap, ladder]))]
+    steps = np.arange(depth + 1)
+    ladder = np.concatenate([[0, n - 1], np.minimum(1 << steps, n - 1), np.maximum(n - 1 - (1 << steps), 0)])
+    # target k / 2**depth first appears at depth minus the trailing zero bits of k (k = 0 at depth 0)
+    snap_depth = depth - np.log2(np.where(k > 0, k & -k, 1 << depth)).astype(int)
+    keep, source = np.unique(np.concatenate([snap, ladder]), return_inverse=True)
+    labels = np.full(keep.size, depth)
+    np.minimum.at(labels, source, np.concatenate([snap_depth, [0, 0], steps, steps]))
+    return points[keep], labels
 
 
-def sampled_dilations(
-    E: DilationSet, j_range: tuple[int, int], depth: int, augment: bool = False
-) -> dict[int, np.ndarray]:
-    """Per-j nested samples of the set's blocks.
+class Sampling(dict):
+    def __init__(self):  # per j, the sampled block points; labels[j] holds their depth labels (see nested_sample)
+        super().__init__()
+        self.labels = {}
+
+
+def sampled_dilations(E: DilationSet, j_range: tuple[int, int], depth: int, augment: bool = False) -> Sampling:
+    """Per-j nested samples of the set's blocks, labelled by depth.
 
     With augment=True the lacunary grid is adjoined first, so every block
     contains the endpoints 1 and 2 (the square-functional setting).
     """
     base = augmented(E) if augment else E
-    out = {}
+    out = Sampling()
     for j in range(j_range[0], j_range[1] + 1):
         block = rescaled_block(base, j)
         if not block.empty:
-            out[j] = nested_sample(block.points, depth)
+            out[j], out.labels[j] = nested_sample(block.points, depth)
     return out
 
 
-def maximal_function(
-    f: GridFunction, m: Multiplier, E: DilationSet, depths: tuple[int, ...], j_range: tuple[int, int], augment=False
-) -> list[np.ndarray]:
-    """Pointwise sups of |T_{m(t .)} f| over the set sampled at each ascending depth: the samplings are nested,
-    so only the deepest is dilated, and each sup is the exact max over the rows its own sampling holds."""
-    samplings = [sampled_dilations(E, j_range, d, augment) for d in depths]
-    if not samplings[-1]:
+def maximal_function(f: GridFunction, m: Multiplier, sampling: Sampling, depths: tuple[int, ...]) -> list[np.ndarray]:
+    """Pointwise sups of |T_{m(t .)} f| over the sampling cut at each depth: the whole sampling is dilated once,
+    and each sup is the exact max over the rows labelled at most that depth."""
+    if not sampling:
         raise ValueError("empty dilation sampling on the requested j window")
-    # blocks share at most an endpoint, which every depth keeps, so a shared dilation is one row
-    ts = [np.unique(np.concatenate([2.0**j * pts for j, pts in blocks.items()])) for blocks in samplings]
-    vals = np.abs(_batched_dilate(f, m, ts[-1]))
-    return [vals[np.isin(ts[-1], own)].max(axis=0) for own in ts[:-1]] + [vals.max(axis=0)]
+    # blocks share at most an endpoint, labelled 0 in both, so a shared dilation is one row
+    ts, first = np.unique(np.concatenate([2.0**j * pts for j, pts in sampling.items()]), return_index=True)
+    labels = np.concatenate([sampling.labels[j] for j in sampling])[first]
+    vals = np.abs(_batched_dilate(f, m, ts))
+    return [vals.max(axis=0, where=(labels <= d)[:, None], initial=0.0) for d in depths]  # 0 is below every |.|
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +257,15 @@ def _path_hoelder_ok(paths: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def square_functional(
-    f: GridFunction,
-    m: Multiplier,
-    E: DilationSet,
-    alpha: float,
-    beta: float,
-    sampling_depth: int = 4,
-    j_range: tuple[int, int] = (-3, 4),
-    s_resolution: int = 128,
+    f: GridFunction, m: Multiplier, sampling: Sampling, alpha: float, beta: float, depth: int, s_resolution: int
 ) -> SquareFunctionalResult:
-    """Distance-weighted square sum of fractional path derivatives, per pixel, at two samplings.
+    """Distance-weighted square sum of fractional path derivatives, per pixel, at two cuts of an augmented sampling.
 
     For each dyadic level the per-pixel path F_j(s) = T_{m(2**j s .)} f(x) is
     sampled on [0, 2] (uniform fill plus the weight nodes), differentiated by
     the Marchaud scheme along s at the weight nodes only, and contracted
-    against the level's weights.  `values` samples the set at sampling_depth
-    with s_resolution fill cells, `refined` at depth + 1 with twice the cells.
+    against the level's weights.  `values` takes the points labelled <= depth
+    with s_resolution fill cells, `refined` those <= depth + 1 with twice the cells.
     Per level the refined paths are batched once; the base grid gathers the
     rows it shares with them (linspace(0, 2, R + 1) is linspace(0, 2, 2R + 1)[::2]
     bit for bit) and dilates only the rest.  Each sampling keeps its own
@@ -276,10 +273,11 @@ def square_functional(
     """
     if not 0 < beta < alpha <= 0.5:
         raise ValueError("need 0 < beta < alpha <= 1/2")
-    samplings = ((sampling_depth, s_resolution), (sampling_depth + 1, 2 * s_resolution))
+    samplings = ((depth, s_resolution), (depth + 1, 2 * s_resolution))
     spec, accs, flagged = f.to_frequency(), (np.zeros(f.n), np.zeros(f.n)), np.zeros(f.n, dtype=bool)
-    # every depth samples the same levels, and every augmented block holds 1 and 2, so it has weight nodes
-    for blocks in zip(*[build_h_weights(sampled_dilations(E, j_range, d, augment=True), beta) for d, _ in samplings]):
+    # every augmented block holds 1 and 2, labelled 0, so each cut keeps every level and it has weight nodes
+    cuts = [{j: pts[sampling.labels[j] <= d] for j, pts in sampling.items()} for d, _ in samplings]
+    for blocks in zip(*[build_h_weights(cut, beta) for cut in cuts]):
         grids = [np.union1d(np.linspace(0.0, 2.0, r + 1), b.nodes) for (_, r), b in zip(samplings, blocks)]
         fine = _batched_dilate(spec, m, 2.0 ** blocks[0].j * grids[1])  # (n_s, n_pixels)
         pos = np.searchsorted(grids[1], grids[0])  # both grids end at 2, so every position is in range
@@ -463,11 +461,12 @@ class Probe(MaximalExperiment):
             specs.append(RandomBand(3, self.seed))
         # every input is built, and a vanishing one rejected, before any maximal function runs
         inputs = [build_function(spec, self.n, self.extent) for spec in specs]
+        sampling = sampled_dilations(self.set, self.j_range, self.depth)  # one sampling for every trial and decay
 
         def maximal_norm(f: GridFunction, m: Multiplier) -> float:
             """L^p norm of the maximal function of the L^p-normalized input."""
             f = GridFunction(f.extent, f.samples / f.lp_norm(self.p))
-            [sup] = maximal_function(f, m, self.set, (self.depth,), self.j_range)
+            [sup] = maximal_function(f, m, sampling, (self.depth,))
             return GridFunction(f.extent, sup).lp_norm(self.p)
 
         per_trial = [(FUNCTIONS.to_json(s)["kind"], maximal_norm(f, self.multiplier)) for s, f in zip(specs, inputs)]
@@ -504,12 +503,11 @@ class DominationReport:
 def domination_ratio(config: Domination) -> DominationReport:
     """Max pointwise ratio of squared maximal function to square functional, with its stability under doubling
     both the set sampling and the s-grid, and the sup's relative L2 increment from depth - 1 to depth.
-    Both sides of the inequality run over the lacunary-augmented set."""
-    f = build_function(config.f, config.n, config.extent)
-    m, E, j_range = config.multiplier, config.set, config.j_range
-    sq = square_functional(f, m, E, config.alpha, config.beta, config.depth, j_range, config.s_resolution)
-    depths = (max(config.depth - 1, 0), config.depth, config.depth + 1)
-    prev, now, fine = maximal_function(f, m, E, depths, j_range, augment=True)
+    Both sides of the inequality run over one sampling of the lacunary-augmented set, at depth + 1."""
+    f, m = build_function(config.f, config.n, config.extent), config.multiplier
+    sampling = sampled_dilations(config.set, config.j_range, config.depth + 1, augment=True)
+    sq = square_functional(f, m, sampling, config.alpha, config.beta, config.depth, config.s_resolution)
+    prev, now, fine = maximal_function(f, m, sampling, (max(config.depth - 1, 0), config.depth, config.depth + 1))
     runs = []
     for sup, bot in ((now, sq.values.samples.real), (fine, sq.refined.samples.real)):
         top = sup**2
@@ -536,8 +534,7 @@ def band_sup_norm(m: Multiplier, j: int) -> float:
 
 
 def mm_linf_h_norm(
-    m: Multiplier, E: DilationSet, beta: float, xi_samples: np.ndarray, j_range: tuple[int, int] = (-4, 4),
-    depth: int = 8,
+    m: Multiplier, E: DilationSet, beta: float, xi_samples: np.ndarray, j_range: tuple[int, int], depth: int
 ) -> float:
     """Ratio of the sup over frequencies of the weighted square sum of dilated
     symbol values to the square-summed band sup norms."""

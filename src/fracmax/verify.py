@@ -308,14 +308,14 @@ def suite_maximal() -> list[Check]:
 
     f = ml.build_function(ml.GaussianBump(1.0), 512, 8.0)
     single = ds.DilationSet(ds.ExplicitPoints((1.0,)))
-    [sup] = ml.maximal_function(f, mu.BandBump(), single, (4,), (0, 0))
+    [sup] = ml.maximal_function(f, mu.BandBump(), ml.sampled_dilations(single, (0, 0), 4), (4,))
     l2 = math.sqrt(float(np.sum(sup**2) * f.dx))
     checks.append(_at_most("plancherel_contraction", l2 / f.l2_norm(), 1.0 + 1e-10))
 
     small = ds.DilationSet(ds.ExplicitPoints((1.0, 1.5)))
     large = ds.DilationSet(ds.ExplicitPoints((1.0, 1.25, 1.5, 1.75)))
-    [s1] = ml.maximal_function(f, mu.LimitedDecay(1.0), small, (4,), (0, 0))
-    [s2] = ml.maximal_function(f, mu.LimitedDecay(1.0), large, (4,), (0, 0))
+    [s1] = ml.maximal_function(f, mu.LimitedDecay(1.0), ml.sampled_dilations(small, (0, 0), 4), (4,))
+    [s2] = ml.maximal_function(f, mu.LimitedDecay(1.0), ml.sampled_dilations(large, (0, 0), 4), (4,))
     checks.append(_is_true("maximal_monotone_in_set", bool(np.all(s2 >= s1 - 1e-15))))
 
     xi_samples = np.geomspace(0.25, 64.0, 25)

@@ -126,10 +126,10 @@ def test_nested_sampling_is_nested_and_covering():
     pts = np.sort(1.0 + np.random.default_rng(5).random(400))
     prev = set()
     for depth in range(2, 8):
-        now = set(nested_sample(pts, depth).tolist())
+        now = set(nested_sample(pts, depth)[0].tolist())
         assert prev <= now
         prev = now
-    sample = nested_sample(pts, 4)
+    sample, _ = nested_sample(pts, 4)
     assert sample[0] == pts[0] and sample[-1] == pts[-1]
     assert np.max(np.diff(sample)) <= 3.0 / 16.0  # value coverage at depth 4
 
@@ -156,7 +156,11 @@ def test_nested_sample_matches_loop_reference(n):
     # on the evenly spaced points some targets lie exactly midway between two neighbours
     for pts in (np.sort(1.0 + np.random.default_rng(n).random(n)), np.linspace(1.0, 2.0, 4 * n + 1)):
         for depth in range(0, 7):
-            np.testing.assert_array_equal(nested_sample(pts, depth), _nested_sample_loop(pts, depth))
+            sample, labels = nested_sample(pts, depth)
+            np.testing.assert_array_equal(sample, _nested_sample_loop(pts, depth))
+            # the points labelled <= d are the sample at depth d
+            for d in range(depth + 1):
+                np.testing.assert_array_equal(sample[labels <= d], _nested_sample_loop(pts, d))
 
 
 def test_sampled_dilations_augmentation():
@@ -173,7 +177,7 @@ def test_singleton_set_reduces_to_plain_operator():
     f = gaussian()
     single = DilationSet(ExplicitPoints((1.0,)))
     direct = apply_dilated_multiplier(f, BandBump(), 1.0)
-    prev, sup = maximal_function(f, BandBump(), single, (3, 4), (0, 0))
+    prev, sup = maximal_function(f, BandBump(), sampled_dilations(single, (0, 0), 4), (3, 4))
     np.testing.assert_allclose(sup, np.abs(direct.samples), atol=1e-13)
     assert np.array_equal(prev, sup)
 
@@ -181,7 +185,7 @@ def test_singleton_set_reduces_to_plain_operator():
 def test_plancherel_contraction_singleton():
     f = gaussian()
     single = DilationSet(ExplicitPoints((1.0,)))
-    [sup] = maximal_function(f, BandBump(), single, (4,), (0, 0))
+    [sup] = maximal_function(f, BandBump(), sampled_dilations(single, (0, 0), 4), (4,))
     l2 = math.sqrt(float(np.sum(sup**2) * f.dx))
     assert l2 <= f.l2_norm() + 1e-10  # sup|m| = 1 for the annular bump
 
@@ -190,14 +194,14 @@ def test_maximal_monotone_under_set_inclusion():
     f = gaussian()
     small = DilationSet(ExplicitPoints((1.0, 1.5)))
     large = DilationSet(ExplicitPoints((1.0, 1.25, 1.5, 1.75)))
-    [s1] = maximal_function(f, LimitedDecay(1.0), small, (4,), (0, 0))
-    [s2] = maximal_function(f, LimitedDecay(1.0), large, (4,), (0, 0))
+    [s1] = maximal_function(f, LimitedDecay(1.0), sampled_dilations(small, (0, 0), 4), (4,))
+    [s2] = maximal_function(f, LimitedDecay(1.0), sampled_dilations(large, (0, 0), 4), (4,))
     assert np.all(s2 >= s1 - 1e-15)
 
 
 def test_maximal_depth_refinement_settles():
     f = gaussian(n=1024)
-    sup_a, sup_b = maximal_function(f, BandBump(), LAC, (4, 5), (-3, 4))
+    sup_a, sup_b = maximal_function(f, BandBump(), sampled_dilations(LAC, (-3, 4), 5), (4, 5))
     l2 = math.sqrt(float(np.sum(sup_b**2) * f.dx))
     delta = math.sqrt(float(np.sum((sup_b - sup_a) ** 2) * f.dx))
     assert delta <= 0.02 * l2
@@ -207,15 +211,15 @@ def test_maximal_block_of_repeated_dilations_is_skipped():
     # block 1 of {1 + 1/n} holds only the dilation 2, already seen in block 0
     f = gaussian(n=256)
     E = DilationSet(PowerSequence(1.0))
-    sups = maximal_function(f, BandBump(), E, (2, 3), (0, 1))
-    sups0 = maximal_function(f, BandBump(), E, (2, 3), (0, 0))
+    sups = maximal_function(f, BandBump(), sampled_dilations(E, (0, 1), 3), (2, 3))
+    sups0 = maximal_function(f, BandBump(), sampled_dilations(E, (0, 0), 3), (2, 3))
     assert all(np.array_equal(a, b) for a, b in zip(sups, sups0))
 
 
 def test_maximal_empty_window_raises():
     f = gaussian()
     with pytest.raises(ValueError, match="empty dilation sampling"):
-        maximal_function(f, BandBump(), DilationSet(ExplicitPoints((7.0,))), (3,), (10, 11))
+        maximal_function(f, BandBump(), sampled_dilations(DilationSet(ExplicitPoints((7.0,))), (10, 11), 3), (3,))
 
 
 def test_maximal_matches_per_dilation_reference():
@@ -224,7 +228,7 @@ def test_maximal_matches_per_dilation_reference():
     x = -extent + (2 * extent / n) * np.arange(n)
     f = GridFunction(extent, np.exp(-(x**2)) * np.exp(2j * np.pi * 2.0 * x))
     E, m = DilationSet(ExplicitPoints((1.0, 1.3, 1.7))), LimitedDecay(1.0)
-    [sup] = maximal_function(f, m, E, (2,), (-1, 0))
+    [sup] = maximal_function(f, m, sampled_dilations(E, (-1, 0), 2), (2,))
     spec = f.to_frequency()
     ts = [2.0**j * t for j, pts in sampled_dilations(E, (-1, 0), 2).items() for t in pts]
     assert len(ts) >= 3
@@ -252,7 +256,12 @@ def test_maximal_increment_matches_two_depth_reference(monkeypatch):
     assert expected > 0
     config = Domination(set=POW_LAC, multiplier=m, f=ModulatedBump(1.0, 1.5), n=128, j_range=j_range, depth=depth)
     calls = []
-    monkeypatch.setattr(ml, "maximal_function", lambda *a, **k: calls.append(a[3]) or maximal_function(*a, **k))
+
+    def recording_maximal_function(f, m, sampling, depths):
+        calls.append(depths)  # read by name, so a reordered signature fails here rather than passing by accident
+        return maximal_function(f, m, sampling, depths)
+
+    monkeypatch.setattr(ml, "maximal_function", recording_maximal_function)
     assert domination_ratio(config).maximal_increment == pytest.approx(expected, rel=1e-9)
     assert calls == [(depth - 1, depth, depth + 1)]  # one batch serves the increment and both ratios
 
@@ -283,7 +292,7 @@ def test_maximal_function_dilates_the_deepest_sampling_once(monkeypatch, depths,
         return _batched_dilate(f, m, ts)
 
     monkeypatch.setattr(ml, "_batched_dilate", counting_dilate)
-    sups = maximal_function(f, m, E, depths, j_range, augment)
+    sups = maximal_function(f, m, deepest, depths)
     assert len(dilated) == 1
     assert np.array_equal(dilated[0], np.unique([2.0**j * t for j, pts in deepest.items() for t in pts]))
     assert len(sups) == len(depths) and all(a.tobytes() == b.tobytes() for a, b in zip(sups, expected))
@@ -323,21 +332,18 @@ def test_h_weights_exponent_validation():
 
 def test_square_functional_zero_inputs():
     f = GridFunction(8.0, np.zeros(256, dtype=complex))
-    res = square_functional(f, BandBump(), LAC, 0.45, 0.3, sampling_depth=3, j_range=(-2, 2))
+    sampling = sampled_dilations(LAC, (-2, 2), 4, augment=True)
+    res = square_functional(f, BandBump(), sampling, 0.45, 0.3, 3, 128)
     assert np.all(res.values.samples.real == 0)
     g = gaussian(n=256)
-    res2 = square_functional(
-        g, Custom(lambda r: np.zeros_like(r)), LAC, 0.45, 0.3, sampling_depth=3, j_range=(-2, 2)
-    )
+    res2 = square_functional(g, Custom(lambda r: np.zeros_like(r)), sampling, 0.45, 0.3, 3, 128)
     assert np.max(res2.values.samples.real) <= 1e-20
 
 
 def test_square_functional_matches_dense_brute_force():
     f = build_function(ModulatedBump(1.0, 2.0), 512, 8.0)
     alpha, beta = 0.45, 0.3
-    res = square_functional(
-        f, BandBump(), LAC, alpha, beta, sampling_depth=3, j_range=(-2, 3), s_resolution=128
-    )
+    res = square_functional(f, BandBump(), sampled_dilations(LAC, (-2, 3), 4, augment=True), alpha, beta, 3, 128)
     vals = res.values.samples.real
     spec = f.to_frequency()
     blocks = sampled_dilations(LAC, (-2, 3), 3, augment=True)
@@ -393,7 +399,7 @@ def one_sampling_flags(f, m, E, alpha, beta, depth, j_range, s_resolution):
 @pytest.mark.parametrize("m", [BandBump(), LimitedDecay(1.0)], ids=repr)
 def test_square_functional_is_the_full_matrix_contraction_bit_for_bit(m):
     f = build_function(ModulatedBump(1.0, 2.0), 256, 8.0)
-    res = square_functional(f, m, POW_LAC, 0.45, 0.3, sampling_depth=3, j_range=(-2, 2), s_resolution=64)
+    res = square_functional(f, m, sampled_dilations(POW_LAC, (-2, 2), 4, augment=True), 0.45, 0.3, 3, 64)
     expected = full_matrix_square_functional(f, m, POW_LAC, 0.45, 0.3, 3, (-2, 2), 64)
     assert np.array_equal(res.values.samples.real, expected)
     assert np.all(res.values.samples.imag == 0)
@@ -434,7 +440,8 @@ def test_path_hoelder_ok_matches_the_median_formula(nodes, seed):
 
 def test_square_functional_validates_exponents():
     with pytest.raises(ValueError):
-        square_functional(gaussian(n=256), BandBump(), LAC, 0.3, 0.45)
+        sampling = sampled_dilations(LAC, (-3, 4), 5, augment=True)
+        square_functional(gaussian(n=256), BandBump(), sampling, 0.3, 0.45, 4, 128)
 
 
 # --- lemma ratio experiment ----------------------------------------------------------
@@ -531,7 +538,7 @@ def test_square_functional_dilates_the_refined_grid_and_only_the_base_rows_it_la
     monkeypatch.setattr(ml, "_batched_dilate", counting_dilate)
     monkeypatch.setattr(ml, "_path_hoelder_ok", counting_hoelder)
     f = build_function(GaussianBump(1.0), 256, 8.0)
-    square_functional(f, BandBump(), POW_LAC, 0.45, 0.3, 3, (-2, 2), 24)
+    square_functional(f, BandBump(), sampled_dilations(POW_LAC, (-2, 2), 4, augment=True), 0.45, 0.3, 3, 24)
     grids = level_grids(POW_LAC, (-2, 2), 3, 24)
     assert checked == [base.size for base, _ in grids]  # the Hoelder check sees the base sampling only
     # per level one batch of the refined grid and one of the base rows it lacks
@@ -540,6 +547,18 @@ def test_square_functional_dilates_the_refined_grid_and_only_the_base_rows_it_la
     lacking = sum(np.setdiff1d(base, fine).size for base, fine in grids)
     assert sum(ts.size for ts in dilated) == sum(fine.size for _, fine in grids) + lacking
     assert 0 < lacking < sum(base.size for base, _ in grids)
+
+
+def test_domination_ratio_samples_each_block_once(monkeypatch):
+    # both sides of the inequality and all three sups read one depth + 1 sampling of the augmented set
+    blocks = len(sampled_dilations(POW_LAC, (-2, 2), 4, augment=True))
+    calls = []
+    monkeypatch.setattr(ml, "nested_sample", lambda pts, depth: calls.append(depth) or nested_sample(pts, depth))
+    config = Domination(
+        set=POW_LAC, multiplier=BandBump(), f=GaussianBump(1.0), n=256, j_range=(-2, 2), depth=3, s_resolution=24
+    )
+    domination_ratio(config)
+    assert calls == [4] * blocks and blocks == 5
 
 
 def test_domination_zero_function_trivially_passes():
@@ -639,7 +658,8 @@ def test_mm_linf_h_norm_suite():
 
 
 def test_mm_linf_h_norm_zero_multiplier():
-    ratio = mm_linf_h_norm(Custom(lambda r: np.zeros_like(r)), LAC, 0.3, np.array([1.0, 2.0]), j_range=(-2, 2))
+    zero = Custom(lambda r: np.zeros_like(r))
+    ratio = mm_linf_h_norm(zero, LAC, 0.3, np.array([1.0, 2.0]), j_range=(-2, 2), depth=8)
     assert ratio == 0.0
 
 
@@ -694,6 +714,13 @@ def test_halfwave_gaussian_along_power_sequence():
     times = halfwave_times(DilationSet(PowerSequence(1.0)), 1.0 / 40, 0.35)
     report = halfwave_convergence(gaussian(n=1024), 0.5, times)
     assert report.beta_fit >= 0.3
+
+
+@pytest.mark.parametrize("a", [0.3, 0.1, 0.05, 0.01])
+def test_halfwave_times_span_a_window_of_more_than_100001_n(a):
+    # the n are spread over the whole window, not the first 100001 from its top (where a = 0.01 gave one time)
+    times = halfwave_times(DilationSet(PowerSequence(a)), 0.025, 0.35)
+    assert times.min() < 0.03 and times.max() > 0.34
 
 
 def test_halfwave_times_extraction():
