@@ -172,8 +172,8 @@ class LacunaryGrid:
         return np.array([1.0, 2.0]), False, ()
 
     def small_times(self, t_min: float, t_max: float) -> np.ndarray:
-        k_lo = math.ceil(math.log2(1.0 / t_max))
-        k_hi = math.floor(math.log2(1.0 / t_min))
+        k_lo = math.ceil(-math.log2(t_max))
+        k_hi = math.floor(-math.log2(t_min))
         return 2.0 ** -np.arange(k_lo, k_hi + 1, dtype=float)
 
 
@@ -333,35 +333,46 @@ def _boundary_split(x: np.ndarray):
     return r.astype(np.int64), on_boundary
 
 
+def _distinct(cells: np.ndarray) -> int:
+    """Number of distinct values in a sorted array."""
+    return int(1 + np.count_nonzero(np.diff(cells))) if cells.size else 0
+
+
+def _tail_cells(tail: TailInfo, delta: float) -> tuple[int, int]:
+    """First and last covering cell of the tail [anchor, edge]."""
+    lo, lo_exact = _boundary_split(np.array([tail.anchor / delta]))
+    k_lo = int(lo[0]) if lo_exact[0] else int(math.floor(tail.anchor / delta))
+    hi, hi_exact = _boundary_split(np.array([tail.edge / delta]))
+    return k_lo, int(hi[0]) - 1 if hi_exact[0] else int(math.floor(tail.edge / delta))
+
+
 def entropy_number(block: BlockSet, delta: float, include_tails: bool = True) -> int:
-    """Number of covering cells [k*delta, (k+1)*delta] meeting the block.
+    """Number of covering cells [k*delta, (k+1)*delta] meeting the block, at a scale delta in [DEDUP_TOL, 1].
 
     Closed intervals: a point exactly on a shared boundary increments both
     adjacent cells.  Accumulation tails flagged on the block are counted as
-    full sub-intervals (exact whenever delta exceeds the truncation gap);
-    pass include_tails=False to count the materialized points only.
+    full sub-intervals (exact whenever delta exceeds the truncation gap), each
+    as its range of cells, so the work does not grow with the tail's width over
+    delta; pass include_tails=False to count the materialized points only.
     """
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    if not DEDUP_TOL <= delta <= 1:
+        raise ValueError(f"delta must lie in [{DEDUP_TOL}, 1], got {delta}")
     key = (delta, include_tails)
     if key in block.counts:
         return block.counts[key]
-    if block.empty and not block.tails:
-        return 0
     x = block.points / delta
     r, on_boundary = _boundary_split(x)
     k = np.floor(x).astype(np.int64)
     parts = [k[~on_boundary], r[on_boundary] - 1, r[on_boundary]]
-    for tail in block.tails if include_tails else ():
-        lo, lo_exact = _boundary_split(np.array([tail.anchor / delta]))
-        k_lo = int(lo[0]) if lo_exact[0] else int(math.floor(tail.anchor / delta))
-        hi, hi_exact = _boundary_split(np.array([tail.edge / delta]))
-        k_hi = int(hi[0]) - 1 if hi_exact[0] else int(math.floor(tail.edge / delta))
-        if k_hi >= k_lo:
-            parts.append(np.arange(k_lo, k_hi + 1, dtype=np.int64))
     cells = np.sort(np.concatenate(parts))  # nearly sorted already; faster than np.unique's hashing
-    block.counts[key] = int(1 + np.count_nonzero(np.diff(cells))) if cells.size else 0
-    return block.counts[key]
+    count, top = _distinct(cells), -math.inf  # top: the last tail cell counted; a union's tails overlap
+    for lo, hi in sorted(_tail_cells(tail, delta) for tail in (block.tails if include_tails else ())):
+        lo = max(lo, top + 1)
+        if hi >= lo:  # the range's cells, less the point cells counted in it already
+            inside = cells[np.searchsorted(cells, lo) : np.searchsorted(cells, hi, side="right")]
+            count, top = count + hi - lo + 1 - _distinct(inside), hi
+    block.counts[key] = count
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +660,6 @@ def dimension_bound_check(
 
 def geometric_schedule(delta_max: float, delta_min: float, count: int) -> np.ndarray:
     """Strictly decreasing, log-spaced covering-scale schedule."""
-    if not 0 < delta_min < delta_max <= 1:
-        raise ValueError("need 0 < delta_min < delta_max <= 1")
+    if not DEDUP_TOL <= delta_min < delta_max <= 1:
+        raise ValueError(f"need {DEDUP_TOL} <= delta_min < delta_max <= 1, got delta_min {delta_min}")
     return np.geomspace(delta_max, delta_min, count)

@@ -23,64 +23,37 @@ import numpy as np
 # smooth cutoffs
 
 
-def _glue(x: np.ndarray, order: int = 0) -> np.ndarray:
-    """The order-th derivative (0..2) of exp(-1/x), the standard smooth partition glue, at x > 0."""
-    e = np.exp(-1.0 / x)
-    if order == 0:
-        return e
-    if order == 1:
-        return e / x**2
-    return e * (1.0 / x**4 - 2.0 / x**3)
-
-
 @dataclass(frozen=True)
 class SmoothCutoff:
     """Radial low-pass profile: 1 on |xi| <= 1, 0 on |xi| >= 2, monotone between."""
 
-    def phi(self, xi) -> np.ndarray:
-        """Low-pass profile evaluated at |xi| (any real array; radial)."""
+    def phi(self, xi, order: int = 0) -> np.ndarray:
+        """Low-pass profile at |xi| (any real array; radial), or its radial derivative of order 1 or 2,
+        which is exactly 0 off the 1 < |xi| < 2 shell.  On the shell it is u / (u + v), glued from the
+        standard smooth partition pieces u = exp(-1/x) and v = exp(-1/(1 - x)) with x = 2 - |xi|."""
         rho = np.abs(np.asarray(xi, dtype=float))
-        out = np.where(rho <= 1.0, 1.0, 0.0)
+        out = np.where(rho <= 1.0, float(order == 0), 0.0)
         mid = (rho > 1.0) & (rho < 2.0)
         x = 2.0 - rho[mid]  # transition coordinate: 1 at rho=1, 0 at rho=2
-        u = _glue(x)
-        v = _glue(1.0 - x)
-        out[mid] = u / (u + v)
-        return out
-
-    def psi(self, xi) -> np.ndarray:
-        """Annular bump phi(xi) - phi(2 xi); supported on 1/2 <= |xi| <= 2."""
-        xi = np.asarray(xi, dtype=float)
-        return self.phi(xi) - self.phi(2.0 * xi)
-
-    def psi_band(self, xi, j: int) -> np.ndarray:
-        """The band-j bump psi(xi / 2**j), supported on 2**(j-1) <= |xi| <= 2**(j+1)."""
-        return self.psi(np.asarray(xi, dtype=float) / 2.0**j)
-
-    def phi_d1(self, rho) -> np.ndarray:
-        """Radial derivative of the low-pass profile; exactly 0 off the 1 < rho < 2 shell."""
-        return self._phi_derivative(rho, 1)
-
-    def phi_d2(self, rho) -> np.ndarray:
-        """Second radial derivative of the low-pass profile; exactly 0 off the shell."""
-        return self._phi_derivative(rho, 2)
-
-    @staticmethod
-    def _phi_derivative(rho, order: int) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        out = np.zeros_like(rho)
-        mid = (rho > 1.0) & (rho < 2.0)
-        x = 2.0 - rho[mid]
-        u, v = _glue(x), _glue(1.0 - x)
-        du, dv = _glue(x, 1), -_glue(1.0 - x, 1)
+        y = 1.0 - x
+        u, v = np.exp(-1.0 / x), np.exp(-1.0 / y)
         w = u + v
-        num = du * v - u * dv
+        if order == 0:
+            out[mid] = u / w
+            return out
+        du, dv = u / x**2, -(v / y**2)  # d/dx of u and v
+        num = du * v - u * dv  # d/drho = -d/dx of u/(u+v)
         if order == 1:
-            # d/drho = -d/dx of u/(u+v)
             out[mid] = -num / w**2
         else:
-            out[mid] = (_glue(x, 2) * v - u * _glue(1.0 - x, 2)) / w**2 - 2.0 * num * (du + dv) / w**3
+            d2u, d2v = u * (1.0 / x**4 - 2.0 / x**3), v * (1.0 / y**4 - 2.0 / y**3)  # d^2/dx^2 of u and v
+            out[mid] = (d2u * v - u * d2v) / w**2 - 2.0 * num * (du + dv) / w**3
         return out
+
+    def psi(self, xi, order: int = 0) -> np.ndarray:
+        """Annular bump phi(xi) - phi(2 xi), or its radial derivative; supported on 1/2 <= |xi| <= 2."""
+        xi = np.asarray(xi, dtype=float)
+        return self.phi(xi, order) - 2.0**order * self.phi(2.0 * xi, order)
 
 
 # the one Littlewood-Paley partition every norm is measured against
@@ -92,7 +65,7 @@ def partition_defect(xi: np.ndarray) -> float:
     xi = np.asarray(xi, dtype=float)
     total = np.zeros_like(xi)
     for j in range(-40, 41):
-        total += CUTOFF.psi_band(xi, j)
+        total += CUTOFF.psi(xi / 2.0**j)
     return float(np.max(np.abs(total - 1.0)))
 
 
@@ -218,7 +191,7 @@ def lp_piece(f: GridFunction, j: int) -> GridFunction:
     """Spectral multiplication by the band-j bump, returned on the space side."""
     if 2.0 ** (j + 1) > f.nyquist + 1e-12:
         raise ValueError(f"band out of range: 2^{j + 1} exceeds Nyquist {f.nyquist}")
-    return GridFunction(f.extent, f.filtered(CUTOFF.psi_band(f.freq_radius(), j)))
+    return GridFunction(f.extent, f.filtered(CUTOFF.psi(f.freq_radius() / 2.0**j)))
 
 
 def besov_norm(g: GridFunction, params: BesovParams) -> float:

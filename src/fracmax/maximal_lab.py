@@ -84,6 +84,8 @@ class RandomBand:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"random_band seed must be nonnegative, got {self.seed}")
+        if self.band > 1022:  # the band's top edge 2**(band + 1) is a float
+            raise ValueError(f"random_band band must be at most 1022, got {self.band}")
 
     def profile(self, xi: np.ndarray) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -588,6 +590,9 @@ def halfwave_convergence(f: GridFunction, alpha: float, times: np.ndarray) -> Ha
         raise ValueError("need at least three evaluation times for a rate fit")
     spec = f.to_frequency()
     omega = (2.0 * np.pi * spec.freq_radius()) ** alpha
+    t_max = float(times[-1])  # a product of Python floats overflows to inf, with no warning
+    if not math.isfinite(t_max * float(omega.max())):
+        raise ValueError(f"the half-wave phase t (2 pi |xi|)^alpha overflows at t = {t_max!r}")
     diffs = []
     for t in times:
         evolved = replace(spec, samples=spec.samples * np.exp(-1j * t * omega), side="frequency")

@@ -103,25 +103,26 @@ def scaled(m: Multiplier, r: float) -> Multiplier:
     return Scaled(m, r)
 
 
-def _amplitude(rho: np.ndarray, beta: float, order: int) -> np.ndarray:
-    """Radial derivatives of (1 - phi(rho)) rho**-beta up to order 2.
-
-    1 - phi and its derivatives vanish exactly on rho <= 1, so the powers of
-    rho, which overflow near 0, are taken only beyond it.
-    """
-    one_minus = 1.0 - CUTOFF.phi(rho)
-    live = rho > 1.0
+def _live_power(rho: np.ndarray, c: float, e: float) -> np.ndarray:
+    """c * rho**e beyond rho = 1 and 0 elsewhere, where the power may overflow but is never read."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p0 = np.where(live, rho ** (-beta), 0.0)
-        if order == 0:
-            return one_minus * p0
-        p1 = np.where(live, -beta * rho ** (-beta - 1.0), 0.0)
-        d1 = -CUTOFF.phi_d1(rho)
-        if order == 1:
-            return d1 * p0 + one_minus * p1
-        p2 = np.where(live, beta * (beta + 1.0) * rho ** (-beta - 2.0), 0.0)
-    d2 = -CUTOFF.phi_d2(rho)
-    return d2 * p0 + 2.0 * d1 * p1 + one_minus * p2
+        return np.where(rho > 1.0, c * rho**e, 0.0)
+
+
+def _amplitude(rho: np.ndarray, beta: float, order: int) -> list[np.ndarray]:
+    """Radial derivatives of orders 0..order (at most 2) of (1 - phi(rho)) rho**-beta.
+
+    1 - phi and its derivatives vanish exactly on rho <= 1, so the powers of rho are live powers.
+    """
+    one_minus, p0 = 1.0 - CUTOFF.phi(rho), _live_power(rho, 1.0, -beta)
+    amps = [one_minus * p0]
+    if order >= 1:
+        d1, p1 = -CUTOFF.phi(rho, 1), _live_power(rho, -beta, -beta - 1.0)
+        amps.append(d1 * p0 + one_minus * p1)
+    if order == 2:
+        p2 = _live_power(rho, beta * (beta + 1.0), -beta - 2.0)
+        amps.append(-CUTOFF.phi(rho, 2) * p0 + 2.0 * d1 * p1 + one_minus * p2)
+    return amps
 
 
 def _phase_exp(rho: np.ndarray, alpha: float, beta: float, order: int) -> np.ndarray:
@@ -130,19 +131,14 @@ def _phase_exp(rho: np.ndarray, alpha: float, beta: float, order: int) -> np.nda
     The phase derivatives only multiply amplitude terms, which vanish on rho <= 1.
     """
     phase = np.exp(2j * np.pi * np.where(rho > 0, rho, 0.0) ** alpha)
-    a0 = _amplitude(rho, beta, 0)
+    a = _amplitude(rho, beta, order)
     if order == 0:
-        return phase * a0
-    live = rho > 1.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        theta1 = np.where(live, 2.0 * np.pi * alpha * rho ** (alpha - 1.0), 0.0)
-    a1 = _amplitude(rho, beta, 1)
+        return phase * a[0]
+    theta1 = _live_power(rho, 2.0 * np.pi * alpha, alpha - 1.0)
     if order == 1:
-        return phase * (1j * theta1 * a0 + a1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        theta2 = np.where(live, 2.0 * np.pi * alpha * (alpha - 1.0) * rho ** (alpha - 2.0), 0.0)
-    a2 = _amplitude(rho, beta, 2)
-    return phase * (-(theta1**2) * a0 + 2j * theta1 * a1 + 1j * theta2 * a0 + a2)
+        return phase * (1j * theta1 * a[0] + a[1])
+    theta2 = _live_power(rho, 2.0 * np.pi * alpha * (alpha - 1.0), alpha - 2.0)
+    return phase * (-(theta1**2) * a[0] + 2j * theta1 * a[1] + 1j * theta2 * a[0] + a[2])
 
 
 def radial_derivative(m: Multiplier, rho, order: int = 0) -> np.ndarray:
@@ -157,29 +153,20 @@ def radial_derivative(m: Multiplier, rho, order: int = 0) -> np.ndarray:
     if isinstance(m, SlowDecay):
         w = 1.0 - m.delta
         arg = np.where(rho > 0, rho, 0.0) ** w
-        a0 = _amplitude(rho, m.beta, 0)
+        a = _amplitude(rho, m.beta, order)
         if order == 0:
-            return a0 * np.cos(arg)
-        live = rho > 1.0  # as in _phase_exp
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w1 = np.where(live, w * rho ** (w - 1.0), 0.0)
-        a1 = _amplitude(rho, m.beta, 1)
+            return a[0] * np.cos(arg)
+        w1 = _live_power(rho, w, w - 1.0)  # as in _phase_exp
         if order == 1:
-            return a1 * np.cos(arg) - a0 * w1 * np.sin(arg)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w2 = np.where(live, w * (w - 1.0) * rho ** (w - 2.0), 0.0)
-        a2 = _amplitude(rho, m.beta, 2)
+            return a[1] * np.cos(arg) - a[0] * w1 * np.sin(arg)
+        w2 = _live_power(rho, w * (w - 1.0), w - 2.0)
         return (
-            a2 * np.cos(arg)
-            - 2.0 * a1 * w1 * np.sin(arg)
-            - a0 * (w2 * np.sin(arg) + w1**2 * np.cos(arg))
+            a[2] * np.cos(arg)
+            - 2.0 * a[1] * w1 * np.sin(arg)
+            - a[0] * (w2 * np.sin(arg) + w1**2 * np.cos(arg))
         )
     if isinstance(m, BandBump):
-        if order == 0:
-            return CUTOFF.psi(rho).astype(complex)
-        if order == 1:
-            return (CUTOFF.phi_d1(rho) - 2.0 * CUTOFF.phi_d1(2.0 * rho)).astype(complex)
-        return (CUTOFF.phi_d2(rho) - 4.0 * CUTOFF.phi_d2(2.0 * rho)).astype(complex)
+        return CUTOFF.psi(rho, order).astype(complex)
     if isinstance(m, Scaled):
         return m.r**order * radial_derivative(m.base, m.r * rho, order)
     if isinstance(m, Custom):

@@ -1,6 +1,7 @@
 import collections
 import copy
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,45 @@ def test_halfwave_at_a_tiny_decay_has_too_few_times(tmp_path, capsys, a):
     config = write(tmp_path, "hw.json", payload)
     assert main(["experiment", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_INPUT
     assert capsys.readouterr().err == "error: need at least three evaluation times for a rate fit\n"
+
+
+def test_dim_rejects_a_scale_below_the_dedup_tolerance_before_any_work(tmp_path, capsys, monkeypatch):
+    # a power sequence's tail at delta_min 1e-17 held 1e17 cells; explicit points show the floor without a tail
+    from fracmax import dilation_sets as ds
+
+    monkeypatch.setattr(ds, "rescaled_block", lambda *args: pytest.fail("a block was materialized"))
+    payload = dict(FUZZ_DIM_CONFIG, schedule={"delta_max": 0.5, "delta_min": 1e-16, "count": 4})
+    assert main(["dim", "--config", write(tmp_path, "dim.json", payload), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad dim config: need 1e-15 <= delta_min") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("t_min, first", [(5e-324, 5e-324), (1e-310, 2.0**-1029)])
+def test_lacunary_halfwave_at_a_subnormal_t_min_runs(tmp_path, capsys, t_min, first):
+    # 1 / t_min was inf, and the window's times ended in a traceback; now they run down to 2**-1074
+    lacunary = {"generator": {"kind": "lacunary"}}
+    payload = dict(HALFWAVE_CONFIG, t_min=t_min, config=dict(HALFWAVE_CONFIG["config"], set=lacunary))
+    config = write(tmp_path, "hw.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # at subnormal times the evolution moves f by round-off alone, so the rate check fails
+        assert main(["experiment", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_FAILED
+    assert capsys.readouterr().err == ""
+    times = [float(row.split(",")[0]) for row in (tmp_path / "o" / "rates.csv").read_text().splitlines()[1:]]
+    assert times[0] == first and times[-1] == 0.25
+
+
+def test_lacunary_halfwave_with_an_overflowing_phase_is_input_error(tmp_path, capsys):
+    # t * omega overflowed at t_max 1e308: a numpy warning, a nan row in rates.csv and exit 2
+    lacunary = {"generator": {"kind": "lacunary"}}
+    payload = dict(HALFWAVE_CONFIG, t_max=1e308, config=dict(HALFWAVE_CONFIG["config"], set=lacunary))
+    config = write(tmp_path, "hw.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["experiment", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: the half-wave phase t (2 pi |xi|)^alpha overflows at t = 8.98846567431158e+307\n"
+    assert not (tmp_path / "o" / "rates.csv").exists()
 
 
 READ_FIELDS = {
@@ -571,6 +611,17 @@ def _dim_set(generator):
         pytest.param("experiment", _experiment("domination", j_range=[-1100, 1100], depth=8), "config.j_range", id="j_wide"),
         pytest.param("experiment", _experiment("probe", depth=30), "bad experiment config: config.depth", id="probe_depth_30"),
         pytest.param("experiment", _experiment("probe", grid={"n": 1 << 24}), "config.grid.n", id="probe_n_2_24"),
+        # the band's edge 2**(band + 1) overflowed in a traceback
+        *(
+            pytest.param(
+                "experiment",
+                _experiment(kind, f={"kind": "random_band", "band": band, "seed": 0}),
+                "config.f: random_band band must be at most 1022",
+                id=f"{kind}_band_{band}",
+            )
+            for kind in ("domination", "halfwave")
+            for band in (1023, 2000)
+        ),
     ],
 )
 def test_config_error_exits_one(tmp_path, capsys, command, payload, named):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -252,6 +253,23 @@ def test_entropy_bad_delta():
         entropy_number(block, 0.0)
     with pytest.raises(ValueError):
         entropy_number(block, 1.5)
+    with pytest.raises(ValueError, match="delta must lie in"):
+        entropy_number(block, 1e-16)  # below DEDUP_TOL
+
+
+def test_tail_count_memory_does_not_grow_with_the_tail_width():
+    # a (1, 1.25) tail at delta 1e-8 spans 2.5e7 cells; counting them one by one took about 200 MB
+    tail = TailInfo(anchor=1.0, edge=1.25, power=0.1, n_trunc=10)
+    block = BlockSet(0, np.array([1.125, 1.25, 1.5, 2.0]), truncated=True, tails=(tail,))
+    tracemalloc.start()
+    try:
+        count = entropy_number(block, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the tail's cells, plus the cell right of 1.25 and the two cells each of 1.5 and 2.0; 1.125 lies inside the tail
+    assert count == 25_000_000 + 1 + 2 + 2
+    assert peak < 10_000_000
 
 
 @pytest.mark.parametrize(

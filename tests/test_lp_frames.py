@@ -67,23 +67,23 @@ def test_partition_of_unity_to_1e12():
     xi = np.geomspace(2.0**-10, 2.0**10, 4001)
     assert partition_defect(xi) <= 1e-12
     # spot value away from dyadic anchors
-    total = sum(CUT.psi_band(np.array([1.37]), j)[0] for j in range(-20, 21))
+    total = sum(CUT.psi(np.array([1.37]) / 2.0**j)[0] for j in range(-20, 21))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_profile_derivatives_match_finite_differences():
     r = np.linspace(1.01, 1.99, 23)
     fd1 = (CUT.phi(r + 1e-6) - CUT.phi(r - 1e-6)) / 2e-6
-    np.testing.assert_allclose(CUT.phi_d1(r), fd1, atol=1e-8)
+    np.testing.assert_allclose(CUT.phi(r, 1), fd1, atol=1e-8)
     fd2 = (CUT.phi(r + 1e-5) - 2 * CUT.phi(r) + CUT.phi(r - 1e-5)) / 1e-10
-    np.testing.assert_allclose(CUT.phi_d2(r), fd2, atol=1e-4)
+    np.testing.assert_allclose(CUT.phi(r, 2), fd2, atol=1e-4)
 
 
 def test_profile_derivatives_vanish_off_the_shell():
     rho = np.array([0.0, 1.0, 2.0, 3.0, 1e-300, 1e300])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.all(CUT.phi_d1(rho) == 0.0) and np.all(CUT.phi_d2(rho) == 0.0)
+        assert np.all(CUT.phi(rho, 1) == 0.0) and np.all(CUT.phi(rho, 2) == 0.0)
 
 
 # --- grid functions --------------------------------------------------------------

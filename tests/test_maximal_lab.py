@@ -772,7 +772,7 @@ _WIDTH = st.floats(min_value=0.0, exclude_min=True, max_value=1e150)  # the widt
     st.one_of(
         st.builds(GaussianBump, _WIDTH),
         st.builds(ModulatedBump, _WIDTH, _FINITE),
-        st.builds(RandomBand, st.integers(), st.integers(min_value=0)),
+        st.builds(RandomBand, st.integers(max_value=1022), st.integers(min_value=0)),  # the bands RandomBand accepts
     )
 )
 def test_function_wire_roundtrip(f):

@@ -75,11 +75,21 @@ def test_parameter_validation():
 
 
 def test_radial_derivative_matches_finite_difference():
-    rho = np.linspace(2.5, 40.0, 41)
-    h = 1e-5
-    for m in (LimitedDecay(1.0), SlowDecay(1.0, 0.5), Oscillatory(0.5, 1.0), BandBump()):
-        fd = (evaluate(m, rho + h) - evaluate(m, rho - h)) / (2 * h)
-        np.testing.assert_allclose(radial_derivative(m, rho, 1), fd, rtol=1e-4, atol=1e-6)
+    # radii through the cutoff's transitions at 1/2..2 and 1..2, where every closed-form term is live
+    rho = np.linspace(0.55, 3.95, 69)
+    families = (
+        LimitedDecay(1.0), SlowDecay(1.0, 0.5), Oscillatory(0.5, 1.0), BandBump(),
+        scaled(LimitedDecay(1.0), 2.0), scaled(BandBump(), 0.7),
+    )
+    for m in families:
+        h = 1e-6
+        fd1 = (evaluate(m, rho + h) - evaluate(m, rho - h)) / (2 * h)
+        d1 = radial_derivative(m, rho, 1)
+        assert np.max(np.abs(d1 - fd1)) <= 1e-8 * np.max(np.abs(d1)), m
+        h = 1e-4
+        fd2 = (evaluate(m, rho + h) - 2 * evaluate(m, rho) + evaluate(m, rho - h)) / h**2
+        d2 = radial_derivative(m, rho, 2)
+        assert np.max(np.abs(d2 - fd2)) <= 1e-5 * np.max(np.abs(d2)), m
 
 
 def test_scaled_has_value_equality_and_custom_has_identity():
