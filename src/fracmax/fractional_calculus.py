@@ -200,12 +200,12 @@ def marchaud_matrix(grid: np.ndarray, alpha: float, exponent: float = 1.0, rows=
         c_sing = alpha * ginv * step[i - 1] ** -alpha / (exponent - alpha)
         row[i] = ginv * t**-alpha + c_sing
         row[i - 1] -= c_sing
-        if i >= 2:
-            x2 = t - grid[: i - 1]
-            x1 = t - grid[1:i]
-            pneg = (x1**-alpha - x2**-alpha) / alpha
-            r = (x2 ** (1 - alpha) - x1 ** (1 - alpha)) / (1 - alpha)
-            lin = (r - x2 * pneg) / step[: i - 1]
+        if i >= 2:  # distances to the cells' left ends are d[:-1], to their right ends d[1:]: one pow each per node
+            d = t - grid[:i]
+            d_neg, d_pos = d**-alpha, d ** (1 - alpha)
+            pneg = (d_neg[1:] - d_neg[:-1]) / alpha
+            r = (d_pos[:-1] - d_pos[1:]) / (1 - alpha)
+            lin = (r - d[:-1] * pneg) / step[: i - 1]
             row[i] += alpha * ginv * float(np.sum(pneg))
             row[: i - 1] += alpha * ginv * (-pneg - lin)
             row[1:i] += alpha * ginv * lin

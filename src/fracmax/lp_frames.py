@@ -141,11 +141,12 @@ class GridFunction:
         """Space-side values of the spectrum times `weights`, from one inverse FFT.
 
         `weights` has n on its last axis, one row per filter; None leaves the
-        spectrum as it is.  The transform and its scale work in place on one buffer.
+        spectrum as it is.  The transform and its scale work in place on one buffer;
+        complex `weights` are that buffer, overwritten and returned.
         """
         spec = self.to_frequency()
         out = spec._phase() * spec.samples  # the +-1 phase on the 1-d spectrum, once
-        out = out if weights is None else weights * out  # rebinding frees the 1-d product before the transform
+        out = out if weights is None else np.multiply(weights, out, out=np.asarray(weights, dtype=complex))
         return np.multiply(np.fft.ifft(out, axis=-1, out=out), spec.dxi * spec.n, out=out)
 
     def lp_norm(self, p: float) -> float:

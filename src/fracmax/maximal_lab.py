@@ -15,26 +15,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dilation_sets import (
-    DilationSet,
-    augmented,
-    block_range,
-    geometric_schedule,
-    kappa,
-    rescaled_block,
-)
+from .dilation_sets import DilationSet, augmented, block_range, geometric_schedule, kappa, rescaled_block
 from .fractional_calculus import marchaud_matrix
 from .lp_frames import CUTOFF, GridFunction, grid_from_profile
-from .multipliers import (
-    FAMILIES,
-    LimitedDecay,
-    Multiplier,
-    band_oscillation,
-    evaluate,
-)
+from .multipliers import FAMILIES, LimitedDecay, Multiplier, band_oscillation, evaluate
 from .wire import Registry, integer, number, tuple_of
 
 EXCLUSION_FACTOR = 1e-12
+ROUNDOFF_FACTOR = 4.0  # a half-wave difference counts as motion above this multiple of the t = 0 round trip's
+CHUNK_POINTS = 1 << 16  # complex values one chunk of a dilation batch or of the square functional's pixels holds
+PIXEL_CHUNK = 64  # the fewest pixels a square-functional chunk takes
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +102,23 @@ def build_function(f, n: int, extent: float) -> GridFunction:
 # dilated operators
 
 
+def _chunks(rows: int, width: int, least: int = 1) -> list[slice]:
+    """Slices of range(rows), each a power of two rows (at least `least`), the most that CHUNK_POINTS values of the
+    given width hold.  Pixel chunks take at least PIXEL_CHUNK columns and so tile the grid in pieces that BLAS
+    rounds as it rounds the whole batch: narrower products can move last bits (measured with OpenBLAS)."""
+    step = max(1 << max(CHUNK_POINTS // width, 1).bit_length() - 1, least)
+    return [slice(a, a + step) for a in range(0, rows, step)]
+
+
 def _batched_dilate(f: GridFunction, m: Multiplier, ts: np.ndarray) -> np.ndarray:
-    """Space-side values of T_{m(t .)} f for every t, stacked as (len(ts), n)."""
-    half = f.n // 2  # fftfreq's radii are exactly symmetric: evaluate m on 0..n/2, mirror the rest
-    vals = evaluate(m, np.multiply.outer(ts, f.freq_radius()[: half + 1]))
-    return f.filtered(np.concatenate([vals, vals[:, half - 1 : 0 : -1]], axis=1))
+    """Space-side values of T_{m(t .)} f for every t, stacked as (len(ts), n), filled a chunk of rows at a time."""
+    spec, half = f.to_frequency(), f.n // 2  # fftfreq's radii are exactly symmetric: evaluate m on 0..n/2, mirror
+    radius, out = spec.freq_radius()[: half + 1], np.empty((len(ts), f.n), dtype=complex)
+    for rows in _chunks(len(ts), f.n):
+        vals = evaluate(m, np.multiply.outer(ts[rows], radius))
+        out[rows, : half + 1], out[rows, half + 1 :] = vals, vals[:, half - 1 : 0 : -1]
+        spec.filtered(out[rows])  # in place
+    return out
 
 
 def apply_dilated_multiplier(f: GridFunction, m: Multiplier, t: float) -> GridFunction:
@@ -171,15 +173,19 @@ def sampled_dilations(E: DilationSet, j_range: tuple[int, int], depth: int, augm
 
 
 def maximal_function(f: GridFunction, m: Multiplier, sampling: Sampling, depths: tuple[int, ...]) -> list[np.ndarray]:
-    """Pointwise sups of |T_{m(t .)} f| over the sampling cut at each depth: the whole sampling is dilated once,
-    and each sup is the exact max over the rows labelled at most that depth."""
+    """Pointwise sups of |T_{m(t .)} f| over the sampling cut at each depth: the whole sampling is dilated once, a
+    kernel chunk at a time, and each sup is the exact running max over the rows labelled at most that depth."""
     if not sampling:
         raise ValueError("empty dilation sampling on the requested j window")
     # blocks share at most an endpoint, labelled 0 in both, so a shared dilation is one row
     ts, first = np.unique(np.concatenate([2.0**j * pts for j, pts in sampling.items()]), return_index=True)
-    labels = np.concatenate([sampling.labels[j] for j in sampling])[first]
-    vals = np.abs(_batched_dilate(f, m, ts))
-    return [vals.max(axis=0, where=(labels <= d)[:, None], initial=0.0) for d in depths]  # 0 is below every |.|
+    labels, sups = np.concatenate([sampling.labels[j] for j in sampling])[first], np.zeros((len(depths), f.n))
+    spec = f.to_frequency()  # once, not once per chunk
+    for rows in _chunks(ts.size, f.n):  # a running max over the kernel's chunks; max is exact
+        vals = np.abs(_batched_dilate(spec, m, ts[rows]))
+        for sup, d in zip(sups, depths):  # 0 is below every |.|
+            np.maximum(sup, vals.max(axis=0, where=(labels[rows] <= d)[:, None], initial=0.0), out=sup)
+    return list(sups)
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +251,17 @@ class SquareFunctionalResult:
 
 
 def _path_hoelder_ok(paths: np.ndarray, alpha: float) -> np.ndarray:
-    """Vectorized two-scale exponent estimate per path (paths: nodes x pixels)."""
+    """Vectorized two-scale exponent estimate per path (paths: nodes x pixels), on a pixel-major copy."""
     if paths.shape[0] < 3:
         return np.ones(paths.shape[1], dtype=bool)
-    d1 = np.abs(paths[1:-1] - paths[:-2])
-    d2 = np.abs(paths[2:] - paths[:-2])
-    scale = np.max(np.abs(paths), axis=0, keepdims=True) + 1e-300
+    paths = np.ascontiguousarray(paths.T)  # each path contiguous, so the partition below runs along memory
+    d1 = np.abs(paths[:, 1:-1] - paths[:, :-2])
+    d2 = np.abs(paths[:, 2:] - paths[:, :-2])
+    scale = np.max(np.abs(paths), axis=1, keepdims=True) + 1e-300
     ratios = np.where(d1 > 1e-13 * scale, d2 / np.maximum(d1, 1e-300), 2.0)
     # log2 is monotone: the median of the logs is the mean of the logs of the middle two (or one) ratios
-    mid = [(ratios.shape[0] - 1) // 2, ratios.shape[0] // 2]
-    est = np.log2(np.maximum(np.partition(ratios, mid, axis=0)[mid], 1e-12)).mean(axis=0)
+    mid = [(ratios.shape[1] - 1) // 2, ratios.shape[1] // 2]
+    est = np.log2(np.maximum(np.partition(ratios, mid, axis=1)[:, mid], 1e-12)).mean(axis=1)
     return np.minimum(est, 1.0) > alpha
 
 
@@ -268,29 +275,37 @@ def square_functional(
     the Marchaud scheme along s at the weight nodes only, and contracted
     against the level's weights.  `values` takes the points labelled <= depth
     with s_resolution fill cells, `refined` those <= depth + 1 with twice the cells.
-    Per level the refined paths are batched once; the base grid gathers the
-    rows it shares with them (linspace(0, 2, R + 1) is linspace(0, 2, 2R + 1)[::2]
-    bit for bit) and dilates only the rest.  Each sampling keeps its own
-    product and accumulator, so its values are those of a one-sampling run.
+    Per level the refined paths and the base rows they lack (`extra`) are dilated
+    once (linspace(0, 2, R + 1) is linspace(0, 2, 2R + 1)[::2] bit for bit); each
+    chunk of pixels gathers its base paths, checks them and contracts both samplings
+    into their own accumulators, so each is a one-sampling run's and `fine` is the
+    only full-size array.  Each Marchaud matrix is built once per call.
     """
     if not 0 < beta < alpha <= 0.5:
         raise ValueError("need 0 < beta < alpha <= 1/2")
     samplings = ((depth, s_resolution), (depth + 1, 2 * s_resolution))
     spec, accs, flagged = f.to_frequency(), (np.zeros(f.n), np.zeros(f.n)), np.zeros(f.n, dtype=bool)
+    matrices = {}  # by grid and weight-node bytes: a self-similar set repeats them at every level
     # every augmented block holds 1 and 2, labelled 0, so each cut keeps every level and it has weight nodes
     cuts = [{j: pts[sampling.labels[j] <= d] for j, pts in sampling.items()} for d, _ in samplings]
     for blocks in zip(*[build_h_weights(cut, beta) for cut in cuts]):
         grids = [np.union1d(np.linspace(0.0, 2.0, r + 1), b.nodes) for (_, r), b in zip(samplings, blocks)]
-        fine = _batched_dilate(spec, m, 2.0 ** blocks[0].j * grids[1])  # (n_s, n_pixels)
         pos = np.searchsorted(grids[1], grids[0])  # both grids end at 2, so every position is in range
         shared = grids[1][pos] == grids[0]
-        base = np.take(fine, pos, axis=0)  # then the rows the refined grid lacks are dilated in place
-        base[~shared] = _batched_dilate(spec, m, 2.0 ** blocks[0].j * grids[0][~shared])
-        flagged |= ~_path_hoelder_ok(base, alpha)
-        for acc, grid, block, paths in zip(accs, grids, blocks, (base, fine)):
-            deriv = marchaud_matrix(grid, alpha, 1.0, np.searchsorted(grid[1:], block.nodes)) @ paths
-            acc += block.weights @ np.abs(deriv) ** 2
-        del base, fine, paths  # this level's batches go before the next level's are made
+        fine = _batched_dilate(spec, m, 2.0 ** blocks[0].j * grids[1])  # (n_s, n_pixels)
+        extra = _batched_dilate(spec, m, 2.0 ** blocks[0].j * grids[0][~shared])
+        keys = [(grid.tobytes(), block.nodes.tobytes()) for grid, block in zip(grids, blocks)]
+        for key, grid, block in zip(keys, grids, blocks):  # the nodes fix the rows
+            if key not in matrices:
+                matrices[key] = marchaud_matrix(grid, alpha, 1.0, np.searchsorted(grid[1:], block.nodes))
+        for cols in _chunks(f.n, grids[1].size, PIXEL_CHUNK):
+            base = fine[pos, cols]  # then the rows the refined grid lacks are replaced
+            base[~shared] = extra[:, cols]
+            flagged[cols] |= ~_path_hoelder_ok(base, alpha)
+            for acc, key, block, paths in zip(accs, keys, blocks, (base, fine[:, cols])):
+                mag = np.abs(matrices[key] @ paths)
+                acc[cols] += block.weights @ np.square(mag, out=mag)
+        del fine, extra  # this level's batches go before the next level's are made
     values, refined = (GridFunction(f.extent, acc.astype(complex)) for acc in accs)
     return SquareFunctionalResult(values, refined, flagged)
 
@@ -581,7 +596,8 @@ def halfwave_convergence(f: GridFunction, alpha: float, times: np.ndarray) -> Ha
     """Fitted small-time rate of sup |e^{-i t (-Lap)^{alpha/2}} f - f|.
 
     Evolves spectrally with the phase e^{-i t (2 pi |xi|)^alpha}; the fitted
-    slope is invariant under the 2 pi convention, which only rescales t.
+    slope is invariant under the 2 pi convention, which only rescales t.  Times
+    that move f by round-off alone stay in the report but not in the fit.
     """
     if not 0 < alpha < 1:
         raise ValueError("propagator order must lie in (0, 1)")
@@ -593,12 +609,12 @@ def halfwave_convergence(f: GridFunction, alpha: float, times: np.ndarray) -> Ha
     t_max = float(times[-1])  # a product of Python floats overflows to inf, with no warning
     if not math.isfinite(t_max * float(omega.max())):
         raise ValueError(f"the half-wave phase t (2 pi |xi|)^alpha overflows at t = {t_max!r}")
-    diffs = []
+    space, diffs = f.to_space().samples, []
     for t in times:
         evolved = replace(spec, samples=spec.samples * np.exp(-1j * t * omega), side="frequency")
-        diffs.append(float(np.max(np.abs(evolved.to_space().samples - f.to_space().samples))))
-    diffs = np.array(diffs)
-    good = diffs > 0
+        diffs.append(float(np.max(np.abs(evolved.to_space().samples - space))))
+    diffs = np.array(diffs)  # the t = 0 round trip moves f by round-off alone; a time counts only well above it
+    good = diffs > ROUNDOFF_FACTOR * float(np.max(np.abs(spec.to_space().samples - space)))
     if good.sum() < 2:  # a constant or non-finite input: there is nothing to fit
         raise ValueError(f"the evolution moves f at {good.sum()} of {times.size} times; a rate fit needs two")
     slope = float(np.polyfit(np.log(times[good]), np.log(diffs[good]), 1)[0])

@@ -106,9 +106,11 @@ def test_filtered_matches_per_row_inverse_transform(side, complex_weights):
     weights = rng.standard_normal((3, n))
     if complex_weights:
         weights = weights + 1j * rng.standard_normal((3, n))
-    before = g.samples.copy()
-    rows = g.filtered(weights)
+    before, given = g.samples.copy(), weights.copy()
+    rows = g.filtered(given)
     assert rows.shape == (3, n)
+    # complex weights are the output buffer, overwritten and returned; real ones are left as they are
+    assert (rows is given) == complex_weights and (complex_weights or np.array_equal(given, weights))
     spec = g.to_frequency()
     for row, w_k in zip(rows, weights):
         ref = replace(spec, samples=spec.samples * w_k, side="frequency").to_space().samples
@@ -139,7 +141,8 @@ def test_filtered_keeps_the_bits_of_the_phase_after_the_weights(n, spectrum, wei
         weights = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
     elif weights == "dilated":
         weights = evaluate(LimitedDecay(1.0), np.multiply.outer([0.5, 1.0, 1.7], g.freq_radius()))
-    got, want = g.filtered(weights), filtered_phase_after_weights(g, weights)
+    want = filtered_phase_after_weights(g, weights)  # first: filtered overwrites complex weights
+    got = g.filtered(weights)
     assert np.array_equal(got, want) and got.tobytes() == want.tobytes()  # signed zeros too
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -549,6 +550,151 @@ def test_square_functional_dilates_the_refined_grid_and_only_the_base_rows_it_la
     assert 0 < lacking < sum(base.size for base, _ in grids)
 
 
+@pytest.mark.parametrize("m", ALL_FAMILIES, ids=repr)
+@pytest.mark.parametrize(
+    "n, rows, chunks",
+    [(2048, 70, [32, 32, 6]), (2048, 1, [1]), (2048, 0, []), (2 * ml.CHUNK_POINTS, 3, [1, 1, 1])],
+    ids=["partial_last_chunk", "one_row", "zero_rows", "one_row_per_chunk"],
+)
+def test_batched_dilate_is_the_per_row_dilation_bit_for_bit(monkeypatch, m, n, rows, chunks):
+    f = build_function(ModulatedBump(1.0, 1.5), n, 8.0)
+    ts = np.geomspace(0.05, 40.0, rows)
+    expected = np.array([apply_dilated_multiplier(f, m, t).samples for t in ts]).reshape(rows, n)
+    evaluated = []
+
+    def recording_evaluate(m, rho):
+        evaluated.append(np.shape(rho))
+        return evaluate(m, rho)
+
+    monkeypatch.setattr(ml, "evaluate", recording_evaluate)
+    got = _batched_dilate(f, m, ts)
+    assert got.shape == (rows, n) and got.tobytes() == expected.tobytes()
+    assert evaluated == [(k, n // 2 + 1) for k in chunks]  # CHUNK_POINTS values a chunk, on the half spectrum
+    if rows > 1:
+        assert got.tobytes() == full_spectrum_dilate(f, m, ts).tobytes()
+
+
+def test_maximal_function_takes_a_running_max_over_the_kernel_chunks(monkeypatch):
+    f, m = build_function(ModulatedBump(1.0, 1.5), 1 << 14, 8.0), LimitedDecay(1.0)
+    sampling = sampled_dilations(POW_LAC, (-1, 1), 3, augment=True)
+    expected = per_depth_sups(f, m, POW_LAC, (1, 2, 3), (-1, 1), augment=True)
+    sizes = []
+
+    def counting_dilate(f, m, ts):
+        sizes.append(ts.size)
+        return _batched_dilate(f, m, ts)
+
+    monkeypatch.setattr(ml, "_batched_dilate", counting_dilate)
+    sups = maximal_function(f, m, sampling, (1, 2, 3))
+    step = ml.CHUNK_POINTS >> 14
+    rows = len({2.0**j * t for j, pts in sampling.items() for t in pts})
+    assert len(sizes) > 2 and max(sizes) == step and sum(sizes) == rows  # every row once, a chunk at a time
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(sups, expected))
+
+
+def node_major_hoelder_ok(paths, alpha):
+    """_path_hoelder_ok as it was, on the node-major paths: the partition runs along the strided axis 0."""
+    if paths.shape[0] < 3:
+        return np.ones(paths.shape[1], dtype=bool)
+    d1 = np.abs(paths[1:-1] - paths[:-2])
+    d2 = np.abs(paths[2:] - paths[:-2])
+    scale = np.max(np.abs(paths), axis=0, keepdims=True) + 1e-300
+    ratios = np.where(d1 > 1e-13 * scale, d2 / np.maximum(d1, 1e-300), 2.0)
+    mid = [(ratios.shape[0] - 1) // 2, ratios.shape[0] // 2]
+    est = np.log2(np.maximum(np.partition(ratios, mid, axis=0)[mid], 1e-12)).mean(axis=0)
+    return np.minimum(est, 1.0) > alpha
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 3, 4, 7, 52, 301])
+def test_pixel_major_hoelder_check_is_the_node_major_one(nodes):
+    rng = np.random.default_rng(nodes)
+    s = np.linspace(0.0, 2.0, nodes)
+    paths = rng.standard_normal((nodes, 96)) + 1j * rng.standard_normal((nodes, 96))
+    paths[:, 0] = 0.0  # a zero path
+    paths[:, 1] = rng.standard_normal(nodes)  # white noise: an exponent near 0, flagged at alpha 0.45
+    paths[:, 2] = np.exp(1j * s)  # smooth
+    paths[:, 3:9] *= 10.0 ** rng.integers(-8, 8, (1, 6))
+    for alpha in (0.1, 0.45, 0.5):
+        expected = node_major_hoelder_ok(paths, alpha)
+        assert np.array_equal(_path_hoelder_ok(paths, alpha), expected)
+        assert np.array_equal(_path_hoelder_ok(paths[:, 5:70], alpha), expected[5:70])  # a strided chunk of columns
+    if nodes >= 7:
+        assert not _path_hoelder_ok(paths, 0.45)[1] and _path_hoelder_ok(paths, 0.45)[2]
+
+
+def whole_batch_square_functional(f, m, sampling, alpha, beta, depth, s_resolution):
+    """square_functional as it was before pixel chunks: each level's whole base and refined batches, the Hoelder
+    check on the whole base batch, and one Marchaud matrix built per level and sampling."""
+    samplings = ((depth, s_resolution), (depth + 1, 2 * s_resolution))
+    spec, accs, flagged = f.to_frequency(), (np.zeros(f.n), np.zeros(f.n)), np.zeros(f.n, dtype=bool)
+    cuts = [{j: pts[sampling.labels[j] <= d] for j, pts in sampling.items()} for d, _ in samplings]
+    for blocks in zip(*[build_h_weights(cut, beta) for cut in cuts]):
+        grids = [np.union1d(np.linspace(0.0, 2.0, r + 1), b.nodes) for (_, r), b in zip(samplings, blocks)]
+        fine = _batched_dilate(spec, m, 2.0 ** blocks[0].j * grids[1])
+        pos = np.searchsorted(grids[1], grids[0])
+        shared = grids[1][pos] == grids[0]
+        base = np.take(fine, pos, axis=0)
+        base[~shared] = _batched_dilate(spec, m, 2.0 ** blocks[0].j * grids[0][~shared])
+        flagged |= ~node_major_hoelder_ok(base, alpha)
+        for acc, grid, block, paths in zip(accs, grids, blocks, (base, fine)):
+            deriv = marchaud_matrix(grid, alpha, 1.0, np.searchsorted(grid[1:], block.nodes)) @ paths
+            acc += block.weights @ np.abs(deriv) ** 2
+    return accs, flagged
+
+
+@pytest.mark.parametrize(
+    "m, E, n, depth, s_resolution",
+    [(m, POW_LAC, 256, 3, 24) for m in ALL_FAMILIES]
+    + [
+        (LimitedDecay(1.0), POW_LAC, 2048, 3, 64),  # 128-pixel chunks
+        (Oscillatory(0.5, 0.7), DilationSet(CantorLike(3, (0, 2), 10)), 2048, 4, 32),
+        (SlowDecay(1.0, 0.5), LAC, 512, 2, 1024),  # budget chunks of 16 pixels, raised to PIXEL_CHUNK
+    ],
+    ids=[repr(m) for m in ALL_FAMILIES] + ["128_pixel_chunks", "cantor_2048", "pixel_chunk_floor"],
+)
+def test_square_functional_is_the_whole_batch_form_bit_for_bit(m, E, n, depth, s_resolution):
+    f = build_function(ModulatedBump(1.0, 2.0), n, 8.0)
+    sampling = sampled_dilations(E, (-1, 1), depth + 1, augment=True)
+    res = square_functional(f, m, sampling, 0.45, 0.3, depth, s_resolution)
+    (values, refined), flagged = whole_batch_square_functional(f, m, sampling, 0.45, 0.3, depth, s_resolution)
+    assert res.values.samples.tobytes() == values.astype(complex).tobytes()
+    assert res.refined.samples.tobytes() == refined.astype(complex).tobytes()
+    assert np.array_equal(res.flagged, flagged)
+
+
+def test_square_functional_builds_each_marchaud_matrix_once_per_call(monkeypatch):
+    built = []
+
+    def counting_marchaud(grid, alpha, exponent=1.0, rows=None):
+        built.append((grid.tobytes(), np.asarray(rows).tobytes()))
+        return marchaud_matrix(grid, alpha, exponent, rows)
+
+    monkeypatch.setattr(ml, "marchaud_matrix", counting_marchaud)
+    f, sampling = gaussian(n=256), sampled_dilations(LAC, (-2, 2), 4, augment=True)
+    for _ in range(2):  # the memo lives in one call: a second call builds again
+        square_functional(f, BandBump(), sampling, 0.45, 0.3, 3, 24)
+    # every level of the lacunary set is the block {1, 2}: one base and one refined matrix serve all five
+    assert len(built) == 4 and len(set(built)) == 2 and built[:2] == built[2:]
+
+
+def test_square_functional_holds_one_refined_batch_at_a_time():
+    """On a 2048-pixel domination (Oscillatory, a Cantor set, the refined depth 5 and 65 fill nodes), the traced
+    peak of the square functional stays under twice its largest level's refined batch: that batch, the base rows it
+    lacks and one chunk.  The whole-batch form held each level's base batch, products and magnitudes too (3.4x)."""
+    E, m = DilationSet(CantorLike(3, (0, 2), 10)), Oscillatory(0.5, 1.0)
+    f = build_function(ModulatedBump(1.0, 2.0), 2048, 8.0)
+    sampling = sampled_dilations(E, (-1, 1), 5, augment=True)
+    fine_rows = max(np.union1d(np.linspace(0.0, 2.0, 65), b.nodes).size for b in build_h_weights(sampling, 0.3))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        square_functional(f, m, sampling, 0.45, 0.3, 4, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fine_rows > 300 and peak - start <= 2 * fine_rows * f.n * 16
+
+
 def test_domination_ratio_samples_each_block_once(monkeypatch):
     # both sides of the inequality and all three sups read one depth + 1 sampling of the augmented set
     blocks = len(sampled_dilations(POW_LAC, (-2, 2), 4, augment=True))
@@ -714,6 +860,18 @@ def test_halfwave_gaussian_along_power_sequence():
     times = halfwave_times(DilationSet(PowerSequence(1.0)), 1.0 / 40, 0.35)
     report = halfwave_convergence(gaussian(n=1024), 0.5, times)
     assert report.beta_fit >= 0.3
+
+
+def test_halfwave_fits_only_times_that_move_f_beyond_the_round_trip():
+    f = gaussian(n=1024)
+    round_trip = float(np.max(np.abs(f.to_frequency().to_space().samples - f.samples)))
+    moved = 2.0 ** -np.arange(2.0, 7.0)
+    report = halfwave_convergence(f, 0.5, np.concatenate([[5e-324, 6.48e-319, 1e-300], moved]))
+    assert report.sup_differences[:3] == (round_trip,) * 3 and len(report.times) == 8  # every row is reported
+    assert report.beta_fit == halfwave_convergence(f, 0.5, moved).beta_fit > 0.99  # with the round-off rows: 0.05
+    # within ROUNDOFF_FACTOR of the round trip a difference is not motion, so one moved time is too few
+    with pytest.raises(ValueError, match="moves f at 1 of 4 times; a rate fit needs two"):
+        halfwave_convergence(f, 0.5, np.array([5e-324, 1e-300, 1e-16, 0.25]))
 
 
 @pytest.mark.parametrize("a", [0.3, 0.1, 0.05, 0.01])
