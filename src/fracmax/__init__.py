@@ -2,7 +2,7 @@
 
 from .dilation_sets import DilationSet, PowerSequence, kappa, minkowski_dimension, rescaled_block
 from .fractional_calculus import SampledPath, marchaud_derivative, roundtrip_residual
-from .lp_frames import BesovParams, sigma2_norm
-from .multipliers import LimitedDecay
+from .lp_frames import BesovParams
+from .multipliers import LimitedDecay, sigma2_norm
 
 __version__ = "0.1.0"

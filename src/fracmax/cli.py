@@ -25,7 +25,7 @@ import numpy as np
 from . import dilation_sets as ds
 from . import maximal_lab as ml
 from . import verify as vf
-from .lp_frames import band_memo
+from .multipliers import band_memo
 from .wire import integer, number, object_field, read_field, tuple_of
 
 EXIT_OK = 0

@@ -450,17 +450,6 @@ class DimensionEstimate:
             raise ValueError("dimension of a subset of the line must be in [0, 1]")
 
 
-def _slope_fit(x: np.ndarray, y: np.ndarray):
-    """Least-squares slope of y vs x over the final four points."""
-    if x.size < 2:
-        raise ValueError("need at least two points for a slope fit")
-    w = min(4, x.size)
-    xs, ys = x[-w:], y[-w:]
-    coeffs, res = np.polyfit(xs, ys, 1, full=True)[:2]
-    residual = float(np.sqrt(res[0] / w)) if res.size else 0.0
-    return float(coeffs[0]), residual
-
-
 def _validate_schedule(delta_schedule, minimum: int = 2) -> np.ndarray:
     sched = np.asarray(delta_schedule, dtype=float)
     if sched.size < minimum:
@@ -494,9 +483,12 @@ def minkowski_dimension(block: BlockSet, delta_schedule: Sequence[float]) -> Dim
 
 
 def entropy_slope(sched: np.ndarray, counts: Sequence[int]) -> DimensionEstimate:
-    """Slope of log N in -log delta over the final four of at least four scales, N = counts[i] at sched[i]."""
-    slope, residual = _slope_fit(-np.log(sched), np.array([math.log(max(c, 1)) for c in counts]))
-    value = min(1.0, max(0.0, slope))
+    """Slope of log N in -log delta over the final four of at least four scales, N = counts[i] at sched[i],
+    a least-squares fit with its RMS residual."""
+    log_n = np.array([math.log(max(c, 1)) for c in counts])[-4:]
+    coeffs, res = np.polyfit(-np.log(sched)[-4:], log_n, 1, full=True)[:2]
+    residual = float(np.sqrt(res[0] / 4)) if res.size else 0.0
+    value = min(1.0, max(0.0, float(coeffs[0])))
     return DimensionEstimate(value, "entropy_slope", (float(sched[-1]), float(sched[-4])), residual)
 
 

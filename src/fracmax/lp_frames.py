@@ -3,18 +3,15 @@
 The low-pass profile equals 1 on the unit ball and vanishes outside the ball
 of radius 2; the annular bump is the telescoping difference, so the dyadic
 family sums to 1 away from the origin exactly.  Grid functions carry a
-periodic FFT representation with the e^{2*pi*i*x*xi} convention, and Besov,
-Hoelder, and square-summed band norms are Riemann sums over those grids.
+periodic FFT representation with the e^{2*pi*i*x*xi} convention, and Besov
+and Hoelder norms are Riemann sums over those grids.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -277,113 +274,3 @@ def hoelder_besov_ratio(g: GridFunction, n_deriv: int, s_prime: float) -> float:
     h = hoelder_norm(g, n_deriv, s_prime)
     b = besov_norm(g, BesovParams(math.inf, n_deriv + s_prime, j_max=6))
     return h / (b * (2.0 * math.pi) ** (n_deriv + s_prime))
-
-
-# ---------------------------------------------------------------------------
-# square-summed band norms of multipliers
-
-
-_BAND_MEMO: ContextVar[dict | None] = ContextVar("band_memo", default=None)
-
-
-@contextmanager
-def band_memo():
-    """Scope in which sigma2_norm keeps each band's unweighted norms, keyed by (m, j, float(p),
-    inner j_max) and by the band's sample bytes, for later calls and Besov indices; a nested
-    scope shares the outer memo."""
-    memo = _BAND_MEMO.get()
-    token = _BAND_MEMO.set({} if memo is None else memo)
-    try:
-        yield
-    finally:
-        _BAND_MEMO.reset(token)
-
-
-@dataclass(frozen=True)
-class Sigma2Result:
-    total: float
-    bands: tuple[tuple[int, float], ...]
-    stale: bool
-
-
-def sigma2_norm(m, params: BesovParams, j_range: tuple[int, int]) -> Sigma2Result:
-    """Square-summed Besov norms of the dyadic band restrictions of m.
-
-    Each band m(2**j .) * psi is sampled on its own annulus grid (resolution
-    adapted to the band's oscillation) and measured in the requested Besov
-    norm; m is evaluated only where psi is nonzero, 1/2 < |xi| < 2.  The
-    result is the l^2 total with the per-band breakdown.  The stale
-    flag reports a truncation-dominated sum: the last two bands contribute
-    more than 1% of the total, or a band oscillates beyond the top 2**inner
-    of its Besov ladder.  Inside a band_memo scope a band's unweighted
-    norms are computed once and only re-weighted for each index s.
-    """
-    from .multipliers import band_oscillation, evaluate  # local import; no cycle at runtime
-
-    memo = {} if _BAND_MEMO.get() is None else _BAND_MEMO.get()  # call-local outside a scope
-    bands, truncated = [], False
-    for j in range(j_range[0], j_range[1] + 1):
-        # the band's grid over [-4, 4): at least 1024 points, fine enough that
-        # the band's oscillation stays below Nyquist
-        osc = band_oscillation(m, j)
-        n = 1 << (max(1024, int(64 * max(osc, 1.0))) - 1).bit_length()
-        inner = min(params.j_max, int(math.log2(n / 16.0)) - 1)  # n / 16: Nyquist on [-4, 4)
-        # the band's content sits near |x| ~ osc, beyond a ladder that stops at 2**inner
-        truncated = truncated or osc > 2.0**inner
-        key = (m, j, float(params.p), inner)
-        if key not in memo:
-            xi = -4.0 + (8.0 / n) * np.arange(n)
-            weight = CUTOFF.psi(xi)
-            on = weight != 0
-            samples = np.zeros(n, dtype=complex)
-            samples[on] = evaluate(m, 2.0**j * xi[on]) * weight[on]
-            same = (hashlib.sha256(samples).digest(), float(params.p), inner)  # equal samples, equal norms
-            if same not in memo:  # an all-zero band has zero norms and needs no transform
-                zero = not samples.any()
-                memo[same] = [0.0] * (inner + 1) if zero else _band_norms(GridFunction(4.0, samples), params.p, inner)
-            memo[key] = memo[same]
-        bands.append((j, _besov_sum(memo[key], params)))
-    total = math.sqrt(sum(v**2 for _, v in bands))
-    tail = math.sqrt(bands[-1][1] ** 2 + bands[-2][1] ** 2) if len(bands) >= 2 else 0.0
-    return Sigma2Result(total, tuple(bands), truncated or (total > 0 and tail > 0.01 * total))
-
-
-def sigma2_weighted_sobolev(m, level: int, j_range: tuple[int, int]) -> float:
-    """Weighted-derivative integral equivalent to the band_2^l square sum.
-
-    Sums integrals of |d^k m|^2 |xi|^{2k-d} over the annulus covering the
-    dyadic range, for k = 0..level, in one dimension, with 512 points per octave.  Derivatives are
-    normalized by (2*pi)^k to match the cycle-frequency convention of the
-    Besov ladder, so the equivalence constant is convention-free.
-    """
-    from .multipliers import radial_derivative
-
-    if level < 0 or level > 2:
-        raise ValueError("weighted-Sobolev check supports derivative orders 0..2")
-    total = 0.0
-    # the union of the band annuli, covered octave by octave without overlap
-    for j in range(j_range[0] - 1, j_range[1] + 1):
-        rho = np.linspace(2.0**j, 2.0 ** (j + 1), 512)
-        for k in range(level + 1):
-            deriv = radial_derivative(m, rho, k) / (2.0 * np.pi) ** k
-            vals = np.abs(deriv) ** 2 * rho ** (2 * k - 1)
-            # both signs of the 1-d frequency axis
-            total += 2.0 * float(np.trapezoid(vals, rho))
-    return math.sqrt(total)
-
-
-def dilation_invariance_check(
-    m,
-    r_list: Iterable[float],
-    params: BesovParams,
-    j_range: tuple[int, int],
-) -> float:
-    """Max ratio of the square norm under rescaling m(r .) against m itself."""
-    from .multipliers import scaled
-
-    base = sigma2_norm(m, params, j_range).total
-    worst = 0.0
-    for r in r_list:
-        value = sigma2_norm(scaled(m, r), params, j_range).total
-        worst = max(worst, value / base if base > 0 else math.inf)
-    return worst

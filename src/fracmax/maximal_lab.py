@@ -17,8 +17,8 @@ import numpy as np
 
 from .dilation_sets import DilationSet, augmented, block_range, geometric_schedule, kappa, rescaled_block
 from .fractional_calculus import marchaud_matrix
-from .lp_frames import CUTOFF, GridFunction, grid_from_profile
-from .multipliers import FAMILIES, LimitedDecay, Multiplier, band_oscillation, evaluate
+from .lp_frames import GridFunction, grid_from_profile
+from .multipliers import FAMILIES, LimitedDecay, Multiplier, band_sup_norm, evaluate
 from .wire import Registry, integer, number, tuple_of
 
 EXCLUSION_FACTOR = 1e-12
@@ -245,8 +245,8 @@ def build_h_weights(blocks: dict[int, np.ndarray], beta: float) -> tuple[HBlock,
 
 @dataclass(frozen=True, eq=False)
 class SquareFunctionalResult:
-    values: GridFunction  # real, nonnegative per pixel, at the base sampling
-    refined: GridFunction  # the same at depth + 1 and 2 s_resolution
+    values: np.ndarray  # real, nonnegative per pixel, at the base sampling
+    refined: np.ndarray  # the same at depth + 1 and 2 s_resolution
     flagged: np.ndarray  # pixels whose base-sampling path failed the Hoelder precondition
 
 
@@ -306,8 +306,7 @@ def square_functional(
                 mag = np.abs(matrices[key] @ paths)
                 acc[cols] += block.weights @ np.square(mag, out=mag)
         del fine, extra  # this level's batches go before the next level's are made
-    values, refined = (GridFunction(f.extent, acc.astype(complex)) for acc in accs)
-    return SquareFunctionalResult(values, refined, flagged)
+    return SquareFunctionalResult(*accs, flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +525,7 @@ def domination_ratio(config: Domination) -> DominationReport:
     sq = square_functional(f, m, sampling, config.alpha, config.beta, config.depth, config.s_resolution)
     prev, now, fine = maximal_function(f, m, sampling, (max(config.depth - 1, 0), config.depth, config.depth + 1))
     runs = []
-    for sup, bot in ((now, sq.values.samples.real), (fine, sq.refined.samples.real)):
+    for sup, bot in ((now, sq.values), (fine, sq.refined)):
         top = sup**2
         excluded = (top <= EXCLUSION_FACTOR * top.max()) & (bot <= EXCLUSION_FACTOR * bot.max())
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -540,14 +539,6 @@ def domination_ratio(config: Domination) -> DominationReport:
 
 # ---------------------------------------------------------------------------
 # sup-over-frequency H-norm bound
-
-
-def band_sup_norm(m: Multiplier, j: int) -> float:
-    """Grid sup of the band-j restriction |m(2**j .) psi| on its annulus."""
-    osc = band_oscillation(m, j)
-    n = 1 << max(10, int(4 * max(osc, 1.0)).bit_length())
-    rho = np.linspace(0.0, 4.0, min(n, 1 << 16), endpoint=False)
-    return float(np.max(np.abs(evaluate(m, 2.0**j * rho) * CUTOFF.psi(rho))))
 
 
 def mm_linf_h_norm(

@@ -207,8 +207,8 @@ def suite_frames() -> list[Check]:
     worst = 0.0
     for m in (mu.LimitedDecay(1.5), mu.BandBump(), mu.SlowDecay(1.0, 0.5)):
         for level in (0, 1):
-            ws = lp.sigma2_weighted_sobolev(m, level, (-2, 8))
-            s2 = lp.sigma2_norm(m, lp.BesovParams(2.0, float(level)), (-2, 8)).total
+            ws = mu.sigma2_weighted_sobolev(m, level, (-2, 8))
+            s2 = mu.sigma2_norm(m, lp.BesovParams(2.0, float(level)), (-2, 8)).total
             ratio = ws / s2
             worst = max(worst, ratio, 1.0 / ratio)
     checks.append(_at_most("weighted_sobolev_factor_4", worst, 4.0))
@@ -216,16 +216,16 @@ def suite_frames() -> list[Check]:
     worst = 0.0
     for m in (mu.LimitedDecay(1.5), mu.BandBump(), mu.SlowDecay(1.0, 0.5)):
         for alpha in (0.3, 0.5):
-            lhs = lp.sigma2_norm(m, lp.BesovParams(math.inf, alpha + 0.1), (-2, 6)).total
-            rhs = lp.sigma2_norm(m, lp.BesovParams(2.0, 0.5 + alpha + 0.1), (-2, 6)).total
+            lhs = mu.sigma2_norm(m, lp.BesovParams(math.inf, alpha + 0.1), (-2, 6)).total
+            rhs = mu.sigma2_norm(m, lp.BesovParams(2.0, 0.5 + alpha + 0.1), (-2, 6)).total
             worst = max(worst, lhs / rhs)
     checks.append(_at_most("sup_besov_embedding_16", worst, 16.0))
 
-    base = lp.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.5), (-2, 8)).total
-    moved = lp.sigma2_norm(mu.scaled(mu.LimitedDecay(1.0), 2.0), lp.BesovParams(2.0, 0.5), (-3, 7)).total
+    base = mu.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.5), (-2, 8)).total
+    moved = mu.sigma2_norm(mu.scaled(mu.LimitedDecay(1.0), 2.0), lp.BesovParams(2.0, 0.5), (-3, 7)).total
     checks.append(_at_most("dyadic_reindexing_exact", abs(moved - base) / base, 1e-12))
 
-    worst = lp.dilation_invariance_check(mu.LimitedDecay(1.0), [2.0, 1.37, 0.73], lp.BesovParams(2.0, 0.5), (-2, 8))
+    worst = mu.dilation_invariance_check(mu.LimitedDecay(1.0), [2.0, 1.37, 0.73], lp.BesovParams(2.0, 0.5), (-2, 8))
     checks.append(_at_most("dilation_invariance_8", worst, 8.0))
     return checks
 
@@ -240,16 +240,16 @@ def suite_multipliers() -> list[Check]:
     slopes = mu.decay_profile(mu.SlowDecay(1.0, 0.5), (5, 12), 2)
     checks.append(_within("slow_decay_slope_order2", slopes[2], -2.0, 0.1))
 
-    res = lp.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.7), (-2, 10))
+    res = mu.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.7), (-2, 10))
     bands = dict(res.bands)
     js = np.arange(2, 11)
     slope = float(np.polyfit(js, np.log2([bands[j] for j in js]), 1)[0])
     checks.append(_within("sigma2_band_slope", slope, -0.3, 0.1))
     checks.append(_is_true("sigma2_negative_bands_zero", bands[-1] == 0.0 and bands[-2] == 0.0))
 
-    conv_short = lp.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.7), (-2, 8)).total
-    conv_long = lp.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.7), (-2, 12)).total
-    div_long = lp.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 1.3), (-2, 12))
+    conv_short = mu.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.7), (-2, 8)).total
+    conv_long = mu.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.7), (-2, 12)).total
+    div_long = mu.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 1.3), (-2, 12))
     checks.append(
         _is_true(
             "sigma2_finite_iff_r_below_a",

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import pytest
 
 from fracmax import cli
-from fracmax.lp_frames import _BAND_MEMO
+from fracmax.multipliers import _BAND_MEMO
 
 
 @dataclass(frozen=True)

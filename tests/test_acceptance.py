@@ -154,7 +154,7 @@ def test_criterion_06_sigma2_band_slopes():
     zeros_ok = True
     for a in (0.5, 1.0, 1.5):
         r = a - 0.3
-        res = lp.sigma2_norm(mu.LimitedDecay(a), lp.BesovParams(2.0, r), (-2, 10))
+        res = mu.sigma2_norm(mu.LimitedDecay(a), lp.BesovParams(2.0, r), (-2, 10))
         bands = dict(res.bands)
         js = np.arange(2, 11)
         slope = float(np.polyfit(js, np.log2([bands[j] for j in js]), 1)[0])

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from fracmax.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, INPUT_ERRORS, main
 from fracmax.dilation_sets import geometric_schedule
-from fracmax.lp_frames import _BAND_MEMO
 from fracmax.maximal_lab import EXPERIMENTS
+from fracmax.multipliers import _BAND_MEMO
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -110,6 +110,29 @@ def test_dim_empty_set_is_input_error(tmp_path):
         {"set": {"generator": {"kind": "explicit", "points": [97.0]}}, "j": 0},
     )
     assert main(["dim", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            {"set": {"generator": {"kind": "cantor", "base": 3, "digits": [0, 2], "levels": 6}}, "methods": ["gap_sum"]},
+            "error: bad dim config: gap_sum method needs a power-sequence generator\n",
+        ),
+        (
+            # block 2 holds 1.25, but no block of j_range holds a point
+            {"set": {"generator": {"kind": "explicit", "points": [5.0]}}, "j": 2, "j_range": [-2, 1]},
+            "error: bad dim config: all blocks empty on the requested j range\n",
+        ),
+        (None, "error: cannot read config: "),
+    ],
+    ids=["gap_sum_on_cantor", "kappa_over_empty_blocks", "missing_config"],
+)
+def test_dim_input_errors_exit_one_with_one_error_line(tmp_path, capsys, payload, message):
+    config = write(tmp_path, "dim.json", payload) if payload else str(tmp_path / "missing.json")
+    assert main(["dim", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
 
 
 def test_dim_failed_expectation_exits_two(tmp_path):

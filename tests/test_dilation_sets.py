@@ -20,7 +20,6 @@ from fracmax.dilation_sets import (
     TailInfo,
     UnionSet,
     _boundary_split,
-    _slope_fit,
     _threshold_scan,
     augmented,
     dimension_bound_check,
@@ -145,6 +144,11 @@ def test_union_block_merges_members():
     np.testing.assert_allclose(block.points, [1.0, 1.5, 2.0])
 
 
+def test_union_small_times_concatenate_the_members_in_order():
+    times = UnionSet((LacunaryGrid(), ExplicitPoints((0.7, 0.3)))).small_times(0.1, 1.0)
+    assert times.tolist() == [1.0, 0.5, 0.25, 0.125, 0.3, 0.7]
+
+
 def test_augmented_adjoins_lacunary_grid():
     E = augmented(DilationSet(PowerSequence(1.0)))
     block = rescaled_block(E, 5)
@@ -171,6 +175,14 @@ def test_materialization_cap_flags_truncation():
     E = DilationSet(PowerSequence(1.0), materialization_cap=100)
     block = rescaled_block(E, 0)
     assert len(block) <= 100 and block.truncated
+
+
+def test_capped_finite_block_keeps_an_even_subsample_with_both_ends():
+    points = np.linspace(1.0, 2.0, 50)
+    block = rescaled_block(DilationSet(ExplicitPoints(tuple(points)), materialization_cap=10), 0)
+    assert block.truncated and len(block) == 10
+    assert block.points[0] == 1.0 and block.points[-1] == 2.0
+    assert block.points.tolist() == points[np.round(np.linspace(0, 49, 10)).astype(int)].tolist()
 
 
 # --- entropy numbers ---------------------------------------------------------
@@ -374,10 +386,7 @@ def test_dimension_from_distance_integral_matches():
 
 def all_scales_entropy_slope(blocks, sched):
     """Reference estimate: the max count over the blocks at every scale of the schedule, fitted over the last four."""
-    log_n = np.array([math.log(max(max(entropy_number(b, d) for b in blocks), 1)) for d in sched])
-    slope, residual = _slope_fit(-np.log(sched), log_n)
-    value = min(1.0, max(0.0, slope))
-    return DimensionEstimate(value, "entropy_slope", (float(sched[-1]), float(sched[-4])), residual)
+    return entropy_slope(sched, [max(entropy_number(b, d) for b in blocks) for d in sched])
 
 
 SLOPE_SETS = [

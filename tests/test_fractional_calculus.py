@@ -108,6 +108,14 @@ def test_marchaud_power_laws(alpha, beta):
     assert sup_rel <= 1e-4
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_marchaud_graded_grid_linear(alpha):
+    g = 2.0 * (np.arange(65.0) / 64) ** 2  # not uniform: the derivative takes the matrix path
+    d = marchaud_derivative(SampledPath(g, g, hoelder_exponent=1.0), alpha)
+    exact = math.gamma(2.0) / math.gamma(2.0 - alpha) * d.grid ** (1.0 - alpha)
+    assert np.max(np.abs(d.values - exact)) <= 1e-14  # the quadrature is exact for linear data
+
+
 def test_marchaud_linear_cross_checked_by_quadrature_oracle():
     g = uniform_grid(2.0, 4097)
     d = marchaud_derivative(SampledPath(g, g), 0.5)

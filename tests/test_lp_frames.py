@@ -6,24 +6,31 @@ import numpy as np
 import pytest
 
 from fracmax.lp_frames import (
-    _BAND_MEMO,
     BesovParams,
     GridFunction,
     SmoothCutoff,
     _band_norms,
     _besov_sum,
-    band_memo,
     besov_norm,
-    dilation_invariance_check,
     grid_from_profile,
     hoelder_besov_ratio,
     hoelder_norm,
     lp_piece,
     partition_defect,
+)
+from fracmax.multipliers import (
+    _BAND_MEMO,
+    BandBump,
+    Custom,
+    LimitedDecay,
+    SlowDecay,
+    band_memo,
+    dilation_invariance_check,
+    evaluate,
+    scaled,
     sigma2_norm,
     sigma2_weighted_sobolev,
 )
-from fracmax.multipliers import BandBump, Custom, LimitedDecay, SlowDecay, evaluate, scaled
 
 CUT = SmoothCutoff()
 

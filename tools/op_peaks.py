@@ -18,36 +18,23 @@ name the op that sets it.  Tracing slows every op down: read no times here.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
-import sys
-import tempfile
 import tracemalloc
 from pathlib import Path
 
+from pool_ops import pool_ops
+
 
 def peaks(root: Path, workload: str) -> list[dict]:
-    sys.path[:0] = [str(root / "src"), str(root / "benchmarks")]
-    import workloads
-    from fracmax.cli import main as cli_main
-
     out = []
     tracemalloc.start()
     try:
-        with tempfile.TemporaryDirectory() as tmp:
-            for i, op in enumerate(workloads.pool(workload)):
-                op_dir = Path(tmp) / f"{i:03d}"
-                config = op_dir / "config.json"
-                op_dir.mkdir()
-                config.write_text(json.dumps(op.config, indent=1, sort_keys=True))
-                argv = [op.command, "--config", str(config), "--out", str(op_dir / "out"), "--seed", str(op.cli_seed)]
-                start, _ = tracemalloc.get_traced_memory()
-                tracemalloc.reset_peak()
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                    code = cli_main(argv)
-                _, peak = tracemalloc.get_traced_memory()
-                out.append({"op": f"{i:03d} {op.name}", "exit": code, "peak_mb": round((peak - start) / 1e6, 2)})
+        for key, _, run in pool_ops(root, workload):
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            code, _ = run()
+            _, peak = tracemalloc.get_traced_memory()
+            out.append({"op": key, "exit": code, "peak_mb": round((peak - start) / 1e6, 2)})
     finally:
         tracemalloc.stop()
     return sorted(out, key=lambda row: (-row["peak_mb"], row["op"]))

@@ -16,13 +16,11 @@ checkouts run the pool alike when the printed JSON is identical.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import io
 import json
-import sys
-import tempfile
 from pathlib import Path
+
+from pool_ops import pool_ops
 
 
 def _sha(data: bytes) -> str:
@@ -30,27 +28,15 @@ def _sha(data: bytes) -> str:
 
 
 def digests(root: Path, workload: str) -> dict[str, dict]:
-    sys.path[:0] = [str(root / "src"), str(root / "benchmarks")]
-    import workloads
-    from fracmax.cli import main as cli_main
-
     out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for i, op in enumerate(workloads.pool(workload)):
-            op_dir = Path(tmp) / f"{i:03d}"
-            config = op_dir / "config.json"
-            op_dir.mkdir()
-            config.write_text(json.dumps(op.config, indent=1, sort_keys=True))
-            argv = [op.command, "--config", str(config), "--out", str(op_dir / "out"), "--seed", str(op.cli_seed)]
-            stderr = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-                code = cli_main(argv)
-            files = sorted((op_dir / "out").rglob("*")) if (op_dir / "out").is_dir() else []
-            out[f"{i:03d} {op.name}"] = {
-                "exit": code,
-                "stderr_sha256": _sha(stderr.getvalue().encode()),
-                "files": {p.relative_to(op_dir / "out").as_posix(): _sha(p.read_bytes()) for p in files if p.is_file()},
-            }
+    for key, out_dir, run in pool_ops(root, workload):
+        code, stderr = run()
+        files = sorted(out_dir.rglob("*")) if out_dir.is_dir() else []
+        out[key] = {
+            "exit": code,
+            "stderr_sha256": _sha(stderr.encode()),
+            "files": {p.relative_to(out_dir).as_posix(): _sha(p.read_bytes()) for p in files if p.is_file()},
+        }
     return out
 
 
