@@ -24,6 +24,8 @@ DEFAULT_CAP = 1_000_000
 DIVERGENCE_CEILING = 1e12
 # terms t_1..t_{GAP_SUM_TERMS + 1} of a sequence rule feed its gap sums; a power of two
 GAP_SUM_TERMS = 1 << 17
+# gamma_N = N u / (1 - N u): any order of summing N >= 0 terms errs by at most gamma_N times their sum (Higham)
+_GAMMA, _TINY = GAP_SUM_TERMS * 2.0**-53 / (1.0 - GAP_SUM_TERMS * 2.0**-53), float(np.finfo(float).tiny)
 # block j holds the points of E in [2**j, 2**(j+1)]; beyond this index it is empty for any set of floats
 MAX_BLOCK_INDEX = 1100
 
@@ -526,9 +528,9 @@ def sequence_gaps(seq) -> np.ndarray:
     """Gaps t_n - t_{n+1}, n = 1..GAP_SUM_TERMS, of a decreasing sequence rule n -> t_n."""
     vals = np.asarray(seq(np.arange(1, GAP_SUM_TERMS + 2, dtype=float)), dtype=float)
     gaps = -np.diff(vals)
-    # ties are tolerated: geometric tails underflow to equal floats
-    if np.any(gaps < 0):
-        raise ValueError("sequence is not decreasing")
+    # ties are tolerated: geometric tails underflow to equal floats; a NaN or inf value gives a non-finite gap
+    if not np.all(np.isfinite(gaps)) or np.any(gaps < 0):
+        raise ValueError("sequence is not decreasing through finite values")
     return gaps
 
 
@@ -548,10 +550,36 @@ def gap_sum_converges(gaps: np.ndarray, a: float) -> bool:
     return bool(hi == 0.0 if lo == 0.0 else hi / lo < 0.97)
 
 
+def gap_sum_verdicts(gaps: np.ndarray):
+    """`a -> gap_sum_converges(gaps, a)` for the gaps of `sequence_gaps`, from one log pass where that is certain.
+
+    For 0 < a <= 1 it sums exp(a log g) over each dyadic block's g != 0 (a gap of 0 adds exactly 0 on both paths,
+    and numpy's exp(-inf) is slow) pairwise, in one reused buffer.  r bounds each sum's distance to the exact path's:
+    gamma_N for both summations, 1e-11 per term for pow and for exp(a log g) as |a log g| <= 745, `tiny` per
+    underflowing term, one rounding for the subtraction and one for the division, all doubled for r's own rounding.
+    It answers where the ratio widened by r is strictly on one side of 0.97 and defers to gap_sum_converges
+    elsewhere: a middle block not above r, a sum near overflow, a not in (0, 1].
+    """
+    nonzero = gaps != 0
+    logs, cuts = np.log(gaps[nonzero]), [np.count_nonzero(nonzero[: GAP_SUM_TERMS // k]) for k in (4, 2)]
+    terms = np.empty_like(logs)  # one buffer for every exponent: fresh 1 MB temporaries cost page faults
+
+    def converges(a: float) -> bool:
+        if 0 < a <= 1:
+            np.exp(np.multiply(logs, a, out=terms), out=terms)
+            first, lo, hi = (float(np.sum(b)) for b in np.split(terms, cuts))
+            r = 2.0 * ((3.0 * _GAMMA + 2e-11 + 2.0**-52) * (first + lo + hi) + 2.0 * gaps.size * _TINY)
+            below, above = hi + r < 0.97 * (lo - r), hi - r > 0.97 * (lo + r)
+            if lo > r and r < 1e290 and (below or above):  # r < 1e290: the exact cumsum stays far from overflow
+                return below
+        return gap_sum_converges(gaps, a)
+
+    return converges
+
+
 def dimension_from_gap_sums(seq) -> DimensionEstimate:
     """Dimension as the infimum exponent with convergent gap sums."""
-    gaps = sequence_gaps(seq)
-    return _threshold_scan(lambda a: gap_sum_converges(gaps, a), "gap_sum")
+    return _threshold_scan(gap_sum_verdicts(sequence_gaps(seq)), "gap_sum")
 
 
 def _count_at_least(seq, delta: float) -> float:

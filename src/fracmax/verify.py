@@ -87,14 +87,10 @@ def suite_dimension() -> list[Check]:
     checks.append(_at_most("bound_check_30_cases_worst_ratio", worst, 10.0))
 
     for a_seq in (0.5, 1.0, 2.0):
-        lo, hi = 0.05, 0.98
-        gaps = ds.sequence_gaps(lambda n: 1.0 + n**-a_seq)
+        lo, hi, converges = 0.05, 0.98, ds.gap_sum_verdicts(ds.sequence_gaps(lambda n: 1.0 + n**-a_seq))
         for _ in range(24):
             mid = 0.5 * (lo + hi)
-            if ds.gap_sum_converges(gaps, mid):
-                hi = mid
-            else:
-                lo = mid
+            lo, hi = (lo, mid) if converges(mid) else (mid, hi)
         checks.append(_within(f"gap_sum_flip_{a_seq}", 0.5 * (lo + hi), 1.0 / (1.0 + a_seq), 0.05))
 
     lor_sched = ds.geometric_schedule(0.5, 1e-5, 21)

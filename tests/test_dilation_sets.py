@@ -1,12 +1,15 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracmax.dilation_sets as ds
 from fracmax.dilation_sets import (
     GAP_SUM_TERMS,
     BlockSet,
@@ -30,6 +33,7 @@ from fracmax.dilation_sets import (
     entropy_slope,
     finite_distance_integral,
     gap_sum_converges,
+    gap_sum_verdicts,
     geometric_schedule,
     kappa,
     lorentz_membership,
@@ -469,6 +473,17 @@ def test_gap_sum_rejects_increasing():
         sequence_gaps(lambda n: np.sin(n))
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [lambda n: 1.0 / (n - 1.0), lambda n: np.where(n <= 5.0, 1.0 / n, np.nan)],
+    ids=["inf_first_term", "nan_past_5"],
+)
+def test_gap_sum_rejects_a_non_finite_value(rule):
+    # inf - inf and NaN gaps used to pass the order check and read as dimension 1.0
+    with np.errstate(divide="ignore"), pytest.raises(ValueError, match="through finite values"):
+        dimension_from_gap_sums(rule)
+
+
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.6, 0.9])
 def test_gap_sum_verdict_matches_direct_block_sums(a):
     n = np.arange(1, GAP_SUM_TERMS + 1, dtype=float)
@@ -491,15 +506,67 @@ def test_gap_sum_flip_matches_corollary(a_seq):
     assert 0.5 * (lo + hi) == pytest.approx(1.0 / (1.0 + a_seq), abs=0.05)
 
 
-@pytest.mark.parametrize("rule", ["harmonic", "power_1", "geometric"])
+GAP_RULES = {
+    "harmonic": lambda n: 1.0 / n,
+    "power_1": lambda n: 1.0 + 1.0 / n,
+    "geometric": lambda n: 2.0**-n,
+    "subnormal": lambda n: 1e-300 / n,  # gaps below 1e-308 from n = 3e3 on, the last near 6e-311
+    **{f"power_{a}": PowerSequence(a).sequence for a in (0.5, 2.0, 2.5, 3.0)},  # at 2.5 and 3.0 most gaps are 0
+    **{f"offsets_{a}": PowerSequence(a).offsets for a in (2.5, 3.0)},  # harmonic is offsets_1.0
+}
+
+
+@pytest.mark.parametrize("rule", list(GAP_RULES))
 def test_gap_sum_partial_sums_are_the_out_of_place_cumsum_bit_for_bit(monkeypatch, rule):
-    seq = {"harmonic": lambda n: 1.0 / n, "power_1": lambda n: 1.0 + 1.0 / n, "geometric": lambda n: 2.0**-n}[rule]
-    gaps = sequence_gaps(seq)
-    cumsum, sums = np.cumsum, []
+    # and gap_sum_verdicts gives gap_sum_converges's verdict on the 49-point grid and on verify's bisection midpoints
+    gaps = sequence_gaps(GAP_RULES[rule])
+    decide, cumsum, sums = gap_sum_verdicts(gaps), np.cumsum, []
     monkeypatch.setattr(np, "cumsum", lambda x, *args, **kw: sums.append(cumsum(x, *args, **kw)) or sums[-1])
     for a in np.linspace(0.02, 0.98, 49):
-        gap_sum_converges(gaps, float(a))
+        verdict = gap_sum_converges(gaps, float(a))
         assert sums[-1].tobytes() == cumsum(gaps ** float(a)).tobytes()
+        assert decide(float(a)) is verdict
+    lo, hi = 0.05, 0.98
+    for _ in range(24 if rule.startswith("power_") else 0):
+        mid = 0.5 * (lo + hi)
+        verdict = gap_sum_converges(gaps, mid)
+        assert decide(mid) is verdict
+        lo, hi = (lo, mid) if verdict else (mid, hi)
+
+
+def test_gap_sum_verdicts_decide_most_of_the_dimension_pool_without_the_exact_path(monkeypatch):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    gens = [op.config["set"]["generator"] for op in workloads.pool("dimension") if "gap_sum" in op.config["methods"]]
+    assert len(gens) > 60 and all(gen["kind"] == "power_sequence" for gen in gens)
+    exact, verdicts, fallbacks = ds.gap_sum_converges, [], []
+    monkeypatch.setattr(ds, "gap_sum_converges", lambda gaps, a: fallbacks.append(a) or exact(gaps, a))
+    for gen in gens:
+        decide = gap_sum_verdicts(sequence_gaps(PowerSequence(gen["a"]).sequence))
+        _threshold_scan(lambda a: verdicts.append(a) or decide(a), "gap_sum")  # the scan of dimension_from_gap_sums
+    assert len(fallbacks) < 0.1 * len(verdicts)
+
+
+def test_gap_sum_verdicts_fall_back_where_the_fast_path_cannot_decide(monkeypatch):
+    gaps = np.zeros(GAP_SUM_TERMS)
+    gaps[:100] = 1.0  # the middle block is all zeros: the exact path reads an empty block
+    exact, fallbacks = ds.gap_sum_converges, []
+    monkeypatch.setattr(ds, "gap_sum_converges", lambda g, a: fallbacks.append(a) or exact(g, a))
+    decide = gap_sum_verdicts(gaps)
+    assert decide(0.5) and fallbacks == [0.5]
+    gaps[-1] = 1.0  # a nonzero last block after an empty one
+    assert not gap_sum_verdicts(gaps)(0.5)
+    swamped = np.full(GAP_SUM_TERMS, 1e-20)
+    swamped[0] = 1.0  # the cumsum rounds every later term away: the exact path reads two empty blocks, a ratio of 2
+    assert gap_sum_verdicts(swamped)(1.0) and fallbacks == [0.5, 0.5, 1.0]
+    harmonic = gap_sum_verdicts(sequence_gaps(lambda n: 1.0 / n))
+    assert harmonic(0.6) and fallbacks == [0.5, 0.5, 1.0]  # decided without the exact path
+    assert harmonic(1.5) and fallbacks[-1] == 1.5  # exponents past 1 take the exact path
+    with pytest.raises(ValueError, match="positive"):
+        harmonic(0.0)
 
 
 @pytest.mark.parametrize("a", [2.5, 3.0])

@@ -662,6 +662,30 @@ def test_square_functional_is_the_whole_batch_form_bit_for_bit(m, E, n, depth, s
     assert np.array_equal(res.flagged, flagged)
 
 
+def frequency_side_integral(f, m, blocks, alpha, s_resolution):
+    """int |f^|^2 H_alpha dxi, H_alpha(xi) = sum_j sum_nodes w |sum_k M[i, k] m(2**j s_k xi)|^2: nothing is dilated."""
+    spec, h = f.to_frequency(), np.zeros(f.n)
+    for block in blocks:
+        grid = np.union1d(np.linspace(0.0, 2.0, s_resolution + 1), block.nodes)
+        rows = marchaud_matrix(grid, alpha, 1.0, np.searchsorted(grid[1:], block.nodes))
+        h += block.weights @ np.abs(rows @ evaluate(m, np.multiply.outer(2.0**block.j * grid, spec.freq_radius()))) ** 2
+    return float(np.sum(np.abs(spec.samples) ** 2 * h)) * spec.dxi
+
+
+@pytest.mark.parametrize("m", [BandBump(), LimitedDecay(1.0), Oscillatory(0.5, 0.2), SlowDecay(1.0, 0.5)], ids=repr)
+@pytest.mark.parametrize("E", [POW_LAC, DilationSet(CantorLike(3, (0, 2), 6))], ids=["power", "cantor"])
+def test_square_functional_integrates_to_its_frequency_side(monkeypatch, m, E):
+    # Parseval along x closes the L^2 chain: int S f dx = int |f^|^2 H_alpha dxi on the periodic grid, at both cuts;
+    # the smaller chunk budget runs each level in several pixel chunks (64 pixels of 256) and dilation chunks
+    monkeypatch.setattr(ml, "CHUNK_POINTS", 1 << 12)
+    f, alpha, beta, depth, s_resolution = build_function(ModulatedBump(1.0, 2.0), 256, 8.0), 0.45, 0.3, 1, 16
+    sampling = sampled_dilations(E, (-1, 1), depth + 1, augment=True)
+    res = square_functional(f, m, sampling, alpha, beta, depth, s_resolution)
+    for d, r, values in ((depth, s_resolution, res.values), (depth + 1, 2 * s_resolution, res.refined)):
+        blocks = build_h_weights({j: pts[sampling.labels[j] <= d] for j, pts in sampling.items()}, beta)
+        assert float(np.sum(values)) * f.dx == pytest.approx(frequency_side_integral(f, m, blocks, alpha, r), rel=1e-13)
+
+
 def test_square_functional_builds_each_marchaud_matrix_once_per_call(monkeypatch):
     built = []
 

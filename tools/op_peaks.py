@@ -1,42 +1,57 @@
 """Traced memory peak of every op a benchmark workload can run, largest first, printed as JSON.
 
-Loads `benchmarks/workloads.py` of the checkout, and runs every op of
-`workloads.pool(W)` through that checkout's `fracmax.cli.main`, one after the
-other in this process under `tracemalloc`, each with its own `--out` directory
-inside a temporary directory that is removed afterwards.  Nothing is written
-under the checkout.
+Loads `benchmarks/workloads.py` of the checkout, and runs each op of
+`workloads.pool(W)` through that checkout's `fracmax.cli.main` in a fresh child
+process of its own, under `tracemalloc`, with its own `--out` directory inside
+a temporary directory that is removed afterwards.  So an op's peak does not
+depend on the ops before it in the pool.  Nothing is written under the checkout.
 
     python tools/op_peaks.py --workload experiments                 # this checkout
     python tools/op_peaks.py --workload dimension --root OTHER      # another checkout, e.g. the parent commit
 
 An op's peak is the most traced memory (Python objects and NumPy buffers) held
-while it ran, less what the process held when it started, in MB (1e6 bytes).
+while it ran, less what its process held just before, in MB (1e6 bytes).
 Ops are keyed by their index in the pool and their name, so a memory claim can
 name the op that sets it.  Tracing slows every op down: read no times here.
+The children run one at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 from pool_ops import pool_ops
 
 
-def peaks(root: Path, workload: str) -> list[dict]:
-    out = []
+def op_peak(root: Path, workload: str, index: int) -> dict:
+    """The traced peak of the pool's op `index`, run in this process; the ops before it are skipped, not run."""
     tracemalloc.start()
     try:
-        for key, _, run in pool_ops(root, workload):
-            start, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            code, _ = run()
-            _, peak = tracemalloc.get_traced_memory()
-            out.append({"op": key, "exit": code, "peak_mb": round((peak - start) / 1e6, 2)})
+        for i, (key, _, run) in enumerate(pool_ops(root, workload)):
+            if i == index:
+                start, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                code, _ = run()
+                _, peak = tracemalloc.get_traced_memory()
+                return {"op": key, "exit": code, "peak_mb": round((peak - start) / 1e6, 2)}
     finally:
         tracemalloc.stop()
+    raise IndexError(f"the {workload} pool has no op {index}")
+
+
+def peaks(root: Path, workload: str) -> list[dict]:
+    sys.path.insert(0, str(root / "benchmarks"))
+    import workloads
+
+    out = []
+    for index in range(len(workloads.pool(workload))):
+        argv = [sys.executable, __file__, "--workload", workload, "--root", str(root), "--op", str(index)]
+        out.append(json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout))
     return sorted(out, key=lambda row: (-row["peak_mb"], row["op"]))
 
 
@@ -44,8 +59,13 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=["experiments", "dimension"])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent, help="checkout to run")
+    parser.add_argument("--op", type=int, help="run only the op of this pool index here and print its row")
     args = parser.parse_args()
-    print("[\n" + ",\n".join(json.dumps(row) for row in peaks(args.root.resolve(), args.workload)) + "\n]")
+    root = args.root.resolve()
+    if args.op is not None:
+        print(json.dumps(op_peak(root, args.workload, args.op)))
+        return
+    print("[\n" + ",\n".join(json.dumps(row) for row in peaks(root, args.workload)) + "\n]")
 
 
 if __name__ == "__main__":
