@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 input error, 2 verification/assertion failure.
 Reports are deterministic for a fixed config and seed: keys are sorted and no
 timestamps are embedded.  A dim report echoes its config as given.  An
 experiment report echoes the fields its kind reads, resolved, in the layout of
-the config file, so the echo runs as a config again; the fields the kind
-ignores are named on one `note:` line on stderr, outside the report.
+the config file, so the echo runs as a config again.  Both name the config
+fields they ignore on one `note:` line on stderr, outside the report.
 Reports are strict JSON: one holding a NaN or infinity is not written, and the
 run exits 1.
 Every report carries `"workers": 1`: fracmax runs serially, and the field
@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,21 +26,11 @@ from . import dilation_sets as ds
 from . import maximal_lab as ml
 from . import verify as vf
 from .multipliers import band_memo
-from .wire import integer, number, object_field, read_field, tuple_of
+from .wire import from_wire, integer, number, object_field, optional, to_wire, tuple_of, wire
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FAILED = 2
-
-
-def _np_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 class InputError(Exception):
@@ -50,9 +40,11 @@ class InputError(Exception):
 def _dump(payload: dict) -> str:
     """Strict JSON: a NaN or infinity in the report is an input error, and no report is written."""
     try:
-        return json.dumps(payload, sort_keys=True, indent=2, default=_np_default, allow_nan=False) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise InputError(f"report holds a non-finite number: {exc}")
+    except TypeError as exc:  # a value JSON has no form for
+        raise InputError(f"report holds a non-JSON value: {exc}")
 
 
 def _load_config(path: str) -> dict:
@@ -71,101 +63,114 @@ def _load_config(path: str) -> dict:
     return spec
 
 
+def _unread(spec: dict, echo: dict, prefix: str = ""):
+    """Dotted paths of the keys of a config that its resolved echo lacks: the fields the run ignored."""
+    for key, value in spec.items():
+        if key not in echo:
+            yield prefix + key
+        elif isinstance(value, dict) and isinstance(echo[key], dict):
+            yield from _unread(value, echo[key], f"{prefix}{key}.")
+
+
 # ---------------------------------------------------------------------------
 # dim
 
 
-DIM_METHODS = ("kappa", "minkowski", "distance_integral", "gap_sum")
 # the slope fit reads the last four scales; 64 scales bound the covering-count work
 MAX_SCHEDULE_COUNT = 64
 INPUT_ERRORS = (KeyError, ValueError, TypeError, OverflowError)
+# method -> its estimate from (config, block j, its counts); `ds.` is read per call, so a traced run sees the call
+DIM_METHODS = {
+    "kappa": lambda config, block, counts: ds.kappa(config.set, config.schedule, config.j_range),
+    "minkowski": lambda config, block, counts: ds.entropy_slope(config.schedule, counts),
+    "distance_integral": lambda config, block, counts: ds.dimension_from_distance_integral(block),
+    "gap_sum": lambda config, block, counts: ds.dimension_from_gap_sums(config.set.generator.sequence),
+}
+
+
+@dataclass(frozen=True, kw_only=True)
+class DimConfig:
+    """The fields of a dim config; `methods` and `expect.method` are read as given and checked here."""
+
+    set: ds.DilationSet = wire(ds.DilationSet.from_json)
+    count: int = wire(integer, "schedule.count", default=9)
+    delta_max: float = wire(number, "schedule.delta_max", default=0.07)
+    delta_min: float = wire(number, "schedule.delta_min", default=0.7e-6)
+    j: int = wire(integer, default=0)
+    j_range: tuple[int, int] = wire(ds.block_range, default=(-2, 3))
+    methods: tuple[str, ...] = wire(lambda value: value, default=("kappa", "minkowski"))
+    expect_method: str | None = wire(lambda value: value, "expect.method", default=None)
+    target: float | None = wire(optional(number), "expect.value", default=None)  # None: no expectation
+    tol: float = wire(number, "expect.tol", default=0.05)
+    exponents: tuple[float, ...] = wire(tuple_of(number), "bound_check.exponents", default=())
+    constant: float = wire(number, "bound_check.constant", default=10.0)
+    table_exponent: float | None = wire(optional(number), default=None)  # 0 is valid; None means the estimate
+    schedule: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not 4 <= self.count <= MAX_SCHEDULE_COUNT:
+            raise ValueError(f"schedule.count must lie in 4..{MAX_SCHEDULE_COUNT}, got {self.count}")
+        object.__setattr__(self, "schedule", ds.geometric_schedule(self.delta_max, self.delta_min, self.count))
+        if abs(self.j) > ds.MAX_BLOCK_INDEX:
+            raise ValueError(f"block index j must lie within +-{ds.MAX_BLOCK_INDEX}, got {self.j}")
+        if not isinstance(self.methods, (list, tuple)) or not all(m in DIM_METHODS for m in self.methods):
+            raise ValueError(f"methods must be a list drawn from {', '.join(DIM_METHODS)}, got {self.methods!r}")
+        object.__setattr__(self, "methods", tuple(self.methods))
+        if "gap_sum" in self.methods and not isinstance(self.set.generator, ds.PowerSequence):
+            raise ValueError("gap_sum method needs a power-sequence generator")
+        if (self.expect_method, self.target) != (None, None):
+            if self.expect_method not in self.methods:
+                raise ValueError(f"expect.method {self.expect_method!r} is not among the methods {list(self.methods)}")
+            if self.target is None:
+                raise KeyError("expect.value")
+        if not all(0 < a < 1 for a in self.exponents):
+            raise ValueError(f"bound_check.exponents must lie in (0, 1), got {list(self.exponents)}")
+        if self.table_exponent is not None and not 0 <= self.table_exponent <= 1:
+            raise ValueError(f"table_exponent must lie in [0, 1], got {self.table_exponent}")
 
 
 def cmd_dim(args) -> int:
     spec = _load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # every field is read and checked before any work starts
-    try:
-        E = read_field(spec, "set", ds.DilationSet.from_json)
-        count = read_field(spec, "schedule.count", integer, 9)
-        if not 4 <= count <= MAX_SCHEDULE_COUNT:
-            raise ValueError(f"schedule.count must lie in 4..{MAX_SCHEDULE_COUNT}, got {count}")
-        sched = ds.geometric_schedule(
-            read_field(spec, "schedule.delta_max", number, 0.07),
-            read_field(spec, "schedule.delta_min", number, 0.7e-6),
-            count,
-        )
-        j = read_field(spec, "j", integer, 0)
-        if abs(j) > ds.MAX_BLOCK_INDEX:
-            raise ValueError(f"block index j must lie within +-{ds.MAX_BLOCK_INDEX}, got {j}")
-        j_range = read_field(spec, "j_range", ds.block_range, [-2, 3])
-        methods = spec.get("methods", ["kappa", "minkowski"])
-        if not isinstance(methods, list) or not all(m in DIM_METHODS for m in methods):
-            raise ValueError(f"methods must be a list drawn from {', '.join(DIM_METHODS)}, got {methods!r}")
-        if "gap_sum" in methods and not isinstance(E.generator, ds.PowerSequence):
-            raise ValueError("gap_sum method needs a power-sequence generator")
-        expect = object_field(spec, "expect")
-        if expect:
-            if expect.get("method") not in methods:
-                raise ValueError(f"expect.method {expect.get('method')!r} is not among the methods {methods}")
-            target, tol = read_field(spec, "expect.value", number), read_field(spec, "expect.tol", number, 0.05)
-        exponents = read_field(spec, "bound_check.exponents", tuple_of(number), [])
-        if not all(0 < a < 1 for a in exponents):
-            raise ValueError(f"bound_check.exponents must lie in (0, 1), got {list(exponents)}")
-        bound_constant = read_field(spec, "bound_check.constant", number, 10.0)
-        # 0 is a valid exponent: only a missing or null field falls back to the estimate
-        table_a = None if spec.get("table_exponent") is None else read_field(spec, "table_exponent", number)
-        if table_a is not None and not 0 <= table_a <= 1:
-            raise ValueError(f"table_exponent must lie in [0, 1], got {table_a}")
-        block = ds.rescaled_block(E, j)
+    try:  # every field is read and checked before any work starts
+        config = from_wire(DimConfig, spec)
+        block = ds.rescaled_block(config.set, config.j)
     except INPUT_ERRORS as exc:
         raise InputError(f"bad dim config: {exc}")
     if block.empty and not block.tails:
-        raise InputError(f"block {j} of the set is empty")
+        raise InputError(f"block {config.j} of the set is empty")
 
-    counts = [ds.entropy_number(block, float(d)) for d in sched]  # counts.csv and the Minkowski slope read these
-    results: dict = {}
-    for method in methods:
-        if method == "kappa":
-            try:
-                est = ds.kappa(E, sched, j_range)
-            except ValueError as exc:  # every block of j_range is empty
-                raise InputError(f"bad dim config: {exc}")
-        elif method == "minkowski":
-            est = ds.entropy_slope(sched, counts)
-        elif method == "distance_integral":
-            est = ds.dimension_from_distance_integral(block)
-        else:
-            est = ds.dimension_from_gap_sums(E.generator.sequence)
-        results[method] = asdict(est)
+    counts = [ds.entropy_number(block, float(d)) for d in config.schedule]  # counts.csv and the slope read these
+    try:
+        results = {method: asdict(DIM_METHODS[method](config, block, counts)) for method in config.methods}
+    except ValueError as exc:  # kappa over a j_range whose blocks are all empty
+        raise InputError(f"bad dim config: {exc}")
 
-    reports = ds.dimension_bound_check(block, exponents, sched, bound_constant) if exponents else []
+    reports = config.exponents and ds.dimension_bound_check(block, config.exponents, config.schedule, config.constant)
     if reports:
         results["bound_checks"] = [asdict(r) for r in reports]
     failures = [f"bound check a={r.a}" for r in reports if not r.passed]
 
-    if expect:
-        est_value = results[expect["method"]]["value"]
-        ok = abs(est_value - target) <= tol
-        results["expectation"] = {"target": expect, "value": est_value, "passed": ok}
+    if config.target is not None:
+        est_value = results[config.expect_method]["value"]
+        ok = abs(est_value - config.target) <= config.tol
+        results["expectation"] = {"target": spec["expect"], "value": est_value, "passed": ok}
         if not ok:
             failures.append("expectation")
 
+    table_a = config.table_exponent
     if table_a is None:
         table_a = float(results.get("minkowski", results.get("kappa", {"value": 0.5}))["value"])
     rows = ["delta,count,delta_pow_a_count"]
-    rows += [f"{repr(float(d))},{n},{repr(float(d**table_a * n))}" for d, n in zip(sched, counts)]
+    rows += [f"{repr(float(d))},{n},{repr(float(d**table_a * n))}" for d, n in zip(config.schedule, counts)]
     (out / "counts.csv").write_text("\n".join(rows) + "\n")
 
-    report_payload = {
-        "config": spec,
-        "seed": args.seed,
-        "workers": 1,
-        "results": results,
-        "failures": failures,
-    }
-    (out / "dim_report.json").write_text(_dump(report_payload))
+    report = {"config": spec, "seed": args.seed, "workers": 1, "results": results, "failures": failures}
+    (out / "dim_report.json").write_text(_dump(report))
+    ignored = ", ".join(_unread(spec, to_wire(config)))  # once the report is written, as for an experiment
+    if ignored:
+        print(f"note: dim ignores config fields: {ignored}", file=sys.stderr)
     return EXIT_FAILED if failures else EXIT_OK
 
 
@@ -200,15 +205,6 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 # experiment
-
-
-def _unread(spec: dict, echo: dict, prefix: str = ""):
-    """Dotted paths of the keys of a config that its resolved echo lacks: the fields the run ignored."""
-    for key, value in spec.items():
-        if key not in echo:
-            yield prefix + key
-        elif isinstance(value, dict) and isinstance(echo[key], dict):
-            yield from _unread(value, echo[key], f"{prefix}{key}.")
 
 
 def cmd_experiment(args) -> int:

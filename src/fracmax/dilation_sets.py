@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .wire import Registry, integer, number, read_field, tuple_of
+from .wire import Registry, integer, number, read_field, tuple_of, wire
 
 DEDUP_TOL = 1e-15
 DEFAULT_GAP_FLOOR = 1e-9
@@ -42,12 +42,12 @@ _BOUNDARY_RTOL = 1e-9
 GENERATORS = Registry("kind", "set kind")
 
 
-@GENERATORS.register("power_sequence", a=number)
+@GENERATORS.register("power_sequence")
 @dataclass(frozen=True)
 class PowerSequence:
     """The set {1 + n**(-a) : n = 1, 2, ...}; accumulates at 1 from above."""
 
-    a: float
+    a: float = wire(number)
 
     def __post_init__(self):
         if not self.a > 0:
@@ -96,10 +96,10 @@ class PowerSequence:
         return self.offsets(np.round(np.geomspace(float(n_lo), float(n_hi), 100001)))  # both ends can pass int64
 
 
-@GENERATORS.register("explicit", points=tuple_of(number))
+@GENERATORS.register("explicit")
 @dataclass(frozen=True)
 class ExplicitPoints:
-    points: tuple[float, ...]
+    points: tuple[float, ...] = wire(tuple_of(number))
 
     def __post_init__(self):
         if not self.points:
@@ -116,7 +116,7 @@ class ExplicitPoints:
         return np.asarray(self.points, dtype=float)
 
 
-@GENERATORS.register("cantor", base=integer, digits=tuple, levels=integer)
+@GENERATORS.register("cantor")
 @dataclass(frozen=True)
 class CantorLike:
     """Endpoints of a base-adic Cantor construction on [1, 2].
@@ -127,9 +127,9 @@ class CantorLike:
     interval.
     """
 
-    base: int
-    digits: tuple[int, ...]
-    levels: int
+    base: int = wire(integer)
+    digits: tuple[int, ...] = wire(tuple)
+    levels: int = wire(integer)
 
     def __post_init__(self):
         if self.base < 3:
@@ -179,10 +179,10 @@ class LacunaryGrid:
         return 2.0 ** -np.arange(k_lo, k_hi + 1, dtype=float)
 
 
-@GENERATORS.register("union", members=tuple_of(GENERATORS.from_json))
+@GENERATORS.register("union")
 @dataclass(frozen=True)
 class UnionSet:
-    members: tuple["Generator", ...]
+    members: tuple["Generator", ...] = wire(tuple_of(GENERATORS.from_json))
 
     def __post_init__(self):
         if not self.members:
@@ -207,15 +207,12 @@ Generator = Union[PowerSequence, ExplicitPoints, CantorLike, LacunaryGrid, Union
 
 @dataclass(frozen=True)
 class DilationSet:
-    generator: Generator
-    materialization_cap: int = DEFAULT_CAP
+    generator: Generator = wire(GENERATORS.from_json)
+    materialization_cap: int = wire(integer, "cap", default=DEFAULT_CAP)
 
     def __post_init__(self):
         if not 2 <= self.materialization_cap <= DEFAULT_CAP:
             raise ValueError(f"materialization cap must lie in 2..{DEFAULT_CAP}, got {self.materialization_cap}")
-
-    def to_json(self) -> dict:
-        return {"generator": GENERATORS.to_json(self.generator), "cap": self.materialization_cap}
 
     @staticmethod
     def from_json(payload: dict) -> "DilationSet":
@@ -670,7 +667,7 @@ def dimension_bound_check(
         rhs = 1.0 + float(np.trapezoid(lam**a * counts[::-1], np.log(lam)))
         left = lhs / mid if mid > 0 else math.inf
         right = mid / rhs if rhs > 0 else math.inf
-        reports.append(BoundCheckReport(a, lhs, mid, rhs, left, right, left <= constant and right <= constant))
+        reports.append(BoundCheckReport(a, lhs, mid, rhs, left, right, bool(left <= constant and right <= constant)))
     return reports
 
 

@@ -19,7 +19,7 @@ from .dilation_sets import DilationSet, augmented, block_range, geometric_schedu
 from .fractional_calculus import marchaud_matrix
 from .lp_frames import GridFunction, grid_from_profile
 from .multipliers import FAMILIES, LimitedDecay, Multiplier, band_sup_norm, evaluate
-from .wire import Registry, integer, number, tuple_of
+from .wire import Registry, integer, number, tuple_of, wire
 
 EXCLUSION_FACTOR = 1e-12
 ROUNDOFF_FACTOR = 4.0  # a half-wave difference counts as motion above this multiple of the t = 0 round trip's
@@ -34,12 +34,12 @@ PIXEL_CHUNK = 64  # the fewest pixels a square-functional chunk takes
 FUNCTIONS = Registry("kind", "test function")
 
 
-@FUNCTIONS.register("gaussian_bump", width=number)
+@FUNCTIONS.register("gaussian_bump")
 @dataclass(frozen=True)
 class GaussianBump:
     """e^{-x^2 / (2 width^2)}."""
 
-    width: float
+    width: float = wire(number)
     side = "space"
 
     def __post_init__(self):
@@ -51,24 +51,24 @@ class GaussianBump:
         return np.exp(-(x**2) / (2.0 * self.width**2))
 
 
-@FUNCTIONS.register("modulated_bump", width=number, freq=number)
+@FUNCTIONS.register("modulated_bump")
 @dataclass(frozen=True)
 class ModulatedBump(GaussianBump):
     """The Gaussian bump modulated by e^{2 pi i freq x}."""
 
-    freq: float
+    freq: float = wire(number)
 
     def profile(self, x: np.ndarray) -> np.ndarray:
         return super().profile(x) * np.exp(2j * np.pi * self.freq * x)
 
 
-@FUNCTIONS.register("random_band", band=integer, seed=integer)
+@FUNCTIONS.register("random_band")
 @dataclass(frozen=True)
 class RandomBand:
     """Seeded complex Gaussian spectrum restricted to 2**(band-1) <= |xi| <= 2**(band+1)."""
 
-    band: int
-    seed: int
+    band: int = wire(integer)
+    seed: int = wire(integer)
     side = "frequency"
 
     def __post_init__(self):
@@ -317,28 +317,16 @@ def square_functional(
 EXPERIMENTS = Registry("kind", "experiment kind")
 MAX_TRIALS = 64  # the probe builds one test input per trial and runs one maximal function per decay
 MAX_BATCH = 1 << 23  # (dilations x pixels) values one batch may hold, 128 MB complex, checked before any work
-GRID_FIELDS = {
-    "config.set": DilationSet.from_json,
-    "config.grid.n": integer,
-    "config.grid.extent": number,
-    "config.grid.dim": integer,
-}
-MAXIMAL_FIELDS = {
-    **GRID_FIELDS,
-    "config.multiplier": FAMILIES.from_json,
-    "config.j_range": block_range,
-    "config.depth": integer,
-}
 
 
 @dataclass(frozen=True, kw_only=True)
 class GridExperiment:
     """A dilation set and the 1-d grid of n samples over [-extent, extent)."""
 
-    set: DilationSet
-    n: int = 1024
-    extent: float = 8.0
-    dim: int = 1
+    set: DilationSet = wire(DilationSet.from_json, "config.set")
+    n: int = wire(integer, "config.grid.n", default=1024)
+    extent: float = wire(number, "config.grid.extent", default=8.0)
+    dim: int = wire(integer, "config.grid.dim", default=1)
 
     def __post_init__(self):
         if self.dim != 1:
@@ -353,9 +341,9 @@ class GridExperiment:
 class MaximalExperiment(GridExperiment):
     """A grid experiment on the maximal function of a multiplier over the sampled blocks j_range of the set."""
 
-    multiplier: Multiplier
-    j_range: tuple[int, int] = (-3, 4)
-    depth: int = 4
+    multiplier: Multiplier = wire(FAMILIES.from_json, "config.multiplier")
+    j_range: tuple[int, int] = wire(block_range, "config.j_range", default=(-3, 4))
+    depth: int = wire(integer, "config.depth", default=4)
 
     def __post_init__(self):
         super().__post_init__()
@@ -372,19 +360,16 @@ class MaximalExperiment(GridExperiment):
             raise ValueError(f"{fields}: one dilation batch may hold {self.n * rows:.3g} values, above {MAX_BATCH}")
 
 
-@EXPERIMENTS.register(
-    "domination", **MAXIMAL_FIELDS, **{"config.f": FUNCTIONS.from_json, "config.s_resolution": integer},
-    **{"config.alpha": number, "config.beta": number, "config.p": number},
-)
+@EXPERIMENTS.register("domination")
 @dataclass(frozen=True, kw_only=True)
 class Domination(MaximalExperiment):
     """The p = 2 domination of the squared maximal function of f by the square functional."""
 
-    f: GaussianBump | ModulatedBump | RandomBand
-    alpha: float = 0.45
-    beta: float = 0.3
-    p: float = 2.0
-    s_resolution: int = 128
+    f: GaussianBump | ModulatedBump | RandomBand = wire(FUNCTIONS.from_json, "config.f")
+    alpha: float = wire(number, "config.alpha", default=0.45)
+    beta: float = wire(number, "config.beta", default=0.3)
+    p: float = wire(number, "config.p", default=2.0)
+    s_resolution: int = wire(integer, "config.s_resolution", default=128)
 
     def __post_init__(self):
         super().__post_init__()
@@ -410,19 +395,16 @@ class Domination(MaximalExperiment):
         return results, checks, {"ratio_histogram.csv": report.histogram(), "band_norms.csv": band_norms}
 
 
-@EXPERIMENTS.register(
-    "halfwave", **GRID_FIELDS, **{"config.f": FUNCTIONS.from_json},
-    hw_alpha=number, hw_beta=number, t_min=number, t_max=number,
-)
+@EXPERIMENTS.register("halfwave")
 @dataclass(frozen=True, kw_only=True)
 class Halfwave(GridExperiment):
     """The small-time rate of the order-hw_alpha half-wave evolution of f at the set's times in [t_min, t_max]."""
 
-    f: GaussianBump | ModulatedBump | RandomBand
-    hw_alpha: float = 0.5
-    hw_beta: float = 0.4
-    t_min: float = 1.0 / 40
-    t_max: float = 0.35
+    f: GaussianBump | ModulatedBump | RandomBand = wire(FUNCTIONS.from_json, "config.f")
+    hw_alpha: float = wire(number, default=0.5)
+    hw_beta: float = wire(number, default=0.4)
+    t_min: float = wire(number, default=1.0 / 40)
+    t_max: float = wire(number, default=0.35)
 
     def __post_init__(self):
         super().__post_init__()
@@ -438,10 +420,7 @@ class Halfwave(GridExperiment):
         return results, checks, {"rates.csv": "\n".join(rows) + "\n"}
 
 
-@EXPERIMENTS.register(
-    "probe", **MAXIMAL_FIELDS, **{"config.p": number, "config.seed": integer},
-    trials=integer, regularity_grid=tuple_of(number),
-)
+@EXPERIMENTS.register("probe")
 @dataclass(frozen=True, kw_only=True)
 class Probe(MaximalExperiment):
     """Empirical lower bound for the maximal operator norm on L^p.
@@ -452,10 +431,10 @@ class Probe(MaximalExperiment):
     regularity crosses the critical index.
     """
 
-    p: float = 2.0
-    seed: int = 0
-    trials: int = 3
-    regularity_grid: tuple[float, ...] = ()
+    p: float = wire(number, "config.p", default=2.0)
+    seed: int = wire(integer, "config.seed", default=0)
+    trials: int = wire(integer, default=3)
+    regularity_grid: tuple[float, ...] = wire(tuple_of(number), default=())
 
     def __post_init__(self):
         super().__post_init__()

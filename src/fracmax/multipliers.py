@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .lp_frames import CUTOFF, BesovParams, GridFunction, _band_norms, _besov_sum
-from .wire import Registry, number
+from .wire import Registry, number, wire
 
 # finite-difference step for families without closed-form derivatives,
 # relative to the evaluation radius
@@ -30,7 +30,7 @@ _FD_REL_STEP = 2.0**-14
 FAMILIES = Registry("family", "multiplier family")
 
 
-@FAMILIES.register("limited_decay", a=number)
+@FAMILIES.register("limited_decay")
 @dataclass(frozen=True)
 class LimitedDecay:
     """Oscillating limited-decay symbol: every derivative decays like |xi|^-a.
@@ -40,33 +40,33 @@ class LimitedDecay:
     limited-decay class.
     """
 
-    a: float
+    a: float = wire(number)
 
     def __post_init__(self):
         if self.a <= 0:
             raise ValueError("decay rate must be positive")
 
 
-@FAMILIES.register("slow_decay", beta=number, delta=number)
+@FAMILIES.register("slow_decay")
 @dataclass(frozen=True)
 class SlowDecay:
     """(1 - phi)|xi|^-beta cos(|xi|^(1-delta)): derivative order k decays -beta - k*delta."""
 
-    beta: float
-    delta: float
+    beta: float = wire(number)
+    delta: float = wire(number)
 
     def __post_init__(self):
         if self.beta <= 0 or not 0 < self.delta < 1:
             raise ValueError("need beta > 0 and delta in (0, 1)")
 
 
-@FAMILIES.register("oscillatory", alpha=number, beta=number)
+@FAMILIES.register("oscillatory")
 @dataclass(frozen=True)
 class Oscillatory:
     """e^{2*pi*i*|xi|^alpha} (1 - phi)|xi|^-beta: derivative order k decays -beta - k(1-alpha)."""
 
-    alpha: float
-    beta: float
+    alpha: float = wire(number)
+    beta: float = wire(number)
 
     def __post_init__(self):
         if not 0 < self.alpha < 1 or self.beta <= 0:

@@ -1,18 +1,18 @@
-"""JSON wire codec for the tagged dataclasses: set generators, multiplier families, test functions.
+"""JSON wire codec for the config dataclasses: set generators, multiplier families, test functions, configs.
 
-Each concept keeps one `Registry`.  A class joins it under its wire name with
-one coercion per field; the registry turns instances into plain dicts and
-back.  A field's wire path may be dotted (`grid.n` is key `n` of the object
-`grid`, read into attribute `n`), and an absent field with a dataclass default
-reads as that default.  An unknown tag raises ValueError, a missing field
-KeyError, and extra keys are ignored.  A coercion error names its field,
-nested fields outermost first (`members: a: expected a number, got '1.0'`).
+A field is declared once, on the dataclass: `a: float = wire(number)` reads key
+`a` through `number`, and `n: int = wire(integer, "grid.n", default=1024)` reads
+the dotted path `grid.n` (key `n` of the object `grid`), or 1024 if absent.
+`from_wire(cls, payload)` and `to_wire(obj)` convert; a `Registry` adds a tag
+naming the class (`{"family": "band_bump"}`).  An unknown tag raises ValueError,
+a missing field KeyError, and extra keys are ignored.  A coercion error names
+its field, nested fields outermost first (`members: a: expected a number, got '1.0'`).
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, field, fields, is_dataclass
 from typing import Callable
 
 
@@ -43,6 +43,11 @@ def tuple_of(coerce: Callable) -> Callable:
     return convert
 
 
+def optional(coerce: Callable) -> Callable:
+    """Coercion that keeps None (a missing or null field) and coerces anything else."""
+    return lambda value: None if value is None else coerce(value)
+
+
 def object_field(payload: dict, key: str) -> dict:
     """payload[key] as a JSON object: {} when absent or null, a TypeError for any other type."""
     value = payload.get(key)
@@ -66,27 +71,58 @@ def read_field(payload: dict, path: str, coerce: Callable, *default):
         raise
 
 
+def wire(coerce: Callable, path: str | None = None, **field_kwargs):
+    """A dataclass field read through `coerce` from the dotted `path` of a payload, by default the field's name."""
+    return field(metadata={"wire": (coerce, path)}, **field_kwargs)
+
+
+def _wire_fields(cls) -> list:
+    """(field, dotted path, coercion) of every wire field of a dataclass."""
+    return [(f, f.metadata["wire"][1] or f.name, f.metadata["wire"][0]) for f in fields(cls) if "wire" in f.metadata]
+
+
+def from_wire(cls, payload: dict):
+    """An instance of `cls` read from a payload by its wire fields; an absent field reads as its default."""
+    kwargs = {}
+    for f, path, coerce in _wire_fields(cls):
+        default = () if f.default is MISSING else (_plain(f.default),)
+        kwargs[f.name] = read_field(payload, path, coerce, *default)
+    return cls(**kwargs)
+
+
+def to_wire(obj) -> dict:
+    """The wire fields of a dataclass instance as a plain dict, nested along their dotted paths."""
+    out: dict = {}
+    for f, path, _ in _wire_fields(type(obj)):
+        *parents, key = path.split(".")
+        node = out
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = _plain(getattr(obj, f.name))
+    return out
+
+
 def _plain(value):
-    """The JSON form of a field value: tuples as lists, and registered classes and sets through their codecs."""
+    """The JSON form of a field value: tuples as lists, and dataclasses with wire fields by them (and their tag)."""
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     if type(value) in _WIRE_NAMES:
         return _WIRE_NAMES[type(value)][0].to_json(value)
-    return value.to_json() if hasattr(value, "to_json") else value
+    return to_wire(value) if is_dataclass(value) and _wire_fields(type(value)) else value
 
 
 class Registry:
-    """Wire names and field coercions of one family of frozen dataclasses."""
+    """Wire names of one family of frozen dataclasses, kept under one tag."""
 
     def __init__(self, tag: str, noun: str):
         self.tag, self.noun = tag, noun
-        self._by_name: dict[str, tuple[type, dict[str, Callable]]] = {}
+        self._by_name: dict[str, type] = {}
 
-    def register(self, name: str, **fields: Callable):
-        """Class decorator: `name` on the wire, `fields` maps wire path -> coercion."""
+    def register(self, name: str):
+        """Class decorator: `name` on the wire."""
 
         def decorate(cls):
-            self._by_name[name] = (cls, fields)
+            self._by_name[name] = cls
             _WIRE_NAMES[cls] = (self, name)
             return cls
 
@@ -96,24 +132,15 @@ class Registry:
         registry, name = _WIRE_NAMES.get(type(obj), (None, None))
         if registry is not self:
             raise ValueError(f"{self.tag} {type(obj).__name__} has no wire format")
-        out = {self.tag: name}
-        for path in self._by_name[name][1]:
-            *parents, key = path.split(".")
-            node = out
-            for parent in parents:
-                node = node.setdefault(parent, {})
-            node[key] = _plain(getattr(obj, key))
-        return out
+        return {self.tag: name, **to_wire(obj)}
 
     def from_json(self, payload: dict):
         spec = dict(payload)
         try:
-            cls, coercions = self._by_name[spec.get(self.tag)]
+            cls = self._by_name[spec.get(self.tag)]
         except (KeyError, TypeError):
             raise ValueError(f"unknown {self.noun} {spec.get(self.tag)!r}") from None
-        defaults = {f.name: [_plain(f.default)] for f in fields(cls) if f.default is not MISSING}
-        attrs = {path: path.rsplit(".", 1)[-1] for path in coercions}
-        return cls(**{attrs[p]: read_field(spec, p, c, *defaults.get(attrs[p], [])) for p, c in coercions.items()})
+        return from_wire(cls, spec)
 
 
 # the registry and wire name of every registered class, so that a field may hold a class of another registry

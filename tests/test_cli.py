@@ -2,16 +2,19 @@ import collections
 import copy
 import json
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fracmax.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, INPUT_ERRORS, main
-from fracmax.dilation_sets import geometric_schedule
-from fracmax.maximal_lab import EXPERIMENTS
-from fracmax.multipliers import _BAND_MEMO
+from fracmax.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, INPUT_ERRORS, DimConfig, main
+from fracmax.dilation_sets import GENERATORS, DilationSet, geometric_schedule
+from fracmax.maximal_lab import EXPERIMENTS, FUNCTIONS
+from fracmax.multipliers import _BAND_MEMO, FAMILIES
+from fracmax.wire import _WIRE_NAMES, from_wire, to_wire
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -318,35 +321,69 @@ def test_experiment_echo_holds_exactly_the_fields_read(tmp_path, payload):
 
 
 @pytest.mark.parametrize(
-    "payload, note",
+    "command, payload, code, note",
     [
         pytest.param(
+            "experiment",
             dict(HALFWAVE_CONFIG, config=dict(HALFWAVE_CONFIG["config"], multiplier={"family": "band_bump"}, alpha=0.6)),
+            EXIT_OK,
             "note: halfwave ignores config fields: config.multiplier, config.alpha\n",
             id="halfwave_multiplier",
         ),
         pytest.param(
+            "experiment",
             dict(PROBE_CONFIG, config=dict(PROBE_CONFIG["config"], f={"kind": "nope"})),
+            EXIT_OK,
             "note: probe ignores config fields: config.f\n",
             id="probe_f",
         ),
         pytest.param(
+            "experiment",
             dict(
                 DOMINATION_CONFIG,
                 config=dict(DOMINATION_CONFIG["config"], f={"kind": "gaussian_bump", "width": 1, "smoothness": 0}),
             ),
+            EXIT_OK,
             "note: domination ignores config fields: config.f.smoothness\n",
             id="domination_f_extra_key",
         ),
+        # a misspelled schedule and expectation: the default schedule runs, and no expectation is checked
+        pytest.param(
+            "dim",
+            dict(DIM_CONFIG, shedule={"count": 5}, expcet={"method": "kappa", "value": 0.9}),
+            EXIT_OK,
+            "note: dim ignores config fields: shedule, expcet\n",
+            id="dim_top_level_typos",
+        ),
+        pytest.param(
+            "dim",
+            dict(
+                DIM_CONFIG,
+                set={"generator": {"kind": "power_sequence", "a": 1.0, "aa": 2.0}},
+                expect=dict(DIM_CONFIG["expect"], tool=0.5),
+                bound_check=dict(DIM_CONFIG["bound_check"], exponent=[0.3]),
+            ),
+            EXIT_OK,
+            "note: dim ignores config fields: set.generator.aa, expect.tool, bound_check.exponent\n",
+            id="dim_nested_typos",
+        ),
+        # the note follows the report of a run whose expectation fails
+        pytest.param(
+            "dim",
+            dict(DIM_CONFIG, expect={"method": "kappa", "value": 0.9, "tol": 0.01}, table_exponet=0.5),
+            EXIT_FAILED,
+            "note: dim ignores config fields: table_exponet\n",
+            id="dim_failed_expectation",
+        ),
     ],
 )
-def test_ignored_fields_are_named_on_stderr(tmp_path, capsys, payload, note):
-    # a fault in a field the kind ignores is no input error; the seed --seed fills in is never named
+def test_ignored_fields_are_named_on_stderr(tmp_path, capsys, command, payload, code, note):
+    # a fault in a field the run ignores is no input error; the seed --seed fills in is never named
     out = tmp_path / "o"
-    config = write(tmp_path, "exp.json", payload)
-    assert main(["experiment", "--config", config, "--out", str(out), "--seed", "5"]) == EXIT_OK
+    config = write(tmp_path, "config.json", payload)
+    assert main([command, "--config", config, "--out", str(out), "--seed", "5"]) == code
     assert capsys.readouterr().err == note
-    assert (out / "experiment_report.json").exists()
+    assert (out / f"{command}_report.json").exists()
 
 
 @pytest.mark.parametrize("payload", [DOMINATION_CONFIG, HALFWAVE_CONFIG], ids=lambda p: p["kind"])
@@ -689,6 +726,21 @@ def test_dim_config_fuzz_never_raises(tmp_path, field, value):
     assert main(["dim", "--config", config, "--out", str(tmp_path / "o")]) in (EXIT_OK, EXIT_INPUT, EXIT_FAILED)
 
 
+def test_every_config_class_declares_each_field_with_wire():
+    # a field declared without `wire` would read as its default whatever the config says, and leave the echo
+    assert {registry for registry, _ in _WIRE_NAMES.values()} == {GENERATORS, FAMILIES, FUNCTIONS, EXPERIMENTS}
+    for cls in [*_WIRE_NAMES, DilationSet, DimConfig]:
+        undeclared = [f.name for f in fields(cls) if f.init and "wire" not in f.metadata]
+        assert not undeclared, f"{cls.__name__}: {undeclared}"
+
+
+@pytest.mark.parametrize("payload", [DIM_CONFIG, FUZZ_DIM_CONFIG], ids=["dim", "fuzz_dim"])
+def test_dim_config_wire_roundtrip(payload):
+    config = from_wire(DimConfig, payload)
+    assert from_wire(DimConfig, json.loads(json.dumps(to_wire(config)))) == config
+    assert config.methods == tuple(payload["methods"]) and config.target == payload["expect"]["value"]
+
+
 def test_integral_float_fields_read_as_integers(tmp_path):
     payload = dict(DIM_CONFIG, set=dict(DIM_CONFIG["set"], cap=1e6), j=0.0)
     config = write(tmp_path, "dim.json", payload)
@@ -880,15 +932,23 @@ def test_probe_vanishing_trial_is_input_error(tmp_path, capsys):
     assert not (out / "experiment_report.json").exists()
 
 
-def test_non_finite_report_is_input_error(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "measured, message",
+    [
+        pytest.param(float("nan"), "error: report holds a non-finite number", id="nan"),
+        # a numpy scalar that is no Python float has no JSON form: one line, no traceback
+        pytest.param(np.float32(1.0), "error: report holds a non-JSON value", id="float32"),
+    ],
+)
+def test_non_finite_report_is_input_error(tmp_path, capsys, monkeypatch, measured, message):
     from fracmax import verify
 
-    nan_check = verify.Check("nan_leaf", True, float("nan"), "true")
-    monkeypatch.setattr(verify, "run_suite", lambda name, seed: verify.SuiteReport(name, seed, (nan_check,)))
+    check = verify.Check("odd_leaf", True, measured, "true")
+    monkeypatch.setattr(verify, "run_suite", lambda name, seed: verify.SuiteReport(name, seed, (check,)))
     out = tmp_path / "o"
     assert main(["verify", "--suite", "fraccalc", "--out", str(out)]) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert err.startswith("error: report holds a non-finite number") and err.count("\n") == 1, err
+    assert err.startswith(message) and err.count("\n") == 1, err
     assert not (out / "verify_report.json").exists()
 
 
@@ -908,9 +968,11 @@ def _strict_constant(name):
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
-def test_shipped_config_runs(tmp_path, path):
+def test_shipped_config_runs(tmp_path, capsys, path):
     command = "experiment" if "kind" in json.loads(path.read_text()) else "dim"
     assert main([command, "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
+    if command == "dim":  # a shipped dim config holds no field its run ignores
+        assert capsys.readouterr().err == ""
     reports = sorted(tmp_path.glob("*.json"))
     assert reports
     for report in reports:

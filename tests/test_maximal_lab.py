@@ -28,6 +28,7 @@ from fracmax.maximal_lab import (
     FUNCTIONS,
     Domination,
     GaussianBump,
+    Halfwave,
     ModulatedBump,
     Probe,
     RandomBand,
@@ -46,6 +47,7 @@ from fracmax.maximal_lab import (
     square_functional,
 )
 from fracmax.multipliers import BandBump, Custom, LimitedDecay, Oscillatory, SlowDecay, band_sup_norm, evaluate, scaled
+from fracmax.wire import to_wire
 
 LAC = DilationSet(LacunaryGrid())
 POW_LAC = DilationSet(UnionSet((PowerSequence(1.0), LacunaryGrid())))
@@ -928,8 +930,17 @@ def test_config_json_roundtrip():
     payload = json.loads(json.dumps(EXPERIMENTS.to_json(config)))
     back = EXPERIMENTS.from_json(payload)
     assert back == config
+    # a multiplier with no wire format is never echoed as an empty object: the echo is no JSON
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json.dumps(EXPERIMENTS.to_json(replace(config, multiplier=Custom(np.abs))))
     probe = Probe(set=POW_LAC, multiplier=LimitedDecay(1.0), seed=11, trials=2, regularity_grid=(0.5, 1.0))
-    assert EXPERIMENTS.from_json(json.loads(json.dumps(EXPERIMENTS.to_json(probe)))) == probe
+    halfwave = Halfwave(set=POW_LAC, f=RandomBand(2, 5), n=256, extent=4.0, hw_alpha=0.3, hw_beta=0.2, t_max=0.3)
+    for config in (probe, halfwave):
+        assert EXPERIMENTS.from_json(json.loads(json.dumps(EXPERIMENTS.to_json(config)))) == config
+    # every field lands at its dotted path, after the tag
+    assert list(EXPERIMENTS.to_json(halfwave)) == ["kind", "config", "hw_alpha", "hw_beta", "t_min", "t_max"]
+    assert list(EXPERIMENTS.to_json(halfwave)["config"]) == ["set", "grid", "f"]
+    assert EXPERIMENTS.to_json(halfwave)["config"]["grid"] == {"n": 256, "extent": 4.0, "dim": 1}
     # the test-function codec: extra keys (smoothness among them) are ignored,
     # an unknown kind is a ValueError and a missing field a KeyError
     assert FUNCTIONS.from_json({"kind": "gaussian_bump", "width": 2, "smoothness": 0.1}) == GaussianBump(2.0)
@@ -975,12 +986,12 @@ def test_set_json_roundtrip_nested_union():
     }
     E = DilationSet.from_json(payload)
     assert E.materialization_cap == 50_000
-    assert E.to_json() == payload
+    assert to_wire(E) == payload
     # explicit points, the default cap, and int-valued numbers echoed as floats
     members = [{"kind": "explicit", "points": [3, 1.5]}, {"kind": "power_sequence", "a": 1}]
     E = DilationSet.from_json({"generator": {"kind": "union", "members": members}})
     assert E == DilationSet(UnionSet((ExplicitPoints((1.5, 3.0)), PowerSequence(1.0))))
-    assert json.dumps(E.to_json(), sort_keys=True) == (
+    assert json.dumps(to_wire(E), sort_keys=True) == (
         '{"cap": 1000000, "generator": {"kind": "union", "members": ['
         '{"kind": "explicit", "points": [1.5, 3.0]}, {"a": 1.0, "kind": "power_sequence"}]}}'
     )
@@ -988,7 +999,7 @@ def test_set_json_roundtrip_nested_union():
     cantor = {"kind": "cantor", "base": 3.0, "digits": [2.0, 0.0], "levels": 2, "note": "x"}
     E = DilationSet.from_json({"generator": cantor})
     assert E.generator == CantorLike(3, (0, 2), 2)
-    assert json.dumps(E.to_json()["generator"], sort_keys=True) == (
+    assert json.dumps(to_wire(E)["generator"], sort_keys=True) == (
         '{"base": 3, "digits": [0.0, 2.0], "kind": "cantor", "levels": 2}'
     )
     with pytest.raises(ValueError, match="unknown set kind 'sierpinski'"):

@@ -274,6 +274,9 @@ def test_multiplier_json_roundtrip():
     # int-valued numbers are echoed as floats, extra keys ignored, missing fields KeyError
     parsed = FAMILIES.from_json({"family": "limited_decay", "a": 1, "note": "x"})
     assert json.dumps(FAMILIES.to_json(parsed)) == '{"family": "limited_decay", "a": 1.0}'
+    # the tag comes first, then the fields in their declared order
+    assert json.dumps(FAMILIES.to_json(SlowDecay(1.0, 0.5))) == '{"family": "slow_decay", "beta": 1.0, "delta": 0.5}'
+    assert json.dumps(FAMILIES.to_json(BandBump())) == '{"family": "band_bump"}'
     with pytest.raises(KeyError):
         FAMILIES.from_json({"family": "slow_decay", "beta": 1.0})
     with pytest.raises(ValueError, match="family Custom has no wire format"):
