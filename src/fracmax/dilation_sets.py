@@ -10,7 +10,7 @@ slopes) operates on those blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence, Union
 
@@ -32,6 +32,8 @@ MAX_BLOCK_INDEX = 1100
 # Relative slack used to decide that a point sits exactly on a covering-grid
 # boundary k*delta (closed intervals: such a point counts for both cells).
 _BOUNDARY_RTOL = 1e-9
+# covering cells are computed for this many points at a time
+CELL_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +242,8 @@ class TailInfo:
 
 @dataclass(frozen=True, eq=False)
 class BlockSet:
-    """Points of (2**-j * E) intersected with [1, 2], sorted ascending; `counts` keeps entropy_number's
-    counts by (delta, include_tails), so a block shared through _cached_block is counted once per scale."""
+    """Points of (2**-j * E) intersected with [1, 2], sorted ascending; `counts` keeps entropy_number's counts by
+    (delta, include_tails), both from one pass, so a block shared through _cached_block is counted once per scale."""
 
     j: int
     points: np.ndarray
@@ -328,50 +330,52 @@ def augmented(E: DilationSet) -> DilationSet:
 
 def _boundary_split(x: np.ndarray):
     r = np.round(x)
-    on_boundary = np.abs(x - r) <= _BOUNDARY_RTOL * np.maximum(1.0, np.abs(x))
-    return r.astype(np.int64), on_boundary
-
-
-def _distinct(cells: np.ndarray) -> int:
-    """Number of distinct values in a sorted array."""
-    return int(1 + np.count_nonzero(np.diff(cells))) if cells.size else 0
+    return r, np.abs(x - r) <= _BOUNDARY_RTOL * np.maximum(1.0, np.abs(x))
 
 
 def _tail_cells(tail: TailInfo, delta: float) -> tuple[int, int]:
-    """First and last covering cell of the tail [anchor, edge]."""
-    lo, lo_exact = _boundary_split(np.array([tail.anchor / delta]))
-    k_lo = int(lo[0]) if lo_exact[0] else int(math.floor(tail.anchor / delta))
-    hi, hi_exact = _boundary_split(np.array([tail.edge / delta]))
-    return k_lo, int(hi[0]) - 1 if hi_exact[0] else int(math.floor(tail.edge / delta))
+    """First and last covering cell of the tail [anchor, edge]: r and r - 1 at a boundary r, else the floor cells."""
+    x = np.array([tail.anchor, tail.edge]) / delta
+    r, exact = _boundary_split(x)
+    return tuple(int(k) for k in np.where(exact, r - [0.0, 1.0], np.floor(x)))
+
+
+def _cover(points: np.ndarray, delta: float, k_lo: float = -math.inf, k_hi: float = math.inf) -> int:
+    """Number of cells in [k_lo, k_hi] meeting the ascending points, CELL_CHUNK points at a time, with no sort: each
+    point meets the cells lo..hi (r-1..r on a boundary r, else its floor cell), both non-decreasing, so range i
+    covers lo[i+1]..hi[i] and range i+1 adds min(hi[i+1] - hi[i], hi[i+1] - lo[i+1] + 1) cells."""
+    count, last = 0, -math.inf
+    for start in range(0, points.size, CELL_CHUNK):
+        x = points[start : start + CELL_CHUNK] / delta
+        r, on_boundary = _boundary_split(x)
+        hi = np.where(on_boundary, r, np.floor(x))
+        i, j = np.searchsorted(hi, k_lo), np.searchsorted(hi, k_hi + 1, side="right")  # the ranges meeting it
+        lo, hi = np.maximum(hi[i:j] - on_boundary[i:j], k_lo), np.minimum(hi[i:j], k_hi)  # clipped, empty ones last
+        if hi.size:
+            count, last = count + int(np.minimum(np.diff(hi, prepend=last), hi - lo + 1.0).sum()), hi[-1]
+    return count
 
 
 def entropy_number(block: BlockSet, delta: float, include_tails: bool = True) -> int:
     """Number of covering cells [k*delta, (k+1)*delta] meeting the block, at a scale delta in [DEDUP_TOL, 1].
 
-    Closed intervals: a point exactly on a shared boundary increments both
-    adjacent cells.  Accumulation tails flagged on the block are counted as
-    full sub-intervals (exact whenever delta exceeds the truncation gap), each
-    as its range of cells, so the work does not grow with the tail's width over
-    delta; pass include_tails=False to count the materialized points only.
+    Closed intervals: a point exactly on a shared boundary increments both adjacent cells.  Accumulation tails
+    flagged on the block are counted as full sub-intervals (exact whenever delta exceeds the truncation gap), each as
+    its range of cells, so the work does not grow with the tail's width over delta.  One pass over the points fills
+    block.counts at this delta with the tails and without them (include_tails=False: the materialized points only).
     """
     if not DEDUP_TOL <= delta <= 1:
         raise ValueError(f"delta must lie in [{DEDUP_TOL}, 1], got {delta}")
-    key = (delta, include_tails)
-    if key in block.counts:
-        return block.counts[key]
-    x = block.points / delta
-    r, on_boundary = _boundary_split(x)
-    k = np.floor(x).astype(np.int64)
-    parts = [k[~on_boundary], r[on_boundary] - 1, r[on_boundary]]
-    cells = np.sort(np.concatenate(parts))  # nearly sorted already; faster than np.unique's hashing
-    count, top = _distinct(cells), -math.inf  # top: the last tail cell counted; a union's tails overlap
-    for lo, hi in sorted(_tail_cells(tail, delta) for tail in (block.tails if include_tails else ())):
-        lo = max(lo, top + 1)
-        if hi >= lo:  # the range's cells, less the point cells counted in it already
-            inside = cells[np.searchsorted(cells, lo) : np.searchsorted(cells, hi, side="right")]
-            count, top = count + hi - lo + 1 - _distinct(inside), hi
-    block.counts[key] = count
-    return count
+    if (delta, include_tails) not in block.counts:
+        pts, top = block.points, -math.inf  # top: the last tail cell counted; a union's tails overlap
+        points = count = _cover(pts, delta)
+        for k_lo, k_hi in sorted(_tail_cells(tail, delta) for tail in block.tails):
+            k_lo = max(k_lo, top + 1)
+            if k_hi >= k_lo:  # the range's cells, less the point cells in it; two cells of margin cover the rounding
+                near = pts[np.searchsorted(pts, (k_lo - 2) * delta) : np.searchsorted(pts, (k_hi + 3) * delta)]
+                count, top = count + k_hi - k_lo + 1 - _cover(near, delta, k_lo, k_hi), k_hi
+        block.counts[(delta, False)], block.counts[(delta, True)] = points, count
+    return block.counts[(delta, include_tails)]
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +398,21 @@ def _tail_bound(tail: TailInfo, a: float) -> float:
     return scale * gap_sum
 
 
-def distance_integral_parts(block: BlockSet, a: float) -> tuple[float, float]:
-    """(partial, tail_bound) for the integral of d(t, block)**(a-1) over [1,2]."""
+def distance_integral_parts(block: BlockSet, a: float, tails: Sequence[TailInfo]) -> tuple[float, float]:
+    """(partial, tail_bound) for the integral of d(t, block)**(a-1) over [1,2], with these tails (the block's, or none);
+    an infinite tail bound returns before any gap is summed, with partial inf."""
     if not 0 < a < 1:
         raise ValueError(f"exponent must lie in (0, 1), got {a}")
     if block.empty:
         raise ValueError("empty block")
-    pts = block.points
-    partial = _gap_contribution(np.diff(pts), a)
-    tail_bound = 0.0
-    covered_left = False
-    for tail in block.tails:
+    tail_bound, covered_left = 0.0, False
+    for tail in tails:
         tail_bound += _tail_bound(tail, a)
         covered_left = covered_left or tail.anchor <= 1.0 + 1e-12
+    if not math.isfinite(tail_bound):
+        return math.inf, tail_bound
+    pts = block.points
+    partial = _gap_contribution(np.diff(pts), a)
     left = pts[0] - 1.0
     if left > 0 and not covered_left:
         partial += left**a / a
@@ -419,18 +425,17 @@ def distance_integral_parts(block: BlockSet, a: float) -> tuple[float, float]:
 def distance_integral(block: BlockSet, a: float) -> float:
     """Closed-form integral of d(t, block)**(-1+a) dt over [1, 2].
 
-    Returns the +inf sentinel when the partial sum exceeds the divergence
-    ceiling or the accumulation-tail bound is infinite.
+    Returns the +inf sentinel when the accumulation-tail bound is infinite
+    (checked first, so no gap is summed) or the partial sum exceeds the
+    divergence ceiling.
     """
-    partial, tail_bound = distance_integral_parts(block, a)
-    if partial > DIVERGENCE_CEILING or not math.isfinite(tail_bound):
-        return math.inf
-    return partial + tail_bound
+    partial, tail_bound = distance_integral_parts(block, a, block.tails)
+    return math.inf if partial > DIVERGENCE_CEILING else partial + tail_bound
 
 
 def finite_distance_integral(block: BlockSet, a: float) -> float:
     """Exact distance integral of the materialized points only (tails ignored)."""
-    return distance_integral_parts(replace(block, tails=()), a)[0]
+    return distance_integral_parts(block, a, ())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +497,8 @@ def entropy_slope(sched: np.ndarray, counts: Sequence[int]) -> DimensionEstimate
 
 
 def dimension_from_distance_integral(block: BlockSet) -> DimensionEstimate:
-    """Dimension as the transition exponent where the distance integral blows up.
-
-    Scans the exponents 0.02..0.98 and returns the first one whose integral
-    is below the divergence ceiling; the grid spacing is reported as residual.
-    """
+    """Dimension as the transition exponent where the distance integral blows up: the first exponent of the scan
+    0.02..0.98 whose integral is below the divergence ceiling, with the grid spacing as residual."""
     return _threshold_scan(lambda a: distance_integral(block, a) < DIVERGENCE_CEILING, "distance_integral")
 
 

@@ -432,12 +432,20 @@ def test_dim_counts_each_block_scale_and_tails_once(tmp_path, monkeypatch):
     # at its own four fitted scales
     from fracmax import dilation_sets as ds
 
-    calls = collections.Counter()
-    original = ds.entropy_number
+    ds._cached_block.cache_clear()  # fresh blocks, with no counts left by other tests
+    calls, passes = collections.Counter(), collections.Counter()
+    original, cover = ds.entropy_number, ds._cover
     monkeypatch.setattr(
         ds, "entropy_number", lambda b, d, include_tails=True: calls.update([(b.j, float(d), include_tails)])
         or original(b, d, include_tails)
     )
+
+    def counted_cover(pts, d, *cell_range):  # a pass over a whole block's points has no cell range
+        if not cell_range:
+            passes.update([(pts.ctypes.data, pts.size, d)])
+        return cover(pts, d, *cell_range)
+
+    monkeypatch.setattr(ds, "_cover", counted_cover)
     payload = dict(DIM_CONFIG, methods=["kappa", "minkowski", "distance_integral", "gap_sum"])
     payload["bound_check"] = {"exponents": [0.3, 0.5, 0.7]}
     assert main(["dim", "--config", write(tmp_path, "dim.json", payload), "--out", str(tmp_path / "o")]) == EXIT_OK
@@ -445,6 +453,11 @@ def test_dim_counts_each_block_scale_and_tails_once(tmp_path, monkeypatch):
     assert {key for key in calls if key[0] == 0} == {(0, d, t) for d in sched for t in (True, False)}
     assert {key for key, n in calls.items() if n > 1} == {(0, d, True) for d in sched[-4:]}
     assert max(calls.values()) == 2
+    # the point cells are computed once per (block, delta), though each block is asked for with and without tails
+    block = ds.rescaled_block(ds.DilationSet(ds.PowerSequence(1.0)), 0)
+    block_passes = {(d, n) for (ptr, size, d), n in passes.items() if ptr == block.points.ctypes.data}
+    assert block_passes == {(d, 1) for d in sched}
+    assert max(passes.values()) == 1
 
 
 def _experiment(kind, **changes):

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fracmax.dilation_sets import (
     TailInfo,
     UnionSet,
     _boundary_split,
+    _cover,
     _threshold_scan,
     augmented,
     dimension_bound_check,
@@ -211,41 +213,101 @@ def test_entropy_cantor_scale_count():
 
 
 def unique_entropy(block, delta, include_tails=True):
-    """Reference count: entropy_number's cells, counted with np.unique."""
+    """Reference count: entropy_number's point cells, sorted and counted with np.unique, and its tail ranges, merged,
+    less the point cells inside them."""
     x = block.points / delta
     r, on_boundary = _boundary_split(x)
-    k = np.floor(x).astype(np.int64)
-    parts = [k[~on_boundary], r[on_boundary] - 1, r[on_boundary]]
+    k = np.floor(x)
+    cells = np.unique(np.concatenate([k[~on_boundary], r[on_boundary] - 1, r[on_boundary]]))
+    count, merged = cells.size, []
     for tail in block.tails if include_tails else ():
         lo, lo_exact = _boundary_split(np.array([tail.anchor / delta]))
         k_lo = int(lo[0]) if lo_exact[0] else int(math.floor(tail.anchor / delta))
         hi, hi_exact = _boundary_split(np.array([tail.edge / delta]))
         k_hi = int(hi[0]) - 1 if hi_exact[0] else int(math.floor(tail.edge / delta))
         if k_hi >= k_lo:
-            parts.append(np.arange(k_lo, k_hi + 1, dtype=np.int64))
-    return int(np.unique(np.concatenate(parts)).size)
+            merged.append([k_lo, k_hi])
+    merged.sort()
+    for i in range(len(merged) - 1, 0, -1):  # join overlapping or adjacent ranges, from the right
+        if merged[i][0] <= merged[i - 1][1] + 1:
+            merged[i - 1][1] = max(merged[i - 1][1], merged[i][1])
+            del merged[i]
+    for k_lo, k_hi in merged:
+        inside = np.searchsorted(cells, k_hi, side="right") - np.searchsorted(cells, k_lo)
+        count += k_hi - k_lo + 1 - int(inside)
+    return count
+
+
+EDGES = (1.0 - 1e-12, 1.0, 2.0, 2.0 + 1e-12)  # a block may reach 1e-12 past [1, 2]
 
 
 @st.composite
 def entropy_cases(draw):
-    """A block of ascending points in [1, 2], some on exact multiples of delta, with or without tails."""
-    delta = float(draw(st.sampled_from([2, 3]))) ** -draw(st.integers(0, 14))
+    """A block of ascending points in [1 - 1e-12, 2 + 1e-12], some on or next to exact multiples of delta, and up to
+    2000 in a cluster a few cells wide; delta down to DEDUP_TOL, where the boundary slack covers whole cells; with
+    or without tails; counted CELL_CHUNK points at a time for a small or the default chunk."""
+    delta = draw(
+        st.one_of(
+            st.integers(0, 49).map(lambda k: 2.0**-k),
+            st.integers(0, 31).map(lambda k: 3.0**-k),
+            st.integers(0, 15).map(lambda k: 10.0**-k),
+        )
+    )
     on_grid = st.integers(math.ceil(1.0 / delta), math.floor(2.0 / delta)).map(lambda i: i * delta)
-    in_range = st.one_of(st.floats(1.0, 2.0), on_grid)
-    points = sorted(set(draw(st.lists(in_range, max_size=30))))
+    in_range = st.one_of(st.floats(1.0, 2.0), on_grid, st.sampled_from(EDGES))
+    points = set(draw(st.lists(in_range, max_size=30)))
+    size = draw(st.sampled_from([0, 0, 200, 2000]))
+    if size:  # a cluster: grid points, some nudged by a relative 1e-16..1e-8, and points between them
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        start = draw(in_range)
+        cells = start + delta * rng.integers(-3, 4, size)
+        nudge = rng.choice([0.0, 1e-16, -1e-16, 1e-10, -1e-10, 1e-8, -1e-8], size)
+        between = start + delta * rng.uniform(-3, 3, size)
+        cluster = np.where(rng.random(size) < 0.5, cells * (1.0 + nudge), between)
+        points.update(np.clip(cluster, EDGES[0], EDGES[-1]).tolist())
     tails = []
     for _ in range(draw(st.integers(0, 2))):
         anchor, edge = sorted(draw(st.lists(in_range, min_size=2, max_size=2)))
         tails.append(TailInfo(anchor=anchor, edge=edge, power=1.0, n_trunc=10))
-    return BlockSet(0, np.array(points), truncated=bool(tails), tails=tuple(tails)), delta, draw(st.booleans())
+    block = BlockSet(0, np.array(sorted(points)), truncated=bool(tails), tails=tuple(tails))
+    return block, delta, draw(st.booleans()), draw(st.sampled_from([ds.CELL_CHUNK, 3, 64]))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(entropy_cases())
 def test_entropy_matches_the_unique_count(case):
-    block, delta, include_tails = case
-    expected = 0 if block.empty and not block.tails else unique_entropy(block, delta, include_tails)
-    assert entropy_number(block, delta, include_tails) == expected
+    block, delta, include_tails, chunk = case
+    with mock.patch.object(ds, "CELL_CHUNK", chunk):
+        count = entropy_number(block, delta, include_tails)
+    assert count == unique_entropy(block, delta, include_tails)
+    assert block.counts == {(delta, flag): unique_entropy(block, delta, flag) for flag in (True, False)}
+
+
+def test_one_count_fills_both_tail_keys():
+    # the points are counted once; the count without tails comes from the same pass
+    block = rescaled_block(DilationSet(UnionSet((PowerSequence(0.7), CantorLike(3, (0, 2), 6)))), 0)
+    fresh = BlockSet(block.j, block.points, block.truncated, block.tails)
+    calls = []
+    with mock.patch.object(ds, "_cover", lambda *args: calls.append(args[2:]) or _cover(*args)):
+        with_tails = entropy_number(fresh, 1e-5)
+        assert entropy_number(fresh, 1e-5, include_tails=False) < with_tails
+    assert fresh.counts == {(1e-5, True): with_tails, (1e-5, False): unique_entropy(block, 1e-5, False)}
+    assert calls.count(()) == 1  # one pass over the whole block; the other calls count the tail's few points
+    assert with_tails == unique_entropy(block, 1e-5)
+
+
+def test_entropy_memory_is_bounded_by_the_chunk():
+    # a 1e6-point count once held about seven copies of the points (55 MB traced at delta 1e-8)
+    block = BlockSet(0, np.linspace(1.0, 2.0, 1_000_000))
+    for delta in (1e-8, 1e-5):
+        tracemalloc.start()
+        try:
+            count = entropy_number(block, delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == unique_entropy(block, delta)
+        assert peak < 20 * 8 * ds.CELL_CHUNK  # a few chunk-sized arrays, whatever the block's size
 
 
 @pytest.mark.parametrize(
@@ -343,6 +405,63 @@ def test_finiteness_monotone_in_exponent():
     block = rescaled_block(DilationSet(PowerSequence(1.0)), 0)
     finite = [math.isfinite(distance_integral(block, a)) for a in np.linspace(0.05, 0.95, 19)]
     assert finite == sorted(finite)  # once finite, stays finite
+
+
+def test_distance_integral_checks_its_arguments_before_the_tail_bound():
+    tail = TailInfo(anchor=1.0, edge=1.5, power=1.0, n_trunc=10)  # its bound is infinite for every a <= 1/2
+    tailed = BlockSet(0, np.array([1.5, 2.0]), truncated=True, tails=(tail,))
+    for a in (0.0, -0.2, 1.0):
+        with pytest.raises(ValueError, match="exponent must lie in"):
+            distance_integral(tailed, a)
+    with pytest.raises(ValueError, match="empty block"):
+        distance_integral(BlockSet(0, np.array([]), truncated=True, tails=(tail,)), 0.3)
+    with pytest.raises(ValueError, match="empty block"):
+        finite_distance_integral(BlockSet(0, np.array([])), 0.3)
+
+
+def summed_distance_integral(block, a, tails):
+    """The closed form with every gap summed before the tail bound is read: the interior gaps, the end strips (the
+    left one unless a tail starts at 1), then one analytic bound per tail, infinite where a (1 + power) <= 1."""
+    pts = block.points
+    gaps = np.diff(pts)
+    partial = float(np.sum(2.0 * (gaps / 2.0) ** a / a)) if gaps.size else 0.0
+    tail_bound = 0.0
+    for tail in tails:
+        expo = a * (1.0 + tail.power)
+        gap_sum = tail.power**a * tail.n_trunc ** (1.0 - expo) / (expo - 1.0) if expo > 1.0 else math.inf
+        tail_bound += 2.0 ** (1.0 - a) / a * gap_sum
+    if pts[0] - 1.0 > 0 and not any(tail.anchor <= 1.0 + 1e-12 for tail in tails):
+        partial += (pts[0] - 1.0) ** a / a
+    if 2.0 - pts[-1] > 0:
+        partial += (2.0 - pts[-1]) ** a / a
+    if partial > ds.DIVERGENCE_CEILING or not math.isfinite(tail_bound):
+        return math.inf
+    return partial + tail_bound
+
+
+DISTANCE_SETS = {
+    "power": PowerSequence(0.7),
+    "steep_power": PowerSequence(3.0),
+    "union": UnionSet((PowerSequence(0.8), PowerSequence(2.0), CantorLike(3, (0, 2), 5))),
+    "cantor": CantorLike(3, (0, 2), 8),
+    "explicit": ExplicitPoints((1.1, 1.3, 1.7, 1.95)),
+}
+
+
+@pytest.mark.parametrize("name", DISTANCE_SETS)
+def test_distance_integral_is_the_summed_closed_form_bit_for_bit(name, monkeypatch):
+    block = rescaled_block(DilationSet(DISTANCE_SETS[name]), 0)
+    summed = []
+    original = ds._gap_contribution
+    monkeypatch.setattr(ds, "_gap_contribution", lambda gaps, a: summed.append(a) or original(gaps, a))
+    grid = [float(a) for a in np.linspace(0.02, 0.98, 49)]
+    for a in grid:
+        assert distance_integral(block, a) == summed_distance_integral(block, a, block.tails), a
+        assert finite_distance_integral(block, a) == summed_distance_integral(block, a, ())
+    # the gaps are summed for the finite integrals, and for the full ones only where no tail bound is infinite
+    diverges = [a for a in grid if any(a * (1.0 + tail.power) <= 1.0 for tail in block.tails)]
+    assert sorted(summed) == sorted(grid + [a for a in grid if a not in diverges])
+    assert bool(diverges) == bool(block.tails)  # every tailed block here has exponents whose bound is infinite
 
 
 # --- dimension estimates -----------------------------------------------------
