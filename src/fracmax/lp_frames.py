@@ -195,8 +195,8 @@ def lp_piece(f: GridFunction, j: int) -> GridFunction:
 def besov_norm(g: GridFunction, params: BesovParams) -> float:
     """Truncated inhomogeneous Besov norm with equal inner and outer index.
 
-    Low-pass piece plus bands j = 1..j_max weighted by 2**(s j); for p = inf
-    the band sum is replaced by the sup.
+    Low-pass piece plus bands j = 1..j_max weighted by 2**(s j), at p = 2 each read off
+    its spectral window (see _band_norms); for p = inf the band sum is replaced by the sup.
     """
     if 2.0 ** (params.j_max + 1) > g.nyquist + 1e-12:
         raise ValueError("band out of range: j_max exceeds the grid Nyquist range")
@@ -206,20 +206,21 @@ def besov_norm(g: GridFunction, params: BesovParams) -> float:
 def _band_norms(g: GridFunction, p: float, j_max: int) -> list[float]:
     """Unweighted L^p norms of the pieces j = 0..j_max of g; piece 0 is the low-pass one.
 
-    Piece j multiplies the spectrum by the difference of the low-pass profiles
-    phi(|xi| / 2**j) and phi(|xi| / 2**(j-1)) (0 for j = 0), so for j >= 1 it
-    is lp_piece's band j.  The difference vanishes off 2**(j-1) < |xi| < 2**(j+1)
-    (|xi| < 2 for j = 0), so each profile is computed there once and the signed
-    spectrum is weighted there only; the zeros elsewhere can change only the sign
-    of a zero output, so every norm has the bits of the product over the whole grid.
+    Piece j weights the signed spectrum by phi(|xi| / 2**j) - phi(|xi| / 2**(j-1)) (0 for j = 0), lp_piece's band j
+    for j >= 1, on its window 2**(j-1) < |xi| < 2**(j+1) (|xi| < 2 for j = 0) only: the weight vanishes elsewhere.
+    At p = 2 its norm is the window's frequency-side Riemann sum (Plancherel); any other p transforms the piece.
     """
     rho, signed = g.freq_radius(), g._phase() * g.to_frequency().samples  # as in filtered, once
     below, norms = np.zeros(g.n), []  # phi(|xi| / 2**(j-1)) on the windows still to come
     for j in range(j_max + 1):
         window = (rho < 2.0 ** (j + 1)) & (rho > (2.0 ** (j - 1) if j else -1.0))
-        low, piece = CUTOFF.phi(rho[window] / 2.0**j), np.zeros(g.n, dtype=complex)
-        piece[window] = (low - below[window]) * signed[window]
-        below[window] = low
+        low = CUTOFF.phi(rho[window] / 2.0**j)
+        band, below[window] = (low - below[window]) * signed[window], low
+        if p == 2:  # summed on the window alone: zeros would regroup the pairwise sum
+            norms.append(float((np.sum(np.abs(band) ** 2) * g.dxi) ** 0.5))
+            continue
+        piece = np.zeros(g.n, dtype=complex)
+        piece[window] = band  # zeros off the window change only the sign of a zero output
         piece = np.multiply(np.fft.ifft(piece, out=piece), g.dxi * g.n, out=piece)
         norms.append(GridFunction(g.extent, piece).lp_norm(p))
     return norms

@@ -236,7 +236,9 @@ def test_besov_integrability_index_must_exceed_one():
 @pytest.mark.parametrize("n", [1024, 8192])
 @pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
 def test_besov_norm_keeps_the_bits_of_the_pieces_over_the_whole_grid(n, p):
-    # _band_norms weights each piece on its window only; its norms are those of lp_piece's full-grid product
+    # _band_norms weights each piece on its window only.  Away from p = 2 its norms are those of
+    # lp_piece's full-grid product; at p = 2 they are the window's frequency-side Riemann sum, which
+    # Plancherel equates with the space-side norm of the piece up to round-off
     rng = np.random.default_rng(n)
     smooth = make_grid(FIVE_FUNCTIONS[4], n=n)
     rough = GridFunction(8.0, rng.standard_normal(n) + 1j * rng.standard_normal(n), side="frequency")
@@ -244,7 +246,20 @@ def test_besov_norm_keeps_the_bits_of_the_pieces_over_the_whole_grid(n, p):
         params = BesovParams(p, 0.7, j_max=int(math.log2(g.nyquist)) - 1)
         low = GridFunction(g.extent, g.filtered(CUT.phi(g.freq_radius()))).lp_norm(p)
         pieces = [low] + [lp_piece(g, j).lp_norm(p) for j in range(1, params.j_max + 1)]
-        assert _band_norms(g, p, params.j_max) == pieces
+        norms = _band_norms(g, p, params.j_max)
+        if p == 2:
+            rho, signed = g.freq_radius(), g._phase() * g.to_frequency().samples
+            sums = []
+            for j in range(params.j_max + 1):
+                window = (rho < 2.0 ** (j + 1)) & (rho > (2.0 ** (j - 1) if j else -1.0))
+                weight = CUT.psi(rho / 2.0**j) if j else CUT.phi(rho)
+                assert not weight[~window].any()  # the window holds every nonzero weight
+                product = weight[window] * signed[window]
+                sums.append(float((np.sum(np.abs(product) ** 2) * g.dxi) ** 0.5))
+            assert norms == sums
+            assert max(abs(a - b) / b for a, b in zip(norms, pieces)) <= 1e-14
+            pieces = sums
+        assert norms == pieces
         assert besov_norm(g, params) == _besov_sum(pieces, params)
 
 
@@ -374,30 +389,51 @@ def test_band_memo_gives_the_bits_of_a_fresh_call(m):
     assert memoized_moved == fresh_moved
 
 
-def _counting_inverse_ffts(monkeypatch):
-    calls, ifft = [0], np.fft.ifft
+def _counting_transforms(monkeypatch):
+    calls = {"fft": 0, "ifft": 0}
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return ifft(*args, **kwargs)
+    def counting(name):
+        transform = getattr(np.fft, name)
 
-    monkeypatch.setattr(np.fft, "ifft", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counting(name))
     return calls
 
 
 def test_band_memo_transforms_equal_samples_once_and_zero_bands_never(monkeypatch):
     m, params = LimitedDecay(1.0), BesovParams(2.0, 0.5)
-    calls = _counting_inverse_ffts(monkeypatch)
+    calls = _counting_transforms(monkeypatch)
     far = sigma2_norm(BandBump(), params, (3, 9))  # the bump's bands vanish beyond j = 1
-    assert calls[0] == 0 and far.total == 0.0 and all(v == 0.0 for _, v in far.bands)
+    assert calls == {"fft": 0, "ifft": 0} and far.total == 0.0 and all(v == 0.0 for _, v in far.bands)
     assert _band_norms(GridFunction(4.0, np.zeros(1024, dtype=complex)), 2.0, 5) == [0.0] * 6
+    assert calls == {"fft": 1, "ifft": 0}  # p = 2 reads every piece off the spectrum
+    # p = 2: one forward transform per sampled band, and no inverse one; bands below j = -1 sample zeros
     fresh_moved = sigma2_norm(scaled(m, 2.0), params, (-3, 7))
+    assert [j for j, v in fresh_moved.bands if v == 0.0] == [-3, -2]
+    assert calls == {"fft": 1 + 9, "ifft": 0}
+    # any other p transforms each piece back: j_max + 1 inverse transforms per band
+    rough = GridFunction(4.0, np.random.default_rng(3).standard_normal(1024))
+    for p in (1.5, math.inf):
+        before = dict(calls)
+        _band_norms(rough, p, 5)
+        assert calls == {"fft": before["fft"] + 1, "ifft": before["ifft"] + 6}
+    before = dict(calls)
+    sigma2_norm(m, BesovParams(math.inf, 0.5, j_max=4), (0, 2))
+    assert calls == {"fft": before["fft"] + 3, "ifft": before["ifft"] + 3 * 5}
     with band_memo():
-        sigma2_norm(m, params, (-2, 8))
-        before = calls[0]
+        start = dict(calls)
+        sigma2_norm(m, params, (-2, 8))  # bands -2 and -1 sample zeros
+        before = dict(calls)
+        assert before == {"fft": start["fft"] + 9, "ifft": start["ifft"]}
         assert sigma2_norm(scaled(m, 2.0), params, (-3, 7)) == fresh_moved
         assert sigma2_norm(BandBump(), params, (3, 9)) == far
-        assert calls[0] == before > 0
+        assert calls == before  # memo hits and zero bands transform nothing
 
 
 def _counting_custom():
