@@ -78,7 +78,6 @@ class PowerSequence:
         gaps = -np.diff(pts)  # decreasing sequence
         big = np.nonzero(gaps >= gap_floor)[0]
         last = int(big[-1]) + 2 if big.size else 1  # keep points 1..last
-        last = min(last, cap)
         pts = pts[:last][::-1].copy()  # ascending
         tail = TailInfo(anchor=1.0, edge=float(pts[0]), power=a, n_trunc=last)
         return pts, True, (tail,)

@@ -69,10 +69,6 @@ def _order(alpha) -> float:
     return float(alpha)
 
 
-def uniform_grid(T: float, n: int) -> np.ndarray:
-    return np.linspace(0.0, T, n)
-
-
 def estimate_hoelder(path: SampledPath) -> float:
     """Median two-scale increment exponent, capped at 1.
 

@@ -154,9 +154,6 @@ class GridFunction:
         cell = self.dx if self.side == "space" else self.dxi
         return float((np.sum(mags**p) * cell) ** (1.0 / p))
 
-    def l2_norm(self) -> float:
-        return self.lp_norm(2.0)
-
 
 def grid_from_profile(
     profile: Callable[[np.ndarray], np.ndarray],

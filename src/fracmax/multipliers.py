@@ -128,19 +128,19 @@ def _amplitude(rho: np.ndarray, beta: float, order: int) -> list[np.ndarray]:
     return amps
 
 
-def _phase_exp(rho: np.ndarray, alpha: float, beta: float, order: int) -> np.ndarray:
-    """Radial derivatives of e^{2 pi i rho**alpha} * amplitude(beta).
+def _phase_exp(rho: np.ndarray, k: float, alpha: float, beta: float, order: int) -> np.ndarray:
+    """Radial derivatives of e^{i k rho**alpha} * amplitude(beta).
 
     The phase derivatives only multiply amplitude terms, which vanish on rho <= 1.
     """
-    phase = np.exp(2j * np.pi * np.where(rho > 0, rho, 0.0) ** alpha)
+    phase = np.exp(1j * k * np.where(rho > 0, rho, 0.0) ** alpha)
     a = _amplitude(rho, beta, order)
     if order == 0:
         return phase * a[0]
-    theta1 = _live_power(rho, 2.0 * np.pi * alpha, alpha - 1.0)
+    theta1 = _live_power(rho, k * alpha, alpha - 1.0)
     if order == 1:
         return phase * (1j * theta1 * a[0] + a[1])
-    theta2 = _live_power(rho, 2.0 * np.pi * alpha * (alpha - 1.0), alpha - 2.0)
+    theta2 = _live_power(rho, k * alpha * (alpha - 1.0), alpha - 2.0)
     return phase * (-(theta1**2) * a[0] + 2j * theta1 * a[1] + 1j * theta2 * a[0] + a[2])
 
 
@@ -150,24 +150,14 @@ def radial_derivative(m: Multiplier, rho, order: int = 0) -> np.ndarray:
     if order < 0 or order > 2:
         raise ValueError("derivative orders 0..2 supported")
     if isinstance(m, LimitedDecay):
-        return _phase_exp(rho, 1.0, m.a, order)
+        return _phase_exp(rho, 2.0 * np.pi, 1.0, m.a, order)
     if isinstance(m, Oscillatory):
-        return _phase_exp(rho, m.alpha, m.beta, order)
+        return _phase_exp(rho, 2.0 * np.pi, m.alpha, m.beta, order)
     if isinstance(m, SlowDecay):
-        w = 1.0 - m.delta
-        arg = np.where(rho > 0, rho, 0.0) ** w
-        a = _amplitude(rho, m.beta, order)
+        # the real part of the shared ladder at phase rate 1; the cosine is that real part, at half the cost
         if order == 0:
-            return a[0] * np.cos(arg)
-        w1 = _live_power(rho, w, w - 1.0)  # as in _phase_exp
-        if order == 1:
-            return a[1] * np.cos(arg) - a[0] * w1 * np.sin(arg)
-        w2 = _live_power(rho, w * (w - 1.0), w - 2.0)
-        return (
-            a[2] * np.cos(arg)
-            - 2.0 * a[1] * w1 * np.sin(arg)
-            - a[0] * (w2 * np.sin(arg) + w1**2 * np.cos(arg))
-        )
+            return _amplitude(rho, m.beta, 0)[0] * np.cos(np.where(rho > 0, rho, 0.0) ** (1.0 - m.delta))
+        return _phase_exp(rho, 1.0, 1.0 - m.delta, m.beta, order).real
     if isinstance(m, BandBump):
         return CUTOFF.psi(rho, order).astype(complex)
     if isinstance(m, Scaled):

@@ -13,7 +13,6 @@ from fracmax.fractional_calculus import (
     rescaled_derivative_check,
     rl_integral,
     roundtrip_residual,
-    uniform_grid,
 )
 
 
@@ -36,7 +35,7 @@ def marchaud_quadrature_oracle(f, t, alpha, n=200_000):
 
 
 def test_fractional_order_bounds():
-    path = SampledPath(uniform_grid(1.0, 9), uniform_grid(1.0, 9))
+    path = SampledPath(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9))
     for alpha in (0.0, 1.0):
         with pytest.raises(ValueError, match="order must lie in"):
             marchaud_derivative(path, alpha)
@@ -57,14 +56,14 @@ def test_sampled_path_validation():
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_rl_integral_constant(alpha):
-    g = uniform_grid(2.0, 2049)
+    g = np.linspace(0.0, 2.0, 2049)
     out = rl_integral(SampledPath(g, np.ones_like(g)), alpha)
     np.testing.assert_allclose(out.values.real, g**alpha / math.gamma(alpha + 1), atol=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_rl_integral_linear(alpha):
-    g = uniform_grid(2.0, 2049)
+    g = np.linspace(0.0, 2.0, 2049)
     out = rl_integral(SampledPath(g, g), alpha)
     np.testing.assert_allclose(
         out.values.real, g ** (1 + alpha) / math.gamma(2 + alpha), atol=1e-12
@@ -72,7 +71,7 @@ def test_rl_integral_linear(alpha):
 
 
 def test_rl_integral_zero_path():
-    g = uniform_grid(1.0, 65)
+    g = np.linspace(0.0, 1.0, 65)
     out = rl_integral(SampledPath(g, np.zeros_like(g)), 0.5)
     assert np.all(out.values == 0)
 
@@ -93,7 +92,7 @@ def test_rl_integral_graded_grid_linear():
 
 
 def test_marchaud_constant_is_power_law():
-    g = uniform_grid(2.0, 1025)
+    g = np.linspace(0.0, 2.0, 1025)
     d = marchaud_derivative(SampledPath(g, np.ones_like(g)), 0.5)
     np.testing.assert_allclose(d.values.real, d.grid**-0.5 / math.gamma(0.5), rtol=1e-12)
 
@@ -101,7 +100,7 @@ def test_marchaud_constant_is_power_law():
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("beta", [1, 2, 3])
 def test_marchaud_power_laws(alpha, beta):
-    g = uniform_grid(2.0, 8193)
+    g = np.linspace(0.0, 2.0, 8193)
     d = marchaud_derivative(SampledPath(g, g ** float(beta)), alpha)
     exact = math.gamma(beta + 1) / math.gamma(beta + 1 - alpha) * d.grid ** (beta - alpha)
     sup_rel = np.max(np.abs(d.values - exact)) / np.max(np.abs(exact))
@@ -117,7 +116,7 @@ def test_marchaud_graded_grid_linear(alpha):
 
 
 def test_marchaud_linear_cross_checked_by_quadrature_oracle():
-    g = uniform_grid(2.0, 4097)
+    g = np.linspace(0.0, 2.0, 4097)
     d = marchaud_derivative(SampledPath(g, g), 0.5)
     t = float(d.grid[2048])
     oracle = marchaud_quadrature_oracle(lambda s: s, t, 0.5)
@@ -126,19 +125,19 @@ def test_marchaud_linear_cross_checked_by_quadrature_oracle():
 
 
 def test_marchaud_excludes_origin_node():
-    g = uniform_grid(1.0, 129)
+    g = np.linspace(0.0, 1.0, 129)
     d = marchaud_derivative(SampledPath(g, g), 0.5)
     assert d.grid[0] == g[1] and len(d) == len(g) - 1
 
 
 def test_marchaud_hoelder_precondition():
-    g = uniform_grid(1.0, 129)
+    g = np.linspace(0.0, 1.0, 129)
     with pytest.raises(ValueError, match="insufficient"):
         marchaud_derivative(SampledPath(g, g, hoelder_exponent=0.3), 0.4)
 
 
 def test_marchaud_linearity_fixed_grid():
-    g = uniform_grid(2.0, 513)
+    g = np.linspace(0.0, 2.0, 513)
     f1, f2 = np.sin(g), g**2 + 1j * g
     combined = marchaud_derivative(SampledPath(g, 2 * f1 + 3 * f2, hoelder_exponent=1.0), 0.4)
     parts = (
@@ -151,7 +150,7 @@ def test_marchaud_linearity_fixed_grid():
 def test_marchaud_order_zero_limit():
     # pointwise limit alpha -> 0; checked away from the origin where the
     # t**-alpha factor is already within a few percent of 1
-    g = uniform_grid(2.0, 2049)
+    g = np.linspace(0.0, 2.0, 2049)
     f = np.sin(g) + 0.5 * np.cos(3 * g)
     d = marchaud_derivative(SampledPath(g, f, hoelder_exponent=1.0), 0.01)
     window = d.grid >= 0.25
@@ -162,7 +161,7 @@ def test_marchaud_order_zero_limit():
 
 
 def test_marchaud_matrix_matches_uniform_path():
-    g = uniform_grid(2.0, 257)
+    g = np.linspace(0.0, 2.0, 257)
     vals = np.sin(2 * g) + 0.1 * g**2
     w = marchaud_matrix(g, 0.45, exponent=1.0)
     direct = marchaud_derivative(SampledPath(g, vals, hoelder_exponent=1.0), 0.45)
@@ -217,7 +216,7 @@ def test_marchaud_matrix_rows_are_the_full_matrix_rows_bit_for_bit(case):
 
 
 def test_estimate_hoelder_smooth_and_rough():
-    g = uniform_grid(2.0, 1025)
+    g = np.linspace(0.0, 2.0, 1025)
     assert estimate_hoelder(SampledPath(g, np.sin(g))) == 1.0
     rng = np.random.default_rng(3)
     rough = np.cumsum(rng.standard_normal(g.size)) * np.sqrt(g[1])
@@ -230,25 +229,25 @@ def test_estimate_hoelder_smooth_and_rough():
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_roundtrip_t_squared(alpha):
-    g = uniform_grid(2.0, 4097)
+    g = np.linspace(0.0, 2.0, 4097)
     assert roundtrip_residual(SampledPath(g, g**2), alpha) <= 1e-3
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_roundtrip_sine_mode(alpha):
-    g = uniform_grid(2.0, 8193)
+    g = np.linspace(0.0, 2.0, 8193)
     assert roundtrip_residual(SampledPath(g, np.sin(2 * np.pi * g)), alpha) <= 1e-3
 
 
 def test_roundtrip_zero_path():
-    g = uniform_grid(1.0, 65)
+    g = np.linspace(0.0, 1.0, 65)
     assert roundtrip_residual(SampledPath(g, np.zeros_like(g)), 0.5) == 0.0
 
 
 def test_roundtrip_halves_under_refinement():
     residuals = []
     for n in (513, 1025, 2049, 4097, 8193):
-        g = uniform_grid(2.0, n)
+        g = np.linspace(0.0, 2.0, n)
         residuals.append(roundtrip_residual(SampledPath(g, g**2), 0.5))
     for coarse, fine in zip(residuals, residuals[1:]):
         assert fine <= coarse / 2.0

@@ -81,8 +81,8 @@ def test_dilated_l2_ratio_follows_symbol_decay():
     f = build_function(ModulatedBump(2.0, 4.0), 1024, 8.0)
     m = LimitedDecay(1.0)
     spec = f.to_frequency()
-    out1 = apply_dilated_multiplier(f, m, 1.0).l2_norm()
-    out2 = apply_dilated_multiplier(f, m, 2.0).l2_norm()
+    out1 = apply_dilated_multiplier(f, m, 1.0).lp_norm(2.0)
+    out2 = apply_dilated_multiplier(f, m, 2.0).lp_norm(2.0)
     # direct quadrature of |m(t xi) f_hat|^2 as the oracle
     rho = spec.freq_radius()
     for t, measured in ((1.0, out1), (2.0, out2)):
@@ -190,7 +190,7 @@ def test_plancherel_contraction_singleton():
     single = DilationSet(ExplicitPoints((1.0,)))
     [sup] = maximal_function(f, BandBump(), sampled_dilations(single, (0, 0), 4), (4,))
     l2 = math.sqrt(float(np.sum(sup**2) * f.dx))
-    assert l2 <= f.l2_norm() + 1e-10  # sup|m| = 1 for the annular bump
+    assert l2 <= f.lp_norm(2.0) + 1e-10  # sup|m| = 1 for the annular bump
 
 
 def test_maximal_monotone_under_set_inclusion():

@@ -23,7 +23,8 @@ from fracmax.multipliers import (
     radial_derivative,
     scaled,
 )
-from fracmax.multipliers import _gauss_nodes, _leggauss
+from fracmax.lp_frames import CUTOFF
+from fracmax.multipliers import _amplitude, _gauss_nodes, _leggauss, _live_power
 
 
 def brute_mtilde(m, alpha, rho, n=1_000_000):
@@ -74,12 +75,40 @@ def test_parameter_validation():
         Scaled(BandBump(), -1.0)
 
 
+def two_pi_phase_ladder(rho, alpha, beta, order):
+    """Radial derivatives of e^{2 pi i rho**alpha} * amplitude(beta), with 2 pi written into each coefficient."""
+    phase = np.exp(2j * np.pi * np.where(rho > 0, rho, 0.0) ** alpha)
+    a = _amplitude(rho, beta, order)
+    if order == 0:
+        return phase * a[0]
+    theta1 = _live_power(rho, 2.0 * np.pi * alpha, alpha - 1.0)
+    if order == 1:
+        return phase * (1j * theta1 * a[0] + a[1])
+    theta2 = _live_power(rho, 2.0 * np.pi * alpha * (alpha - 1.0), alpha - 2.0)
+    return phase * (-(theta1**2) * a[0] + 2j * theta1 * a[1] + 1j * theta2 * a[0] + a[2])
+
+
+def cosine_ladder(rho, beta, delta, order):
+    """Radial derivatives of (1 - phi) rho**-beta cos(rho**w), w = 1 - delta, by the chain rule on cos and sin."""
+    w = 1.0 - delta
+    arg = np.where(rho > 0, rho, 0.0) ** w
+    a = _amplitude(rho, beta, order)
+    if order == 0:
+        return a[0] * np.cos(arg)
+    w1 = _live_power(rho, w, w - 1.0)
+    if order == 1:
+        return a[1] * np.cos(arg) - a[0] * w1 * np.sin(arg)
+    w2 = _live_power(rho, w * (w - 1.0), w - 2.0)
+    return a[2] * np.cos(arg) - 2.0 * a[1] * w1 * np.sin(arg) - a[0] * (w2 * np.sin(arg) + w1**2 * np.cos(arg))
+
+
 def test_radial_derivative_matches_finite_difference():
     # radii through the cutoff's transitions at 1/2..2 and 1..2, where every closed-form term is live
     rho = np.linspace(0.55, 3.95, 69)
     families = (
         LimitedDecay(1.0), SlowDecay(1.0, 0.5), Oscillatory(0.5, 1.0), BandBump(),
         scaled(LimitedDecay(1.0), 2.0), scaled(BandBump(), 0.7),
+        SlowDecay(0.3, 0.9), scaled(SlowDecay(1.0, 0.5), 1.37), Oscillatory(0.3, 0.7),
     )
     for m in families:
         h = 1e-6
@@ -90,6 +119,33 @@ def test_radial_derivative_matches_finite_difference():
         fd2 = (evaluate(m, rho + h) - 2 * evaluate(m, rho) + evaluate(m, rho - h)) / h**2
         d2 = radial_derivative(m, rho, 2)
         assert np.max(np.abs(d2 - fd2)) <= 1e-5 * np.max(np.abs(d2)), m
+
+    # the three oscillating families share one phase x amplitude ladder: LimitedDecay and
+    # Oscillatory at phase rate 2 pi keep the bits of a ladder with 2 pi in every coefficient,
+    # and SlowDecay is its real part at phase rate 1, a cosine ladder up to round-off
+    def reference(m, rho, order):
+        if isinstance(m, Scaled):
+            return m.r**order * reference(m.base, m.r * rho, order)
+        if isinstance(m, SlowDecay) and order == 0:
+            return (1 - CUTOFF.phi(rho)) * rho**-m.beta * np.cos(rho ** (1.0 - m.delta))
+        if isinstance(m, SlowDecay):
+            return cosine_ladder(rho, m.beta, m.delta, order)
+        if isinstance(m, LimitedDecay):
+            return two_pi_phase_ladder(rho, 1.0, m.a, order)
+        return two_pi_phase_ladder(rho, m.alpha, m.beta, order)
+
+    wide = np.concatenate([rho, np.geomspace(4.0, 2.0**20, 400)])
+    for m in families:
+        base = m.base if isinstance(m, Scaled) else m
+        if isinstance(base, BandBump):
+            continue
+        for order in range(3):
+            got, ref = radial_derivative(m, wide, order), reference(m, wide, order)
+            if isinstance(base, SlowDecay) and order > 0:
+                assert got.dtype == np.float64, (m, order)
+                assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(got)), (m, order)
+            else:
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (m, order)
 
 
 def test_scaled_has_value_equality_and_custom_has_identity():
