@@ -199,43 +199,30 @@ class HBlock:
     weights: np.ndarray
 
 
-def _halfgap_cells(anchor: float, width: float, beta2: float, outward: float):
-    """Nodes and weights for the density d**(beta2 - 1) on a half-gap, in five cells.
-
-    `outward` is +1 when the interval extends to the right of the anchor
-    point.  Cell edges grade geometrically toward the anchor; weights are the
-    exact cell integrals and nodes the density centroids.
-    """
-    if width <= 0:
-        return np.array([]), np.array([])
-    edges = width * 2.0 ** -np.arange(5, -1, -1.0)
-    edges[0] = 0.0
-    lo, hi = edges[:-1], edges[1:]
-    mass = hi**beta2 - lo**beta2
-    centers = (beta2 / (beta2 + 1.0)) * (hi ** (beta2 + 1.0) - lo ** (beta2 + 1.0)) / mass
-    return anchor + outward * centers, mass / beta2
-
-
 def build_h_weights(blocks: dict[int, np.ndarray], beta: float) -> tuple[HBlock, ...]:
-    """Quadrature of d(s, block)**(2 beta - 1) ds per block, gap by gap.
+    """Quadrature of d(s, block)**(2 beta - 1) ds per block, in one array pass over its half-gaps.
 
-    Per-block weight sums reproduce the closed-form distance integral of the
-    sampled point set exactly (the cells tile [1, 2]).
+    The half-gaps are [1, first point], the two halves of each gap and [last point, 2], the empty ends
+    dropped; each is cut into five cells graded geometrically toward its anchor point.  Weights are the
+    exact cell integrals and nodes the density centroids, so per-block weight sums reproduce the
+    closed-form distance integral of the sampled point set exactly (the cells tile [1, 2]).
     """
     if not 0 < beta < 0.5:
         raise ValueError("weight exponent must lie in (0, 1/2)")
     beta2 = 2.0 * beta
     out = []
     for j, pts in sorted(blocks.items()):
-        cells = [_halfgap_cells(pts[0], pts[0] - 1.0, beta2, -1.0)] if pts[0] > 1.0 else []
-        for left, right in zip(pts[:-1], pts[1:]):
-            half = 0.5 * (right - left)
-            cells += [_halfgap_cells(left, half, beta2, 1.0), _halfgap_cells(right, half, beta2, -1.0)]
-        if pts[-1] < 2.0:
-            cells.append(_halfgap_cells(pts[-1], 2.0 - pts[-1], beta2, 1.0))
-        all_nodes, all_weights = (np.concatenate(parts) for parts in zip(*cells))  # a block has a point
-        order = np.argsort(all_nodes)
-        out.append(HBlock(j, all_nodes[order], all_weights[order]))
+        # per anchor, in point order: the half-gap to its left, then the one to its right
+        widths = np.repeat(np.concatenate([[pts[0] - 1.0], 0.5 * np.diff(pts), [2.0 - pts[-1]]]), 2)[1:-1]
+        keep = widths > 0.0  # an end interval is empty where the block holds 1 or 2
+        edges = widths[keep, None] * 2.0 ** -np.arange(5, -1, -1.0)
+        edges[:, 0] = 0.0
+        lo, hi = edges[:, :-1], edges[:, 1:]
+        mass = hi**beta2 - lo**beta2  # array powers throughout: a scalar pow may differ in the last bit
+        centers = (beta2 / (beta2 + 1.0)) * (hi ** (beta2 + 1.0) - lo ** (beta2 + 1.0)) / mass
+        nodes = (np.repeat(pts, 2)[keep, None] + np.tile([-1.0, 1.0], pts.size)[keep, None] * centers).ravel()
+        order = np.argsort(nodes)
+        out.append(HBlock(j, nodes[order], (mass / beta2).ravel()[order]))
     return tuple(out)
 
 
@@ -352,8 +339,8 @@ class MaximalExperiment(GridExperiment):
         block_range(self.j_range)
 
     def bound_batch(self, depth: int, s_fill: int, fields: str):
-        """Reject a run whose largest (dilations x pixels) batch may pass MAX_BATCH values: a block keeps at most
-        2**depth + 2 depth + 5 sampled points, all go at once, and an s-grid adds 10 weight nodes per gap."""
+        """Reject a run whose dilated rows x pixels may pass MAX_BATCH values, an upper bound on what it dilates:
+        a block keeps at most 2**depth + 2 depth + 5 sampled points, and an s-grid adds 10 weight nodes per gap."""
         points = 2.0 ** min(depth, 64) + 2 * depth + 5
         rows = max((self.j_range[1] - self.j_range[0] + 1) * points, s_fill + 10 * (points + 1) if s_fill else 0)
         if self.n * rows > MAX_BATCH:
@@ -410,6 +397,8 @@ class Halfwave(GridExperiment):
         super().__post_init__()
         if not (0 < self.hw_alpha < 1 and self.hw_beta < 1 and 0 < self.t_min < self.t_max):
             raise ValueError("need 0 < hw_alpha < 1, hw_beta < 1 and 0 < t_min < t_max")
+        if self.n > MAX_BATCH:  # the evolution holds a few complex n-point arrays per time
+            raise ValueError(f"config.grid.n: a half-wave grid may hold at most {MAX_BATCH} points, got {self.n}")
 
     def run(self) -> tuple[dict, list, dict]:
         times = halfwave_times(self.set, self.t_min, self.t_max)

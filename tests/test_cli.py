@@ -688,6 +688,8 @@ def _dim_set(generator):
         pytest.param("experiment", _experiment("domination", j_range=[-1100, 1100], depth=8), "config.j_range", id="j_wide"),
         pytest.param("experiment", _experiment("probe", depth=30), "bad experiment config: config.depth", id="probe_depth_30"),
         pytest.param("experiment", _experiment("probe", grid={"n": 1 << 24}), "config.grid.n", id="probe_n_2_24"),
+        pytest.param("experiment", _experiment("halfwave", grid={"n": 1 << 24}), "config.grid.n", id="halfwave_n_2_24"),
+        pytest.param("experiment", _experiment("halfwave", grid={"n": 1 << 40}), "config.grid.n", id="halfwave_n_2_40"),
         # the band's edge 2**(band + 1) overflowed in a traceback
         *(
             pytest.param(

@@ -51,6 +51,7 @@ from fracmax.wire import to_wire
 
 LAC = DilationSet(LacunaryGrid())
 POW_LAC = DilationSet(UnionSet((PowerSequence(1.0), LacunaryGrid())))
+DENSE = DilationSet(UnionSet((PowerSequence(0.5), ExplicitPoints(tuple(np.geomspace(0.3, 3.0, 4000))))))
 
 
 def gaussian(n=512, extent=8.0, width=1.0):
@@ -306,14 +307,83 @@ def test_maximal_function_dilates_the_deepest_sampling_once(monkeypatch, depths,
 # --- H weights -------------------------------------------------------------------
 
 
-def test_h_weights_match_closed_form_distance_integral():
-    blocks = sampled_dilations(POW_LAC, (-2, 3), 5, augment=True)
+@pytest.mark.parametrize("E, augment", [(POW_LAC, True), (DENSE, False)], ids=["augmented", "plain"])
+def test_h_weights_match_closed_form_distance_integral(E, augment):
+    # a plain block may lack 1 and 2, so its weights hold the end intervals, as the closed form's end terms do
+    blocks = sampled_dilations(E, (-2, 3), 5, augment=augment)
     weights = build_h_weights(blocks, 0.3)
+    assert augment or any(pts[0] > 1.0 and pts[-1] < 2.0 for pts in blocks.values())
     for hb in weights:
         exact = finite_distance_integral(BlockSet(hb.j, blocks[hb.j]), 0.6)
         assert np.sum(hb.weights) == pytest.approx(exact, rel=1e-6)
         assert np.all(hb.weights >= 0)
         assert np.all((hb.nodes >= 1.0) & (hb.nodes <= 2.0))
+
+
+def per_gap_h_weights(blocks, beta):
+    """The per-gap quadrature build_h_weights replaces: five graded cells per half-gap, one call each."""
+
+    def halfgap_cells(anchor, width, beta2, outward):
+        if width <= 0:
+            return np.array([]), np.array([])
+        edges = width * 2.0 ** -np.arange(5, -1, -1.0)
+        edges[0] = 0.0
+        lo, hi = edges[:-1], edges[1:]
+        mass = hi**beta2 - lo**beta2
+        centers = (beta2 / (beta2 + 1.0)) * (hi ** (beta2 + 1.0) - lo ** (beta2 + 1.0)) / mass
+        return anchor + outward * centers, mass / beta2
+
+    beta2 = 2.0 * beta
+    out = []
+    for j, pts in sorted(blocks.items()):
+        cells = [halfgap_cells(pts[0], pts[0] - 1.0, beta2, -1.0)] if pts[0] > 1.0 else []
+        for left, right in zip(pts[:-1], pts[1:]):
+            half = 0.5 * (right - left)
+            cells += [halfgap_cells(left, half, beta2, 1.0), halfgap_cells(right, half, beta2, -1.0)]
+        if pts[-1] < 2.0:
+            cells.append(halfgap_cells(pts[-1], 2.0 - pts[-1], beta2, 1.0))
+        all_nodes, all_weights = (np.concatenate(parts) for parts in zip(*cells))
+        order = np.argsort(all_nodes)
+        out.append((j, all_nodes[order], all_weights[order]))
+    return out
+
+
+def _random_blocks(seed):
+    """Random ascending blocks in [1, 2], each with or without the endpoints 1 and 2."""
+    rng = np.random.default_rng(seed)
+    blocks = {}
+    for j in range(40):
+        pts = np.unique(rng.uniform(1.0, 2.0, rng.integers(1, 200)))
+        blocks[j] = np.concatenate([[1.0]] * (j % 2) + [pts] + [[2.0]] * (j // 2 % 2))
+    return blocks
+
+
+NEAR_TWO = DilationSet(ExplicitPoints((1.5, 1.9999999999999996)))  # the union's deduplication drops the endpoint 2
+CANTOR = DilationSet(CantorLike(4, (1, 2), 6))  # every block lies strictly inside (1, 2)
+
+
+@pytest.mark.parametrize(
+    "make_blocks, ends",
+    [
+        pytest.param(lambda: sampled_dilations(POW_LAC, (-3, 3), 5, augment=True), (False, False), id="pow_lac_augmented"),
+        pytest.param(lambda: sampled_dilations(DENSE, (-2, 2), 8, augment=True), (False, False), id="dense_augmented"),
+        pytest.param(lambda: sampled_dilations(CANTOR, (-1, 1), 5), (True, True), id="cantor_plain"),
+        pytest.param(lambda: sampled_dilations(DENSE, (-2, 2), 8), (True, True), id="dense_plain"),
+        pytest.param(lambda: _random_blocks(0), (True, True), id="random_0"),
+        pytest.param(lambda: _random_blocks(1), (True, True), id="random_1"),
+        pytest.param(lambda: sampled_dilations(NEAR_TWO, (-1, 1), 3, augment=True), (False, True), id="near_two_augmented"),
+    ],
+)
+@pytest.mark.parametrize("beta", [0.05, 0.3, 0.499])
+def test_h_weights_keep_the_bits_of_the_per_gap_quadrature(make_blocks, ends, beta):
+    blocks = make_blocks()
+    # `ends`: whether some block starts above 1 and whether some block ends below 2, so that end interval runs
+    assert (any(pts[0] > 1.0 for pts in blocks.values()), any(pts[-1] < 2.0 for pts in blocks.values())) == ends
+    got = build_h_weights(blocks, beta)
+    assert len(got) == len(blocks)
+    for hb, (j, nodes, weights) in zip(got, per_gap_h_weights(blocks, beta)):
+        assert hb.j == j
+        assert hb.nodes.tobytes() == nodes.tobytes() and hb.weights.tobytes() == weights.tobytes()
 
 
 def test_h_weights_sup_over_blocks_finite_above_dimension():
@@ -766,9 +836,6 @@ def test_domination_histogram_csv():
     assert sum(row[2] for row in rows) == np.isfinite(report.ratios).sum() > 0
 
 
-DENSE = DilationSet(UnionSet((PowerSequence(0.5), ExplicitPoints(tuple(np.geomspace(0.3, 3.0, 4000))))))
-
-
 @pytest.mark.parametrize("E", [LAC, POW_LAC, DENSE], ids=["lac", "pow_lac", "dense"])
 @pytest.mark.parametrize("depth", [0, 2, 5])
 @pytest.mark.parametrize("kind", [Domination, Probe], ids=["domination", "probe"])
@@ -795,8 +862,8 @@ def test_no_benchmark_pool_op_passes_the_batch_bound():
         import workloads
     finally:
         sys.path.pop(0)
-    ops = [op for op in workloads.pool("experiments") if op.config["kind"] != "halfwave"]
-    assert len(ops) > 80
+    ops = workloads.pool("experiments")
+    assert len(ops) > 80 and any(op.config["kind"] == "halfwave" for op in ops)
     for op in ops:
         EXPERIMENTS.from_json(dict(op.config, config={"seed": 0, **op.config["config"]}))
 
