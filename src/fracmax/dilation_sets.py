@@ -532,44 +532,74 @@ def sequence_gaps(seq) -> np.ndarray:
     return gaps
 
 
+def _cut_sums(gaps: np.ndarray, a: float) -> list[float]:
+    """Partial sums of gaps**a through n = N/4, N/2 and N, N = GAP_SUM_TERMS, of one sequential cumsum.
+
+    It skips each gap of 0 after the first nonzero one and reads the sums at the count of gaps kept before each cut.
+    Once the running sum holds a power of g > 0 it is positive or +0.0 and adding a 0 leaves its bits (the leading
+    zeros stay: they set the sign of a zero sum), so each value has the bits of the cumsum over all the gaps.
+    """
+    kept = gaps != 0
+    kept[: np.argmax(kept) if kept.any() else None] = True
+    csum = gaps[kept] ** a
+    np.cumsum(csum, out=csum)  # the same sequential sum, in place
+    return [float(csum[k - 1]) if k else 0.0 for k in _cut_counts(kept)]
+
+
+def _cut_counts(mask: np.ndarray) -> list[int]:
+    return [int(np.count_nonzero(mask[: GAP_SUM_TERMS // k])) for k in (4, 2, 1)]  # set entries before each cut
+
+
 def gap_sum_converges(gaps: np.ndarray, a: float) -> bool:
     """Dyadic-ratio convergence verdict on the sum of gaps**a, for the gaps of `sequence_gaps`.
 
-    The verdict compares the last two dyadic-block sums: a ratio below 0.97
-    is called convergent.
+    The verdict compares the last two dyadic-block sums, the differences of
+    `_cut_sums`: a ratio below 0.97 is called convergent.
     """
     if a <= 0:
         raise ValueError("exponent must be positive")
-    csum = gaps**a
-    np.cumsum(csum, out=csum)  # the same sequential sum, in place
+    lo, hi = np.diff(_cut_sums(gaps, a))
     # an empty block after an empty one counts as convergent
-    lo = csum[GAP_SUM_TERMS // 2 - 1] - csum[GAP_SUM_TERMS // 4 - 1]
-    hi = csum[GAP_SUM_TERMS - 1] - csum[GAP_SUM_TERMS // 2 - 1]
     return bool(hi == 0.0 if lo == 0.0 else hi / lo < 0.97)
 
 
 def gap_sum_verdicts(gaps: np.ndarray):
-    """`a -> gap_sum_converges(gaps, a)` for the gaps of `sequence_gaps`, from one log pass where that is certain.
+    """`a -> gap_sum_converges(gaps, a)` for the gaps of `sequence_gaps`, from the first of three tiers that is certain.
 
-    For 0 < a <= 1 it sums exp(a log g) over each dyadic block's g != 0 (a gap of 0 adds exactly 0 on both paths,
-    and numpy's exp(-inf) is slow) pairwise, in one reused buffer.  r bounds each sum's distance to the exact path's:
-    gamma_N for both summations, 1e-11 per term for pow and for exp(a log g) as |a log g| <= 745, `tiny` per
-    underflowing term, one rounding for the subtraction and one for the division, all doubled for r's own rounding.
-    It answers where the ratio widened by r is strictly on one side of 0.97 and defers to gap_sum_converges
-    elsewhere: a middle block not above r, a sum near overflow, a not in (0, 1].
+    For 0 < a <= 1 two fast tiers sum g**a over each dyadic block's g != 0 (a 0 adds exactly 0 on every path, and
+    numpy's exp(-inf) is slow).  The first cuts each block into runs of 64 nonzero gaps: as g**a increases with g,
+    the block sum lies between the sums of len * min**a and len * max**a over its runs.  The second sums exp(a log g)
+    pairwise, in one reused buffer.  r bounds the distance of each computed sum or bound to the exact path's block sum
+    or to the true run bound: gamma_N per summation, 1e-11 per term for pow and exp(a log g) as |a log g| <= 745,
+    `tiny` per underflowing term, one rounding each for the subtraction, the division and a run's length product, all
+    doubled for r's own rounding, with S the sum of the upper bounds.  A tier answers where the block ratio widened by
+    r lies strictly on one side of 0.97; elsewhere (a middle block not above r, a sum near overflow, a not in (0, 1])
+    gap_sum_converges does.
     """
     nonzero = gaps != 0
-    logs, cuts = np.log(gaps[nonzero]), [np.count_nonzero(nonzero[: GAP_SUM_TERMS // k]) for k in (4, 2)]
+    positive, cuts = gaps[nonzero], _cut_counts(nonzero)
+    starts = np.concatenate([np.arange(b, e, 64) for b, e in zip([0, *cuts], cuts)])
+    runs = np.zeros((starts.size, 3))  # column j holds the lengths of block j's runs
+    runs[np.arange(starts.size), np.searchsorted(cuts, starts, side="right")] = np.diff(starts, append=cuts[-1])
+    run_logs = np.log([np.minimum.reduceat(positive, starts), np.maximum.reduceat(positive, starts)])
+    logs = np.log(positive)
     terms = np.empty_like(logs)  # one buffer for every exponent: fresh 1 MB temporaries cost page faults
+
+    def certain(low: list[float], high: list[float]) -> bool | None:
+        r = 2.0 * ((3.0 * _GAMMA + 2e-11 + 2.0**-51) * sum(high) + 2.0 * gaps.size * _TINY)
+        below, above = high[2] + r < 0.97 * (low[1] - r), low[2] - r > 0.97 * (high[1] + r)
+        # r < 1e290: the exact cumsum stays far from overflow
+        return below if low[1] > r and r < 1e290 and (below or above) else None
 
     def converges(a: float) -> bool:
         if 0 < a <= 1:
-            np.exp(np.multiply(logs, a, out=terms), out=terms)
-            first, lo, hi = (float(np.sum(b)) for b in np.split(terms, cuts))
-            r = 2.0 * ((3.0 * _GAMMA + 2e-11 + 2.0**-52) * (first + lo + hi) + 2.0 * gaps.size * _TINY)
-            below, above = hi + r < 0.97 * (lo - r), hi - r > 0.97 * (lo + r)
-            if lo > r and r < 1e290 and (below or above):  # r < 1e290: the exact cumsum stays far from overflow
-                return below
+            verdict = certain(*(np.exp(a * run_logs) @ runs).tolist())
+            if verdict is None:
+                np.exp(np.multiply(logs, a, out=terms), out=terms)
+                sums = [float(np.sum(b)) for b in np.split(terms, cuts[:2])]
+                verdict = certain(sums, sums)
+            if verdict is not None:
+                return verdict
         return gap_sum_converges(gaps, a)
 
     return converges
@@ -622,7 +652,7 @@ def lorentz_membership(seq, r: float, delta_schedule: Sequence[float]) -> Lorent
     decade_sups = sups[last_decade]
     if not math.isfinite(bound):
         verdict = False
-    elif decade_sups.size == 0 or decade_sups[-1] == 0.0:
+    elif decade_sups[-1] == 0.0:
         verdict = True
     else:
         verdict = bool((decade_sups[-1] - decade_sups[0]) / decade_sups[-1] < 0.10)

@@ -25,6 +25,7 @@ from fracmax.dilation_sets import (
     UnionSet,
     _boundary_split,
     _cover,
+    _cut_sums,
     _threshold_scan,
     augmented,
     dimension_bound_check,
@@ -630,27 +631,65 @@ GAP_RULES = {
     "power_1": lambda n: 1.0 + 1.0 / n,
     "geometric": lambda n: 2.0**-n,
     "subnormal": lambda n: 1e-300 / n,  # gaps below 1e-308 from n = 3e3 on, the last near 6e-311
+    # the first 39999 gaps are -0.0: no nonzero gap comes before the first cut at n = 2**15
+    "flat_start": lambda n: np.minimum(1.0, 4e4 / n),
     **{f"power_{a}": PowerSequence(a).sequence for a in (0.5, 2.0, 2.5, 3.0)},  # at 2.5 and 3.0 most gaps are 0
     **{f"offsets_{a}": PowerSequence(a).offsets for a in (2.5, 3.0)},  # harmonic is offsets_1.0
 }
+CUTS = [GAP_SUM_TERMS // 4 - 1, GAP_SUM_TERMS // 2 - 1, GAP_SUM_TERMS - 1]
 
 
 @pytest.mark.parametrize("rule", list(GAP_RULES))
-def test_gap_sum_partial_sums_are_the_out_of_place_cumsum_bit_for_bit(monkeypatch, rule):
+def test_gap_sum_partial_sums_are_the_out_of_place_cumsum_bit_for_bit(rule):
+    # the exact path sums the nonzero gaps only; the three partial sums it reads are the full-array cumsum's,
     # and gap_sum_verdicts gives gap_sum_converges's verdict on the 49-point grid and on verify's bisection midpoints
     gaps = sequence_gaps(GAP_RULES[rule])
-    decide, cumsum, sums = gap_sum_verdicts(gaps), np.cumsum, []
-    monkeypatch.setattr(np, "cumsum", lambda x, *args, **kw: sums.append(cumsum(x, *args, **kw)) or sums[-1])
+    decide = gap_sum_verdicts(gaps)
     for a in np.linspace(0.02, 0.98, 49):
-        verdict = gap_sum_converges(gaps, float(a))
-        assert sums[-1].tobytes() == cumsum(gaps ** float(a)).tobytes()
-        assert decide(float(a)) is verdict
+        assert np.array(_cut_sums(gaps, float(a))).tobytes() == np.cumsum(gaps ** float(a))[CUTS].tobytes()
+        assert decide(float(a)) is gap_sum_converges(gaps, float(a))
     lo, hi = 0.05, 0.98
     for _ in range(24 if rule.startswith("power_") else 0):
         mid = 0.5 * (lo + hi)
         verdict = gap_sum_converges(gaps, mid)
         assert decide(mid) is verdict
         lo, hi = (lo, mid) if verdict else (mid, hi)
+
+
+def full_cumsum_verdict(gaps, a):
+    """The dyadic-ratio verdict read off the cumsum of gaps**a over all 2**17 gaps."""
+    first, mid, last = np.cumsum(gaps**a)[CUTS]
+    lo, hi = mid - first, last - mid
+    return bool(hi == 0.0 if lo == 0.0 else hi / lo < 0.97)
+
+
+def flattened(rule, runs):
+    """`rule` held constant over each (start, length) run of indices: its gaps there are 0."""
+
+    def held(n):
+        for start, length in runs:
+            n = n - np.clip(n - start, 0.0, length)  # nondecreasing in n, so the rule stays nonincreasing
+        return rule(n)
+
+    return held
+
+
+DECREASING_RULES = st.one_of(
+    st.floats(0.1, 4.0).map(lambda a: PowerSequence(a).sequence),
+    st.floats(0.1, 4.0).map(lambda a: PowerSequence(a).offsets),
+    st.floats(0.5, 0.99999).map(lambda q: lambda n: q**n),
+    st.tuples(st.sampled_from([1e-300, 1e-310]), st.floats(0.3, 3.0)).map(lambda sa: lambda n: sa[0] * n ** -sa[1]),
+)
+ZERO_RUNS = st.lists(st.tuples(st.integers(1, GAP_SUM_TERMS), st.integers(1, GAP_SUM_TERMS // 2)), max_size=3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(DECREASING_RULES, ZERO_RUNS, st.lists(st.floats(0.0, 1.5, exclude_min=True), min_size=1, max_size=4))
+def test_gap_sum_verdicts_match_the_full_cumsum_on_random_rules(rule, runs, exponents):
+    gaps = sequence_gaps(flattened(rule, runs))
+    decide = gap_sum_verdicts(gaps)
+    for a in [float(a) for a in np.linspace(0.02, 0.98, 49)] + exponents:
+        assert decide(a) is full_cumsum_verdict(gaps, a)
 
 
 def test_gap_sum_verdicts_decide_most_of_the_dimension_pool_without_the_exact_path(monkeypatch):
@@ -663,10 +702,17 @@ def test_gap_sum_verdicts_decide_most_of_the_dimension_pool_without_the_exact_pa
     assert len(gens) > 60 and all(gen["kind"] == "power_sequence" for gen in gens)
     exact, verdicts, fallbacks = ds.gap_sum_converges, [], []
     monkeypatch.setattr(ds, "gap_sum_converges", lambda gaps, a: fallbacks.append(a) or exact(gaps, a))
+    exp, passes, nonzero = np.exp, [], [0]
+    # a full exp pass is one over every nonzero gap; the run-bound tier takes exp of 2 ends per run of 64
+    monkeypatch.setattr(np, "exp", lambda x, *a, **kw: passes.append(np.size(x) == nonzero[0]) or exp(x, *a, **kw))
     for gen in gens:
-        decide = gap_sum_verdicts(sequence_gaps(PowerSequence(gen["a"]).sequence))
+        gaps = sequence_gaps(PowerSequence(gen["a"]).sequence)
+        nonzero[0] = np.count_nonzero(gaps)
+        decide = gap_sum_verdicts(gaps)
         _threshold_scan(lambda a: verdicts.append(a) or decide(a), "gap_sum")  # the scan of dimension_from_gap_sums
-    assert len(fallbacks) < 0.1 * len(verdicts)
+    full = sum(passes)
+    assert len(verdicts) - full >= 0.8 * len(verdicts)  # decided by the run bounds
+    assert full <= 250 and len(fallbacks) <= 146
 
 
 def test_gap_sum_verdicts_fall_back_where_the_fast_path_cannot_decide(monkeypatch):
@@ -702,6 +748,8 @@ def test_lorentz_membership_cases():
         assert res.verdict and res.bound <= 2.0
     assert lorentz_membership(lambda n: 2.0**-n, 0.1, sched).verdict
     assert not lorentz_membership(lambda n: 1.0 / np.log(n + 1.0), 1.0, sched).verdict
+    # no term reaches the schedule's smallest scale: every count is 0
+    assert lorentz_membership(lambda n: 1e-9 / n, 1.0, sched) == ds.LorentzResult(0.0, True)
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
