@@ -1,5 +1,8 @@
 """Command-line front end: dimension reports, verification suites, experiments.
 
+`COMMANDS` declares the subcommands, and `PARSER` is built from it once.  A
+command returns its encoded files, exit code, stdout and stderr; `main` alone
+creates `--out`, writes and prints, so a run that exits 1 writes no file.
 Exit codes: 0 success, 1 input error, 2 verification/assertion failure.
 Reports are deterministic for a fixed config and seed: keys are sorted and no
 timestamps are embedded.  A dim report echoes its config as given.  An
@@ -31,6 +34,7 @@ from .wire import from_wire, integer, number, object_field, optional, to_wire, t
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FAILED = 2
+Outcome = tuple[dict[str, str], int, str, str]  # a command's file name -> text, exit code, stdout, stderr
 
 
 class InputError(Exception):
@@ -70,6 +74,12 @@ def _unread(spec: dict, echo: dict, prefix: str = ""):
             yield prefix + key
         elif isinstance(value, dict) and isinstance(echo[key], dict):
             yield from _unread(value, echo[key], f"{prefix}{key}.")
+
+
+def _note(name: str, spec: dict, echo: dict) -> str:
+    """The stderr line naming the config fields a run ignored, or "" if it read them all."""
+    ignored = ", ".join(_unread(spec, echo))
+    return f"note: {name} ignores config fields: {ignored}\n" if ignored else ""
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +139,8 @@ class DimConfig:
             raise ValueError(f"table_exponent must lie in [0, 1], got {self.table_exponent}")
 
 
-def cmd_dim(args) -> int:
+def cmd_dim(args) -> Outcome:
     spec = _load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:  # every field is read and checked before any work starts
         config = from_wire(DimConfig, spec)
         block = ds.rescaled_block(config.set, config.j)
@@ -164,53 +172,36 @@ def cmd_dim(args) -> int:
         table_a = float(results.get("minkowski", results.get("kappa", {"value": 0.5}))["value"])
     rows = ["delta,count,delta_pow_a_count"]
     rows += [f"{repr(float(d))},{n},{repr(float(d**table_a * n))}" for d, n in zip(config.schedule, counts)]
-    (out / "counts.csv").write_text("\n".join(rows) + "\n")
-
     report = {"config": spec, "seed": args.seed, "workers": 1, "results": results, "failures": failures}
-    (out / "dim_report.json").write_text(_dump(report))
-    ignored = ", ".join(_unread(spec, to_wire(config)))  # once the report is written, as for an experiment
-    if ignored:
-        print(f"note: dim ignores config fields: {ignored}", file=sys.stderr)
-    return EXIT_FAILED if failures else EXIT_OK
+    files = {"counts.csv": "\n".join(rows) + "\n", "dim_report.json": _dump(report)}
+    return files, EXIT_FAILED if failures else EXIT_OK, "", _note("dim", spec, to_wire(config))
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def cmd_verify(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_verify(args) -> Outcome:
+    names = vf.SUITES if args.suite == "all" else [args.suite]
     with band_memo():  # the suites share band norms within this run only
-        if args.suite == "all":
-            reports = vf.run_all(args.seed)
-        else:
-            try:
-                reports = [vf.run_suite(args.suite, args.seed)]
-            except KeyError as exc:
-                raise InputError(str(exc.args[0]))
-    aggregate = {
-        "seed": args.seed,
-        "workers": 1,
-        "all_passed": all(r.all_passed for r in reports),
-        "suites": [asdict(r) | {"all_passed": r.all_passed} for r in reports],
-    }
-    (out / "verify_report.json").write_text(_dump(aggregate))
-    for report in reports:
-        for check in report.checks:
-            status = "pass" if check.passed else "FAIL"
-            print(f"[{status}] {report.suite}.{check.name}: {check.measured:.6g} ({check.criterion})")
-    return EXIT_OK if aggregate["all_passed"] else EXIT_FAILED
+        try:
+            reports = [vf.run_suite(name, args.seed) for name in names]
+        except KeyError as exc:
+            raise InputError(str(exc.args[0]))
+    passed = all(r.all_passed for r in reports)
+    suites = [asdict(r) | {"all_passed": r.all_passed} for r in reports]
+    report = {"seed": args.seed, "workers": 1, "all_passed": passed, "suites": suites}
+    lines = "".join(f"[{'pass' if c.passed else 'FAIL'}] {r.suite}.{c.name}: {c.measured:.6g} ({c.criterion})\n"
+                    for r in reports for c in r.checks)
+    return {"verify_report.json": _dump(report)}, EXIT_OK if passed else EXIT_FAILED, lines, ""
 
 
 # ---------------------------------------------------------------------------
 # experiment
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> Outcome:
     spec = _load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     # every field is read and checked before any work starts; --seed fills a missing config.seed
     try:
         experiment = ml.EXPERIMENTS.from_json(dict(spec, config={"seed": args.seed, **object_field(spec, "config")}))
@@ -220,56 +211,58 @@ def cmd_experiment(args) -> int:
         results, checks, files = experiment.run()
     except ValueError as exc:  # an input the run cannot use: an empty window, a vanishing f, too few times
         raise InputError(str(exc))
-    for name, text in files.items():
-        (out / name).write_text(text)
     echo = ml.EXPERIMENTS.to_json(experiment)
     report = {"kind": spec["kind"], "config": echo, "seed": args.seed, "workers": 1}
     report.update(results=results, checks=checks)
-    (out / "experiment_report.json").write_text(_dump(report))
-    ignored = ", ".join(_unread(spec, echo))  # once the report is written, so that a failed run prints one line
-    if ignored:
-        print(f"note: {spec['kind']} ignores config fields: {ignored}", file=sys.stderr)
-    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_FAILED
+    code = EXIT_OK if all(c["passed"] for c in checks) else EXIT_FAILED
+    return files | {"experiment_report.json": _dump(report)}, code, "", _note(spec["kind"], spec, echo)
 
 
 # ---------------------------------------------------------------------------
 
+# command -> (handler, help, the option it takes besides --out and --seed, that option's settings)
+COMMANDS = {
+    "dim": (cmd_dim, "dimension-theoretic reports for a dilation set",
+            "--config", {"required": True, "help": "JSON config naming the set and methods"}),
+    "verify": (cmd_verify, "run a named invariant suite",
+               "--suite", {"default": "all", "help": "dimension|fraccalc|frames|multipliers|maximal|all"}),
+    "experiment": (cmd_experiment, "run a maximal-operator experiment",
+                   "--config", {"required": True, "help": "JSON experiment description"}),
+}
 
-def build_parser() -> argparse.ArgumentParser:
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracmax",
         description="Numerical laboratory for maximal Fourier multipliers over fractal dilation sets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    dim = sub.add_parser("dim", help="dimension-theoretic reports for a dilation set")
-    dim.add_argument("--config", required=True, help="JSON config naming the set and methods")
-    dim.add_argument("--out", default="out", help="output directory")
-    dim.add_argument("--seed", type=int, default=0)
-    dim.set_defaults(handler=cmd_dim)
-
-    ver = sub.add_parser("verify", help="run a named invariant suite")
-    ver.add_argument("--suite", default="all", help="dimension|fraccalc|frames|multipliers|maximal|all")
-    ver.add_argument("--out", default="out", help="output directory")
-    ver.add_argument("--seed", type=int, default=0)
-    ver.set_defaults(handler=cmd_verify)
-
-    exp = sub.add_parser("experiment", help="run a maximal-operator experiment")
-    exp.add_argument("--config", required=True, help="JSON experiment description")
-    exp.add_argument("--out", default="out", help="output directory")
-    exp.add_argument("--seed", type=int, default=0)
-    exp.set_defaults(handler=cmd_experiment)
+    for name, (handler, help_text, option, settings) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument(option, **settings)
+        command.add_argument("--out", default="out", help="output directory")
+        command.add_argument("--seed", type=int, default=0)
+        command.set_defaults(handler=handler)
     return parser
 
 
+PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
+    args = PARSER.parse_args(argv)
+    try:  # a command encodes every text it returns, so a refused report leaves no file behind
+        files, code, stdout, stderr = args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
+    sys.stdout.write(stdout)
+    sys.stderr.write(stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -342,7 +342,7 @@ def suite_maximal() -> list[Check]:
     return checks
 
 
-# suite name -> checks, in the order `run_all` runs them
+# suite name -> checks, in the order `fracmax verify --suite all` runs them
 SUITES = {
     "dimension": suite_dimension,
     "fraccalc": suite_fraccalc,
@@ -356,7 +356,3 @@ def run_suite(name: str, seed: int = 0) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
     return SuiteReport(name, seed, tuple(SUITES[name]()))
-
-
-def run_all(seed: int = 0) -> list[SuiteReport]:
-    return [run_suite(name, seed) for name in SUITES]

@@ -1,8 +1,9 @@
+import argparse
 import collections
 import copy
 import json
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fracmax.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, INPUT_ERRORS, DimConfig, main
+from fracmax.cli import DIM_METHODS, EXIT_FAILED, EXIT_INPUT, EXIT_OK, INPUT_ERRORS, DimConfig, main
 from fracmax.dilation_sets import GENERATORS, DilationSet, geometric_schedule
 from fracmax.maximal_lab import EXPERIMENTS, FUNCTIONS
 from fracmax.multipliers import _BAND_MEMO, FAMILIES
@@ -947,24 +948,76 @@ def test_probe_vanishing_trial_is_input_error(tmp_path, capsys):
     assert not (out / "experiment_report.json").exists()
 
 
+@dataclass(frozen=True)
+class _Estimate:
+    value: float
+
+
 @pytest.mark.parametrize(
-    "measured, message",
+    "command, measured, message",
     [
-        pytest.param(float("nan"), "error: report holds a non-finite number", id="nan"),
-        # a numpy scalar that is no Python float has no JSON form: one line, no traceback
-        pytest.param(np.float32(1.0), "error: report holds a non-JSON value", id="float32"),
+        pytest.param(command, measured, message, id=f"{command}-{name}".removeprefix("verify-"))
+        for command in ("verify", "dim", "experiment")
+        for name, measured, message in [
+            ("nan", float("nan"), "error: report holds a non-finite number"),
+            # a numpy scalar that is no Python float has no JSON form: one line, no traceback
+            ("float32", np.float32(1.0), "error: report holds a non-JSON value"),
+        ]
     ],
 )
-def test_non_finite_report_is_input_error(tmp_path, capsys, monkeypatch, measured, message):
-    from fracmax import verify
+def test_non_finite_report_is_input_error(tmp_path, capsys, monkeypatch, command, measured, message):
+    # each run makes its other files before the report is refused; none of them is written
+    from fracmax import maximal_lab, verify
 
     check = verify.Check("odd_leaf", True, measured, "true")
     monkeypatch.setattr(verify, "run_suite", lambda name, seed: verify.SuiteReport(name, seed, (check,)))
+    monkeypatch.setitem(DIM_METHODS, "minkowski", lambda config, block, counts: _Estimate(measured))
+    trials = ({"odd_leaf": measured}, [asdict(check)], {"trials.csv": "trial\n"})
+    monkeypatch.setattr(maximal_lab.Probe, "run", lambda self: trials)
+    argv = {
+        "verify": ["verify", "--suite", "fraccalc"],
+        "dim": ["dim", "--config", write(tmp_path, "dim.json", {"set": DIM_CONFIG["set"], "methods": ["minkowski"]})],
+        "experiment": ["experiment", "--config", write(tmp_path, "probe.json", PROBE_CONFIG)],
+    }[command]
     out = tmp_path / "o"
-    assert main(["verify", "--suite", "fraccalc", "--out", str(out)]) == EXIT_INPUT
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1, err
-    assert not (out / "verify_report.json").exists()
+    assert not [path for path in out.rglob("*") if path.is_file()]
+
+
+def test_main_builds_no_parser_per_call(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    missing = str(tmp_path / "missing.json")
+    for argv in (["dim", "--config", missing], ["verify", "--suite", "nope"], ["experiment", "--config", missing]):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert built == []
+
+
+# command -> its own option and that option's default (None: required)
+@pytest.mark.parametrize(
+    "command, option, default", [("dim", "config", None), ("verify", "suite", "all"), ("experiment", "config", None)]
+)
+def test_each_command_takes_its_option_with_out_and_seed(capsys, command, option, default):
+    from fracmax.cli import PARSER
+
+    given = [] if default else [f"--{option}", "c.json"]
+    if default is None:
+        with pytest.raises(SystemExit) as exc:
+            PARSER.parse_args([command])
+        assert exc.value.code == 2
+        assert f"the following arguments are required: --{option}" in capsys.readouterr().err
+    args = PARSER.parse_args([command, *given])
+    assert set(vars(args)) == {"command", option, "out", "seed", "handler"}
+    assert (args.command, getattr(args, option), args.out, args.seed) == (command, default or "c.json", "out", 0)
+    assert PARSER.parse_args([command, *given, "--seed", "7"]).seed == 7
 
 
 @pytest.mark.parametrize("command", ["dim", "verify", "experiment"])
