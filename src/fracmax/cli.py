@@ -257,9 +257,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out / name).write_text(text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
+    except OSError as exc:  # --out names a file, or a directory that cannot be made or written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     sys.stdout.write(stdout)
     sys.stderr.write(stderr)
     return code

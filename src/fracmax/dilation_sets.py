@@ -73,11 +73,9 @@ class PowerSequence:
         # gap(n) = n**-a - (n+1)**-a ~ a * n**-(1+a); find last n with gap >= floor
         n_star = max(1.0, (a / max(gap_floor, 1e-300)) ** (1.0 / (1.0 + a)))
         n_max = math.ceil(min(cap, n_star * 2))  # clamped first: n_star is inf for a huge a
-        n = np.arange(1, n_max + 1, dtype=float)
-        pts = self.sequence(n)
-        gaps = -np.diff(pts)  # decreasing sequence
-        big = np.nonzero(gaps >= gap_floor)[0]
-        last = int(big[-1]) + 2 if big.size else 1  # keep points 1..last
+        pts = self.sequence(np.arange(1, n_max + 1, dtype=float))
+        big = np.subtract(pts[:-1], pts[1:]) >= gap_floor  # the gaps at the floor; the sequence decreases
+        last = big.size + 1 - (int(np.argmax(big[::-1])) if big.any() else big.size)  # keep points 1..last
         pts = pts[:last][::-1].copy()  # ascending
         tail = TailInfo(anchor=1.0, edge=float(pts[0]), power=a, n_trunc=last)
         return pts, True, (tail,)

@@ -126,8 +126,8 @@ class GridFunction:
     def to_frequency(self) -> "GridFunction":
         if self.side == "frequency":
             return self
-        spec = self.dx * self._phase() * np.fft.fft(self.samples)
-        return replace(self, samples=spec, side="frequency")
+        spec = np.fft.fft(self.samples)
+        return replace(self, samples=np.multiply(self.dx * self._phase(), spec, out=spec), side="frequency")
 
     def to_space(self) -> "GridFunction":
         if self.side == "space":
@@ -207,7 +207,8 @@ def _band_norms(g: GridFunction, p: float, j_max: int) -> list[float]:
     for j >= 1, on its window 2**(j-1) < |xi| < 2**(j+1) (|xi| < 2 for j = 0) only: the weight vanishes elsewhere.
     At p = 2 its norm is the window's frequency-side Riemann sum (Plancherel); any other p transforms the piece.
     """
-    rho, signed = g.freq_radius(), g._phase() * g.to_frequency().samples  # as in filtered, once
+    spec = g.to_frequency().samples  # signed in place, unless these are g's own samples (g frequency-side)
+    rho, signed = g.freq_radius(), np.multiply(g._phase(), spec, out=None if spec is g.samples else spec)
     below, norms = np.zeros(g.n), []  # phi(|xi| / 2**(j-1)) on the windows still to come
     for j in range(j_max + 1):
         window = (rho < 2.0 ** (j + 1)) & (rho > (2.0 ** (j - 1) if j else -1.0))

@@ -270,6 +270,7 @@ def sigma2_norm(m: Multiplier, params: BesovParams, j_range: tuple[int, int]) ->
             on = weight != 0
             samples = np.zeros(n, dtype=complex)
             samples[on] = evaluate(m, 2.0**j * xi[on]) * weight[on]
+            del xi, weight, on  # the grid's arrays go before the band's transform
             same = (hashlib.sha256(samples).digest(), float(params.p), inner)  # equal samples, equal norms
             if same not in memo:  # an all-zero band has zero norms and needs no transform
                 zero = not samples.any()
@@ -346,6 +347,7 @@ def decay_profile(m: Multiplier, j_range: tuple[int, int], order: int) -> tuple[
 
 
 _PANEL_SIZE = 512
+MTILDE_CHUNK = 1 << 16  # (radius x node) values one quadrature chunk holds
 
 
 @lru_cache(maxsize=32)
@@ -404,7 +406,9 @@ def _mtilde_pointwise(m: Multiplier, alpha: float, rho: np.ndarray, coarsen: int
     """The quadrature at each distinct radius of rho, with a node count set by the radius alone.
 
     Each radius gets _adaptive_nodes at the top of its octave, 2**ceil(log2 rho),
-    divided by `coarsen`; the quadrature runs once per distinct count.
+    divided by `coarsen`.  The radii of one count run through the quadrature in
+    chunks of at most MTILDE_CHUNK (radius x node) values; each row is its own
+    sum, so the chunking moves no bit.
     """
     radii, inverse = np.unique(rho, return_inverse=True)
     mant, expo = np.frexp(radii)
@@ -412,8 +416,10 @@ def _mtilde_pointwise(m: Multiplier, alpha: float, rho: np.ndarray, coarsen: int
     counts = np.array([_adaptive_nodes(m, float(t)) // coarsen for t in tops], dtype=int)
     out = np.empty(radii.shape, dtype=complex)
     for n in np.unique(counts):
-        sel = counts == n
-        out[sel] = _mtilde_quadrature(m, alpha, radii[sel], int(n))
+        sel, step = np.flatnonzero(counts == n), max(MTILDE_CHUNK // int(n), 1)
+        for lo in range(0, sel.size, step):
+            rows = sel[lo : lo + step]
+            out[rows] = _mtilde_quadrature(m, alpha, radii[rows], int(n))
     return out[inverse]
 
 

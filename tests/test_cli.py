@@ -986,6 +986,22 @@ def test_non_finite_report_is_input_error(tmp_path, capsys, monkeypatch, command
     assert not [path for path in out.rglob("*") if path.is_file()]
 
 
+@pytest.mark.parametrize("command", ["verify", "dim", "experiment"])
+def test_out_naming_a_file_is_one_error_line(tmp_path, capsys, command):
+    # the report is made, then --out cannot be created: one error line and exit 1, no traceback
+    argv = {
+        "verify": ["verify", "--suite", "fraccalc"],
+        "dim": ["dim", "--config", write(tmp_path, "dim.json", {"set": DIM_CONFIG["set"], "methods": ["minkowski"]})],
+        "experiment": ["experiment", "--config", write(tmp_path, "probe.json", PROBE_CONFIG)],
+    }[command]
+    out = tmp_path / "taken"
+    out.write_text("kept")
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write output: ") and captured.err.count("\n") == 1, captured.err
+    assert captured.out == "" and out.read_text() == "kept"
+
+
 def test_main_builds_no_parser_per_call(tmp_path, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__

@@ -168,6 +168,38 @@ def test_power_sequence_with_a_huge_decay_is_the_points_one_and_two():
     assert pts.tolist() == [1.0, 2.0] and truncated and tail.n_trunc == 2
 
 
+def full_array_power_block(a, cap, gap_floor):
+    """Block 0 of PowerSequence(a) as built from the n array, the gaps array and the index array of the big gaps."""
+    n_star = max(1.0, (a / max(gap_floor, 1e-300)) ** (1.0 / (1.0 + a)))
+    n = np.arange(1, math.ceil(min(cap, n_star * 2)) + 1, dtype=float)
+    pts = PowerSequence(a).sequence(n)
+    gaps = -np.diff(pts)
+    big = np.nonzero(gaps >= gap_floor)[0]
+    last = int(big[-1]) + 2 if big.size else 1
+    return pts[:last][::-1].copy(), last
+
+
+@pytest.mark.parametrize("a", [0.05, 0.5, 1.0, 2.5, 1e300])
+@pytest.mark.parametrize("gap_floor", [1e-9, 1e-4, 0.9])  # 0.9 lies above the first gap unless a is huge
+@pytest.mark.parametrize("cap", [1, 2, 100, 1_000_000])
+def test_power_materialize_equals_the_full_array_construction(a, gap_floor, cap):
+    pts, truncated, (tail,) = PowerSequence(a).materialize(0, cap, gap_floor)
+    ref, last = full_array_power_block(a, cap, gap_floor)
+    assert pts.tobytes() == ref.tobytes() and truncated
+    assert tail == TailInfo(anchor=1.0, edge=float(ref[0]), power=a, n_trunc=last)
+
+
+def test_power_materialize_holds_at_most_three_point_arrays():
+    # the cap-bound a = 0.5 block builds 1e6 points; the n, gaps and index arrays took the peak to 4.3 of them
+    tracemalloc.start()
+    try:
+        PowerSequence(0.5).materialize(0, 1_000_000, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * 1_000_000
+
+
 def test_power_sequence_small_times_at_tiny_decays():
     # for a = 0.001 even the largest float n has its offset n**-a above t_max: no times
     assert PowerSequence(0.001).small_times(0.025, 0.35).size == 0

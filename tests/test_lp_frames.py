@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -323,6 +324,27 @@ def test_sigma2_constant_multiplier_diverges_with_flag():
     bands = [v for _, v in res.bands]
     assert res.stale  # dilation-invariant symbol: constant band norms, sum never settles
     assert np.std(bands) <= 0.02 * np.mean(bands)
+
+
+def test_sigma2_band_memory_is_bounded():
+    # LimitedDecay(1)'s band 12 takes a 2**18-point grid; with the grid's sampling arrays alive through the
+    # band's transform the peak was 11.5 grid-sized float arrays
+    n = 1 << 18
+    tracemalloc.start()
+    try:
+        res = sigma2_norm(LimitedDecay(1.0), BesovParams(2.0, 0.7), (12, 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.bands[0][1] > 0
+    assert peak <= 10 * 8 * n
+
+
+def test_to_frequency_keeps_the_bits_of_the_scaled_transform():
+    g = make_grid(FIVE_FUNCTIONS[1], n=4096)
+    spec = g.to_frequency()
+    assert spec.samples.tobytes() == (g.dx * g._phase() * np.fft.fft(g.samples)).tobytes()
+    assert spec.to_frequency() is spec
 
 
 def test_sigma2_evaluates_only_the_band_support():

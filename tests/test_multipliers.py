@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fracmax.multipliers import (
     scaled,
 )
 from fracmax.lp_frames import CUTOFF
-from fracmax.multipliers import _amplitude, _gauss_nodes, _leggauss, _live_power
+from fracmax.multipliers import MTILDE_CHUNK, _amplitude, _gauss_nodes, _leggauss, _live_power
 
 
 def brute_mtilde(m, alpha, rho, n=1_000_000):
@@ -206,6 +207,14 @@ def test_mtilde_against_brute_force_oracle():
         assert abs(mine[0] - oracle) <= 1e-5
 
 
+def test_verify_oracle_agreement_keeps_the_one_array_sum(verify_all_twice):
+    # verify's oracle fills its 400k terms a chunk at a time and sums them once, so it reads the one-array sum's bits
+    checks = {c["name"]: c for s in json.loads(verify_all_twice[0].report)["suites"] for c in s["checks"]}
+    mine, _ = mtilde_values(LimitedDecay(1.0), 0.4, np.array([8.0]))
+    one_array = abs(mine[0] - brute_mtilde(LimitedDecay(1.0), 0.4, 8.0, n=400_000))
+    assert checks["mtilde_oracle_agreement"]["measured"] == one_array
+
+
 def test_mtilde_plateau_ray_has_no_inner_contribution():
     # symbol constant on [rho/2, rho]: the r in [1/2, 1] piece vanishes, so
     # the transform equals the plain integral over [0, 1/2]
@@ -251,6 +260,7 @@ BUILTINS = [LimitedDecay(1.0), Oscillatory(0.5, 1.0), SlowDecay(1.0, 0.5), BandB
 )
 @example(m=LimitedDecay(1.0), alpha=0.45, xi=[3.0, 4000.0])
 @example(m=SlowDecay(1.0, 0.5), alpha=0.5, xi=[1e-200, 0.0])  # powers of tiny radii used to overflow into NaN
+@example(m=LimitedDecay(1.0), alpha=0.45, xi=[2049.0, -2050.5, 2052.0, 3000.0, 4096.0])  # 2**15 nodes: 2 radii a chunk
 def test_mtilde_is_pointwise(m, alpha, xi):
     # a value and its flag must not depend on which other points share the batch
     xi = np.array(xi)
@@ -260,6 +270,19 @@ def test_mtilde_is_pointwise(m, alpha, xi):
         alone, alone_flag = mtilde_values(m, alpha, xi[i : i + 1])
         assert vals[i] == alone[0] and flags[i] == alone_flag[0]
         assert wrapped[i] == evaluate(mtilde_multiplier(m, alpha), xi[i : i + 1])[0]
+
+
+def test_mtilde_memory_is_bounded_by_the_chunk():
+    # 64 radii of the top octave below 4096 take 2**15 nodes each; one batch of them held about 140 MB traced
+    rho = np.linspace(2049.0, 4096.0, 64)
+    tracemalloc.start()
+    try:
+        vals, _ = mtilde_values(LimitedDecay(1.0), 0.45, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(vals))
+    assert peak < 12 * 16 * MTILDE_CHUNK  # a few chunk-sized complex arrays, whatever the batch's size
 
 
 def test_mtilde_multiplier_matches_values():
