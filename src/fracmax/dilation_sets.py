@@ -257,9 +257,6 @@ class BlockSet:
             if np.any(np.diff(pts) <= 0):
                 raise ValueError("block points must be strictly ascending")
 
-    def __len__(self):
-        return int(self.points.size)
-
     @property
     def empty(self) -> bool:
         return self.points.size == 0

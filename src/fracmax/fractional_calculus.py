@@ -31,7 +31,11 @@ def _convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampledPath:
-    """A complex-valued path sampled on a strictly increasing grid in [0, T]."""
+    """A complex-valued path sampled on a uniform grid in [0, T].
+
+    The grid is uniform when every step equals the first to a relative 1e-9,
+    plus 8 ulps of the grid's end; any other grid is rejected.
+    """
 
     grid: np.ndarray
     values: np.ndarray
@@ -42,8 +46,11 @@ class SampledPath:
         values = np.asarray(self.values, dtype=complex)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must hold at least two nodes")
-        if grid[0] < 0 or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be nonnegative and strictly increasing")
+        h = np.diff(grid)
+        if grid[0] < 0 or np.any(h <= 0) or not np.isfinite(grid[-1]):  # an infinite end would widen the slack below
+            raise ValueError("grid must be finite, nonnegative and strictly increasing")
+        if not np.all(np.abs(h - h[0]) <= 1e-9 * h[0] + 8 * np.finfo(float).eps * abs(float(grid[-1]))):
+            raise ValueError("grid must be uniform")
         if values.shape != grid.shape:
             raise ValueError("one value per grid node required")
         if not np.all(np.isfinite(values.view(float))):
@@ -52,15 +59,6 @@ class SampledPath:
             raise ValueError("declared Hoelder exponent must lie in (0, 1]")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-
-    def __len__(self):
-        return int(self.grid.size)
-
-    def is_uniform(self) -> bool:
-        """Equal steps to a relative 1e-9, plus a few ulps of the grid's end."""
-        h = np.diff(self.grid)
-        slack = 1e-9 * h[0] + 8 * np.finfo(float).eps * abs(float(self.grid[-1]))
-        return bool(np.all(np.abs(h - h[0]) <= slack))
 
 
 def _order(alpha) -> float:
@@ -113,24 +111,8 @@ def _rl_uniform(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
     return out
 
 
-def _rl_matrix(grid: np.ndarray, alpha: float) -> np.ndarray:
-    n = grid.size
-    w = np.zeros((n, n))
-    for i in range(1, n):
-        t = grid[i]
-        x2 = t - grid[:i]  # distance to cell left ends
-        x1 = t - grid[1 : i + 1]  # distance to cell right ends
-        p = (x2**alpha - x1**alpha) / alpha
-        q = (x2 ** (alpha + 1) - x1 ** (alpha + 1)) / (alpha + 1)
-        lin = x2 * p - q  # moment of (s - t_k) against the kernel
-        slope_w = lin / np.diff(grid[: i + 1])
-        w[i, :i] += p - slope_w
-        w[i, 1 : i + 1] += slope_w
-    return w / math.gamma(alpha)
-
-
 def rl_integral(path: SampledPath, alpha) -> SampledPath:
-    """Riemann-Liouville integral I^alpha on the path's own grid.
+    """Riemann-Liouville integral I^alpha on the path's own (uniform, see SampledPath) grid.
 
     The path must be sampled from t = 0; the value at the first node is the
     integral's limit 0.
@@ -138,12 +120,7 @@ def rl_integral(path: SampledPath, alpha) -> SampledPath:
     a = _order(alpha)
     if path.grid[0] != 0.0:
         raise ValueError("grid must start at 0")
-    if path.is_uniform():
-        h = float(path.grid[1] - path.grid[0])
-        out = _rl_uniform(path.values, a, h)
-    else:
-        out = _rl_matrix(path.grid, a) @ path.values
-    return SampledPath(path.grid, out)
+    return SampledPath(path.grid, _rl_uniform(path.values, a, float(path.grid[1] - path.grid[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +186,7 @@ def marchaud_matrix(grid: np.ndarray, alpha: float, exponent: float = 1.0, rows=
 
 
 def marchaud_derivative(path: SampledPath, alpha) -> SampledPath:
-    """Marchaud-form fractional derivative on the interior nodes.
+    """Marchaud-form fractional derivative on the interior nodes of the path's uniform grid (see SampledPath).
 
     Requires alpha below the path's declared (or estimated) Hoelder exponent;
     the node t = 0 is excluded from the output.
@@ -222,12 +199,8 @@ def marchaud_derivative(path: SampledPath, alpha) -> SampledPath:
         raise ValueError(
             f"Hoelder order insufficient: alpha={a} >= exponent {exponent:.3f}"
         )
-    if path.is_uniform():
-        h = float(path.grid[1] - path.grid[0])
-        out = _marchaud_uniform(path.values, a, h, path.grid, exponent)
-    else:
-        out = marchaud_matrix(path.grid, a, exponent) @ path.values
-    return SampledPath(path.grid[1:], out)
+    h = float(path.grid[1] - path.grid[0])
+    return SampledPath(path.grid[1:], _marchaud_uniform(path.values, a, h, path.grid, exponent))
 
 
 def roundtrip_residual(path: SampledPath, alpha) -> float:

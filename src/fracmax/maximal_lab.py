@@ -121,13 +121,6 @@ def _batched_dilate(f: GridFunction, m: Multiplier, ts: np.ndarray) -> np.ndarra
     return out
 
 
-def apply_dilated_multiplier(f: GridFunction, m: Multiplier, t: float) -> GridFunction:
-    """T with the symbol rescaled by t: multiply the spectrum by m(t xi)."""
-    if t <= 0:
-        raise ValueError("dilation parameter must be positive")
-    return GridFunction(f.extent, _batched_dilate(f, m, np.array([t]))[0])
-
-
 def nested_sample(points: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Finite sample of a nonempty block, and each sampled point's depth label.
 

@@ -100,12 +100,6 @@ class Scaled:
 Multiplier = LimitedDecay | SlowDecay | Oscillatory | BandBump | Custom | Scaled
 
 
-def scaled(m: Multiplier, r: float) -> Multiplier:
-    if isinstance(m, Scaled):
-        return Scaled(m.base, m.r * r)
-    return Scaled(m, r)
-
-
 def _live_power(rho: np.ndarray, c: float, e: float) -> np.ndarray:
     """c * rho**e beyond rho = 1 and 0 elsewhere, where the power may overflow but is never read."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -322,7 +316,7 @@ def dilation_invariance_check(
     base = sigma2_norm(m, params, j_range).total
     worst = 0.0
     for r in r_list:
-        value = sigma2_norm(scaled(m, r), params, j_range).total
+        value = sigma2_norm(Scaled(m, r), params, j_range).total
         worst = max(worst, value / base if base > 0 else math.inf)
     return worst
 

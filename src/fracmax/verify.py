@@ -216,7 +216,7 @@ def suite_frames() -> list[Check]:
     checks.append(_at_most("sup_besov_embedding_16", worst, 16.0))
 
     base = mu.sigma2_norm(mu.LimitedDecay(1.0), lp.BesovParams(2.0, 0.5), (-2, 8)).total
-    moved = mu.sigma2_norm(mu.scaled(mu.LimitedDecay(1.0), 2.0), lp.BesovParams(2.0, 0.5), (-3, 7)).total
+    moved = mu.sigma2_norm(mu.Scaled(mu.LimitedDecay(1.0), 2.0), lp.BesovParams(2.0, 0.5), (-3, 7)).total
     checks.append(_at_most("dyadic_reindexing_exact", abs(moved - base) / base, 1e-12))
 
     worst = mu.dilation_invariance_check(mu.LimitedDecay(1.0), [2.0, 1.37, 0.73], lp.BesovParams(2.0, 0.5), (-2, 8))

@@ -5,9 +5,12 @@ import io
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from fracmax import cli
+from fracmax.lp_frames import GridFunction
+from fracmax.maximal_lab import _batched_dilate
 from fracmax.multipliers import _BAND_MEMO
 
 
@@ -38,3 +41,8 @@ def verify_all_twice(tmp_path_factory):
         closed = _BAND_MEMO.get() is None
         runs.append(VerifyRun(code, seconds, (out / "verify_report.json").read_bytes(), stdout.getvalue(), closed))
     return tuple(runs)
+
+
+def apply_dilated_multiplier(f, m, t):
+    """T_{m(t .)} f for one t > 0: the one-row dilation the batched maximal-function kernels are compared against."""
+    return GridFunction(f.extent, _batched_dilate(f, m, np.array([t]))[0])

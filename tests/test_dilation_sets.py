@@ -213,13 +213,13 @@ def test_power_sequence_small_times_at_tiny_decays():
 def test_materialization_cap_flags_truncation():
     E = DilationSet(PowerSequence(1.0), materialization_cap=100)
     block = rescaled_block(E, 0)
-    assert len(block) <= 100 and block.truncated
+    assert block.points.size <= 100 and block.truncated
 
 
 def test_capped_finite_block_keeps_an_even_subsample_with_both_ends():
     points = np.linspace(1.0, 2.0, 50)
     block = rescaled_block(DilationSet(ExplicitPoints(tuple(points)), materialization_cap=10), 0)
-    assert block.truncated and len(block) == 10
+    assert block.truncated and block.points.size == 10
     assert block.points[0] == 1.0 and block.points[-1] == 2.0
     assert block.points.tolist() == points[np.round(np.linspace(0, 49, 10)).astype(int)].tolist()
 

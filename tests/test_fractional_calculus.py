@@ -42,9 +42,29 @@ def test_fractional_order_bounds():
     assert np.all(np.isfinite(marchaud_derivative(path, 0.5).values))
 
 
+def test_sampled_path_takes_uniform_grids_only():
+    with pytest.raises(ValueError, match="grid must be uniform"):
+        SampledPath(2.0 * (np.arange(65.0) / 64) ** 2, np.zeros(65))
+    g = np.linspace(0.0, 2.0, 3001)  # steps that differ in their last bits are uniform
+    assert np.ptp(np.diff(g)) > 0 and np.array_equal(SampledPath(g, g).grid, g)
+    g = np.linspace(0.0, 2.0, 8193)  # verify's grid
+    assert np.array_equal(SampledPath(g, g).grid, g)
+    h = g[1]  # a node moved by 1e-9 of a step, give or take the ulps of the end, is the edge of the rule
+    for shift, uniform in ((0.5e-9 * h, True), (2e-9 * h, False)):
+        moved = g.copy()
+        moved[4096] += shift
+        if uniform:
+            SampledPath(moved, moved)
+        else:
+            with pytest.raises(ValueError, match="grid must be uniform"):
+                SampledPath(moved, moved)
+
+
 def test_sampled_path_validation():
     with pytest.raises(ValueError):
         SampledPath(np.array([0.0, 0.0, 1.0]), np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        SampledPath(np.array([0.0, 1.0, np.inf]), np.zeros(3))
     with pytest.raises(ValueError):
         SampledPath(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
@@ -82,10 +102,41 @@ def test_rl_integral_requires_origin():
         rl_integral(SampledPath(g, np.ones_like(g)), 0.5)
 
 
+def rl_matrix(grid, alpha):
+    """Dense weights W with (I^alpha F)(t_i) = (W @ F)[i] on any grid, cell by cell: the reference for rl_integral."""
+    n = grid.size
+    w = np.zeros((n, n))
+    for i in range(1, n):
+        t = grid[i]
+        x2 = t - grid[:i]  # distance to cell left ends
+        x1 = t - grid[1 : i + 1]  # distance to cell right ends
+        p = (x2**alpha - x1**alpha) / alpha
+        q = (x2 ** (alpha + 1) - x1 ** (alpha + 1)) / (alpha + 1)
+        lin = x2 * p - q  # moment of (s - t_k) against the kernel
+        slope_w = lin / np.diff(grid[: i + 1])
+        w[i, :i] += p - slope_w
+        w[i, 1 : i + 1] += slope_w
+    return w / math.gamma(alpha)
+
+
 def test_rl_integral_graded_grid_linear():
     g = 2.0 * (np.arange(1025.0) / 1024) ** 2  # nodes cluster toward the origin
-    out = rl_integral(SampledPath(g, g), 0.5)
-    np.testing.assert_allclose(out.values.real, g**1.5 / math.gamma(2.5), atol=1e-12)
+    out = rl_matrix(g, 0.5) @ g
+    np.testing.assert_allclose(out, g**1.5 / math.gamma(2.5), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, alpha",
+    [(1025, 0.25), (1025, 0.5), (1025, 0.75), (4097, 0.5)],
+    ids=["convolve-0.25", "convolve-0.5", "convolve-0.75", "fft-0.5"],
+)
+def test_rl_integral_matches_the_dense_quadrature(n, alpha):
+    # up to 4096 nodes the convolution kernel runs np.convolve, beyond it the FFT
+    g = np.linspace(0.0, 2.0, n)
+    f = np.sin(3 * g) + 1j * g**2
+    ref = rl_matrix(g, alpha) @ f
+    out = rl_integral(SampledPath(g, f), alpha)
+    assert np.max(np.abs(out.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # --- Marchaud derivative --------------------------------------------------------
@@ -109,10 +160,10 @@ def test_marchaud_power_laws(alpha, beta):
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_marchaud_graded_grid_linear(alpha):
-    g = 2.0 * (np.arange(65.0) / 64) ** 2  # not uniform: the derivative takes the matrix path
-    d = marchaud_derivative(SampledPath(g, g, hoelder_exponent=1.0), alpha)
-    exact = math.gamma(2.0) / math.gamma(2.0 - alpha) * d.grid ** (1.0 - alpha)
-    assert np.max(np.abs(d.values - exact)) <= 1e-14  # the quadrature is exact for linear data
+    g = 2.0 * (np.arange(65.0) / 64) ** 2  # not uniform: only marchaud_matrix takes it
+    d = marchaud_matrix(g, alpha, 1.0) @ g
+    exact = math.gamma(2.0) / math.gamma(2.0 - alpha) * g[1:] ** (1.0 - alpha)
+    assert np.max(np.abs(d - exact)) <= 1e-14  # the quadrature is exact for linear data
 
 
 def test_marchaud_linear_cross_checked_by_quadrature_oracle():
@@ -127,7 +178,7 @@ def test_marchaud_linear_cross_checked_by_quadrature_oracle():
 def test_marchaud_excludes_origin_node():
     g = np.linspace(0.0, 1.0, 129)
     d = marchaud_derivative(SampledPath(g, g), 0.5)
-    assert d.grid[0] == g[1] and len(d) == len(g) - 1
+    assert d.grid[0] == g[1] and d.grid.size == g.size - 1
 
 
 def test_marchaud_hoelder_precondition():

@@ -24,11 +24,11 @@ from fracmax.multipliers import (
     BandBump,
     Custom,
     LimitedDecay,
+    Scaled,
     SlowDecay,
     band_memo,
     dilation_invariance_check,
     evaluate,
-    scaled,
     sigma2_norm,
     sigma2_weighted_sobolev,
 )
@@ -389,19 +389,19 @@ def test_sigma2_flags_bands_beyond_the_besov_ladder():
 
 def test_sigma2_exact_dyadic_reindexing():
     base = sigma2_norm(LimitedDecay(1.0), BesovParams(2.0, 0.5), (-2, 8)).total
-    moved = sigma2_norm(scaled(LimitedDecay(1.0), 2.0), BesovParams(2.0, 0.5), (-3, 7)).total
+    moved = sigma2_norm(Scaled(LimitedDecay(1.0), 2.0), BesovParams(2.0, 0.5), (-3, 7)).total
     assert moved == pytest.approx(base, rel=1e-12)
 
 
 # --- band memo ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("m", [LimitedDecay(1.0), BandBump(), scaled(LimitedDecay(1.0), 2.0)], ids=repr)
+@pytest.mark.parametrize("m", [LimitedDecay(1.0), BandBump(), Scaled(LimitedDecay(1.0), 2.0)], ids=repr)
 def test_band_memo_gives_the_bits_of_a_fresh_call(m):
     calls = [(BesovParams(p, s), r) for p in (2.0, 2, math.inf) for r in ((-2, 10), (-2, 6)) for s in (0.5, 1.3)]
     calls.append((BesovParams(2.0, 0.5, j_max=4), (-2, 6)))
     fresh = [sigma2_norm(m, params, r) for params, r in calls]
-    (params, (lo, hi)), moved = calls[0], scaled(m, 2.0)
+    (params, (lo, hi)), moved = calls[0], Scaled(m, 2.0)
     fresh_moved = sigma2_norm(moved, params, (lo - 1, hi - 1))
     with band_memo():
         memoized = [sigma2_norm(m, params, r) for params, r in calls]
@@ -436,7 +436,7 @@ def test_band_memo_transforms_equal_samples_once_and_zero_bands_never(monkeypatc
     assert _band_norms(GridFunction(4.0, np.zeros(1024, dtype=complex)), 2.0, 5) == [0.0] * 6
     assert calls == {"fft": 1, "ifft": 0}  # p = 2 reads every piece off the spectrum
     # p = 2: one forward transform per sampled band, and no inverse one; bands below j = -1 sample zeros
-    fresh_moved = sigma2_norm(scaled(m, 2.0), params, (-3, 7))
+    fresh_moved = sigma2_norm(Scaled(m, 2.0), params, (-3, 7))
     assert [j for j, v in fresh_moved.bands if v == 0.0] == [-3, -2]
     assert calls == {"fft": 1 + 9, "ifft": 0}
     # any other p transforms each piece back: j_max + 1 inverse transforms per band
@@ -453,7 +453,7 @@ def test_band_memo_transforms_equal_samples_once_and_zero_bands_never(monkeypatc
         sigma2_norm(m, params, (-2, 8))  # bands -2 and -1 sample zeros
         before = dict(calls)
         assert before == {"fft": start["fft"] + 9, "ifft": start["ifft"]}
-        assert sigma2_norm(scaled(m, 2.0), params, (-3, 7)) == fresh_moved
+        assert sigma2_norm(Scaled(m, 2.0), params, (-3, 7)) == fresh_moved
         assert sigma2_norm(BandBump(), params, (3, 9)) == far
         assert calls == before  # memo hits and zero bands transform nothing
 

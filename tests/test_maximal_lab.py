@@ -34,7 +34,6 @@ from fracmax.maximal_lab import (
     RandomBand,
     _batched_dilate,
     _path_hoelder_ok,
-    apply_dilated_multiplier,
     build_function,
     build_h_weights,
     halfwave_convergence,
@@ -46,8 +45,10 @@ from fracmax.maximal_lab import (
     sampled_dilations,
     square_functional,
 )
-from fracmax.multipliers import BandBump, Custom, LimitedDecay, Oscillatory, SlowDecay, band_sup_norm, evaluate, scaled
+from fracmax.multipliers import BandBump, Custom, LimitedDecay, Oscillatory, Scaled, SlowDecay, band_sup_norm, evaluate
 from fracmax.wire import to_wire
+
+from conftest import apply_dilated_multiplier
 
 LAC = DilationSet(LacunaryGrid())
 POW_LAC = DilationSet(UnionSet((PowerSequence(1.0), LacunaryGrid())))
@@ -108,7 +109,7 @@ def full_spectrum_dilate(f, m, ts):
         Oscillatory(0.5, 0.7),
         BandBump(),
         Custom(lambda r: np.exp(0.3j * r) / (1.0 + r)),
-        scaled(LimitedDecay(0.7), 1.7),
+        Scaled(LimitedDecay(0.7), 1.7),
     ],
     ids=repr,
 )
@@ -116,11 +117,6 @@ def test_batched_dilate_matches_full_spectrum_evaluation(n, m):
     f = build_function(ModulatedBump(1.0, 1.5), n, 8.0)
     ts = np.array([0.05, 0.37, 1.0, 1.5, 2.0, 7.3, 40.0])
     assert np.array_equal(_batched_dilate(f, m, ts), full_spectrum_dilate(f, m, ts))
-
-
-def test_dilation_parameter_must_be_positive():
-    with pytest.raises(ValueError):
-        apply_dilated_multiplier(gaussian(), BandBump(), 0.0)
 
 
 # --- sampling -------------------------------------------------------------------
@@ -579,7 +575,7 @@ ALL_FAMILIES = [
     Oscillatory(0.5, 0.7),
     BandBump(),
     Custom(lambda r: np.exp(0.3j * r) / (1.0 + r)),
-    scaled(LimitedDecay(0.7), 1.7),
+    Scaled(LimitedDecay(0.7), 1.7),
 ]
 
 

@@ -22,7 +22,6 @@ from fracmax.multipliers import (
     mtilde_values,
     phase_cycles,
     radial_derivative,
-    scaled,
 )
 from fracmax.lp_frames import CUTOFF
 from fracmax.multipliers import MTILDE_CHUNK, _amplitude, _gauss_nodes, _leggauss, _live_power
@@ -108,8 +107,8 @@ def test_radial_derivative_matches_finite_difference():
     rho = np.linspace(0.55, 3.95, 69)
     families = (
         LimitedDecay(1.0), SlowDecay(1.0, 0.5), Oscillatory(0.5, 1.0), BandBump(),
-        scaled(LimitedDecay(1.0), 2.0), scaled(BandBump(), 0.7),
-        SlowDecay(0.3, 0.9), scaled(SlowDecay(1.0, 0.5), 1.37), Oscillatory(0.3, 0.7),
+        Scaled(LimitedDecay(1.0), 2.0), Scaled(BandBump(), 0.7),
+        SlowDecay(0.3, 0.9), Scaled(SlowDecay(1.0, 0.5), 1.37), Oscillatory(0.3, 0.7),
     )
     for m in families:
         h = 1e-6
@@ -150,17 +149,21 @@ def test_radial_derivative_matches_finite_difference():
 
 
 def test_scaled_has_value_equality_and_custom_has_identity():
-    assert scaled(LimitedDecay(1.0), 2.0) == scaled(LimitedDecay(1.0), 2.0)
-    assert hash(scaled(LimitedDecay(1.0), 2.0)) == hash(scaled(LimitedDecay(1.0), 2.0))
-    assert scaled(LimitedDecay(1.0), 2.0) != scaled(LimitedDecay(1.0), 3.0)
+    assert Scaled(LimitedDecay(1.0), 2.0) == Scaled(LimitedDecay(1.0), 2.0)
+    assert hash(Scaled(LimitedDecay(1.0), 2.0)) == hash(Scaled(LimitedDecay(1.0), 2.0))
+    assert Scaled(LimitedDecay(1.0), 2.0) != Scaled(LimitedDecay(1.0), 3.0)
     one = Custom(np.ones_like)
     assert one == one and Custom(np.ones_like) != Custom(np.ones_like)
-    assert scaled(Custom(np.ones_like), 2.0) != scaled(Custom(np.ones_like), 2.0)
+    assert Scaled(Custom(np.ones_like), 2.0) != Scaled(Custom(np.ones_like), 2.0)
 
 
 def test_scaled_multiplier_composition():
-    m = scaled(scaled(LimitedDecay(1.0), 2.0), 3.0)
-    assert isinstance(m, Scaled) and m.r == 6.0
+    # m(2 (3 rho)) is m(6 rho): scaling by 2 is exact, so the nested form keeps the bits at every order
+    m = Scaled(Scaled(LimitedDecay(1.0), 2.0), 3.0)
+    rho = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 301)])
+    for order in range(3):
+        got, ref = radial_derivative(m, rho, order), radial_derivative(Scaled(LimitedDecay(1.0), 6.0), rho, order)
+        assert got.tobytes() == ref.tobytes(), order
     np.testing.assert_allclose(
         evaluate(m, np.array([2.0])), evaluate(LimitedDecay(1.0), np.array([12.0]))
     )
