@@ -273,7 +273,8 @@ def _dedup_sorted(points: np.ndarray) -> np.ndarray:
 
 
 def _finite_block(points: np.ndarray, j: int, cap: int):
-    scaled = points * 2.0 ** (-j)
+    with np.errstate(over="ignore"):  # a point scaled past the largest float is inf, beyond the block
+        scaled = np.ldexp(points, -j)
     sel = scaled[(scaled >= 1.0 - 1e-12) & (scaled <= 2.0 + 1e-12)]
     sel = _dedup_sorted(np.clip(sel, 1.0, 2.0))
     truncated = False

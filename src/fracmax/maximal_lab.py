@@ -330,6 +330,8 @@ class MaximalExperiment(GridExperiment):
         if self.depth < 0:
             raise ValueError(f"sampling depth must be nonnegative, got {self.depth}")
         block_range(self.j_range)
+        if max(map(abs, self.j_range)) > 1022:  # each dilation 2**j t, t in [1, 2], is then a positive normal float
+            raise ValueError(f"config.j_range: dilations 2**j need |j| <= 1022, got {list(self.j_range)}")
 
     def bound_batch(self, depth: int, s_fill: int, fields: str):
         """Reject a run whose dilated rows x pixels may pass MAX_BATCH values, an upper bound on what it dilates:

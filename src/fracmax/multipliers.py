@@ -4,7 +4,9 @@ All built-in families are radial-phase times radial-amplitude and vanish on
 the ball of radius 1/2 (the amplitude carries the complementary low-pass
 factor), so every dyadic band restriction is exactly zero for j <= -1.
 Evaluation is radial: pass |xi| (or any real array; the absolute value is
-taken).
+taken).  Each family's class owns its closed form, `radial(rho, order)`, the
+radial derivative of order 0..2 at radii rho >= 0, and its phase, `turns =
+(c, w, r)`: (r rho)**w / c turns at radius rho, where r = 0 means no phase.
 """
 
 from __future__ import annotations
@@ -41,10 +43,14 @@ class LimitedDecay:
     """
 
     a: float = wire(number)
+    turns = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if self.a <= 0:
             raise ValueError("decay rate must be positive")
+
+    def radial(self, rho, order):
+        return _phase_exp(rho, 2.0 * np.pi, 1.0, self.a, order)
 
 
 @FAMILIES.register("slow_decay")
@@ -54,10 +60,17 @@ class SlowDecay:
 
     beta: float = wire(number)
     delta: float = wire(number)
+    turns = property(lambda self: (2.0 * np.pi, 1.0 - self.delta, 1.0))
 
     def __post_init__(self):
         if self.beta <= 0 or not 0 < self.delta < 1:
             raise ValueError("need beta > 0 and delta in (0, 1)")
+
+    def radial(self, rho, order):
+        # the real part of the shared ladder at phase rate 1; the cosine is that real part, at half the cost
+        if order == 0:
+            return _amplitude(rho, self.beta, 0)[0] * np.cos(np.where(rho > 0, rho, 0.0) ** (1.0 - self.delta))
+        return _phase_exp(rho, 1.0, 1.0 - self.delta, self.beta, order).real
 
 
 @FAMILIES.register("oscillatory")
@@ -67,10 +80,14 @@ class Oscillatory:
 
     alpha: float = wire(number)
     beta: float = wire(number)
+    turns = property(lambda self: (1.0, self.alpha, 1.0))
 
     def __post_init__(self):
         if not 0 < self.alpha < 1 or self.beta <= 0:
             raise ValueError("need alpha in (0, 1) and beta > 0")
+
+    def radial(self, rho, order):
+        return _phase_exp(rho, 2.0 * np.pi, self.alpha, self.beta, order)
 
 
 @FAMILIES.register("band_bump")
@@ -78,11 +95,25 @@ class Oscillatory:
 class BandBump:
     """The annular bump itself."""
 
+    turns = (1.0, 1.0, 0.0)
+
+    def radial(self, rho, order):
+        return CUTOFF.psi(rho, order).astype(complex)
+
 
 @dataclass(frozen=True, eq=False)
 class Custom:
     evaluator: Callable[[np.ndarray], np.ndarray]
     oscillation: float = 0.0  # local phase frequency hint, cycles per unit radius
+    turns = property(lambda self: (1.0, 1.0, self.oscillation))
+
+    def radial(self, rho, order):
+        if order == 0:
+            return np.asarray(self.evaluator(rho), dtype=complex)
+        h = np.maximum(_FD_REL_STEP * np.maximum(rho, 1e-3), 1e-9)
+        if order == 1:
+            return (evaluate(self, rho + h) - evaluate(self, rho - h)) / (2.0 * h)
+        return (evaluate(self, rho + h) - 2.0 * evaluate(self, rho) + evaluate(self, rho - h)) / h**2
 
 
 @dataclass(frozen=True)
@@ -91,10 +122,14 @@ class Scaled:
 
     base: "Multiplier"
     r: float
+    turns = property(lambda self: (*self.base.turns[:2], self.r * self.base.turns[2]))
 
     def __post_init__(self):
         if self.r <= 0:
             raise ValueError("scale must be positive")
+
+    def radial(self, rho, order):
+        return self.r**order * radial_derivative(self.base, self.r * rho, order)
 
 
 Multiplier = LimitedDecay | SlowDecay | Oscillatory | BandBump | Custom | Scaled
@@ -139,31 +174,11 @@ def _phase_exp(rho: np.ndarray, k: float, alpha: float, beta: float, order: int)
 
 
 def radial_derivative(m: Multiplier, rho, order: int = 0) -> np.ndarray:
-    """d^k/drho^k of the radial profile, closed form where the family has one."""
+    """d^k/drho^k of the radial profile by the family's own `radial`; every multiplier value passes here."""
     rho = np.asarray(rho, dtype=float)
     if order < 0 or order > 2:
         raise ValueError("derivative orders 0..2 supported")
-    if isinstance(m, LimitedDecay):
-        return _phase_exp(rho, 2.0 * np.pi, 1.0, m.a, order)
-    if isinstance(m, Oscillatory):
-        return _phase_exp(rho, 2.0 * np.pi, m.alpha, m.beta, order)
-    if isinstance(m, SlowDecay):
-        # the real part of the shared ladder at phase rate 1; the cosine is that real part, at half the cost
-        if order == 0:
-            return _amplitude(rho, m.beta, 0)[0] * np.cos(np.where(rho > 0, rho, 0.0) ** (1.0 - m.delta))
-        return _phase_exp(rho, 1.0, 1.0 - m.delta, m.beta, order).real
-    if isinstance(m, BandBump):
-        return CUTOFF.psi(rho, order).astype(complex)
-    if isinstance(m, Scaled):
-        return m.r**order * radial_derivative(m.base, m.r * rho, order)
-    if isinstance(m, Custom):
-        if order == 0:
-            return np.asarray(m.evaluator(rho), dtype=complex)
-        h = np.maximum(_FD_REL_STEP * np.maximum(rho, 1e-3), 1e-9)
-        if order == 1:
-            return (evaluate(m, rho + h) - evaluate(m, rho - h)) / (2.0 * h)
-        return (evaluate(m, rho + h) - 2.0 * evaluate(m, rho) + evaluate(m, rho - h)) / h**2
-    raise TypeError(f"unknown multiplier {type(m).__name__}")
+    return m.radial(rho, order)
 
 
 def evaluate(m: Multiplier, xi) -> np.ndarray:
@@ -172,25 +187,9 @@ def evaluate(m: Multiplier, xi) -> np.ndarray:
     return radial_derivative(m, rho, 0)
 
 
-def _turns(m: Multiplier) -> tuple[float, float, float]:
-    """The family's phase as (r rho)**w / c turns at radius rho, as (c, w, r); r = 0 means no phase."""
-    if isinstance(m, Scaled):
-        c, w, r = _turns(m.base)
-        return c, w, m.r * r
-    if isinstance(m, LimitedDecay):
-        return 1.0, 1.0, 1.0
-    if isinstance(m, Oscillatory):
-        return 1.0, m.alpha, 1.0
-    if isinstance(m, SlowDecay):
-        return 2.0 * np.pi, 1.0 - m.delta, 1.0
-    if isinstance(m, Custom):
-        return 1.0, 1.0, m.oscillation
-    return 1.0, 1.0, 0.0
-
-
 def phase_frequency(m: Multiplier, rho: np.ndarray) -> np.ndarray:
     """Local oscillation rate (cycles per unit radius) of the family's phase."""
-    c, w, r = _turns(m)
+    c, w, r = m.turns
     rho = np.asarray(rho, dtype=float)
     with np.errstate(divide="ignore"):
         return np.where(rho > 0, r * (w * (r * rho) ** (w - 1.0) / c), 0.0)
@@ -204,7 +203,7 @@ def band_oscillation(m: Multiplier, j: int) -> float:
 
 def phase_cycles(m: Multiplier, rho: float) -> float:
     """Total phase turns of the family's oscillation from radius 0 to rho."""
-    c, w, r = _turns(m)
+    c, w, r = m.turns
     return (r * rho) ** w / c if rho > 0 else 0.0
 
 

@@ -3,9 +3,9 @@
 A field is declared once, on the dataclass: `a: float = wire(number)` reads key
 `a` through `number`, and `n: int = wire(integer, "grid.n", default=1024)` reads
 the dotted path `grid.n` (key `n` of the object `grid`), or 1024 if absent.
-`from_wire(cls, payload)` and `to_wire(obj)` convert; a `Registry` adds a tag
-naming the class (`{"family": "band_bump"}`).  An unknown tag raises ValueError,
-a missing field KeyError, and extra keys are ignored.  A coercion error names
+`from_wire(cls, payload)` and `to_wire(obj)` convert; a `Registry` adds a tag naming the
+class (`{"family": "band_bump"}`) and reads only a JSON object.  An unknown tag raises
+ValueError, a missing field KeyError, and extra keys are ignored.  A coercion error names
 its field, nested fields outermost first (`members: a: expected a number, got '1.0'`).
 """
 
@@ -135,12 +135,13 @@ class Registry:
         return {self.tag: name, **to_wire(obj)}
 
     def from_json(self, payload: dict):
-        spec = dict(payload)
+        if not isinstance(payload, dict):  # a list of pairs or a string is not an object
+            raise TypeError(f"expected an object, got {type(payload).__name__}")
         try:
-            cls = self._by_name[spec.get(self.tag)]
+            cls = self._by_name[payload.get(self.tag)]
         except (KeyError, TypeError):
-            raise ValueError(f"unknown {self.noun} {spec.get(self.tag)!r}") from None
-        return from_wire(cls, spec)
+            raise ValueError(f"unknown {self.noun} {payload.get(self.tag)!r}") from None
+        return from_wire(cls, payload)
 
 
 # the registry and wire name of every registered class, so that a field may hold a class of another registry

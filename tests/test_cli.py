@@ -246,6 +246,22 @@ def test_power_sequence_with_a_huge_decay_runs_dim_and_domination(tmp_path, caps
     assert capsys.readouterr().err == ""
 
 
+ONE_POINT = {"generator": {"kind": "explicit", "points": [1.5]}}
+
+
+def test_dim_at_the_extreme_block_indices_runs(tmp_path, capsys):
+    # scaling block -1100 by 2.0 ** 1100 overflowed: a traceback over j_range, a line naming no field for j
+    kappas = []
+    for j_range in ([-1100, 0], [-2, 0]):
+        config, out = write(tmp_path, "dim.json", {"set": ONE_POINT, "j_range": j_range}), tmp_path / str(j_range[0])
+        assert main(["dim", "--config", config, "--out", str(out)]) == EXIT_OK
+        kappas.append(json.loads((out / "dim_report.json").read_text())["results"]["kappa"])
+    assert kappas[0] == kappas[1]
+    config = write(tmp_path, "dim.json", {"set": ONE_POINT, "j": -1100})
+    assert main(["dim", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: block -1100 of the set is empty\n"
+
+
 @pytest.mark.parametrize("a", [0.001, 0.003])
 def test_halfwave_at_a_tiny_decay_has_too_few_times(tmp_path, capsys, a):
     # t**(-1/a) overflowed; now the set gives no time (a = 0.001) or one repeated time (a = 0.003) in the window
@@ -702,6 +718,35 @@ def _dim_set(generator):
             for kind in ("domination", "halfwave")
             for band in (1023, 2000)
         ),
+        # 2.0 ** j overflowed for j >= 1024, and the scaling of block j for j <= -1024: each ended in a traceback
+        *(
+            pytest.param(
+                "experiment",
+                _experiment(kind, set={"generator": generator}, j_range=j_range, depth=1, grid={"n": 64}),
+                "bad experiment config: config.j_range: dilations 2**j need |j| <= 1022",
+                id=f"{kind}_{generator['kind']}_j_{j_range[0]}_{j_range[1]}",
+            )
+            for kind, generator, j_range in (
+                ("probe", ONE_POINT["generator"], [-1100, 0]),
+                ("probe", {"kind": "lacunary"}, [1020, 1030]),
+                ("domination", {"kind": "lacunary"}, [1020, 1030]),
+            )
+        ),
+        # a registry read a JSON list of [key, value] pairs as an object, so the pairs ran as what they named
+        pytest.param("dim", _dim_set([["kind", "lacunary"]]), "set: expected an object, got list", id="generator_pairs"),
+        pytest.param("dim", _dim_set("lacunary"), "set: expected an object, got str", id="generator_string"),
+        pytest.param(
+            "dim",
+            _dim_set({"kind": "union", "members": [{"kind": "lacunary"}, [["kind", "lacunary"]]]}),
+            "set: members: expected an object, got list",
+            id="union_member_pairs",
+        ),
+        pytest.param(
+            "experiment",
+            _experiment("domination", multiplier=[["family", "band_bump"]]),
+            "config.multiplier: expected an object, got list",
+            id="multiplier_pairs",
+        ),
     ],
 )
 def test_config_error_exits_one(tmp_path, capsys, command, payload, named):
@@ -711,6 +756,7 @@ def test_config_error_exits_one(tmp_path, capsys, command, payload, named):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     # `named` is the field the message must name, where it names one
     assert named is None or named in err, err
+    assert not (tmp_path / "o").exists()
 
 
 FUZZ_DIM_CONFIG = {

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fracmax.multipliers import (
     BandBump,
     Custom,
     LimitedDecay,
+    Multiplier,
     Oscillatory,
     Scaled,
     SlowDecay,
@@ -21,6 +23,7 @@ from fracmax.multipliers import (
     mtilde_multiplier,
     mtilde_values,
     phase_cycles,
+    phase_frequency,
     radial_derivative,
 )
 from fracmax.lp_frames import CUTOFF
@@ -323,6 +326,46 @@ def test_phase_cycles_and_band_oscillation():
     assert phase_cycles(Oscillatory(0.5, 1.0), 64.0) == pytest.approx(8.0)
     assert band_oscillation(LimitedDecay(1.0), 5) == pytest.approx(32.0)
     assert band_oscillation(BandBump(), 5) == 0.0
+
+
+# each family's declared phase (its `turns`) against the phase its symbol has, on radii where 1 - phi = 1;
+# the steps stay far below half a turn of every case
+PHASE_RHO = np.linspace(2.0, 64.0, 20001)
+ROTATING = [
+    LimitedDecay(1.0),
+    Oscillatory(0.5, 1.0),
+    Oscillatory(0.25, 0.5),
+    Scaled(LimitedDecay(1.0), 3.0),
+    Scaled(Oscillatory(0.5, 1.0), 3.0),
+]
+CROSSING = [SlowDecay(1.0, 0.1), SlowDecay(0.5, 0.5), Scaled(SlowDecay(1.0, 0.1), 3.0)]
+
+
+def test_every_family_has_a_phase_case():
+    # Custom's phase is the caller's hint, not a property of a closed form
+    cases = ROTATING + CROSSING + [BandBump()]
+    assert {type(m) for m in cases} | {Custom} == set(get_args(Multiplier))
+
+
+@pytest.mark.parametrize("m", ROTATING, ids=repr)
+def test_a_complex_symbol_turns_with_its_declared_phase(m):
+    cycles = np.array([phase_cycles(m, rho) for rho in PHASE_RHO])
+    offset = np.unwrap(np.angle(evaluate(m, PHASE_RHO))) - 2.0 * np.pi * cycles
+    assert np.ptp(offset) < 1e-9
+
+
+@pytest.mark.parametrize("m", CROSSING, ids=repr)
+def test_a_real_symbol_changes_sign_twice_per_declared_cycle(m):
+    vals = evaluate(m, PHASE_RHO)
+    assert not np.any(vals.imag) and np.all(vals != 0)
+    crossings = np.count_nonzero(np.diff(np.sign(vals.real)))
+    assert abs(crossings - 2.0 * (phase_cycles(m, 64.0) - phase_cycles(m, 2.0))) <= 1
+
+
+def test_band_bump_is_real_with_no_phase():
+    rho = np.concatenate([np.linspace(0.25, 2.0, 1001), PHASE_RHO])  # its support, then the common radii
+    assert not np.any(evaluate(BandBump(), rho).imag) and np.any(evaluate(BandBump(), rho).real)
+    assert phase_cycles(BandBump(), 64.0) == 0.0 and not np.any(phase_frequency(BandBump(), rho))
 
 
 # --- embedding check ---------------------------------------------------------------

@@ -4,9 +4,12 @@ Loads `benchmarks/workloads.py` of the checkout, and runs every op of
 `workloads.pool(W)` through that checkout's `fracmax.cli.main`, one after the
 other in this process, each with its own `--out` directory inside a temporary
 directory that is removed afterwards.  Nothing is written under the checkout.
+For `verify` the ops are its suites, `verify --suite NAME` at seed 7, so a
+moved byte names the suite that moved it.
 
     python tools/pool_digests.py --workload experiments                 # this checkout
     python tools/pool_digests.py --workload dimension --root OTHER      # another checkout, e.g. the parent commit
+    python tools/pool_digests.py --workload verify --root OTHER
 
 Per op, keyed by its index in the pool and its name, the JSON holds the exit
 code, the SHA-256 of its stderr and the SHA-256 of every file it wrote.  Two
@@ -42,7 +45,7 @@ def digests(root: Path, workload: str) -> dict[str, dict]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=["experiments", "dimension"])
+    parser.add_argument("--workload", required=True, choices=["verify", "experiments", "dimension"])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent, help="checkout to run")
     args = parser.parse_args()
     print(json.dumps(digests(args.root.resolve(), args.workload), indent=2, sort_keys=True))
