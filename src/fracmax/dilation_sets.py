@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .wire import Registry, integer, number, read_field, tuple_of, wire
+from .wire import Registry, from_wire, integer, number, tuple_of, wire
 
 DEDUP_TOL = 1e-15
 DEFAULT_GAP_FLOOR = 1e-9
@@ -213,9 +213,7 @@ class DilationSet:
         if not 2 <= self.materialization_cap <= DEFAULT_CAP:
             raise ValueError(f"materialization cap must lie in 2..{DEFAULT_CAP}, got {self.materialization_cap}")
 
-    @staticmethod
-    def from_json(payload: dict) -> "DilationSet":
-        return DilationSet(GENERATORS.from_json(payload["generator"]), read_field(payload, "cap", integer, DEFAULT_CAP))
+    from_json = classmethod(from_wire)
 
 
 # ---------------------------------------------------------------------------

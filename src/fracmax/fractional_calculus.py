@@ -29,6 +29,13 @@ def _convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(values, size) * np.fft.fft(kernel, size))[:n]
 
 
+def _cell_sums(values: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Entry i sums left[m] F_{i-m} + right[m] F_{i-m+1} over the cells m = 1..i of [0, t_i]; left[0] must be 0."""
+    shifted = np.append(right[1:], 0.0)  # shift: coefficient of F_{i-k} with k = m-1
+    # the shifted kernel drags in an out-of-range cell (k = -1) at each node
+    return _convolve(values, left) + _convolve(values, shifted) - shifted * values[0]
+
+
 @dataclass(frozen=True, eq=False)
 class SampledPath:
     """A complex-valued path sampled on a uniform grid in [0, T].
@@ -61,9 +68,12 @@ class SampledPath:
         object.__setattr__(self, "values", values)
 
 
-def _order(alpha) -> float:
+def _order(alpha, path: SampledPath) -> float:
+    """alpha as a float, once it lies in (0, 1) and the path is sampled from t = 0."""
     if not 0 < alpha < 1:
         raise ValueError(f"order must lie in (0, 1), got {alpha}")
+    if path.grid[0] != 0.0:
+        raise ValueError("grid must start at 0")
     return float(alpha)
 
 
@@ -101,12 +111,7 @@ def _rl_uniform(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
     u = qm - (m - 1) * pm  # coefficient of F_{n-m}, m >= 1
     v = m * pm - qm  # coefficient of F_{n-m+1}, m >= 1
     u[0] = 0.0
-    kernel_v = np.zeros(n)
-    kernel_v[: n - 1] = v[1:]  # shift: coefficient of F_{n-k} with k = m-1
-    conv = _convolve(values, u) + _convolve(values, kernel_v)
-    # the shifted kernel drags in an out-of-range cell (k = -1) at each node
-    conv -= kernel_v * values[0]
-    out = h**alpha / math.gamma(alpha) * conv
+    out = h**alpha / math.gamma(alpha) * _cell_sums(values, u, v)
     out[0] = 0.0
     return out
 
@@ -117,9 +122,7 @@ def rl_integral(path: SampledPath, alpha) -> SampledPath:
     The path must be sampled from t = 0; the value at the first node is the
     integral's limit 0.
     """
-    a = _order(alpha)
-    if path.grid[0] != 0.0:
-        raise ValueError("grid must start at 0")
+    a = _order(alpha, path)
     return SampledPath(path.grid, _rl_uniform(path.values, a, float(path.grid[1] - path.grid[0])))
 
 
@@ -137,17 +140,12 @@ def _marchaud_uniform(values, alpha, h, grid, exponent):
         pm[2:] = ((mm - 1) ** -alpha - mm**-alpha) / alpha
         rm[2:] = (mm ** (1 - alpha) - (mm - 1) ** (1 - alpha)) / (1 - alpha)
     am = (m - 1) * pm - rm  # coefficient of F_{i-m}, m >= 2
-    bm = rm - m * pm  # coefficient of F_{i-m+1}, m >= 2
-    kernel_b = np.zeros(n)
-    kernel_b[1 : n - 1] = bm[2:]  # k = m-1 >= 1
-    conv = _convolve(values, am) + _convolve(values, kernel_b)
-    # the shifted kernel drags in an out-of-range cell (k = -1) at each node
-    conv -= kernel_b * values[0]
+    bm = rm - m * pm  # coefficient of F_{i-m+1}, m >= 2; bm[1] is exactly 0
     i = np.arange(1, n, dtype=float)
     sum_p = (1.0 - i**-alpha) / alpha  # telescoped sum of P_m, m = 2..i
     integral = h**-alpha * (
         values[1:] * sum_p
-        + conv[1:]
+        + _cell_sums(values, am, bm)[1:]
         + (values[1:] - values[:-1]) / (exponent - alpha)
     )
     point = values[1:] * grid[1:] ** -alpha
@@ -191,9 +189,7 @@ def marchaud_derivative(path: SampledPath, alpha) -> SampledPath:
     Requires alpha below the path's declared (or estimated) Hoelder exponent;
     the node t = 0 is excluded from the output.
     """
-    a = _order(alpha)
-    if path.grid[0] != 0.0:
-        raise ValueError("grid must start at 0")
+    a = _order(alpha, path)
     exponent = path.hoelder_exponent if path.hoelder_exponent is not None else estimate_hoelder(path)
     if a >= exponent:
         raise ValueError(
@@ -205,11 +201,10 @@ def marchaud_derivative(path: SampledPath, alpha) -> SampledPath:
 
 def roundtrip_residual(path: SampledPath, alpha) -> float:
     """Normalized sup distance between F and I^alpha D^alpha F on interior nodes."""
-    a = _order(alpha)
-    deriv = marchaud_derivative(path, a)
+    deriv = marchaud_derivative(path, alpha)
     # the derivative is extended by its t -> 0 limit (0 for paths with F(0)=0)
     integrand = SampledPath(path.grid, np.concatenate([[0.0], deriv.values]))
-    recon = rl_integral(integrand, a)
+    recon = rl_integral(integrand, alpha)
     err = np.max(np.abs(path.values[1:] - recon.values[1:]))
     return float(err / (1.0 + np.max(np.abs(path.values))))
 
@@ -218,39 +213,23 @@ def rescaled_derivative_check(
     f: Callable[[np.ndarray], np.ndarray],
     j: int,
     alpha,
-    s_grid: np.ndarray,
+    nodes: int,
     n_grid: int = 4096,
 ) -> float:
-    """Max discrepancy between 2**(j*alpha) (D^alpha F)(2**j s) and D^alpha F_j(s).
+    """Max discrepancy between 2**(j*alpha) (D^alpha F)(2**j s) and D^alpha F_j(s) at s = 1 + i / (nodes - 1).
 
     The two sides are computed on grids of deliberately different resolution,
     so the discrepancy measures quadrature error, not a shared-grid identity.
     """
-    a = _order(alpha)
-    s = np.asarray(s_grid, dtype=float)
-    m = s.size
-    if m < 2 or abs(s[0] - 1.0) > 1e-12 or abs(s[-1] - 2.0) > 1e-12:
-        raise ValueError("s_grid must span [1, 2]")
-    step = np.diff(s)
-    if np.any(np.abs(step - step[0]) > 1e-9 * step[0]):
-        raise ValueError("s_grid must be uniform")
+    if nodes < 2:
+        raise ValueError(f"need at least 2 nodes in [1, 2], got {nodes}")
 
-    # side 1: derivative of F on [0, 2**(j+1)], nodes aligned with 2**j * s
-    p = max(1, round(n_grid / (2 * (m - 1))))
-    n_t = 2 * (m - 1) * p
-    t_grid = np.linspace(0.0, 2.0 ** (j + 1), n_t + 1)
-    path_t = SampledPath(t_grid, f(t_grid))
-    d_t = marchaud_derivative(path_t, a)
-    idx_t = (m - 1) * p + np.arange(m) * p - 1  # positions in the interior grid
-    lhs = 2.0 ** (j * a) * d_t.values[idx_t]
+    def at_s(g, span, k):  # D^alpha g on 2 (nodes - 1) k cells of [0, span], at the nodes span * s / 2
+        grid = np.linspace(0.0, span, 2 * (nodes - 1) * k + 1)
+        values = marchaud_derivative(SampledPath(grid, g(grid)), alpha).values
+        return values[(nodes - 1) * k + np.arange(nodes) * k - 1]  # positions in the interior grid
 
-    # side 2: derivative of the rescaled path F(2**j *) on [0, 2]
-    q = round(1.5 * p) + 1
-    n_s = 2 * (m - 1) * q
-    sigma_grid = np.linspace(0.0, 2.0, n_s + 1)
-    path_s = SampledPath(sigma_grid, f(2.0**j * sigma_grid))
-    d_s = marchaud_derivative(path_s, a)
-    idx_s = (m - 1) * q + np.arange(m) * q - 1
-    rhs = d_s.values[idx_s]
-
+    p = max(1, round(n_grid / (2 * (nodes - 1))))
+    lhs = 2.0 ** (j * alpha) * at_s(f, 2.0 ** (j + 1), p)  # F on [0, 2**(j+1)], nodes aligned with 2**j * s
+    rhs = at_s(lambda sigma: f(2.0**j * sigma), 2.0, round(1.5 * p) + 1)  # the rescaled path F(2**j *) on [0, 2]
     return float(np.max(np.abs(lhs - rhs)))

@@ -330,8 +330,11 @@ class MaximalExperiment(GridExperiment):
         if self.depth < 0:
             raise ValueError(f"sampling depth must be nonnegative, got {self.depth}")
         block_range(self.j_range)
-        if max(map(abs, self.j_range)) > 1022:  # each dilation 2**j t, t in [1, 2], is then a positive normal float
-            raise ValueError(f"config.j_range: dilations 2**j need |j| <= 1022, got {list(self.j_range)}")
+        # each dilation t = 2**j s, s in [1, 2], is a positive normal float, and so is the largest phase the run forms,
+        # 2 pi t |xi| with t <= 2**(hi + 1): |xi| <= n / (4 extent) on the grid, and |xi| <= 2 in band_sup_norm
+        lo, hi = self.j_range
+        if lo < -1022 or hi + 1 + math.log2(2.0 * math.pi * max(self.n / (4.0 * self.extent), 2.0)) >= 1024:
+            raise ValueError(f"config.j_range: 2**j needs j >= -1022 and finite phases on this grid, got {[lo, hi]}")
 
     def bound_batch(self, depth: int, s_fill: int, fields: str):
         """Reject a run whose dilated rows x pixels may pass MAX_BATCH values, an upper bound on what it dilates:

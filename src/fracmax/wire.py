@@ -3,8 +3,8 @@
 A field is declared once, on the dataclass: `a: float = wire(number)` reads key
 `a` through `number`, and `n: int = wire(integer, "grid.n", default=1024)` reads
 the dotted path `grid.n` (key `n` of the object `grid`), or 1024 if absent.
-`from_wire(cls, payload)` and `to_wire(obj)` convert; a `Registry` adds a tag naming the
-class (`{"family": "band_bump"}`) and reads only a JSON object.  An unknown tag raises
+`from_wire(cls, payload)` and `to_wire(obj)` convert, and read only a JSON object; a `Registry`
+adds a tag naming the class (`{"family": "band_bump"}`).  An unknown tag raises
 ValueError, a missing field KeyError, and extra keys are ignored.  A coercion error names
 its field, nested fields outermost first (`members: a: expected a number, got '1.0'`).
 """
@@ -81,9 +81,15 @@ def _wire_fields(cls) -> list:
     return [(f, f.metadata["wire"][1] or f.name, f.metadata["wire"][0]) for f in fields(cls) if "wire" in f.metadata]
 
 
+def _json_object(payload) -> dict:
+    if not isinstance(payload, dict):  # a list of [key, value] pairs or a string is not a JSON object
+        raise TypeError(f"expected an object, got {type(payload).__name__}")
+    return payload
+
+
 def from_wire(cls, payload: dict):
-    """An instance of `cls` read from a payload by its wire fields; an absent field reads as its default."""
-    kwargs = {}
+    """An instance of `cls` read from a JSON object by its wire fields; an absent field reads as its default."""
+    payload, kwargs = _json_object(payload), {}
     for f, path, coerce in _wire_fields(cls):
         default = () if f.default is MISSING else (_plain(f.default),)
         kwargs[f.name] = read_field(payload, path, coerce, *default)
@@ -135,12 +141,11 @@ class Registry:
         return {self.tag: name, **to_wire(obj)}
 
     def from_json(self, payload: dict):
-        if not isinstance(payload, dict):  # a list of pairs or a string is not an object
-            raise TypeError(f"expected an object, got {type(payload).__name__}")
+        tag = _json_object(payload).get(self.tag)
         try:
-            cls = self._by_name[payload.get(self.tag)]
+            cls = self._by_name[tag]
         except (KeyError, TypeError):
-            raise ValueError(f"unknown {self.noun} {payload.get(self.tag)!r}") from None
+            raise ValueError(f"unknown {self.noun} {tag!r}") from None
         return from_wire(cls, payload)
 
 

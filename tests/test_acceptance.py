@@ -128,10 +128,9 @@ def test_criterion_05_fractional_calculus():
             deriv = fc.marchaud_derivative(fc.SampledPath(grid8, grid8 ** float(beta)), alpha)
             exact = math.gamma(beta + 1) / math.gamma(beta + 1 - alpha) * deriv.grid ** (beta - alpha)
             worst_pl = max(worst_pl, float(np.max(np.abs(deriv.values - exact)) / np.max(np.abs(exact))))
-    s_grid = np.linspace(1.0, 2.0, 65)
     resc = max(
-        fc.rescaled_derivative_check(lambda t: t, 1, 0.3, s_grid),
-        fc.rescaled_derivative_check(lambda t: t**2, 2, 0.5, s_grid, n_grid=16384),
+        fc.rescaled_derivative_check(lambda t: t, 1, 0.3, 65),
+        fc.rescaled_derivative_check(lambda t: t**2, 2, 0.5, 65, n_grid=16384),
     )
     residuals = [
         fc.roundtrip_residual(

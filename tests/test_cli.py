@@ -262,6 +262,40 @@ def test_dim_at_the_extreme_block_indices_runs(tmp_path, capsys):
     assert capsys.readouterr().err == "error: block -1100 of the set is empty\n"
 
 
+MULTIPLIER_CASES = {
+    "limited_decay": {"family": "limited_decay", "a": 1.0},
+    "slow_decay": {"family": "slow_decay", "beta": 0.5, "delta": 0.5},
+    "oscillatory": {"family": "oscillatory", "alpha": 0.5, "beta": 0.5},
+    "band_bump": {"family": "band_bump"},
+}
+
+
+@pytest.mark.parametrize("family", sorted(MULTIPLIER_CASES))
+@pytest.mark.parametrize("kind", ["domination", "probe"])
+def test_a_j_range_whose_phases_overflow_is_refused_before_any_work(tmp_path, capsys, kind, family):
+    # 2 pi t |xi| overflowed near j = 1020 (and on a grid of extent 1e-306): overflow warnings, then a NaN
+    # report, an OverflowError traceback from band_sup_norm, or a report; each run now runs clean or is refused
+    runs = {(8.0, (1015, 1019)), (1e-305, (-1, 1)), (1e300, (-1, 1))}
+    cases = [*((8.0, (1015, hi)) for hi in range(1019, 1023)), (1e-306, (-1, 1)), *runs, (1e300, (1015, 1020))]
+    common = {"set": {"generator": {"kind": "lacunary"}}, "multiplier": MULTIPLIER_CASES[family], "depth": 1}
+    if kind == "domination":
+        common.update(f={"kind": "gaussian_bump", "width": 1.0}, s_resolution=16)
+    for extent, j_range in cases:
+        config = dict(common, j_range=list(j_range), grid={"n": 64, "extent": extent})
+        payload = {"kind": kind, "config": config, **({"trials": 2} if kind == "probe" else {})}  # no random band
+        out = tmp_path / f"{extent}_{j_range[1]}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["experiment", "--config", write(tmp_path, "c.json", payload), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert not caught, (extent, j_range, [str(w.message) for w in caught])
+        if (extent, j_range) in runs or code != EXIT_INPUT:
+            assert code in (EXIT_OK, EXIT_FAILED) and err == "" and out.is_dir(), (extent, j_range, code, err)
+        else:
+            assert err.startswith("error: bad experiment config: config.j_range: ") and err.count("\n") == 1, err
+            assert not out.exists()
+
+
 @pytest.mark.parametrize("a", [0.001, 0.003])
 def test_halfwave_at_a_tiny_decay_has_too_few_times(tmp_path, capsys, a):
     # t**(-1/a) overflowed; now the set gives no time (a = 0.001) or one repeated time (a = 0.003) in the window
@@ -582,13 +616,15 @@ def _dim_set(generator):
         pytest.param(
             "dim",
             dict(DIM_CONFIG, set={"generator": {"kind": "cantor", "base": 3, "digits": [0, 2], "levels": 2.5}}),
-            "set: levels: ",
+            "set: generator: levels: ",
             id="fractional_cantor_levels",
         ),
         pytest.param("experiment", _experiment("probe", seed=True), "seed: ", id="bool_seed"),
-        pytest.param("dim", _dim_set({"kind": "power_sequence", "a": "1.0"}), "set: a: ", id="string_a"),
-        pytest.param("dim", _dim_set({"kind": "power_sequence", "a": True}), "set: a: ", id="bool_a"),
-        pytest.param("dim", _dim_set({"kind": "explicit", "points": [True, 1.5]}), "set: points: ", id="bool_point"),
+        pytest.param("dim", _dim_set({"kind": "power_sequence", "a": "1.0"}), "set: generator: a: ", id="string_a"),
+        pytest.param("dim", _dim_set({"kind": "power_sequence", "a": True}), "set: generator: a: ", id="bool_a"),
+        pytest.param(
+            "dim", _dim_set({"kind": "explicit", "points": [True, 1.5]}), "set: generator: points: ", id="bool_point"
+        ),
         pytest.param(
             "dim",
             dict(DIM_CONFIG, expect={"method": "kappa", "value": 0.5, "tol": "0.05"}),
@@ -598,13 +634,13 @@ def _dim_set(generator):
         pytest.param(
             "dim",
             _dim_set({"kind": "cantor", "base": 3, "digits": [False, 2], "levels": 4}),
-            "set: digits",
+            "set: generator: digits",
             id="bool_digit",
         ),
         pytest.param(
             "dim",
             _dim_set({"kind": "cantor", "base": 3, "digits": [0, 2], "levels": 65}),
-            "set: levels",
+            "set: generator: levels",
             id="cantor_levels_65",
         ),
         pytest.param(
@@ -621,13 +657,13 @@ def _dim_set(generator):
         pytest.param(
             "dim",
             _dim_set({"kind": "union", "members": [{"kind": "power_sequence", "a": "1.0"}]}),
-            "set: members: a: expected a number, got '1.0'",
+            "set: generator: members: a: expected a number, got '1.0'",
             id="string_member_a",
         ),
         pytest.param(
             "dim",
             _dim_set({"kind": "power_sequence", "a": 10**400}),
-            "set: a: expected a finite number",
+            "set: generator: a: expected a finite number",
             id="int_beyond_float_a",
         ),
         pytest.param(
@@ -723,7 +759,7 @@ def _dim_set(generator):
             pytest.param(
                 "experiment",
                 _experiment(kind, set={"generator": generator}, j_range=j_range, depth=1, grid={"n": 64}),
-                "bad experiment config: config.j_range: dilations 2**j need |j| <= 1022",
+                "bad experiment config: config.j_range: 2**j needs j >= -1022",
                 id=f"{kind}_{generator['kind']}_j_{j_range[0]}_{j_range[1]}",
             )
             for kind, generator, j_range in (
@@ -733,12 +769,17 @@ def _dim_set(generator):
             )
         ),
         # a registry read a JSON list of [key, value] pairs as an object, so the pairs ran as what they named
-        pytest.param("dim", _dim_set([["kind", "lacunary"]]), "set: expected an object, got list", id="generator_pairs"),
-        pytest.param("dim", _dim_set("lacunary"), "set: expected an object, got str", id="generator_string"),
+        pytest.param(
+            "dim",
+            _dim_set([["kind", "lacunary"]]),
+            "set: generator: expected an object, got list",
+            id="generator_pairs",
+        ),
+        pytest.param("dim", _dim_set("lacunary"), "set: generator: expected an object, got str", id="generator_string"),
         pytest.param(
             "dim",
             _dim_set({"kind": "union", "members": [{"kind": "lacunary"}, [["kind", "lacunary"]]]}),
-            "set: members: expected an object, got list",
+            "set: generator: members: expected an object, got list",
             id="union_member_pairs",
         ),
         pytest.param(
@@ -746,6 +787,16 @@ def _dim_set(generator):
             _experiment("domination", multiplier=[["family", "band_bump"]]),
             "config.multiplier: expected an object, got list",
             id="multiplier_pairs",
+        ),
+        # a set that is no object failed in Python's own words (list indices must be integers or slices, not str)
+        *(
+            pytest.param(
+                "dim",
+                dict(DIM_CONFIG, set=value),
+                f"bad dim config: set: expected an object, got {name}",
+                id=f"set_{name}",
+            )
+            for value, name in (([1], "list"), (None, "NoneType"), ("x", "str"))
         ),
     ],
 )

@@ -96,10 +96,11 @@ def test_rl_integral_zero_path():
     assert np.all(out.values == 0)
 
 
-def test_rl_integral_requires_origin():
+@pytest.mark.parametrize("operator", [rl_integral, marchaud_derivative], ids=["rl_integral", "marchaud_derivative"])
+def test_rl_integral_requires_origin(operator):
     g = np.linspace(0.5, 1.5, 33)
     with pytest.raises(ValueError, match="start at 0"):
-        rl_integral(SampledPath(g, np.ones_like(g)), 0.5)
+        operator(SampledPath(g, np.ones_like(g)), 0.5)
 
 
 def rl_matrix(grid, alpha):
@@ -211,12 +212,15 @@ def test_marchaud_order_zero_limit():
     assert dev < 0.05
 
 
-def test_marchaud_matrix_matches_uniform_path():
-    g = np.linspace(0.0, 2.0, 257)
+@pytest.mark.parametrize("n", [257, 4099], ids=["convolve", "fft"])
+def test_marchaud_matrix_matches_uniform_path(n):
+    # up to 4096 nodes the cell sums run np.convolve, beyond it the FFT; a dozen rows keep the matrix small
+    g = np.linspace(0.0, 2.0, n)
     vals = np.sin(2 * g) + 0.1 * g**2
-    w = marchaud_matrix(g, 0.45, exponent=1.0)
+    rows = np.unique(np.r_[0, 1, 2, np.linspace(0, n - 2, 9).astype(int)])
+    w = marchaud_matrix(g, 0.45, exponent=1.0, rows=rows)
     direct = marchaud_derivative(SampledPath(g, vals, hoelder_exponent=1.0), 0.45)
-    np.testing.assert_allclose(w @ vals, direct.values, rtol=1e-9, atol=1e-11)
+    np.testing.assert_allclose(w @ vals, direct.values[rows], rtol=1e-9, atol=1e-11)
 
 
 def loop_marchaud_matrix(grid, alpha, exponent):
@@ -308,15 +312,19 @@ def test_roundtrip_halves_under_refinement():
 
 
 def test_rescaled_check_linear():
-    s = np.linspace(1.0, 2.0, 65)
-    assert rescaled_derivative_check(lambda t: t, 1, 0.3, s) <= 1e-6
+    assert rescaled_derivative_check(lambda t: t, 1, 0.3, 65) <= 1e-6
 
 
 def test_rescaled_check_constant():
-    s = np.linspace(1.0, 2.0, 65)
-    assert rescaled_derivative_check(lambda t: np.full_like(t, 2.7), 3, 0.4, s) <= 1e-12
+    assert rescaled_derivative_check(lambda t: np.full_like(t, 2.7), 3, 0.4, 65) <= 1e-12
+
+
+def test_rescaled_check_needs_two_nodes():
+    for nodes in (1, 0):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            rescaled_derivative_check(lambda t: t, 1, 0.3, nodes)
+    assert rescaled_derivative_check(lambda t: t, 1, 0.3, 2) <= 1e-6  # s = 1 and s = 2 alone
 
 
 def test_rescaled_check_quadratic():
-    s = np.linspace(1.0, 2.0, 65)
-    assert rescaled_derivative_check(lambda t: t**2, 2, 0.5, s, n_grid=16384) <= 1e-5
+    assert rescaled_derivative_check(lambda t: t**2, 2, 0.5, 65, n_grid=16384) <= 1e-5
