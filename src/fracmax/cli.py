@@ -51,20 +51,19 @@ def _dump(payload: dict) -> str:
         raise InputError(f"report holds a non-JSON value: {exc}")
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str):  # any JSON value: the command's codec checks that it is an object
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read config: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"config parse error: {exc}")
     try:
-        spec = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except (ValueError, RecursionError) as exc:  # an integer past the int-string digit limit, or deep nesting
         raise InputError(f"config parse error: {exc}")
-    if not isinstance(spec, dict):
-        raise InputError(f"config must be a JSON object, got {type(spec).__name__}")
-    return spec
 
 
 def _unread(spec: dict, echo: dict, prefix: str = ""):
@@ -89,12 +88,12 @@ def _note(name: str, spec: dict, echo: dict) -> str:
 # the slope fit reads the last four scales; 64 scales bound the covering-count work
 MAX_SCHEDULE_COUNT = 64
 INPUT_ERRORS = (KeyError, ValueError, TypeError, OverflowError)
-# method -> its estimate from (config, block j, its counts); `ds.` is read per call, so a traced run sees the call
+# method -> its estimate from (config, block j); `ds.` is read per call, so a traced run sees the call
 DIM_METHODS = {
-    "kappa": lambda config, block, counts: ds.kappa(config.set, config.schedule, config.j_range),
-    "minkowski": lambda config, block, counts: ds.entropy_slope(config.schedule, counts),
-    "distance_integral": lambda config, block, counts: ds.dimension_from_distance_integral(block),
-    "gap_sum": lambda config, block, counts: ds.dimension_from_gap_sums(config.set.generator.sequence),
+    "kappa": lambda config, block: ds.kappa(config.set, config.schedule, config.j_range),
+    "minkowski": lambda config, block: ds.minkowski_dimension(block, config.schedule),
+    "distance_integral": lambda config, block: ds.dimension_from_distance_integral(block),
+    "gap_sum": lambda config, block: ds.dimension_from_gap_sums(config.set.generator.sequence),
 }
 
 
@@ -149,9 +148,9 @@ def cmd_dim(args) -> Outcome:
     if block.empty and not block.tails:
         raise InputError(f"block {config.j} of the set is empty")
 
-    counts = [ds.entropy_number(block, float(d)) for d in config.schedule]  # counts.csv and the slope read these
+    counts = [ds.entropy_number(block, float(d)) for d in config.schedule]  # the block keeps them for the slope fits
     try:
-        results = {method: asdict(DIM_METHODS[method](config, block, counts)) for method in config.methods}
+        results = {method: asdict(DIM_METHODS[method](config, block)) for method in config.methods}
     except ValueError as exc:  # kappa over a j_range whose blocks are all empty
         raise InputError(f"bad dim config: {exc}")
 

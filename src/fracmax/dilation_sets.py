@@ -194,8 +194,7 @@ class UnionSet:
             parts.append(p)
             truncs = truncs or t
             tails.extend(tl)
-        pts = _dedup_sorted(np.concatenate(parts)) if parts else np.array([])
-        return pts, truncs, tuple(sorted(tails, key=lambda t: t.anchor))
+        return _dedup_sorted(np.concatenate(parts)), truncs, tuple(sorted(tails, key=lambda t: t.anchor))
 
     def small_times(self, t_min: float, t_max: float) -> np.ndarray:
         return np.concatenate([m.small_times(t_min, t_max) for m in self.members])
@@ -308,13 +307,9 @@ def block_range(j_range) -> tuple[int, int]:
 
 
 def augmented(E: DilationSet) -> DilationSet:
-    """E united with the lacunary grid, so every block contains 1 and 2."""
-    gen = E.generator
-    if isinstance(gen, LacunaryGrid):
-        return E
-    if isinstance(gen, UnionSet) and any(isinstance(m, LacunaryGrid) for m in gen.members):
-        return E
-    return DilationSet(UnionSet((gen, LacunaryGrid())), E.materialization_cap)
+    """E united with the lacunary grid, so every block contains 1 and 2; a union deduplicates its blocks, so a set
+    that already holds the grid has the blocks of E."""
+    return DilationSet(UnionSet((E.generator, LacunaryGrid())), E.materialization_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -391,44 +386,32 @@ def _tail_bound(tail: TailInfo, a: float) -> float:
     return scale * gap_sum
 
 
-def distance_integral_parts(block: BlockSet, a: float, tails: Sequence[TailInfo]) -> tuple[float, float]:
-    """(partial, tail_bound) for the integral of d(t, block)**(a-1) over [1,2], with these tails (the block's, or none);
-    an infinite tail bound returns before any gap is summed, with partial inf."""
+def distance_integral(block: BlockSet, a: float, with_tails: bool = True) -> float:
+    """Closed-form integral of d(t, block)**(-1+a) dt over [1, 2].
+
+    With tails, the block's accumulation tails add their analytic bound and a tail anchored at 1 covers the left
+    strip; the +inf sentinel is returned when that bound is infinite (checked first, so no gap is summed) or the
+    partial sum exceeds the divergence ceiling.  With with_tails=False it is the exact integral of the materialized
+    points alone, with no ceiling.
+    """
     if not 0 < a < 1:
         raise ValueError(f"exponent must lie in (0, 1), got {a}")
     if block.empty:
         raise ValueError("empty block")
-    tail_bound, covered_left = 0.0, False
-    for tail in tails:
+    tail_bound, tails = 0.0, block.tails if with_tails else ()
+    for tail in tails:  # in order, one rounding per tail
         tail_bound += _tail_bound(tail, a)
-        covered_left = covered_left or tail.anchor <= 1.0 + 1e-12
     if not math.isfinite(tail_bound):
-        return math.inf, tail_bound
+        return math.inf
     pts = block.points
     partial = _gap_contribution(np.diff(pts), a)
     left = pts[0] - 1.0
-    if left > 0 and not covered_left:
+    if left > 0 and not any(tail.anchor <= 1.0 + 1e-12 for tail in tails):
         partial += left**a / a
     right = 2.0 - pts[-1]
     if right > 0:
         partial += right**a / a
-    return partial, tail_bound
-
-
-def distance_integral(block: BlockSet, a: float) -> float:
-    """Closed-form integral of d(t, block)**(-1+a) dt over [1, 2].
-
-    Returns the +inf sentinel when the accumulation-tail bound is infinite
-    (checked first, so no gap is summed) or the partial sum exceeds the
-    divergence ceiling.
-    """
-    partial, tail_bound = distance_integral_parts(block, a, block.tails)
-    return math.inf if partial > DIVERGENCE_CEILING else partial + tail_bound
-
-
-def finite_distance_integral(block: BlockSet, a: float) -> float:
-    """Exact distance integral of the materialized points only (tails ignored)."""
-    return distance_integral_parts(block, a, ())[0]
+    return math.inf if with_tails and partial > DIVERGENCE_CEILING else partial + tail_bound
 
 
 # ---------------------------------------------------------------------------
@@ -461,32 +444,31 @@ def _validate_schedule(delta_schedule, minimum: int = 2) -> np.ndarray:
 def kappa(E: DilationSet, delta_schedule: Sequence[float], j_range: tuple[int, int]) -> DimensionEstimate:
     """Dilation-dimension estimate: slope of sup_j log N(E_j, delta) in -log delta.
 
-    The sup runs over the finite j_range; the slope is a least-squares fit
+    The sup runs over the nonempty blocks of the finite j_range; the slope is a least-squares fit
     over the final four schedule points, the standard box-counting practice,
     and only those four are counted.
     """
-    fit = _validate_schedule(delta_schedule, minimum=4)[-4:]
     blocks = [rescaled_block(E, j) for j in range(j_range[0], j_range[1] + 1)]
     blocks = [b for b in blocks if not b.empty or b.tails]
     if not blocks:
         raise ValueError("all blocks empty on the requested j range")
-    return entropy_slope(fit, [max(entropy_number(b, d) for b in blocks) for d in fit])
+    return _entropy_slope(blocks, delta_schedule)
 
 
 def minkowski_dimension(block: BlockSet, delta_schedule: Sequence[float]) -> DimensionEstimate:
     """Box-counting slope of log N(block, delta) against log(1/delta), counted at the final four scales."""
+    return _entropy_slope([block], delta_schedule)
+
+
+def _entropy_slope(blocks: Sequence[BlockSet], delta_schedule: Sequence[float]) -> DimensionEstimate:
+    """Slope of log N in -log delta over the final four of at least four scales, N the largest count of the blocks
+    at each, a least-squares fit with its RMS residual; only those four scales are counted."""
     fit = _validate_schedule(delta_schedule, minimum=4)[-4:]
-    return entropy_slope(fit, [entropy_number(block, d) for d in fit])
-
-
-def entropy_slope(sched: np.ndarray, counts: Sequence[int]) -> DimensionEstimate:
-    """Slope of log N in -log delta over the final four of at least four scales, N = counts[i] at sched[i],
-    a least-squares fit with its RMS residual."""
-    log_n = np.array([math.log(max(c, 1)) for c in counts])[-4:]
-    coeffs, res = np.polyfit(-np.log(sched)[-4:], log_n, 1, full=True)[:2]
+    log_n = np.array([math.log(max(max(entropy_number(b, d) for b in blocks), 1)) for d in fit])
+    coeffs, res = np.polyfit(-np.log(fit), log_n, 1, full=True)[:2]
     residual = float(np.sqrt(res[0] / 4)) if res.size else 0.0
     value = min(1.0, max(0.0, float(coeffs[0])))
-    return DimensionEstimate(value, "entropy_slope", (float(sched[-1]), float(sched[-4])), residual)
+    return DimensionEstimate(value, "entropy_slope", (float(fit[-1]), float(fit[0])), residual)
 
 
 def dimension_from_distance_integral(block: BlockSet) -> DimensionEstimate:
@@ -509,7 +491,7 @@ def _threshold_scan(passes, method: str) -> DimensionEstimate:
             value, resid = 1.0, float(a_grid[-1] - a_grid[-2])
         else:
             value, resid = float(a_grid[idx]), float(a_grid[idx] - a_grid[idx - 1])
-    return DimensionEstimate(min(1.0, max(0.0, value)), method, (0.0, 0.0), resid)
+    return DimensionEstimate(value, method, (0.0, 0.0), resid)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +670,7 @@ def dimension_bound_check(
     lam = sched[::-1]  # the integrand lambda**a * N runs against d(log lambda), lambda ascending
     reports = []
     for a in exponents:
-        lhs, mid = float(np.max(sched**a * counts)), finite_distance_integral(block, a)
+        lhs, mid = float(np.max(sched**a * counts)), distance_integral(block, a, with_tails=False)
         rhs = 1.0 + float(np.trapezoid(lam**a * counts[::-1], np.log(lam)))
         left = lhs / mid if mid > 0 else math.inf
         right = mid / rhs if rhs > 0 else math.inf

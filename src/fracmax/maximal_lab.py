@@ -150,16 +150,12 @@ class Sampling(dict):
         self.labels = {}
 
 
-def sampled_dilations(E: DilationSet, j_range: tuple[int, int], depth: int, augment: bool = False) -> Sampling:
-    """Per-j nested samples of the set's blocks, labelled by depth.
-
-    With augment=True the lacunary grid is adjoined first, so every block
-    contains the endpoints 1 and 2 (the square-functional setting).
-    """
-    base = augmented(E) if augment else E
+def sampled_dilations(E: DilationSet, j_range: tuple[int, int], depth: int) -> Sampling:
+    """Per-j nested samples of the set's blocks, labelled by depth; the square-functional setting samples
+    `augmented(E)`, whose every block contains the endpoints 1 and 2."""
     out = Sampling()
     for j in range(j_range[0], j_range[1] + 1):
-        block = rescaled_block(base, j)
+        block = rescaled_block(E, j)
         if not block.empty:
             out[j], out.labels[j] = nested_sample(block.points, depth)
     return out
@@ -487,7 +483,7 @@ def domination_ratio(config: Domination) -> DominationReport:
     both the set sampling and the s-grid, and the sup's relative L2 increment from depth - 1 to depth.
     Both sides of the inequality run over one sampling of the lacunary-augmented set, at depth + 1."""
     f, m = build_function(config.f, config.n, config.extent), config.multiplier
-    sampling = sampled_dilations(config.set, config.j_range, config.depth + 1, augment=True)
+    sampling = sampled_dilations(augmented(config.set), config.j_range, config.depth + 1)
     sq = square_functional(f, m, sampling, config.alpha, config.beta, config.depth, config.s_resolution)
     prev, now, fine = maximal_function(f, m, sampling, (max(config.depth - 1, 0), config.depth, config.depth + 1))
     runs = []
@@ -512,7 +508,7 @@ def mm_linf_h_norm(
 ) -> float:
     """Ratio of the sup over frequencies of the weighted square sum of dilated
     symbol values to the square-summed band sup norms."""
-    weights = build_h_weights(sampled_dilations(E, j_range, depth, augment=True), beta)
+    weights = build_h_weights(sampled_dilations(augmented(E), j_range, depth), beta)
     rho = np.abs(np.asarray(xi_samples, dtype=float))
     h2 = np.zeros(rho.size)  # per frequency, summed over the blocks in order
     for block in weights:  # a row per frequency; a dot per row keeps the bits of one evaluation per frequency

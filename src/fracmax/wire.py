@@ -48,22 +48,24 @@ def optional(coerce: Callable) -> Callable:
     return lambda value: None if value is None else coerce(value)
 
 
-def object_field(payload: dict, key: str) -> dict:
-    """payload[key] as a JSON object: {} when absent or null, a TypeError for any other type."""
-    value = payload.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise TypeError(f"{key} must be an object, got {type(value).__name__}")
-    return value
+def object_field(payload: dict, path: str) -> dict:
+    """The object at a dotted `path` of nested objects of a JSON object, {} where a key is absent or null; a value
+    on the path that is not an object raises the codec's TypeError, with the path to it in front."""
+    payload, keys = _json_object(payload), path.split(".")
+    for i, key in enumerate(keys, 1):
+        try:
+            payload = _json_object({} if payload.get(key) is None else payload[key])
+        except TypeError as exc:
+            exc.args = (f"{'.'.join(keys[:i])}: {exc}",)
+            raise
+    return payload
 
 
 def read_field(payload: dict, path: str, coerce: Callable, *default):
     """`coerce` of the value at a dotted `path` of nested objects, or of `default` if given and the value is
     absent; a missing required field raises KeyError, and a coercion error is re-raised with `path: ` in front."""
-    *parents, key = path.split(".")
-    for parent in parents:
-        payload = object_field(payload, parent)
+    parent, _, key = path.rpartition(".")
+    payload = object_field(payload, parent) if parent else payload
     try:
         return coerce(payload.get(key, *default) if default else payload[key])
     except (TypeError, ValueError, OverflowError) as exc:
@@ -82,6 +84,7 @@ def _wire_fields(cls) -> list:
 
 
 def _json_object(payload) -> dict:
+    """The object rule, stated once: `payload` itself if it is a JSON object, else a TypeError."""
     if not isinstance(payload, dict):  # a list of [key, value] pairs or a string is not a JSON object
         raise TypeError(f"expected an object, got {type(payload).__name__}")
     return payload

@@ -479,8 +479,8 @@ def test_unusable_input_fails_before_any_maximal_function(tmp_path, capsys, monk
 
 
 def test_dim_counts_each_block_scale_and_tails_once(tmp_path, monkeypatch):
-    # counts.csv, the Minkowski slope and the bound checks share their counts; only kappa recounts,
-    # at its own four fitted scales
+    # counts.csv, kappa, the Minkowski slope and the bound checks share their counts: kappa and the slope ask
+    # again for the four fitted scales, which the block has counted already
     from fracmax import dilation_sets as ds
 
     ds._cached_block.cache_clear()  # fresh blocks, with no counts left by other tests
@@ -503,7 +503,7 @@ def test_dim_counts_each_block_scale_and_tails_once(tmp_path, monkeypatch):
     sched = [float(d) for d in geometric_schedule(0.07, 0.7e-6, 9)]
     assert {key for key in calls if key[0] == 0} == {(0, d, t) for d in sched for t in (True, False)}
     assert {key for key, n in calls.items() if n > 1} == {(0, d, True) for d in sched[-4:]}
-    assert max(calls.values()) == 2
+    assert max(calls.values()) == 3
     # the point cells are computed once per (block, delta), though each block is asked for with and without tails
     block = ds.rescaled_block(ds.DilationSet(ds.PowerSequence(1.0)), 0)
     block_passes = {(d, n) for (ptr, size, d), n in passes.items() if ptr == block.points.ctypes.data}
@@ -798,6 +798,29 @@ def _dim_set(generator):
             )
             for value, name in (([1], "list"), (None, "NoneType"), ("x", "str"))
         ),
+        # the codec states the object rule once, and a parent that is no object is named by its dotted path
+        pytest.param(
+            "experiment",
+            _experiment("domination", grid=[1]),
+            "bad experiment config: config.grid: expected an object, got list",
+            id="grid_list",
+        ),
+        pytest.param(
+            "experiment",
+            dict(DOMINATION_CONFIG, config=[1]),
+            "bad experiment config: config: expected an object, got list",
+            id="config_list",
+        ),
+        pytest.param(
+            "dim", dict(DIM_CONFIG, schedule="x"), "bad dim config: schedule: expected an object, got str", id="schedule_str"
+        ),
+        pytest.param("dim", [DIM_CONFIG], "bad dim config: expected an object, got list", id="dim_top_level_list"),
+        pytest.param(
+            "experiment",
+            [DOMINATION_CONFIG],
+            "bad experiment config: expected an object, got list",
+            id="experiment_top_level_list",
+        ),
     ],
 )
 def test_config_error_exits_one(tmp_path, capsys, command, payload, named):
@@ -1036,6 +1059,24 @@ def test_unparsable_config_is_parse_error(tmp_path, capsys, text):
     assert err.startswith("error: config parse error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("command", ["dim", "experiment"])
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param(b'{"set": "\xff"}', id="invalid_utf8"),
+        pytest.param('{"set": "\u00e9"}'.encode()[:-3], id="truncated_utf8"),  # ends inside the two bytes of e-acute
+        pytest.param(json.dumps(DIM_CONFIG).encode("utf-16"), id="utf16_bom"),
+    ],
+)
+def test_config_that_is_not_utf8_is_parse_error(tmp_path, capsys, command, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: config parse error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_probe_vanishing_trial_is_input_error(tmp_path, capsys):
     # band 3 of the random_band trial lies above the Nyquist frequency 2 of a 64-point grid
     config = write(tmp_path, "probe.json", _experiment("probe", grid={"n": 64}))
@@ -1068,7 +1109,7 @@ def test_non_finite_report_is_input_error(tmp_path, capsys, monkeypatch, command
 
     check = verify.Check("odd_leaf", True, measured, "true")
     monkeypatch.setattr(verify, "run_suite", lambda name, seed: verify.SuiteReport(name, seed, (check,)))
-    monkeypatch.setitem(DIM_METHODS, "minkowski", lambda config, block, counts: _Estimate(measured))
+    monkeypatch.setitem(DIM_METHODS, "minkowski", lambda config, block: _Estimate(measured))
     trials = ({"odd_leaf": measured}, [asdict(check)], {"trials.csv": "trial\n"})
     monkeypatch.setattr(maximal_lab.Probe, "run", lambda self: trials)
     argv = {

@@ -33,8 +33,6 @@ from fracmax.dilation_sets import (
     dimension_from_gap_sums,
     distance_integral,
     entropy_number,
-    entropy_slope,
-    finite_distance_integral,
     gap_sum_converges,
     gap_sum_verdicts,
     geometric_schedule,
@@ -160,6 +158,36 @@ def test_augmented_adjoins_lacunary_grid():
     E = augmented(DilationSet(PowerSequence(1.0)))
     block = rescaled_block(E, 5)
     np.testing.assert_allclose(block.points, [1.0, 2.0])
+
+
+def ladder_augmented(E):
+    """The grid adjoined only to a set that lacks it: the generator-kind ladder `augmented` replaced."""
+    gen = E.generator
+    if isinstance(gen, LacunaryGrid) or isinstance(gen, UnionSet) and LacunaryGrid() in gen.members:
+        return E
+    return DilationSet(UnionSet((gen, LacunaryGrid())), E.materialization_cap)
+
+
+AUGMENT_SETS = {
+    "power": DilationSet(PowerSequence(1.0)),
+    "explicit": DilationSet(ExplicitPoints((0.3, 1.0, 1.3, 2.0, 2.6, 7.9))),
+    "cantor": DilationSet(CantorLike(3, (0, 2), 5)),
+    "capped_cantor": DilationSet(CantorLike(3, (0, 2), 8), 40),
+    "lacunary": DilationSet(LacunaryGrid()),
+    "union": DilationSet(UnionSet((PowerSequence(0.5), ExplicitPoints((1.7, 3.1))))),
+    "union_with_lacunary": DilationSet(UnionSet((PowerSequence(1.0), LacunaryGrid()))),
+    "capped_union_with_lacunary": DilationSet(UnionSet((LacunaryGrid(), CantorLike(3, (0, 2), 8))), 40),
+}
+
+
+@pytest.mark.parametrize("name", AUGMENT_SETS)
+def test_augmented_blocks_are_the_ladder_blocks(name):
+    E = AUGMENT_SETS[name]
+    for j in range(-3, 5):
+        new, old = rescaled_block(augmented(E), j), rescaled_block(ladder_augmented(E), j)
+        assert new.points.tobytes() == old.points.tobytes(), j
+        assert (new.tails, new.truncated) == (old.tails, old.truncated), j
+        assert new.points[0] == 1.0 and new.points[-1] == 2.0
 
 
 def test_power_sequence_with_a_huge_decay_is_the_points_one_and_two():
@@ -449,13 +477,29 @@ def test_distance_integral_checks_its_arguments_before_the_tail_bound():
     with pytest.raises(ValueError, match="empty block"):
         distance_integral(BlockSet(0, np.array([]), truncated=True, tails=(tail,)), 0.3)
     with pytest.raises(ValueError, match="empty block"):
-        finite_distance_integral(BlockSet(0, np.array([])), 0.3)
+        distance_integral(BlockSet(0, np.array([])), 0.3, with_tails=False)
 
 
-def summed_distance_integral(block, a, tails):
+def test_distance_integral_has_a_ceiling_only_with_tails():
+    # a million gaps each add about 2 / a: 2e12, above the divergence ceiling
+    block = BlockSet(0, np.linspace(1.0, 2.0, 10**6))
+    assert distance_integral(block, 1e-6, with_tails=False) == pytest.approx(1.99997e12, rel=1e-5)
+    assert distance_integral(block, 1e-6) == math.inf
+
+
+def test_a_tail_anchored_at_one_covers_the_left_strip():
+    tailed = BlockSet(0, np.array([1.5, 2.0]), truncated=True, tails=(TailInfo(1.0, 1.25, 2.0, 10),))
+    # the gap gives 2; with tails the tail bound 2**0.5 / 0.5 * 2**0.5 * 10**-0.5 / 0.5 stands in for the strip 0.5
+    assert distance_integral(tailed, 0.5) == pytest.approx(2.0 + 8.0 / math.sqrt(10.0), rel=1e-12)
+    assert distance_integral(tailed, 0.5) == pytest.approx(4.5298, abs=1e-4)
+    assert distance_integral(tailed, 0.5, with_tails=False) == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-12)
+
+
+def summed_distance_integral(block, a, with_tails=True):
     """The closed form with every gap summed before the tail bound is read: the interior gaps, the end strips (the
-    left one unless a tail starts at 1), then one analytic bound per tail, infinite where a (1 + power) <= 1."""
-    pts = block.points
+    left one unless a tail starts at 1), then one analytic bound per tail, infinite where a (1 + power) <= 1; with
+    tails a partial sum above the divergence ceiling reads inf, and without them there is no ceiling."""
+    pts, tails = block.points, block.tails if with_tails else ()
     gaps = np.diff(pts)
     partial = float(np.sum(2.0 * (gaps / 2.0) ** a / a)) if gaps.size else 0.0
     tail_bound = 0.0
@@ -467,7 +511,7 @@ def summed_distance_integral(block, a, tails):
         partial += (pts[0] - 1.0) ** a / a
     if 2.0 - pts[-1] > 0:
         partial += (2.0 - pts[-1]) ** a / a
-    if partial > ds.DIVERGENCE_CEILING or not math.isfinite(tail_bound):
+    if with_tails and partial > ds.DIVERGENCE_CEILING or not math.isfinite(tail_bound):
         return math.inf
     return partial + tail_bound
 
@@ -489,8 +533,8 @@ def test_distance_integral_is_the_summed_closed_form_bit_for_bit(name, monkeypat
     monkeypatch.setattr(ds, "_gap_contribution", lambda gaps, a: summed.append(a) or original(gaps, a))
     grid = [float(a) for a in np.linspace(0.02, 0.98, 49)]
     for a in grid:
-        assert distance_integral(block, a) == summed_distance_integral(block, a, block.tails), a
-        assert finite_distance_integral(block, a) == summed_distance_integral(block, a, ())
+        assert distance_integral(block, a) == summed_distance_integral(block, a), a
+        assert distance_integral(block, a, with_tails=False) == summed_distance_integral(block, a, with_tails=False)
     # the gaps are summed for the finite integrals, and for the full ones only where no tail bound is infinite
     diverges = [a for a in grid if any(a * (1.0 + tail.power) <= 1.0 for tail in block.tails)]
     assert sorted(summed) == sorted(grid + [a for a in grid if a not in diverges])
@@ -541,8 +585,14 @@ def test_dimension_from_distance_integral_matches():
 
 
 def all_scales_entropy_slope(blocks, sched):
-    """Reference estimate: the max count over the blocks at every scale of the schedule, fitted over the last four."""
-    return entropy_slope(sched, [max(entropy_number(b, d) for b in blocks) for d in sched])
+    """Reference estimate: the max count over the blocks at every scale of the schedule, a least-squares fit of
+    log N in -log delta over the last four with its RMS residual."""
+    counts = [max(entropy_number(b, d) for b in blocks) for d in sched]
+    log_n = np.array([math.log(max(c, 1)) for c in counts])[-4:]
+    coeffs, res = np.polyfit(-np.log(sched)[-4:], log_n, 1, full=True)[:2]
+    residual = float(np.sqrt(res[0] / 4)) if res.size else 0.0
+    value = min(1.0, max(0.0, float(coeffs[0])))
+    return DimensionEstimate(value, "entropy_slope", (float(sched[-1]), float(sched[-4])), residual)
 
 
 SLOPE_SETS = [
@@ -566,8 +616,10 @@ def test_fitted_scale_estimates_are_the_all_scale_estimates_bit_for_bit(gen, sch
     block = rescaled_block(E, 0)
     expected = all_scales_entropy_slope([block], sched)
     assert minkowski_dimension(block, sched) == expected
-    # the counts `fracmax dim` shares with counts.csv: every scale, at Python-float deltas
-    assert entropy_slope(sched, [entropy_number(block, float(d)) for d in sched]) == expected
+    # `fracmax dim` counts every scale for counts.csv first, at Python-float deltas, and the fit reads those counts
+    fresh = BlockSet(block.j, block.points, block.truncated, block.tails)
+    [entropy_number(fresh, float(d)) for d in sched]
+    assert minkowski_dimension(fresh, sched) == expected
 
 
 def full_threshold_scan(verdicts, method):
@@ -841,7 +893,7 @@ def per_exponent_bound_check(block, a, sched, constant):
     """Reference check for one exponent: it counts every scale again for each a."""
     counts = np.array([entropy_number(block, float(d), include_tails=False) for d in sched], dtype=float)
     lhs = float(np.max(sched**a * counts))
-    mid = finite_distance_integral(block, a)
+    mid = distance_integral(block, a, with_tails=False)
     lam = sched[::-1]
     rhs = 1.0 + float(np.trapezoid(lam**a * counts[::-1], np.log(lam)))
     ratio_left = lhs / mid if mid > 0 else math.inf
@@ -870,7 +922,7 @@ def test_finite_distance_integral_includes_boundary_strips():
     block = BlockSet(0, np.array([1.25, 1.75]))
     a = 0.5
     expected = 2 * (0.25**a) / a + 2 * (0.25**a) / a  # one interior gap + two strips
-    assert finite_distance_integral(block, a) == pytest.approx(expected)
+    assert distance_integral(block, a, with_tails=False) == pytest.approx(expected)
 
 
 # --- serialization -----------------------------------------------------------

@@ -19,7 +19,8 @@ from fracmax.dilation_sets import (
     LacunaryGrid,
     PowerSequence,
     UnionSet,
-    finite_distance_integral,
+    augmented,
+    distance_integral,
 )
 from fracmax.fractional_calculus import marchaud_matrix
 from fracmax.lp_frames import GridFunction
@@ -171,7 +172,7 @@ def test_nested_sample_matches_loop_reference(n):
 def test_sampled_dilations_augmentation():
     plain = sampled_dilations(DilationSet(ExplicitPoints((1.3,))), (0, 0), 3)
     assert plain[0].tolist() == [1.3]
-    aug = sampled_dilations(DilationSet(ExplicitPoints((1.3,))), (0, 0), 3, augment=True)
+    aug = sampled_dilations(augmented(DilationSet(ExplicitPoints((1.3,)))), (0, 0), 3)
     assert set(aug[0].tolist()) == {1.0, 1.3, 2.0}
 
 
@@ -249,11 +250,11 @@ def test_maximal_increment_matches_two_depth_reference(monkeypatch):
     # three blocks of the lacunary union: neighbouring blocks share the endpoint 2 * 2**j = 1 * 2**(j + 1)
     f = build_function(ModulatedBump(1.0, 1.5), 128, 8.0)
     m, depth, j_range = LimitedDecay(1.0), 3, (-1, 1)
-    blocks = sampled_dilations(POW_LAC, j_range, depth, augment=True)
+    blocks = sampled_dilations(augmented(POW_LAC), j_range, depth)
     assert len(blocks) == 3 and all(blocks[j][-1] == 2.0 and blocks[j + 1][0] == 1.0 for j in (-1, 0))
 
     def sup_over(d):
-        ts = {2.0**j * t for j, pts in sampled_dilations(POW_LAC, j_range, d, augment=True).items() for t in pts}
+        ts = {2.0**j * t for j, pts in sampled_dilations(augmented(POW_LAC), j_range, d).items() for t in pts}
         return np.max([np.abs(apply_dilated_multiplier(f, m, t).samples) for t in sorted(ts)], axis=0)
 
     now, prev = sup_over(depth), sup_over(depth - 1)
@@ -271,11 +272,11 @@ def test_maximal_increment_matches_two_depth_reference(monkeypatch):
     assert calls == [(depth - 1, depth, depth + 1)]  # one batch serves the increment and both ratios
 
 
-def per_depth_sups(f, m, E, depths, j_range, augment=False):
+def per_depth_sups(f, m, E, depths, j_range):
     """The sup over each depth's own sampling, from one batch of that depth's dilations alone."""
     return [
         np.abs(_batched_dilate(f, m, np.unique([2.0**j * t for j, pts in blocks.items() for t in pts]))).max(axis=0)
-        for blocks in (sampled_dilations(E, j_range, d, augment) for d in depths)
+        for blocks in (sampled_dilations(E, j_range, d) for d in depths)
     ]
 
 
@@ -285,11 +286,12 @@ def per_depth_sups(f, m, E, depths, j_range, augment=False):
     ids=["augmented", "augmented_from_depth_0", "plain", "one_depth"],
 )
 def test_maximal_function_dilates_the_deepest_sampling_once(monkeypatch, depths, augment):
-    f, m, E, j_range = build_function(ModulatedBump(1.0, 1.5), 128, 8.0), LimitedDecay(1.0), POW_LAC, (-1, 1)
+    f, m, j_range = build_function(ModulatedBump(1.0, 1.5), 128, 8.0), LimitedDecay(1.0), (-1, 1)
+    E = augmented(POW_LAC) if augment else POW_LAC
     # neighbouring blocks share the endpoint 2 * 2**j = 1 * 2**(j + 1), which is one row of the batch
-    deepest = sampled_dilations(E, j_range, depths[-1], augment)
+    deepest = sampled_dilations(E, j_range, depths[-1])
     assert all(deepest[j][-1] == 2.0 and deepest[j + 1][0] == 1.0 for j in (-1, 0))
-    expected = per_depth_sups(f, m, E, depths, j_range, augment)
+    expected = per_depth_sups(f, m, E, depths, j_range)
     dilated = []
 
     def counting_dilate(f, m, ts):
@@ -311,11 +313,11 @@ def test_maximal_function_dilates_the_deepest_sampling_once(monkeypatch, depths,
 @pytest.mark.parametrize("E, augment", [(POW_LAC, True), (DENSE, False)], ids=["augmented", "plain"])
 def test_h_weights_match_closed_form_distance_integral(E, augment):
     # a plain block may lack 1 and 2, so its weights hold the end intervals, as the closed form's end terms do
-    blocks = sampled_dilations(E, (-2, 3), 5, augment=augment)
+    blocks = sampled_dilations(augmented(E) if augment else E, (-2, 3), 5)
     weights = build_h_weights(blocks, 0.3)
     assert augment or any(pts[0] > 1.0 and pts[-1] < 2.0 for pts in blocks.values())
     for hb in weights:
-        exact = finite_distance_integral(BlockSet(hb.j, blocks[hb.j]), 0.6)
+        exact = distance_integral(BlockSet(hb.j, blocks[hb.j]), 0.6, with_tails=False)
         assert np.sum(hb.weights) == pytest.approx(exact, rel=1e-6)
         assert np.all(hb.weights >= 0)
         assert np.all((hb.nodes >= 1.0) & (hb.nodes <= 2.0))
@@ -366,13 +368,13 @@ CANTOR = DilationSet(CantorLike(4, (1, 2), 6))  # every block lies strictly insi
 @pytest.mark.parametrize(
     "make_blocks, ends",
     [
-        pytest.param(lambda: sampled_dilations(POW_LAC, (-3, 3), 5, augment=True), (False, False), id="pow_lac_augmented"),
-        pytest.param(lambda: sampled_dilations(DENSE, (-2, 2), 8, augment=True), (False, False), id="dense_augmented"),
+        pytest.param(lambda: sampled_dilations(augmented(POW_LAC), (-3, 3), 5), (False, False), id="pow_lac_augmented"),
+        pytest.param(lambda: sampled_dilations(augmented(DENSE), (-2, 2), 8), (False, False), id="dense_augmented"),
         pytest.param(lambda: sampled_dilations(CANTOR, (-1, 1), 5), (True, True), id="cantor_plain"),
         pytest.param(lambda: sampled_dilations(DENSE, (-2, 2), 8), (True, True), id="dense_plain"),
         pytest.param(lambda: _random_blocks(0), (True, True), id="random_0"),
         pytest.param(lambda: _random_blocks(1), (True, True), id="random_1"),
-        pytest.param(lambda: sampled_dilations(NEAR_TWO, (-1, 1), 3, augment=True), (False, True), id="near_two_augmented"),
+        pytest.param(lambda: sampled_dilations(augmented(NEAR_TWO), (-1, 1), 3), (False, True), id="near_two_augmented"),
     ],
 )
 @pytest.mark.parametrize("beta", [0.05, 0.3, 0.499])
@@ -389,14 +391,14 @@ def test_h_weights_keep_the_bits_of_the_per_gap_quadrature(make_blocks, ends, be
 
 def test_h_weights_sup_over_blocks_finite_above_dimension():
     # 2 beta = 0.6 above the set's dimension 1/2: block sums stay bounded
-    blocks = sampled_dilations(POW_LAC, (-6, 6), 8, augment=True)
+    blocks = sampled_dilations(augmented(POW_LAC), (-6, 6), 8)
     weights = build_h_weights(blocks, 0.3)
     sums = [np.sum(hb.weights) for hb in weights]
     assert max(sums) <= 20.0
 
 
 def test_h_weights_exponent_validation():
-    blocks = sampled_dilations(LAC, (0, 0), 2, augment=True)
+    blocks = sampled_dilations(augmented(LAC), (0, 0), 2)
     with pytest.raises(ValueError):
         build_h_weights(blocks, 0.5)
 
@@ -406,7 +408,7 @@ def test_h_weights_exponent_validation():
 
 def test_square_functional_zero_inputs():
     f = GridFunction(8.0, np.zeros(256, dtype=complex))
-    sampling = sampled_dilations(LAC, (-2, 2), 4, augment=True)
+    sampling = sampled_dilations(augmented(LAC), (-2, 2), 4)
     res = square_functional(f, BandBump(), sampling, 0.45, 0.3, 3, 128)
     assert np.all(res.values == 0)
     g = gaussian(n=256)
@@ -417,10 +419,10 @@ def test_square_functional_zero_inputs():
 def test_square_functional_matches_dense_brute_force():
     f = build_function(ModulatedBump(1.0, 2.0), 512, 8.0)
     alpha, beta = 0.45, 0.3
-    res = square_functional(f, BandBump(), sampled_dilations(LAC, (-2, 3), 4, augment=True), alpha, beta, 3, 128)
+    res = square_functional(f, BandBump(), sampled_dilations(augmented(LAC), (-2, 3), 4), alpha, beta, 3, 128)
     vals = res.values
     spec = f.to_frequency()
-    blocks = sampled_dilations(LAC, (-2, 3), 3, augment=True)
+    blocks = sampled_dilations(augmented(LAC), (-2, 3), 3)
     acc = np.zeros(f.n)
     for j, pts in blocks.items():
         sd = np.linspace(0.0, 2.0, 1281)  # ten times the base resolution
@@ -442,7 +444,7 @@ def test_augmented_blocks_all_carry_weight_nodes():
     sets = [LAC, POW_LAC, DilationSet(CantorLike(3, (0, 2), 6)), DilationSet(ExplicitPoints((1.1, 1.3, 3.4)))]
     for E in sets:
         for depth in (0, 2, 5):
-            blocks = sampled_dilations(E, (-3, 4), depth, augment=True)
+            blocks = sampled_dilations(augmented(E), (-3, 4), depth)
             for j, pts in blocks.items():
                 assert pts[0] == 1.0 and pts[-1] == 2.0
             for block in build_h_weights(blocks, 0.3):
@@ -452,7 +454,7 @@ def test_augmented_blocks_all_carry_weight_nodes():
 
 def full_matrix_square_functional(f, m, E, alpha, beta, depth, j_range, s_resolution):
     """The square functional from the full Marchaud matrix and full-spectrum paths, rows picked afterwards."""
-    blocks = build_h_weights(sampled_dilations(E, j_range, depth, augment=True), beta)
+    blocks = build_h_weights(sampled_dilations(augmented(E), j_range, depth), beta)
     spec, acc = f.to_frequency(), np.zeros(f.n)
     for block in blocks:
         s_grid = np.unique(np.concatenate([np.linspace(0.0, 2.0, s_resolution + 1), block.nodes]))
@@ -464,7 +466,7 @@ def full_matrix_square_functional(f, m, E, alpha, beta, depth, j_range, s_resolu
 def one_sampling_flags(f, m, E, alpha, beta, depth, j_range, s_resolution):
     """The Hoelder flags of one sampling's full-spectrum paths."""
     flagged = np.zeros(f.n, dtype=bool)
-    for block in build_h_weights(sampled_dilations(E, j_range, depth, augment=True), beta):
+    for block in build_h_weights(sampled_dilations(augmented(E), j_range, depth), beta):
         s_grid = np.unique(np.concatenate([np.linspace(0.0, 2.0, s_resolution + 1), block.nodes]))
         flagged |= ~_path_hoelder_ok(full_spectrum_dilate(f.to_frequency(), m, 2.0**block.j * s_grid), alpha)
     return flagged
@@ -473,7 +475,7 @@ def one_sampling_flags(f, m, E, alpha, beta, depth, j_range, s_resolution):
 @pytest.mark.parametrize("m", [BandBump(), LimitedDecay(1.0)], ids=repr)
 def test_square_functional_is_the_full_matrix_contraction_bit_for_bit(m):
     f = build_function(ModulatedBump(1.0, 2.0), 256, 8.0)
-    res = square_functional(f, m, sampled_dilations(POW_LAC, (-2, 2), 4, augment=True), 0.45, 0.3, 3, 64)
+    res = square_functional(f, m, sampled_dilations(augmented(POW_LAC), (-2, 2), 4), 0.45, 0.3, 3, 64)
     expected = full_matrix_square_functional(f, m, POW_LAC, 0.45, 0.3, 3, (-2, 2), 64)
     assert np.array_equal(res.values, expected)
     assert res.values.dtype == np.float64
@@ -514,7 +516,7 @@ def test_path_hoelder_ok_matches_the_median_formula(nodes, seed):
 
 def test_square_functional_validates_exponents():
     with pytest.raises(ValueError):
-        sampling = sampled_dilations(LAC, (-3, 4), 5, augment=True)
+        sampling = sampled_dilations(augmented(LAC), (-3, 4), 5)
         square_functional(gaussian(n=256), BandBump(), sampling, 0.3, 0.45, 4, 128)
 
 
@@ -547,7 +549,7 @@ def two_pass_domination_ratio(config):
     m, E, j_range, alpha, beta = config.multiplier, config.set, config.j_range, config.alpha, config.beta
 
     def pointwise_ratio(f, depth, s_resolution):
-        [sup] = per_depth_sups(f, m, E, (depth,), j_range, augment=True)
+        [sup] = per_depth_sups(f, m, augmented(E), (depth,), j_range)
         top = sup**2
         bot = full_matrix_square_functional(f, m, E, alpha, beta, depth, j_range, s_resolution)
         excluded = (top <= ml.EXCLUSION_FACTOR * top.max()) & (bot <= ml.EXCLUSION_FACTOR * bot.max())
@@ -558,7 +560,7 @@ def two_pass_domination_ratio(config):
     f = build_function(config.f, config.n, config.extent)
     base, excluded, flagged, now = pointwise_ratio(f, config.depth, config.s_resolution)
     fine, _, _, _ = pointwise_ratio(f, config.depth + 1, 2 * config.s_resolution)
-    [prev] = per_depth_sups(f, m, E, (max(config.depth - 1, 0),), j_range, augment=True)
+    [prev] = per_depth_sups(f, m, augmented(E), (max(config.depth - 1, 0),), j_range)
     increment = float(np.linalg.norm(now - prev)) / (float(np.linalg.norm(now)) or 1.0)
     max_base = 0.0 if np.all(np.isnan(base)) else float(np.nanmax(base))
     max_fine = 0.0 if np.all(np.isnan(fine)) else float(np.nanmax(fine))
@@ -570,7 +572,7 @@ def level_grids(E, j_range, depth, s_resolution, beta=0.3):
     """Per level: the s-grid of the base sampling and of the refined one (depth + 1, 2 s_resolution)."""
     return [
         tuple(np.union1d(np.linspace(0.0, 2.0, r + 1), b.nodes) for r, b in zip((s_resolution, 2 * s_resolution), bs))
-        for bs in zip(*[build_h_weights(sampled_dilations(E, j_range, d, augment=True), beta) for d in (depth, depth + 1)])
+        for bs in zip(*[build_h_weights(sampled_dilations(augmented(E), j_range, d), beta) for d in (depth, depth + 1)])
     ]
 
 
@@ -612,7 +614,7 @@ def test_square_functional_dilates_the_refined_grid_and_only_the_base_rows_it_la
     monkeypatch.setattr(ml, "_batched_dilate", counting_dilate)
     monkeypatch.setattr(ml, "_path_hoelder_ok", counting_hoelder)
     f = build_function(GaussianBump(1.0), 256, 8.0)
-    square_functional(f, BandBump(), sampled_dilations(POW_LAC, (-2, 2), 4, augment=True), 0.45, 0.3, 3, 24)
+    square_functional(f, BandBump(), sampled_dilations(augmented(POW_LAC), (-2, 2), 4), 0.45, 0.3, 3, 24)
     grids = level_grids(POW_LAC, (-2, 2), 3, 24)
     assert checked == [base.size for base, _ in grids]  # the Hoelder check sees the base sampling only
     # per level one batch of the refined grid and one of the base rows it lacks
@@ -649,8 +651,8 @@ def test_batched_dilate_is_the_per_row_dilation_bit_for_bit(monkeypatch, m, n, r
 
 def test_maximal_function_takes_a_running_max_over_the_kernel_chunks(monkeypatch):
     f, m = build_function(ModulatedBump(1.0, 1.5), 1 << 14, 8.0), LimitedDecay(1.0)
-    sampling = sampled_dilations(POW_LAC, (-1, 1), 3, augment=True)
-    expected = per_depth_sups(f, m, POW_LAC, (1, 2, 3), (-1, 1), augment=True)
+    sampling = sampled_dilations(augmented(POW_LAC), (-1, 1), 3)
+    expected = per_depth_sups(f, m, augmented(POW_LAC), (1, 2, 3), (-1, 1))
     sizes = []
 
     def counting_dilate(f, m, ts):
@@ -727,7 +729,7 @@ def whole_batch_square_functional(f, m, sampling, alpha, beta, depth, s_resoluti
 )
 def test_square_functional_is_the_whole_batch_form_bit_for_bit(m, E, n, depth, s_resolution):
     f = build_function(ModulatedBump(1.0, 2.0), n, 8.0)
-    sampling = sampled_dilations(E, (-1, 1), depth + 1, augment=True)
+    sampling = sampled_dilations(augmented(E), (-1, 1), depth + 1)
     res = square_functional(f, m, sampling, 0.45, 0.3, depth, s_resolution)
     (values, refined), flagged = whole_batch_square_functional(f, m, sampling, 0.45, 0.3, depth, s_resolution)
     assert res.values.tobytes() == values.tobytes()
@@ -752,7 +754,7 @@ def test_square_functional_integrates_to_its_frequency_side(monkeypatch, m, E):
     # the smaller chunk budget runs each level in several pixel chunks (64 pixels of 256) and dilation chunks
     monkeypatch.setattr(ml, "CHUNK_POINTS", 1 << 12)
     f, alpha, beta, depth, s_resolution = build_function(ModulatedBump(1.0, 2.0), 256, 8.0), 0.45, 0.3, 1, 16
-    sampling = sampled_dilations(E, (-1, 1), depth + 1, augment=True)
+    sampling = sampled_dilations(augmented(E), (-1, 1), depth + 1)
     res = square_functional(f, m, sampling, alpha, beta, depth, s_resolution)
     for d, r, values in ((depth, s_resolution, res.values), (depth + 1, 2 * s_resolution, res.refined)):
         blocks = build_h_weights({j: pts[sampling.labels[j] <= d] for j, pts in sampling.items()}, beta)
@@ -767,7 +769,7 @@ def test_square_functional_builds_each_marchaud_matrix_once_per_call(monkeypatch
         return marchaud_matrix(grid, alpha, exponent, rows)
 
     monkeypatch.setattr(ml, "marchaud_matrix", counting_marchaud)
-    f, sampling = gaussian(n=256), sampled_dilations(LAC, (-2, 2), 4, augment=True)
+    f, sampling = gaussian(n=256), sampled_dilations(augmented(LAC), (-2, 2), 4)
     for _ in range(2):  # the memo lives in one call: a second call builds again
         square_functional(f, BandBump(), sampling, 0.45, 0.3, 3, 24)
     # every level of the lacunary set is the block {1, 2}: one base and one refined matrix serve all five
@@ -780,7 +782,7 @@ def test_square_functional_holds_one_refined_batch_at_a_time():
     lacks and one chunk.  The whole-batch form held each level's base batch, products and magnitudes too (3.4x)."""
     E, m = DilationSet(CantorLike(3, (0, 2), 10)), Oscillatory(0.5, 1.0)
     f = build_function(ModulatedBump(1.0, 2.0), 2048, 8.0)
-    sampling = sampled_dilations(E, (-1, 1), 5, augment=True)
+    sampling = sampled_dilations(augmented(E), (-1, 1), 5)
     fine_rows = max(np.union1d(np.linspace(0.0, 2.0, 65), b.nodes).size for b in build_h_weights(sampling, 0.3))
     tracemalloc.start()
     try:
@@ -794,7 +796,7 @@ def test_square_functional_holds_one_refined_batch_at_a_time():
 
 def test_domination_ratio_samples_each_block_once(monkeypatch):
     # both sides of the inequality and all three sups read one depth + 1 sampling of the augmented set
-    blocks = len(sampled_dilations(POW_LAC, (-2, 2), 4, augment=True))
+    blocks = len(sampled_dilations(augmented(POW_LAC), (-2, 2), 4))
     calls = []
     monkeypatch.setattr(ml, "nested_sample", lambda pts, depth: calls.append(depth) or nested_sample(pts, depth))
     config = Domination(
@@ -874,7 +876,7 @@ def test_no_benchmark_pool_op_passes_the_batch_bound():
 
 def per_frequency_h_norm(m, E, beta, xi_samples, j_range, depth):
     """mm_linf_h_norm as one small evaluation per frequency and block."""
-    weights = build_h_weights(sampled_dilations(E, j_range, depth, augment=True), beta)
+    weights = build_h_weights(sampled_dilations(augmented(E), j_range, depth), beta)
     sup_h2 = 0.0
     for xi in np.asarray(xi_samples, dtype=float):
         h2 = 0.0

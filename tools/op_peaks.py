@@ -20,6 +20,8 @@ there, and so does the tracer's own bookkeeping.
 Ops are keyed by their index in the pool and their name, so a memory claim can
 name the op that sets it.  Tracing slows every op down: read no times here.
 The children run one at a time.
+One line on stderr names the BLAS thread count it ran at: `OPENBLAS_NUM_THREADS=N`, or
+`unset (nproc N)`.  Compare only records taken at the same count.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-from pool_ops import pool_ops
+from pool_ops import pool_ops, report_blas_threads
 
 
 def op_peak(root: Path, workload: str, index: int) -> dict:
@@ -72,6 +74,7 @@ def main() -> None:
     if args.op is not None:
         print(json.dumps(op_peak(root, args.workload, args.op)))
         return
+    report_blas_threads()
     print("[\n" + ",\n".join(json.dumps(row) for row in peaks(root, args.workload)) + "\n]")
 
 

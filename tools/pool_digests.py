@@ -14,6 +14,8 @@ moved byte names the suite that moved it.
 Per op, keyed by its index in the pool and its name, the JSON holds the exit
 code, the SHA-256 of its stderr and the SHA-256 of every file it wrote.  Two
 checkouts run the pool alike when the printed JSON is identical.
+One line on stderr names the BLAS thread count it ran at: `OPENBLAS_NUM_THREADS=N`, or
+`unset (nproc N)`.  Compare only records taken at the same count.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from pool_ops import pool_ops
+from pool_ops import pool_ops, report_blas_threads
 
 
 def _sha(data: bytes) -> str:
@@ -48,6 +50,7 @@ def main() -> None:
     parser.add_argument("--workload", required=True, choices=["verify", "experiments", "dimension"])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent, help="checkout to run")
     args = parser.parse_args()
+    report_blas_threads()
     print(json.dumps(digests(args.root.resolve(), args.workload), indent=2, sort_keys=True))
 
 

@@ -1,6 +1,7 @@
 """The benchmark pool's ops of a checkout, each ready to run through its `fracmax.cli.main`.
 
-Shared by `pool_digests.py` and `op_peaks.py`; not a script of its own.
+Shared by `pool_digests.py` and `op_peaks.py`, and `report_blas_threads` by `shipped_digests.py` too; not a
+script of its own.
 """
 
 from __future__ import annotations
@@ -8,12 +9,20 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
 
 VERIFY_SEED = 7  # the benchmark's seed
+
+
+def report_blas_threads() -> None:
+    """One stderr line naming the BLAS thread count the digests are taken at: some reports differ in their last bits
+    between one and two OpenBLAS threads, so two records compare only at the same count."""
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', f'unset (nproc {nproc})')}", file=sys.stderr)
 
 
 def pool_ops(root: Path, workload: str):

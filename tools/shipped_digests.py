@@ -10,6 +10,8 @@ afterwards.  Nothing is written under the checkout.
     python tools/shipped_digests.py --root OTHER    # another checkout, e.g. the parent commit
 
 Two checkouts write identical reports when the printed JSON is identical.
+One line on stderr names the BLAS thread count it ran at: `OPENBLAS_NUM_THREADS=N`, or
+`unset (nproc N)`.  Compare only records taken at the same count.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from pool_ops import report_blas_threads
 
 COMMANDS = {
     "verify": ["verify", "--suite", "all"],
@@ -61,6 +65,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent, help="checkout to run")
     args = parser.parse_args()
+    report_blas_threads()
     print(json.dumps(digests(args.root.resolve()), indent=2, sort_keys=True))
 
 
