@@ -812,7 +812,10 @@ def _dim_set(generator):
             id="config_list",
         ),
         pytest.param(
-            "dim", dict(DIM_CONFIG, schedule="x"), "bad dim config: schedule: expected an object, got str", id="schedule_str"
+            "dim",
+            dict(DIM_CONFIG, schedule="x"),
+            "bad dim config: schedule: expected an object, got str",
+            id="schedule_str",
         ),
         pytest.param("dim", [DIM_CONFIG], "bad dim config: expected an object, got list", id="dim_top_level_list"),
         pytest.param(

@@ -374,7 +374,9 @@ CANTOR = DilationSet(CantorLike(4, (1, 2), 6))  # every block lies strictly insi
         pytest.param(lambda: sampled_dilations(DENSE, (-2, 2), 8), (True, True), id="dense_plain"),
         pytest.param(lambda: _random_blocks(0), (True, True), id="random_0"),
         pytest.param(lambda: _random_blocks(1), (True, True), id="random_1"),
-        pytest.param(lambda: sampled_dilations(augmented(NEAR_TWO), (-1, 1), 3), (False, True), id="near_two_augmented"),
+        pytest.param(
+            lambda: sampled_dilations(augmented(NEAR_TWO), (-1, 1), 3), (False, True), id="near_two_augmented"
+        ),
     ],
 )
 @pytest.mark.parametrize("beta", [0.05, 0.3, 0.499])
