@@ -53,7 +53,7 @@ def _dump(payload: dict) -> str:
 
 def _load_config(path: str):  # any JSON value: the command's codec checks that it is an object
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is skipped
     except OSError as exc:
         raise InputError(f"cannot read config: {exc}")
     except UnicodeDecodeError as exc:

@@ -227,18 +227,22 @@ class SquareFunctionalResult:
 
 
 def _path_hoelder_ok(paths: np.ndarray, alpha: float) -> np.ndarray:
-    """Vectorized two-scale exponent estimate per path (paths: nodes x pixels), on a pixel-major copy."""
+    """Whether each path's two-scale exponent estimate, the median of its log ratios clamped at 1, exceeds alpha
+    (paths: nodes x pixels).  log2 is monotone, so the median exceeds alpha where more than half the logs do; with
+    exactly half above, it is the mean of the largest log at or below alpha and the smallest above it."""
     if paths.shape[0] < 3:
         return np.ones(paths.shape[1], dtype=bool)
-    paths = np.ascontiguousarray(paths.T)  # each path contiguous, so the partition below runs along memory
-    d1 = np.abs(paths[:, 1:-1] - paths[:, :-2])
-    d2 = np.abs(paths[:, 2:] - paths[:, :-2])
-    scale = np.max(np.abs(paths), axis=1, keepdims=True) + 1e-300
-    ratios = np.where(d1 > 1e-13 * scale, d2 / np.maximum(d1, 1e-300), 2.0)
-    # log2 is monotone: the median of the logs is the mean of the logs of the middle two (or one) ratios
-    mid = [(ratios.shape[1] - 1) // 2, ratios.shape[1] // 2]
-    est = np.log2(np.maximum(np.partition(ratios, mid, axis=1)[:, mid], 1e-12)).mean(axis=1)
-    return np.minimum(est, 1.0) > alpha
+    d1 = np.abs(paths[1:-1] - paths[:-2])
+    d2 = np.abs(paths[2:] - paths[:-2])
+    flat = ~(d1 > 1e-13 * (np.max(np.abs(paths), axis=0) + 1e-300))  # a round-off step: ratio 2
+    logs = np.log2(np.maximum(np.divide(d2, np.maximum(d1, 1e-300, out=d1), out=d2), 1e-12, out=d2), out=d2)
+    logs[flat] = 1.0
+    above = logs > alpha
+    twice = 2 * np.count_nonzero(above, axis=0)
+    ok, tied = twice > logs.shape[0], np.flatnonzero(twice == logs.shape[0])
+    lo = np.max(logs[:, tied], axis=0, where=~above[:, tied], initial=-np.inf)
+    ok[tied] = (lo + np.min(logs[:, tied], axis=0, where=above[:, tied], initial=np.inf)) / 2 > alpha
+    return ok & (alpha < 1.0)
 
 
 def square_functional(
@@ -254,8 +258,8 @@ def square_functional(
     Per level the refined paths and the base rows they lack (`extra`) are dilated
     once (linspace(0, 2, R + 1) is linspace(0, 2, 2R + 1)[::2] bit for bit); each
     chunk of pixels gathers its base paths, checks them and contracts both samplings
-    into their own accumulators, so each is a one-sampling run's and `fine` is the
-    only full-size array.  Each Marchaud matrix is built once per call.
+    into their own accumulators, so each is a one-sampling run's and only `fine` and
+    `extra` span every pixel.  Each Marchaud matrix is built once per call.
     """
     if not 0 < beta < alpha <= 0.5:
         raise ValueError("need 0 < beta < alpha <= 1/2")
@@ -281,7 +285,7 @@ def square_functional(
             for acc, key, block, paths in zip(accs, keys, blocks, (base, fine[:, cols])):
                 mag = np.abs(matrices[key] @ paths)
                 acc[cols] += block.weights @ np.square(mag, out=mag)
-        del fine, extra  # this level's batches go before the next level's are made
+        del fine, extra, base, paths  # `paths` views `fine`: this level's batches go before the next level's are made
     return SquareFunctionalResult(*accs, flagged)
 
 

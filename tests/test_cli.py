@@ -1080,6 +1080,20 @@ def test_config_that_is_not_utf8_is_parse_error(tmp_path, capsys, command, data)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "command, payload, report",
+    [("dim", DIM_CONFIG, "dim_report.json"), ("experiment", HALFWAVE_CONFIG, "experiment_report.json")],
+)
+def test_config_with_a_utf8_byte_order_mark_reads_as_without_it(tmp_path, capsys, command, payload, report):
+    outs = []
+    for name, bom in (("plain.json", b""), ("bom.json", b"\xef\xbb\xbf")):
+        path, out = tmp_path / name, tmp_path / f"out_{name}"
+        path.write_bytes(bom + json.dumps(payload).encode())
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_OK, capsys.readouterr().err
+        outs.append(out / report)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_probe_vanishing_trial_is_input_error(tmp_path, capsys):
     # band 3 of the random_band trial lies above the Nyquist frequency 2 of a 64-point grid
     config = write(tmp_path, "probe.json", _experiment("probe", grid={"n": 64}))

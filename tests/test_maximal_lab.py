@@ -2,12 +2,13 @@ import json
 import math
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracmax.maximal_lab as ml
@@ -670,7 +671,7 @@ def test_maximal_function_takes_a_running_max_over_the_kernel_chunks(monkeypatch
 
 
 def node_major_hoelder_ok(paths, alpha):
-    """_path_hoelder_ok as it was, on the node-major paths: the partition runs along the strided axis 0."""
+    """The partition form of _path_hoelder_ok: np.partition picks each path's middle pair of ratios along axis 0."""
     if paths.shape[0] < 3:
         return np.ones(paths.shape[1], dtype=bool)
     d1 = np.abs(paths[1:-1] - paths[:-2])
@@ -683,7 +684,7 @@ def node_major_hoelder_ok(paths, alpha):
 
 
 @pytest.mark.parametrize("nodes", [1, 2, 3, 4, 7, 52, 301])
-def test_pixel_major_hoelder_check_is_the_node_major_one(nodes):
+def test_counting_hoelder_check_is_the_partition_one(nodes):
     rng = np.random.default_rng(nodes)
     s = np.linspace(0.0, 2.0, nodes)
     paths = rng.standard_normal((nodes, 96)) + 1j * rng.standard_normal((nodes, 96))
@@ -697,6 +698,62 @@ def test_pixel_major_hoelder_check_is_the_node_major_one(nodes):
         assert np.array_equal(_path_hoelder_ok(paths[:, 5:70], alpha), expected[5:70])  # a strided chunk of columns
     if nodes >= 7:
         assert not _path_hoelder_ok(paths, 0.45)[1] and _path_hoelder_ok(paths, 0.45)[2]
+
+
+def hoelder_thresholds(paths):
+    """Each path's clamped estimate and the float just below it: a decision one ulp off flips a flag there."""
+    est = np.minimum(median_hoelder_estimate(paths), 1.0)
+    return np.concatenate([est, np.nextafter(est, -np.inf)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(3, 60).flatmap(
+        lambda nodes: st.lists(
+            st.lists(st.builds(complex, st.integers(-2, 2), st.integers(-2, 2)), min_size=nodes, max_size=nodes),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_counting_hoelder_check_is_the_partition_one_on_small_integer_paths(columns):
+    paths = np.array(columns).T  # small integers: tied ratios, and logs tied either side of a threshold, are common
+    for alpha in hoelder_thresholds(paths):
+        assert np.array_equal(_path_hoelder_ok(paths, alpha), node_major_hoelder_ok(paths, alpha))
+
+
+@pytest.mark.parametrize(
+    "steps, passes, fails",
+    [
+        # 4 ratios 2, 1.25, 5, 1.25: at 0.5 and 0.7 two logs lie above alpha, and their median 0.66 lies between
+        ([1.0, 1.0, 0.25, 1.0, 0.25], [0.3, 0.5], [0.7, 1.5]),
+        ([1.0, 0.25, 1.0, 0.25], [0.3], [0.4, 1.0]),  # 3 ratios 1.25, 5, 1.25: the median is log2(1.25)
+        ([1.0, 3.0, 9.0, 27.0, 81.0], [0.5, np.nextafter(1.0, 0.0)], [1.0]),  # every log is 2: the clamp decides at 1
+    ],
+    ids=["even_count_half_above", "odd_count", "clamp_at_one"],
+)
+def test_counting_hoelder_check_at_its_edges(steps, passes, fails):
+    path = np.concatenate([[0.0], np.cumsum(steps)])[:, None]  # ratios 1 + steps[i + 1] / steps[i]
+    for alpha in passes + fails + hoelder_thresholds(path).tolist():
+        assert _path_hoelder_ok(path, alpha)[0] == node_major_hoelder_ok(path, alpha)[0]
+    assert all(_path_hoelder_ok(path, alpha)[0] for alpha in passes)
+    assert not any(_path_hoelder_ok(path, alpha)[0] for alpha in fails)
+
+
+def test_square_functional_frees_each_level_before_the_next_is_dilated(monkeypatch):
+    batches, alive = [], []
+
+    def tracking_dilate(f, m, ts):
+        if len(batches) % 2 == 0:  # a level's refined batch, then the base rows it lacks
+            alive.append(sum(batch() is not None for batch in batches))
+        out = _batched_dilate(f, m, ts)
+        batches.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(ml, "_batched_dilate", tracking_dilate)
+    f = build_function(ModulatedBump(1.0, 2.0), 2048, 8.0)  # several pixel chunks per level
+    square_functional(f, LimitedDecay(1.0), sampled_dilations(augmented(POW_LAC), (-2, 2), 4), 0.45, 0.3, 3, 64)
+    assert alive == [0] * 5  # no batch of an earlier level lives when a level's refined batch is dilated
 
 
 def whole_batch_square_functional(f, m, sampling, alpha, beta, depth, s_resolution):
