@@ -169,10 +169,9 @@ def cmd_dim(args) -> Outcome:
     table_a = config.table_exponent
     if table_a is None:
         table_a = float(results.get("minkowski", results.get("kappa", {"value": 0.5}))["value"])
-    rows = ["delta,count,delta_pow_a_count"]
-    rows += [f"{repr(float(d))},{n},{repr(float(d**table_a * n))}" for d, n in zip(config.schedule, counts)]
+    rows = [f"{repr(float(d))},{n},{repr(float(d**table_a * n))}" for d, n in zip(config.schedule, counts)]
     report = {"config": spec, "seed": args.seed, "workers": 1, "results": results, "failures": failures}
-    files = {"counts.csv": "\n".join(rows) + "\n", "dim_report.json": _dump(report)}
+    files = {"counts.csv": ml.csv_text("delta,count,delta_pow_a_count", rows), "dim_report.json": _dump(report)}
     return files, EXIT_FAILED if failures else EXIT_OK, "", _note("dim", spec, to_wire(config))
 
 

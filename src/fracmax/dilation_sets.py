@@ -371,8 +371,8 @@ def entropy_number(block: BlockSet, delta: float, include_tails: bool = True) ->
 
 
 def _gap_contribution(gaps: np.ndarray, a: float) -> float:
-    # each interior gap g contributes 2 * (g/2)**a / a
-    return float(np.sum(2.0 * (gaps / 2.0) ** a / a)) if gaps.size else 0.0
+    # each interior gap g contributes 2 * (g/2)**a / a; no gaps sum to 0.0
+    return float(np.sum(2.0 * (gaps / 2.0) ** a / a))
 
 
 def _tail_bound(tail: TailInfo, a: float) -> float:
@@ -466,7 +466,7 @@ def _entropy_slope(blocks: Sequence[BlockSet], delta_schedule: Sequence[float]) 
     fit = _validate_schedule(delta_schedule, minimum=4)[-4:]
     log_n = np.array([math.log(max(max(entropy_number(b, d) for b in blocks), 1)) for d in fit])
     coeffs, res = np.polyfit(-np.log(fit), log_n, 1, full=True)[:2]
-    residual = float(np.sqrt(res[0] / 4)) if res.size else 0.0
+    residual = float(np.sqrt(res[0] / 4))  # four distinct scales: a line fit always returns its residual
     value = min(1.0, max(0.0, float(coeffs[0])))
     return DimensionEstimate(value, "entropy_slope", (float(fit[-1]), float(fit[0])), residual)
 
@@ -672,8 +672,8 @@ def dimension_bound_check(
     for a in exponents:
         lhs, mid = float(np.max(sched**a * counts)), distance_integral(block, a, with_tails=False)
         rhs = 1.0 + float(np.trapezoid(lam**a * counts[::-1], np.log(lam)))
-        left = lhs / mid if mid > 0 else math.inf
-        right = mid / rhs if rhs > 0 else math.inf
+        left = lhs / mid  # mid sums positive strip and gap terms of a nonempty block
+        right = mid / rhs  # rhs is 1 plus a nonnegative integral
         reports.append(BoundCheckReport(a, lhs, mid, rhs, left, right, bool(left <= constant and right <= constant)))
     return reports
 

@@ -20,20 +20,14 @@ HOLDER_CAP = 1.0
 HOLDER_FLOOR = 0.05
 
 
-def _convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """First len(values) entries of the full convolution of complex path values, FFT-backed when large."""
-    n = values.size
-    if n <= 4096:
-        return np.convolve(values, kernel)[:n]
-    size = 1 << (2 * n - 1).bit_length()
-    return np.fft.ifft(np.fft.fft(values, size) * np.fft.fft(kernel, size))[:n]
-
-
 def _cell_sums(values: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Entry i sums left[m] F_{i-m} + right[m] F_{i-m+1} over the cells m = 1..i of [0, t_i]; left[0] must be 0."""
+    n = values.size
     shifted = np.append(right[1:], 0.0)  # shift: coefficient of F_{i-k} with k = m-1
+    size = 1 << (2 * n - 1).bit_length()  # 2n - 1 points or more: the first n entries do not wrap
+    sums = np.fft.ifft(np.fft.fft(values, size) * np.fft.fft(left + shifted, size))[:n]  # one combined kernel
     # the shifted kernel drags in an out-of-range cell (k = -1) at each node
-    return _convolve(values, left) + _convolve(values, shifted) - shifted * values[0]
+    return sums - shifted * values[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,15 +146,15 @@ def _marchaud_uniform(values, alpha, h, grid, exponent):
     return (point + alpha * integral) / math.gamma(1.0 - alpha)
 
 
-def marchaud_matrix(grid: np.ndarray, alpha: float, exponent: float = 1.0, rows=None) -> np.ndarray:
+def marchaud_matrix(grid: np.ndarray, alpha: float, rows=None) -> np.ndarray:
     """Dense weights W with (D^alpha F)(t_i) = (W @ F)[i-1] on any grid.
 
     Rows correspond to the interior nodes grid[1:]; given `rows`, only the
-    rows at those indices are built.  `exponent` is the local Hoelder order
-    used on the singular cell; it must exceed alpha.
+    rows at those indices are built.  The singular cell takes the path as
+    Lipschitz, of local order HOLDER_CAP.
     """
-    if exponent <= alpha:
-        raise ValueError("Hoelder order insufficient")
+    if not 0 < alpha < 1:
+        raise ValueError(f"order must lie in (0, 1), got {alpha}")
     n = grid.size
     rows = np.arange(n - 1) if rows is None else np.asarray(rows, dtype=int)
     w = np.zeros((rows.size, n))
@@ -168,7 +162,7 @@ def marchaud_matrix(grid: np.ndarray, alpha: float, exponent: float = 1.0, rows=
     step = np.diff(grid)
     for row, i in zip(w, rows + 1):
         t = grid[i]
-        c_sing = alpha * ginv * step[i - 1] ** -alpha / (exponent - alpha)
+        c_sing = alpha * ginv * step[i - 1] ** -alpha / (HOLDER_CAP - alpha)
         row[i] = ginv * t**-alpha + c_sing
         row[i - 1] -= c_sing
         if i >= 2:  # distances to the cells' left ends are d[:-1], to their right ends d[1:]: one pow each per node
@@ -186,10 +180,12 @@ def marchaud_matrix(grid: np.ndarray, alpha: float, exponent: float = 1.0, rows=
 def marchaud_derivative(path: SampledPath, alpha) -> SampledPath:
     """Marchaud-form fractional derivative on the interior nodes of the path's uniform grid (see SampledPath).
 
-    Requires alpha below the path's declared (or estimated) Hoelder exponent;
-    the node t = 0 is excluded from the output.
+    Requires three nodes or more, and alpha below the path's declared (or
+    estimated) Hoelder exponent; the node t = 0 is excluded from the output.
     """
     a = _order(alpha, path)
+    if path.grid.size < 3:  # the output drops t = 0 and must keep two nodes
+        raise ValueError(f"the Marchaud derivative needs at least 3 nodes, got {path.grid.size}")
     exponent = path.hoelder_exponent if path.hoelder_exponent is not None else estimate_hoelder(path)
     if a >= exponent:
         raise ValueError(

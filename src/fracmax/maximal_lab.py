@@ -277,7 +277,7 @@ def square_functional(
         keys = [(grid.tobytes(), block.nodes.tobytes()) for grid, block in zip(grids, blocks)]
         for key, grid, block in zip(keys, grids, blocks):  # the nodes fix the rows
             if key not in matrices:
-                matrices[key] = marchaud_matrix(grid, alpha, 1.0, np.searchsorted(grid[1:], block.nodes))
+                matrices[key] = marchaud_matrix(grid, alpha, np.searchsorted(grid[1:], block.nodes))
         for cols in _chunks(f.n, grids[1].size, PIXEL_CHUNK):
             base = fine[pos, cols]  # then the rows the refined grid lacks are replaced
             base[~shared] = extra[:, cols]
@@ -297,6 +297,11 @@ def square_functional(
 EXPERIMENTS = Registry("kind", "experiment kind")
 MAX_TRIALS = 64  # the probe builds one test input per trial and runs one maximal function per decay
 MAX_BATCH = 1 << 23  # (dilations x pixels) values one batch may hold, 128 MB complex, checked before any work
+
+
+def csv_text(header: str, rows: list[str]) -> str:
+    """A report table: the header line, then one line per row, each ending in a newline."""
+    return "\n".join([header, *rows]) + "\n"
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -376,7 +381,7 @@ class Domination(MaximalExperiment):
         checks = [{"name": "ratio_stable_under_refinement", "passed": report.stable}]
         checks.append({"name": "beta_above_half_kappa", "passed": self.beta > kappa_est / 2.0})
         rows = [f"{j},{repr(band_sup_norm(self.multiplier, j))}" for j in range(self.j_range[0], self.j_range[1] + 1)]
-        band_norms = "\n".join(["j,band_sup_norm"] + rows) + "\n"
+        band_norms = csv_text("j,band_sup_norm", rows)
         return results, checks, {"ratio_histogram.csv": report.histogram(), "band_norms.csv": band_norms}
 
 
@@ -403,8 +408,8 @@ class Halfwave(GridExperiment):
         report = halfwave_convergence(build_function(self.f, self.n, self.extent), self.hw_alpha, times)
         results = {"beta_fit": report.beta_fit, "n_times": len(report.times)}
         checks = [{"name": "rate_at_least_beta_minus_point_one", "passed": report.beta_fit >= self.hw_beta - 0.1}]
-        rows = ["t,sup_difference"] + [f"{repr(t)},{repr(d)}" for t, d in zip(report.times, report.sup_differences)]
-        return results, checks, {"rates.csv": "\n".join(rows) + "\n"}
+        rows = [f"{repr(t)},{repr(d)}" for t, d in zip(report.times, report.sup_differences)]
+        return results, checks, {"rates.csv": csv_text("t,sup_difference", rows)}
 
 
 @EXPERIMENTS.register("probe")
@@ -454,8 +459,8 @@ class Probe(MaximalExperiment):
         per_trial = [(FUNCTIONS.to_json(s)["kind"], maximal_norm(f, self.multiplier)) for s, f in zip(specs, inputs)]
         sweep = [(float(a), maximal_norm(inputs[0], LimitedDecay(float(a)))) for a in self.regularity_grid]
         results = {"lower_bound": max(v for _, v in per_trial), "per_trial": per_trial, "regularity_sweep": sweep}
-        rows = ["trial,lp_norm"] + [f"{name},{repr(v)}" for name, v in per_trial]
-        return results, [], {"trials.csv": "\n".join(rows) + "\n"}
+        rows = [f"{name},{repr(v)}" for name, v in per_trial]
+        return results, [], {"trials.csv": csv_text("trial,lp_norm", rows)}
 
 
 @dataclass(frozen=True)
@@ -475,11 +480,10 @@ class DominationReport:
     def histogram(self) -> str:
         finite = self.ratios[np.isfinite(self.ratios)]
         if finite.size == 0:
-            return "lo,hi,count\n"
+            return csv_text("lo,hi,count", [])
         counts, edges = np.histogram(finite, bins=32)
-        rows = ["lo,hi,count"]
-        rows += [f"{repr(float(lo))},{repr(float(hi))},{c}" for lo, hi, c in zip(edges, edges[1:], counts)]
-        return "\n".join(rows) + "\n"
+        rows = [f"{repr(float(lo))},{repr(float(hi))},{c}" for lo, hi, c in zip(edges, edges[1:], counts)]
+        return csv_text("lo,hi,count", rows)
 
 
 def domination_ratio(config: Domination) -> DominationReport:

@@ -272,7 +272,7 @@ def sigma2_norm(m: Multiplier, params: BesovParams, j_range: tuple[int, int]) ->
         bands.append((j, _besov_sum(memo[key], params)))
     total = math.sqrt(sum(v**2 for _, v in bands))
     tail = math.sqrt(bands[-1][1] ** 2 + bands[-2][1] ** 2) if len(bands) >= 2 else 0.0
-    return Sigma2Result(total, tuple(bands), truncated or (total > 0 and tail > 0.01 * total))
+    return Sigma2Result(total, tuple(bands), truncated or tail > 0.01 * total)  # tail <= total
 
 
 def band_sup_norm(m: Multiplier, j: int) -> float:

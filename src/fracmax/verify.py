@@ -330,9 +330,7 @@ def suite_maximal() -> list[Check]:
         )
     )
 
-    n, extent = 1024, 8.0
-    x = -extent + (2 * extent / n) * np.arange(n)
-    mode = lp.GridFunction(extent, np.exp(2j * np.pi * 2.0 * x))
+    mode = lp.grid_from_profile(lambda x: np.exp(2j * np.pi * 2.0 * x), 8.0, 1024)
     times = np.geomspace(1e-4, 1e-3, 8) / (2 * np.pi * 2.0) ** 0.5
     slope = ml.halfwave_convergence(mode, 0.5, times).beta_fit
     checks.append(_within("halfwave_single_mode_slope", slope, 1.0, 0.02))

@@ -126,13 +126,8 @@ def test_rl_integral_graded_grid_linear():
     np.testing.assert_allclose(out, g**1.5 / math.gamma(2.5), atol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "n, alpha",
-    [(1025, 0.25), (1025, 0.5), (1025, 0.75), (4097, 0.5)],
-    ids=["convolve-0.25", "convolve-0.5", "convolve-0.75", "fft-0.5"],
-)
+@pytest.mark.parametrize("n, alpha", [(3, 0.5), (1025, 0.25), (1025, 0.5), (1025, 0.75), (4097, 0.5)])
 def test_rl_integral_matches_the_dense_quadrature(n, alpha):
-    # up to 4096 nodes the convolution kernel runs np.convolve, beyond it the FFT
     g = np.linspace(0.0, 2.0, n)
     f = np.sin(3 * g) + 1j * g**2
     ref = rl_matrix(g, alpha) @ f
@@ -162,7 +157,7 @@ def test_marchaud_power_laws(alpha, beta):
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_marchaud_graded_grid_linear(alpha):
     g = 2.0 * (np.arange(65.0) / 64) ** 2  # not uniform: only marchaud_matrix takes it
-    d = marchaud_matrix(g, alpha, 1.0) @ g
+    d = marchaud_matrix(g, alpha) @ g
     exact = math.gamma(2.0) / math.gamma(2.0 - alpha) * g[1:] ** (1.0 - alpha)
     assert np.max(np.abs(d - exact)) <= 1e-14  # the quadrature is exact for linear data
 
@@ -180,6 +175,19 @@ def test_marchaud_excludes_origin_node():
     g = np.linspace(0.0, 1.0, 129)
     d = marchaud_derivative(SampledPath(g, g), 0.5)
     assert d.grid[0] == g[1] and d.grid.size == g.size - 1
+
+
+def test_marchaud_derivative_names_the_node_count_of_a_short_path():
+    # the output drops t = 0, so the operator's own check speaks before the 1-node output's would
+    with pytest.raises(ValueError, match="needs at least 3 nodes, got 2"):
+        marchaud_derivative(SampledPath(np.linspace(0.0, 2.0, 2), [0.0, 1.0]), 0.5)
+
+
+def test_marchaud_matrix_order_bounds():
+    g = np.linspace(0.0, 1.0, 9)
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError, match="order must lie in"):
+            marchaud_matrix(g, alpha)
 
 
 def test_marchaud_hoelder_precondition():
@@ -212,13 +220,13 @@ def test_marchaud_order_zero_limit():
     assert dev < 0.05
 
 
-@pytest.mark.parametrize("n", [257, 4099], ids=["convolve", "fft"])
+@pytest.mark.parametrize("n", [3, 257, 4099])
 def test_marchaud_matrix_matches_uniform_path(n):
-    # up to 4096 nodes the cell sums run np.convolve, beyond it the FFT; a dozen rows keep the matrix small
+    # a dozen rows keep the matrix small; a 3-node grid has only rows 0 and 1
     g = np.linspace(0.0, 2.0, n)
     vals = np.sin(2 * g) + 0.1 * g**2
-    rows = np.unique(np.r_[0, 1, 2, np.linspace(0, n - 2, 9).astype(int)])
-    w = marchaud_matrix(g, 0.45, exponent=1.0, rows=rows)
+    rows = np.unique(np.r_[0, 1, 2, np.linspace(0, n - 2, 9).astype(int)].clip(max=n - 2))
+    w = marchaud_matrix(g, 0.45, rows=rows)
     direct = marchaud_derivative(SampledPath(g, vals, hoelder_exponent=1.0), 0.45)
     np.testing.assert_allclose(w @ vals, direct.values[rows], rtol=1e-9, atol=1e-11)
 
@@ -250,22 +258,21 @@ def loop_marchaud_matrix(grid, alpha, exponent):
 
 @st.composite
 def marchaud_cases(draw):
-    """A grid from 0 with 2..40 nodes and random steps, an order, an exponent above it, and row indices."""
+    """A grid from 0 with 2..40 nodes and random steps, an order and row indices."""
     steps = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=39))
     grid = np.concatenate([[0.0], np.cumsum(steps)])
     alpha = draw(st.floats(0.05, 0.95))
-    exponent = draw(st.floats(alpha, 1.0, exclude_min=True))
     rows = draw(st.lists(st.integers(0, grid.size - 2), max_size=2 * grid.size))  # duplicates, or no rows
-    return grid, alpha, exponent, np.array(rows, dtype=int)
+    return grid, alpha, np.array(rows, dtype=int)
 
 
 @settings(max_examples=150, deadline=None)
 @given(marchaud_cases())
 def test_marchaud_matrix_rows_are_the_full_matrix_rows_bit_for_bit(case):
-    grid, alpha, exponent, rows = case
-    full = marchaud_matrix(grid, alpha, exponent)
-    assert np.array_equal(full, loop_marchaud_matrix(grid, alpha, exponent))
-    part = marchaud_matrix(grid, alpha, exponent, rows)
+    grid, alpha, rows = case
+    full = marchaud_matrix(grid, alpha)
+    assert np.array_equal(full, loop_marchaud_matrix(grid, alpha, 1.0))  # a Lipschitz singular cell
+    part = marchaud_matrix(grid, alpha, rows)
     assert part.shape == (rows.size, grid.size)
     assert np.array_equal(part, full[rows])
 

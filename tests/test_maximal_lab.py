@@ -66,6 +66,14 @@ def gaussian(n=512, extent=8.0, width=1.0):
     return build_function(GaussianBump(width), n, extent)
 
 
+def test_modulated_bump_is_the_gaussian_times_its_modulation():
+    width, freq, n, extent = 1.5, 2.25, 256, 8.0
+    x = GridFunction(extent, np.zeros(n)).x_axis()
+    exact = np.exp(-(x**2) / (2 * width**2)) * np.exp(2j * np.pi * freq * x)
+    samples = build_function(ModulatedBump(width, freq), n, extent).samples
+    np.testing.assert_allclose(samples, exact, rtol=1e-12, atol=1e-15)
+
+
 # --- dilated application --------------------------------------------------------
 
 
@@ -430,7 +438,7 @@ def test_square_functional_matches_dense_brute_force():
     for j, pts in blocks.items():
         sd = np.linspace(0.0, 2.0, 1281)  # ten times the base resolution
         paths = _batched_dilate(spec, BandBump(), 2.0**j * sd)
-        deriv = marchaud_matrix(sd, alpha, exponent=1.0) @ paths
+        deriv = marchaud_matrix(sd, alpha) @ paths
         s_int = sd[1:]
         sel = (s_int >= 1.0) & (s_int <= 2.0)
         dist = np.min(np.abs(s_int[sel][:, None] - pts[None, :]), axis=1)
@@ -461,7 +469,7 @@ def full_matrix_square_functional(f, m, E, alpha, beta, depth, j_range, s_resolu
     spec, acc = f.to_frequency(), np.zeros(f.n)
     for block in blocks:
         s_grid = np.unique(np.concatenate([np.linspace(0.0, 2.0, s_resolution + 1), block.nodes]))
-        deriv = marchaud_matrix(s_grid, alpha, exponent=1.0) @ full_spectrum_dilate(spec, m, 2.0**block.j * s_grid)
+        deriv = marchaud_matrix(s_grid, alpha) @ full_spectrum_dilate(spec, m, 2.0**block.j * s_grid)
         acc += block.weights @ np.abs(deriv[np.searchsorted(s_grid[1:], block.nodes)]) ** 2
     return acc
 
@@ -771,7 +779,7 @@ def whole_batch_square_functional(f, m, sampling, alpha, beta, depth, s_resoluti
         base[~shared] = _batched_dilate(spec, m, 2.0 ** blocks[0].j * grids[0][~shared])
         flagged |= ~node_major_hoelder_ok(base, alpha)
         for acc, grid, block, paths in zip(accs, grids, blocks, (base, fine)):
-            deriv = marchaud_matrix(grid, alpha, 1.0, np.searchsorted(grid[1:], block.nodes)) @ paths
+            deriv = marchaud_matrix(grid, alpha, np.searchsorted(grid[1:], block.nodes)) @ paths
             acc += block.weights @ np.abs(deriv) ** 2
     return accs, flagged
 
@@ -801,7 +809,7 @@ def frequency_side_integral(f, m, blocks, alpha, s_resolution):
     spec, h = f.to_frequency(), np.zeros(f.n)
     for block in blocks:
         grid = np.union1d(np.linspace(0.0, 2.0, s_resolution + 1), block.nodes)
-        rows = marchaud_matrix(grid, alpha, 1.0, np.searchsorted(grid[1:], block.nodes))
+        rows = marchaud_matrix(grid, alpha, np.searchsorted(grid[1:], block.nodes))
         h += block.weights @ np.abs(rows @ evaluate(m, np.multiply.outer(2.0**block.j * grid, spec.freq_radius()))) ** 2
     return float(np.sum(np.abs(spec.samples) ** 2 * h)) * spec.dxi
 
@@ -823,9 +831,9 @@ def test_square_functional_integrates_to_its_frequency_side(monkeypatch, m, E):
 def test_square_functional_builds_each_marchaud_matrix_once_per_call(monkeypatch):
     built = []
 
-    def counting_marchaud(grid, alpha, exponent=1.0, rows=None):
+    def counting_marchaud(grid, alpha, rows=None):
         built.append((grid.tobytes(), np.asarray(rows).tobytes()))
-        return marchaud_matrix(grid, alpha, exponent, rows)
+        return marchaud_matrix(grid, alpha, rows)
 
     monkeypatch.setattr(ml, "marchaud_matrix", counting_marchaud)
     f, sampling = gaussian(n=256), sampled_dilations(augmented(LAC), (-2, 2), 4)

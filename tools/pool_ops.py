@@ -1,7 +1,7 @@
 """The benchmark pool's ops of a checkout, each ready to run through its `fracmax.cli.main`.
 
-Shared by `pool_digests.py` and `op_peaks.py`, and `report_blas_threads` by `shipped_digests.py` too; not a
-script of its own.
+Shared by `pool_digests.py`, `op_peaks.py` and `unreached.py`, and `report_blas_threads` by `shipped_digests.py`
+too; not a script of its own.
 """
 
 from __future__ import annotations

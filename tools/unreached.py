@@ -1,10 +1,11 @@
-"""Print each statement of a checkout's `src/fracmax` that no shipped command and no benchmark pool op executes.
+"""Print each statement of a checkout's `src/fracmax` that no benchmark pool op executes.
 
-Runs the six shipped commands of `shipped_digests.py` and every op of the
-`experiments` and `dimension` pools of `benchmarks/workloads.py` through the
-checkout's `fracmax.cli.main`, one after the other in this process, under
-`sys.settrace`, inside a temporary directory that is removed afterwards.
-Nothing is written under the checkout.  Needs the standard library only.
+Runs every op of the three workloads of `pool_ops.py` (the `verify` suites,
+and the `experiments` and `dimension` pools of `benchmarks/workloads.py`,
+which hold the shipped configs) through the checkout's `fracmax.cli.main`,
+one after the other in this process, under `sys.settrace`, inside temporary
+directories that are removed afterwards.  Nothing is written under the
+checkout.  Needs the standard library only.
 
     python tools/unreached.py                 # this checkout
     python tools/unreached.py --root OTHER    # another checkout, e.g. the parent commit
@@ -23,22 +24,18 @@ from __future__ import annotations
 
 import argparse
 import ast
-import contextlib
-import io
 import os
 import sys
-import tempfile
 import threading
 from pathlib import Path
 
 from pool_ops import pool_ops
-from shipped_digests import COMMANDS
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def run_all(root: Path) -> dict[str, set[int]]:
-    """Run the shipped commands and both pools under a line tracer; return the lines run per source file."""
+    """Run the three workloads' ops under a line tracer; return the lines run per source file."""
     prefix = str(root / "src" / "fracmax") + os.sep
     executed: dict[str, set[int]] = {}
 
@@ -54,15 +51,7 @@ def run_all(root: Path) -> dict[str, set[int]]:
     sys.settrace(tracer)  # before the package is imported, so its module-level lines count
     threading.settrace(tracer)
     try:
-        sys.path.insert(0, str(root / "src"))
-        from fracmax.cli import main as cli_main
-
-        with tempfile.TemporaryDirectory() as tmp:
-            for name, argv in COMMANDS.items():
-                argv = [arg if not arg.startswith("configs/") else str(root / arg) for arg in argv]
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                    cli_main([*argv, "--out", str(Path(tmp) / name)])
-        for workload in ("experiments", "dimension"):
+        for workload in ("verify", "experiments", "dimension"):
             for _, _, run in pool_ops(root, workload):
                 run()
     finally:
