@@ -78,8 +78,6 @@ def estimate_hoelder(path: SampledPath) -> float:
     C^0,b path makes the ratio ~ 2**b.
     """
     v = path.values
-    if v.size < 3:
-        return HOLDER_CAP
     d1 = np.abs(v[1:-1] - v[:-2])
     d2 = np.abs(v[2:] - v[:-2])
     scale = np.max(np.abs(v)) + 1e-300

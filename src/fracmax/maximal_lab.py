@@ -104,21 +104,37 @@ def build_function(f, n: int, extent: float) -> GridFunction:
 
 def _chunks(rows: int, width: int, least: int = 1) -> list[slice]:
     """Slices of range(rows), each a power of two rows (at least `least`), the most that CHUNK_POINTS values of the
-    given width hold.  Pixel chunks take at least PIXEL_CHUNK columns and so tile the grid in pieces that BLAS
-    rounds as it rounds the whole batch: narrower products can move last bits (measured with OpenBLAS)."""
+    given width hold.  Pixel chunks take at least PIXEL_CHUNK columns (twice that in a product's float view) and so
+    tile the grid in pieces that BLAS rounds as it rounds the whole batch: narrower products can move last bits."""
     step = max(1 << max(CHUNK_POINTS // width, 1).bit_length() - 1, least)
     return [slice(a, a + step) for a in range(0, rows, step)]
 
 
-def _batched_dilate(f: GridFunction, m: Multiplier, ts: np.ndarray) -> np.ndarray:
-    """Space-side values of T_{m(t .)} f for every t, stacked as (len(ts), n), filled a chunk of rows at a time."""
-    spec, half = f.to_frequency(), f.n // 2  # fftfreq's radii are exactly symmetric: evaluate m on 0..n/2, mirror
-    radius, out = spec.freq_radius()[: half + 1], np.empty((len(ts), f.n), dtype=complex)
+def _half_symbols(f: GridFunction, m: Multiplier, ts: np.ndarray) -> np.ndarray:
+    """m(t |xi|) on the half spectrum 0..n/2 for every t, stacked as (len(ts), n/2 + 1), a chunk of rows at a time:
+    fftfreq's radii are exactly symmetric, so _to_space mirrors the rest."""
+    radius = f.freq_radius()[: f.n // 2 + 1]
+    out = np.empty((len(ts), radius.size), dtype=complex)
     for rows in _chunks(len(ts), f.n):
-        vals = evaluate(m, np.multiply.outer(ts[rows], radius))
-        out[rows, : half + 1], out[rows, half + 1 :] = vals, vals[:, half - 1 : 0 : -1]
+        out[rows] = evaluate(m, np.multiply.outer(ts[rows], radius))
+    return out
+
+
+def _to_space(spec: GridFunction, half: np.ndarray, take=None) -> np.ndarray:
+    """Space-side values of the spectrum times each mirrored row of `half` (the rows `take`, if given), stacked as
+    (rows, n) and filled a chunk of rows at a time."""
+    take = np.arange(len(half)) if take is None else take
+    out = np.empty((len(take), spec.n), dtype=complex)
+    for rows in _chunks(len(take), spec.n):
+        vals = half[take[rows]]
+        out[rows, : vals.shape[1]], out[rows, vals.shape[1] :] = vals, vals[:, -2:0:-1]
         spec.filtered(out[rows])  # in place
     return out
+
+
+def _batched_dilate(f: GridFunction, m: Multiplier, ts: np.ndarray) -> np.ndarray:
+    """Space-side values of T_{m(t .)} f for every t, stacked as (len(ts), n)."""
+    return _to_space(f.to_frequency(), _half_symbols(f, m, ts))
 
 
 def nested_sample(points: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,38 +271,42 @@ def square_functional(
     the Marchaud scheme along s at the weight nodes only, and contracted
     against the level's weights.  `values` takes the points labelled <= depth
     with s_resolution fill cells, `refined` those <= depth + 1 with twice the cells.
-    Per level the refined paths and the base rows they lack (`extra`) are dilated
-    once (linspace(0, 2, R + 1) is linspace(0, 2, 2R + 1)[::2] bit for bit); each
-    chunk of pixels gathers its base paths, checks them and contracts both samplings
-    into their own accumulators, so each is a one-sampling run's and only `fine` and
-    `extra` span every pixel.  Each Marchaud matrix is built once per call.
+    Per level the half-spectrum symbol is evaluated once, for the refined grid and the
+    base rows it lacks (linspace(0, 2, R + 1) is linspace(0, 2, 2R + 1)[::2] bit for bit).
+    The refined sampling contracts there: its derivatives are T_{g_i} f with g = M @ sym,
+    one inverse FFT per weight node.  The base paths are inverse-transformed, and each
+    chunk of pixels is checked for the Hoelder precondition and contracted.  Both
+    contractions are real GEMMs over a float view; a level's arrays go before the next's.
     """
     if not 0 < beta < alpha <= 0.5:
         raise ValueError("need 0 < beta < alpha <= 1/2")
     samplings = ((depth, s_resolution), (depth + 1, 2 * s_resolution))
-    spec, accs, flagged = f.to_frequency(), (np.zeros(f.n), np.zeros(f.n)), np.zeros(f.n, dtype=bool)
+    spec, values, refined, flagged = f.to_frequency(), np.zeros(f.n), np.zeros(f.n), np.zeros(f.n, dtype=bool)
     matrices = {}  # by grid and weight-node bytes: a self-similar set repeats them at every level
     # every augmented block holds 1 and 2, labelled 0, so each cut keeps every level and it has weight nodes
     cuts = [{j: pts[sampling.labels[j] <= d] for j, pts in sampling.items()} for d, _ in samplings]
     for blocks in zip(*[build_h_weights(cut, beta) for cut in cuts]):
         grids = [np.union1d(np.linspace(0.0, 2.0, r + 1), b.nodes) for (_, r), b in zip(samplings, blocks)]
         pos = np.searchsorted(grids[1], grids[0])  # both grids end at 2, so every position is in range
-        shared = grids[1][pos] == grids[0]
-        fine = _batched_dilate(spec, m, 2.0 ** blocks[0].j * grids[1])  # (n_s, n_pixels)
-        extra = _batched_dilate(spec, m, 2.0 ** blocks[0].j * grids[0][~shared])
+        lacking = grids[1][pos] != grids[0]
+        pos[lacking] = grids[1].size + np.arange(np.count_nonzero(lacking))  # each base row's row of `sym`
+        sym = _half_symbols(f, m, 2.0 ** blocks[0].j * np.concatenate([grids[1], grids[0][lacking]]))
         keys = [(grid.tobytes(), block.nodes.tobytes()) for grid, block in zip(grids, blocks)]
         for key, grid, block in zip(keys, grids, blocks):  # the nodes fix the rows
             if key not in matrices:
                 matrices[key] = marchaud_matrix(grid, alpha, np.searchsorted(grid[1:], block.nodes))
-        for cols in _chunks(f.n, grids[1].size, PIXEL_CHUNK):
-            base = fine[pos, cols]  # then the rows the refined grid lacks are replaced
-            base[~shared] = extra[:, cols]
-            flagged[cols] |= ~_path_hoelder_ok(base, alpha)
-            for acc, key, block, paths in zip(accs, keys, blocks, (base, fine[:, cols])):
-                mag = np.abs(matrices[key] @ paths)
-                acc[cols] += block.weights @ np.square(mag, out=mag)
-        del fine, extra, base, paths  # `paths` views `fine`: this level's batches go before the next level's are made
-    return SquareFunctionalResult(*accs, flagged)
+        g = (matrices[keys[1]] @ sym[: grids[1].size].view(float)).view(complex)  # a real GEMM: re, im interleaved
+        for rows in _chunks(len(g), f.n):
+            mag = np.abs(_to_space(spec, g[rows]))
+            refined += blocks[1].weights[rows] @ np.square(mag, out=mag)
+        base = _to_space(spec, sym, pos)  # (n_s, n_pixels), the Hoelder check's paths
+        del sym, g
+        for cols in _chunks(f.n, grids[0].size, PIXEL_CHUNK):
+            flagged[cols] |= ~_path_hoelder_ok(base[:, cols], alpha)
+            mag = np.abs((matrices[keys[0]] @ base[:, cols].view(float)).view(complex))
+            values[cols] += blocks[0].weights @ np.square(mag, out=mag)
+        del base, mag  # this level's arrays go before the next level's symbols are evaluated
+    return SquareFunctionalResult(values, refined, flagged)
 
 
 # ---------------------------------------------------------------------------

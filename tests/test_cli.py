@@ -865,6 +865,15 @@ def test_dim_config_fuzz_never_raises(tmp_path, field, value):
     assert main(["dim", "--config", config, "--out", str(tmp_path / "o")]) in (EXIT_OK, EXIT_INPUT, EXIT_FAILED)
 
 
+def test_four_scale_schedule_is_the_least_that_runs(tmp_path, capsys):
+    # the edge of schedule.count's bound 4..64: three scales are refused, four run and write their report
+    assert FUZZ_DIM_CONFIG["schedule"]["count"] == 4
+    config = write(tmp_path, "dim.json", FUZZ_DIM_CONFIG)
+    assert main(["dim", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "o" / "dim_report.json").read_text())["results"]
+
+
 def test_every_config_class_declares_each_field_with_wire():
     # a field declared without `wire` would read as its default whatever the config says, and leave the echo
     assert {registry for registry, _ in _WIRE_NAMES.values()} == {GENERATORS, FAMILIES, FUNCTIONS, EXPERIMENTS}

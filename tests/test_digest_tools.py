@@ -64,3 +64,41 @@ def test_pool_digests_against_prints_only_the_ops_that_differ(monkeypatch, capsy
     out, err = capsys.readouterr()
     assert out.splitlines() == lines
     assert err.splitlines()[-1] == f"{len(lines)} of {len(PARENT.keys() | change.keys())} ops differ"
+
+
+def _report(**results):
+    return {"results": results, "checks": [{"name": "stable", "passed": True}]}
+
+
+def test_pool_digests_leaves_prints_each_moved_json_leaf_old_to_new(monkeypatch, capsys):
+    parent = {
+        "000 a": {**_record(report="r0", csv="c0"), "json": {"report": _report(x=1.0)}},
+        "001 b": {**_record(report="r1"), "json": {"report": _report(x=2.0, y=0.5, n=3, note="a")}},
+        "002 c": {**_record(report="r2"), "json": {"report": _report(x=0.0)}},
+    }
+    change = {
+        "000 a": {**_record(report="r0", csv="moved"), "json": {"report": _report(x=1.0)}},
+        "001 b": {**_record(report="moved"), "json": {"report": _report(x=2.0 + 3e-5, y=0.5 + 1e-12, n=4, note="b")}},
+        "002 c": {**_record(report="moved"), "json": {"report": {**_report(x=0.0), "checks": []}}},
+    }
+    roots = {Path("/change").resolve(): change, Path("/parent").resolve(): parent}
+    flags = []
+    monkeypatch.setattr(pool_digests, "digests", lambda root, workload, *f: flags.append(f) or roots[root])
+    argv = ["pool_digests.py", "--workload", "experiments", "--root", "/change", "--against", "/parent", "--leaves"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exit:
+        pool_digests.main()
+    assert exit.value.code == 1 and flags == [("--leaves",)] * 2  # both children parse their reports
+    out, _ = capsys.readouterr()
+    # a CSV names its op only; each moved leaf is printed parent value first, a number with its relative change
+    assert out.splitlines() == [
+        "000 a: csv",
+        "001 b: report",
+        "  report results.n: 3 -> 4 (relative change 0.333, outside tolerance)",
+        "  report results.note: 'a' -> 'b'",
+        "  report results.x: 2.0 -> 2.00003 (relative change 1.5e-05, outside tolerance)",
+        "  report results.y: 0.5 -> 0.500000000001 (relative change 2e-12, within tolerance)",
+        "002 c: report",
+        "  report checks[0].name: 'stable' -> '<missing>'",
+        "  report checks[0].passed: True -> '<missing>'",
+    ]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmax.fractional_calculus import (
+    HOLDER_CAP,
     SampledPath,
     estimate_hoelder,
     marchaud_derivative,
@@ -284,6 +285,12 @@ def test_estimate_hoelder_smooth_and_rough():
     rough = np.cumsum(rng.standard_normal(g.size)) * np.sqrt(g[1])
     est = estimate_hoelder(SampledPath(g, rough))
     assert 0.2 <= est <= 0.9  # Brownian-type increments sit near 1/2
+
+
+@pytest.mark.parametrize("values", [[0.0, 1.0], [2.0, 2.0], [1.0j, -3.0]], ids=["rising", "flat", "complex"])
+def test_estimate_hoelder_on_two_nodes_is_the_cap(values):
+    # two nodes leave no two-scale increment to compare, so the estimate is the cap, the local order of a smooth path
+    assert estimate_hoelder(SampledPath(np.array([0.0, 1.0]), np.array(values))) == HOLDER_CAP
 
 
 # --- roundtrip -------------------------------------------------------------------
