@@ -299,8 +299,9 @@ def square_functional(
         for rows in _chunks(len(g), f.n):
             mag = np.abs(_to_space(spec, g[rows]))
             refined += blocks[1].weights[rows] @ np.square(mag, out=mag)
+        del g  # before the base batch is made, beside the symbols it is gathered from
         base = _to_space(spec, sym, pos)  # (n_s, n_pixels), the Hoelder check's paths
-        del sym, g
+        del sym
         for cols in _chunks(f.n, grids[0].size, PIXEL_CHUNK):
             flagged[cols] |= ~_path_hoelder_ok(base[:, cols], alpha)
             mag = np.abs((matrices[keys[0]] @ base[:, cols].view(float)).view(complex))
