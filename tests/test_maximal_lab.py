@@ -810,8 +810,9 @@ def test_square_functional_frees_each_level_before_the_next_is_dilated(monkeypat
 
 
 def whole_batch_square_functional(f, m, sampling, alpha, beta, depth, s_resolution):
-    """square_functional as it was before pixel chunks: each level's whole base and refined batches, the Hoelder
-    check on the whole base batch, and one Marchaud matrix built per level and sampling."""
+    """square_functional as it was before pixel chunks and before the refined sampling moved to the frequency side:
+    each level's whole base and refined batches, the Hoelder check on the whole base batch, one Marchaud matrix built
+    per level and sampling, and both samplings contracted on the space side by the real GEMM over the float view."""
     samplings = ((depth, s_resolution), (depth + 1, 2 * s_resolution))
     spec, accs, flagged = f.to_frequency(), (np.zeros(f.n), np.zeros(f.n)), np.zeros(f.n, dtype=bool)
     cuts = [{j: pts[sampling.labels[j] <= d] for j, pts in sampling.items()} for d, _ in samplings]
@@ -908,8 +909,9 @@ def test_square_functional_builds_each_marchaud_matrix_once_per_call(monkeypatch
 
 def test_square_functional_holds_one_refined_batch_at_a_time():
     """On a 2048-pixel domination (Oscillatory, a Cantor set, the refined depth 5 and 65 fill nodes), the traced
-    peak of the square functional stays under twice its largest level's refined batch: that batch, the base rows it
-    lacks and one chunk.  The whole-batch form held each level's base batch, products and magnitudes too (3.4x)."""
+    peak of the square functional stays under twice its largest level's refined batch (24.6 MB): it holds the
+    level's half-spectrum symbols, then its base batch beside them and one chunk (18.8 MB; 20.3 MB when the refined
+    batch was dilated).  The whole-batch form held each level's base batch, products and magnitudes too (3.4x)."""
     E, m = DilationSet(CantorLike(3, (0, 2), 10)), Oscillatory(0.5, 1.0)
     f = build_function(ModulatedBump(1.0, 2.0), 2048, 8.0)
     sampling = sampled_dilations(augmented(E), (-1, 1), 5)
