@@ -630,11 +630,6 @@ def test_domination_ratio_is_the_two_pass_form_bit_for_bit(m, E, base_has_own_ro
     assert report.ratios.tobytes() == ratios.tobytes()
 
 
-def refined_node_counts(E, j_range, depth, beta=0.3):
-    """Per level, the refined sampling's (depth + 1) weight-node count."""
-    return [b.nodes.size for b in build_h_weights(sampled_dilations(augmented(E), j_range, depth + 1), beta)]
-
-
 def test_square_functional_dilates_the_refined_grid_and_only_the_base_rows_it_lacks(monkeypatch):
     evaluated, transformed, checked = [], [], []
 
@@ -668,9 +663,9 @@ def test_square_functional_dilates_the_refined_grid_and_only_the_base_rows_it_la
     assert sum(ts.size for ts in evaluated) == sum(fine.size for _, fine in grids) + lacking
     assert 0 < lacking < sum(base.size for base, _ in grids)
     # inverse FFTs: one row per refined weight node, in chunks of rows, and the base grid's rows
-    nodes = refined_node_counts(POW_LAC, (-2, 2), 3)
-    assert sum(transformed) == sum(nodes) + sum(base.size for base, _ in grids)
-    assert sum(nodes) < sum(fine.size for _, fine in grids)
+    nodes = sum(b.nodes.size for b in build_h_weights(sampled_dilations(augmented(POW_LAC), (-2, 2), 4), 0.3))
+    assert sum(transformed) == nodes + sum(base.size for base, _ in grids)
+    assert nodes < sum(fine.size for _, fine in grids)
 
 
 @pytest.mark.parametrize("m", ALL_FAMILIES, ids=family_id)
